@@ -50,54 +50,51 @@ go run ./cmd/ssam-bench -exp pq -format json -scale 0.001 -queries 2 > /dev/null
 # store's evict/reload path under the gate.
 go run ./cmd/ssam-bench -exp tiered -format json -scale 0.001 -queries 2 > /dev/null
 
+# ratio_gate LABEL NUM_BENCH DEN_BENCH OP LIMIT: run the two root-package
+# benchmarks on the identical shape (4096 x 64, k=10), and fail if
+# ns/op(NUM) / ns/op(DEN) is not OP (">=" or "<=") LIMIT. The limits
+# compare kernels, so the runs are pinned to one CPU (-cpu=1, where the
+# limits were calibrated): with two cores the float32 scan's vault
+# fan-out halves its time and the ratio measures parallelism instead.
+# Each side is read off the quietest of three runs: interference on a
+# shared box only ever slows a run, and at 20 iterations one burst moves
+# a single run by more than the headroom.
+ratio_gate() {
+    local label=$1 num=$2 den=$3 op=$4 limit=$5 out ratio
+    out=$(go test -run=NONE -bench="${num}\$|${den}\$" -benchtime=20x -count=3 -cpu=1 .)
+    ratio=$(echo "$out" | awk -v num="$num" -v den="$den" '
+        $1 ~ "^" num "(-[0-9]+)?$" && (n == "" || $3 < n) { n = $3 }
+        $1 ~ "^" den "(-[0-9]+)?$" && (d == "" || $3 < d) { d = $3 }
+        END {
+            if (n == "" || d == "") { print "missing"; exit }
+            printf "%.2f", n / d
+        }')
+    if [ "$ratio" = "missing" ]; then
+        echo "ci.sh: $label check could not parse benchmark output:" >&2
+        echo "$out" >&2
+        exit 1
+    fi
+    if ! awk -v r="$ratio" -v l="$limit" "BEGIN { exit !(r $op l) }"; then
+        echo "ci.sh: $label is ${ratio}x, want $op ${limit}x" >&2
+        echo "$out" >&2
+        exit 1
+    fi
+    echo "$label: ${ratio}x (want $op ${limit}x)"
+}
+
 # ADC regression check: the quantized scan must stay meaningfully
-# faster than the float32 scan on the identical benchmark shape
-# (4096 x 64, k=10). Measured headroom is ~3.5x on the growth box; the
-# 1.5x floor only trips if the blocked ADC kernel genuinely rots.
-pq_bench=$(go test -run=NONE -bench='BenchmarkRegionSearchHost$|BenchmarkSearchPQ$' -benchtime=20x .)
-pq_ratio=$(echo "$pq_bench" | awk '
-    /BenchmarkRegionSearchHost/ { host = $3 }
-    /BenchmarkSearchPQ/         { pq = $3 }
-    END {
-        if (host == "" || pq == "") { print "missing"; exit }
-        printf "%.2f", host / pq
-    }')
-if [ "$pq_ratio" = "missing" ]; then
-    echo "ci.sh: PQ regression check could not parse benchmark output:" >&2
-    echo "$pq_bench" >&2
-    exit 1
-fi
-if awk -v r="$pq_ratio" 'BEGIN { exit !(r < 1.5) }'; then
-    echo "ci.sh: quantized scan only ${pq_ratio}x the float32 scan, below the 1.5x floor" >&2
-    echo "$pq_bench" >&2
-    exit 1
-fi
-echo "quantized scan speedup vs float32 scan: ${pq_ratio}x (floor 1.5x)"
+# faster than the float32 scan. Measured headroom is ~3.5x on the growth
+# box; the 1.5x floor only trips if the blocked ADC kernel genuinely
+# rots.
+ratio_gate "float32 scan time vs quantized scan" \
+    BenchmarkRegionSearchHost BenchmarkSearchPQ ">=" 1.5
 
 # Tiered regression check: a fully-cached storage-backed region must
-# stay within 1.2x of the in-RAM host scan on the identical benchmark
-# shape (4096 x 64, k=10). Past the first pass every page is resident,
-# so the only extra work is page pins and the vault merge — if this
-# trips, the tier store's hot path has rotted.
-tier_bench=$(go test -run=NONE -bench='BenchmarkRegionSearchHost$|BenchmarkRegionSearchTiered$' -benchtime=20x .)
-tier_ratio=$(echo "$tier_bench" | awk '
-    /BenchmarkRegionSearchHost/   { host = $3 }
-    /BenchmarkRegionSearchTiered/ { tier = $3 }
-    END {
-        if (host == "" || tier == "") { print "missing"; exit }
-        printf "%.2f", tier / host
-    }')
-if [ "$tier_ratio" = "missing" ]; then
-    echo "ci.sh: tiered regression check could not parse benchmark output:" >&2
-    echo "$tier_bench" >&2
-    exit 1
-fi
-if awk -v r="$tier_ratio" 'BEGIN { exit !(r > 1.2) }'; then
-    echo "ci.sh: fully-cached tiered scan is ${tier_ratio}x the in-RAM scan, above the 1.2x ceiling" >&2
-    echo "$tier_bench" >&2
-    exit 1
-fi
-echo "fully-cached tiered scan vs in-RAM scan: ${tier_ratio}x (ceiling 1.2x)"
+# stay within 1.2x of the in-RAM host scan. Past the first pass every
+# page is resident, so the only extra work is page pins and the vault
+# merge — if this trips, the tier store's hot path has rotted.
+ratio_gate "fully-cached tiered scan time vs in-RAM scan" \
+    BenchmarkRegionSearchTiered BenchmarkRegionSearchHost "<=" 1.2
 
 # Write-mix smoke: stand a server up, drive a brief mixed read/write
 # load through ssam-loadgen (upserts and deletes against a live linear
@@ -157,10 +154,11 @@ trap - EXIT
 # against a known-tricky input fails the gate deterministically.
 go test -run='^Fuzz' -count=1 ./internal/server/wire
 
-# Coverage floors on the serving stack and the scan kernels: these
-# packages were hardened test-first; don't let coverage rot. The scan
-# kernels (knn) hold a higher bar than the rest.
-for spec in ./internal/server:80 ./internal/cluster:80 ./internal/obs:80 \
+# Coverage floors on the region, the serving stack and the scan
+# kernels: these packages were hardened test-first; don't let coverage
+# rot. Every mode runs through the root package's one engine seam. The
+# scan kernels (knn) hold a higher bar than the rest.
+for spec in .:80 ./internal/server:80 ./internal/cluster:80 ./internal/obs:80 \
             ./internal/knn:90 ./internal/graph:80 ./internal/mutate:80 \
             ./internal/replica:80 ./internal/pq:85 ./internal/tier:80; do
     pkg=${spec%:*}

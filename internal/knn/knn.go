@@ -191,14 +191,18 @@ func (e *Engine) SearchBatchSpan(qs [][]float32, k int, sp *obs.Span) [][]topk.R
 		}
 		return out
 	}
-	return batch(qs, k, e.workers, func(q []float32, k int) []topk.Result {
+	return Batch(qs, k, e.workers, func(q []float32, k int) []topk.Result {
 		res, _ := e.scanRange(q, k, 0, e.n)
 		return res
 	})
 }
 
-// batch fans queries out over workers goroutines, preserving order.
-func batch(qs [][]float32, k, workers int, search func([]float32, int) []topk.Result) [][]topk.Result {
+// Batch fans queries out over workers goroutines (workers <= 0 selects
+// GOMAXPROCS), preserving order. search must be safe for concurrent use.
+func Batch(qs [][]float32, k, workers int, search func([]float32, int) []topk.Result) [][]topk.Result {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	out := make([][]topk.Result, len(qs))
 	if workers <= 1 || len(qs) == 1 {
 		for i, q := range qs {
@@ -223,11 +227,4 @@ func batch(qs [][]float32, k, workers int, search func([]float32, int) []topk.Re
 	close(idx)
 	wg.Wait()
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -345,15 +345,8 @@ func (e *PQEngine) SearchBatchSpan(qs [][]float32, k int, sp *obs.Span) [][]topk
 		}
 		return out
 	}
-	return batch(qs, k, e.workers, func(q []float32, k int) []topk.Result {
+	return Batch(qs, k, e.workers, func(q []float32, k int) []topk.Result {
 		res, _ := e.search(q, k, nil, true)
 		return res
 	})
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -95,7 +95,7 @@ func Pack(codes []byte, m int) *Codes {
 	n := len(codes) / m
 	buf := make([]byte, len(codes))
 	for lo := 0; lo < n; lo += BlockRows {
-		rows := minInt(BlockRows, n-lo)
+		rows := min(BlockRows, n-lo)
 		base := lo * m
 		for j := 0; j < m; j++ {
 			col := buf[base+j*rows : base+(j+1)*rows]
@@ -121,7 +121,7 @@ func (c *Codes) Bytes() int { return len(c.buf) }
 // and by exact re-rank debugging; the hot path never un-transposes.
 func (c *Codes) Row(i int, dst []byte) []byte {
 	blo := i - i%BlockRows
-	rows := minInt(BlockRows, c.n-blo)
+	rows := min(BlockRows, c.n-blo)
 	base := blo * c.m
 	for j := 0; j < c.m; j++ {
 		dst[j] = c.buf[base+j*rows+(i-blo)]
@@ -147,9 +147,9 @@ func (c *Codes) Scan(lut []float32, lo, hi int, fn func(base int, dists []float3
 	var accBuf [BlockRows]float32
 	for lo < hi {
 		blo := lo - lo%BlockRows
-		rows := minInt(BlockRows, c.n-blo)
+		rows := min(BlockRows, c.n-blo)
 		cLo := lo - blo
-		cHi := minInt(hi-blo, rows)
+		cHi := min(hi-blo, rows)
 		acc := accBuf[:cHi-cLo]
 		base := blo * c.m
 		lut0 := (*[Ks]float32)(lut)
@@ -180,11 +180,4 @@ func ADC(lut []float32, code []byte) float32 {
 		acc += lut[j*Ks+int(code[j])]
 	}
 	return acc
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

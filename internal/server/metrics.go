@@ -47,31 +47,15 @@ func (s *Server) registerRegionMetrics(e *regionEntry) {
 	lbl := obs.Labels{"region": e.name}
 	s.registry.GaugeFunc("ssam_region_queue_depth",
 		"Queries waiting in the micro-batcher plus shard fan-outs in flight, per region.", lbl,
-		func() float64 {
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			depth := 0
-			if e.batcher != nil {
-				depth = e.batcher.Pending()
-			}
-			if e.cluster != nil {
-				for si := 0; si < e.cluster.Shards(); si++ {
-					depth += e.cluster.ShardStat(si).InFlight
-				}
-			}
-			if e.group != nil {
-				for ri := 0; ri < e.group.Replicas(); ri++ {
-					depth += e.group.Stat(ri).InFlight
-				}
-			}
-			return float64(depth)
-		})
-	if e.group != nil {
+		func() float64 { return float64(e.be.Pending()) })
+	// The per-kind series are different instruments, registered per kind.
+	// The backend is fixed for the entry's lifetime and the callbacks
+	// read atomics or lock-free snapshots, so they skip e.mu; Unregister
+	// precedes Free, so no scrape outlives the backend.
+	switch grp := e.be.(type) {
+	case *groupBackend:
 		// Replicated regions: generation/swap gauges plus one series set
-		// per replica slot. The group pointer is fixed for the entry's
-		// lifetime and Stat reads atomics, so the callbacks skip e.mu;
-		// Unregister precedes Free, so no scrape outlives the group.
-		grp := e.group
+		// per replica slot.
 		s.registry.GaugeFunc("ssam_region_gen",
 			"Serving generation of the replica group (0 before first build).", lbl,
 			func() float64 { return float64(grp.Gen()) })
@@ -97,14 +81,11 @@ func (s *Server) registerRegionMetrics(e *regionEntry) {
 			s.registry.GaugeFunc("ssam_replica_latency_ewma_seconds", "EWMA attempt latency per replica (the routing load score input).", rlbl,
 				func() float64 { return grp.Stat(ri).EwmaLatency.Seconds() })
 		}
-		return
-	}
-	if e.cluster == nil {
-		// Write-path series for mutable (unsharded) regions. The region
-		// pointer is fixed for the entry's lifetime and MutationStats is
-		// lock-free (all zeros until the first write, and again after
-		// Free detaches the store — Unregister precedes Free anyway).
-		region := e.region
+	case *regionBackend:
+		// Write-path series for mutable (unsharded) regions.
+		// MutationStats is lock-free (all zeros until the first write,
+		// and again after Free detaches the store).
+		region := grp.Region
 		if e.cfg.Mode == ssam.Quantized {
 			// Quantized regions: ADC work counters. All zeros until the
 			// index is built (QuantizedStats reports ok=false before the
@@ -170,25 +151,24 @@ func (s *Server) registerRegionMetrics(e *regionEntry) {
 		s.registry.CounterFunc("ssam_region_compact_passes_total",
 			"Compaction passes run (including no-ops), per region.", lbl,
 			func() uint64 { return mst().CompactPasses })
-		return
-	}
-	// The cluster pointer is fixed for the entry's lifetime and its
-	// counters are atomics, so the per-shard callbacks read it without
-	// e.mu; Unregister precedes Free, so no scrape outlives the shards.
-	cl := e.cluster
-	for si := 0; si < cl.Shards(); si++ {
-		si := si
-		slbl := obs.Labels{"region": e.name, "shard": strconv.Itoa(si)}
-		s.registry.CounterFunc("ssam_shard_queries_total", "Fan-outs served per shard (failed included).", slbl,
-			func() uint64 { return cl.ShardStat(si).Queries })
-		s.registry.CounterFunc("ssam_shard_failures_total", "Errored fan-outs per shard (timeouts included).", slbl,
-			func() uint64 { return cl.ShardStat(si).Failures })
-		s.registry.CounterFunc("ssam_shard_timeouts_total", "Fan-outs that missed the shard deadline.", slbl,
-			func() uint64 { return cl.ShardStat(si).Timeouts })
-		s.registry.CounterFunc("ssam_shard_hedges_total", "Hedged re-issues launched per shard.", slbl,
-			func() uint64 { return cl.ShardStat(si).Hedges })
-		s.registry.GaugeFunc("ssam_shard_inflight", "Fan-outs currently executing per shard.", slbl,
-			func() float64 { return float64(cl.ShardStat(si).InFlight) })
+	case *clusterBackend:
+		// Sharded regions: one series set per shard over the cluster's
+		// atomic counters.
+		cl := grp
+		for si := 0; si < cl.Shards(); si++ {
+			si := si
+			slbl := obs.Labels{"region": e.name, "shard": strconv.Itoa(si)}
+			s.registry.CounterFunc("ssam_shard_queries_total", "Fan-outs served per shard (failed included).", slbl,
+				func() uint64 { return cl.ShardStat(si).Queries })
+			s.registry.CounterFunc("ssam_shard_failures_total", "Errored fan-outs per shard (timeouts included).", slbl,
+				func() uint64 { return cl.ShardStat(si).Failures })
+			s.registry.CounterFunc("ssam_shard_timeouts_total", "Fan-outs that missed the shard deadline.", slbl,
+				func() uint64 { return cl.ShardStat(si).Timeouts })
+			s.registry.CounterFunc("ssam_shard_hedges_total", "Hedged re-issues launched per shard.", slbl,
+				func() uint64 { return cl.ShardStat(si).Hedges })
+			s.registry.GaugeFunc("ssam_shard_inflight", "Fan-outs currently executing per shard.", slbl,
+				func() float64 { return float64(cl.ShardStat(si).InFlight) })
+		}
 	}
 }
 

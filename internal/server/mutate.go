@@ -19,8 +19,9 @@ import (
 	"ssam/internal/server/wire"
 )
 
-// mutator is what the write path needs from a backend: both
-// *ssam.Region and *replica.Group satisfy it. A group fans each
+// mutator is what the write path needs from a backend: the region and
+// group backends satisfy it (through the *ssam.Region and
+// *replica.Group they embed); the cluster backend does not. A group fans each
 // mutation out to every replica in writer order (seq-identical by
 // construction); a group of sharded backends rejects writes with
 // ssam.ErrImmutableEngine exactly like a plain sharded region.
@@ -36,21 +37,13 @@ type mutator interface {
 // and mutation before build is a sequencing error (409, same as
 // searching an unbuilt region).
 func (e *regionEntry) mutableRegion(w http.ResponseWriter) (mutator, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.cluster != nil {
+	m, ok := e.be.(mutator)
+	if !ok {
 		writeErr(w, http.StatusConflict,
 			"region %q is sharded; sharded regions are immutable (reload to change data)", e.name)
 		return nil, false
 	}
-	if !e.built {
-		writeErr(w, http.StatusConflict, "region %q has no built index (POST .../build first)", e.name)
-		return nil, false
-	}
-	if e.group != nil {
-		return e.group, true
-	}
-	return e.region, true
+	return m, e.serving(w)
 }
 
 // mutationCode maps a region mutation error to its status: engine
@@ -220,9 +213,9 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 // region's compaction counter. Installed at build time, before any
 // write can migrate the region to the mutable store; the hook runs on
 // the compactor goroutine, so it touches only concurrency-safe state.
-func (s *Server) installCompactHook(e *regionEntry) {
+func (s *Server) installCompactHook(e *regionEntry, region *ssam.Region) {
 	name, stats := e.name, e.stats
-	e.region.SetCompactHook(func(res ssam.CompactResult) {
+	region.SetCompactHook(func(res ssam.CompactResult) {
 		if !res.Changed() {
 			return
 		}

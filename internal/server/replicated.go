@@ -9,6 +9,7 @@ package server
 // fresh generation from the staged dataset with zero downtime.
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"time"
@@ -24,11 +25,69 @@ import (
 // queries against each freshly built replica before it takes traffic.
 const warmQueries = 4
 
-// newGroupEntry attaches a replica.Group to a freshly created entry,
+// groupBackend is the replicated kind: a replica.Group routes each
+// query to one of N interchangeable copies (hedging to a second), so
+// queries bypass the micro-batcher; writes fan out through the group
+// (it is a mutator). The group pointer is fixed for the entry's
+// lifetime; generations swap inside it.
+type groupBackend struct {
+	*replica.Group
+	s *Server
+	e *regionEntry
+}
+
+// Load only stages (the entry keeps the rows): the serving generation
+// keeps answering from the old dataset until Build (first time) or
+// reload cuts over — that is the zero-downtime contract.
+func (b *groupBackend) Load([]float32) error { return nil }
+
+// Build is the first swap, installing generation 1 from the staged
+// dataset (later rebuilds go through .../reload).
+func (b *groupBackend) Build() error {
+	_, err := b.swap()
+	return err
+}
+
+func (b *groupBackend) Built() bool { return b.Gen() > 0 }
+
+func (b *groupBackend) Search(_ context.Context, q []float32, k int, sp *obs.Span) (answer, error) {
+	bsp := bypass(sp)
+	resp, err := b.Group.Search(q, k, bsp)
+	bsp.End()
+	return answer{
+		Results: resp.Results, Degraded: resp.Degraded, FailedShards: resp.FailedShards,
+		Hedges: resp.Hedges + resp.ShardHedges, Replica: &resp.Replica, Gen: resp.Gen, Failovers: resp.Failovers,
+	}, err
+}
+
+func (b *groupBackend) SearchBatch(qs [][]float32, k int, sp *obs.Span) (answer, error) {
+	resp, err := b.Group.SearchBatch(qs, k, sp)
+	return answer{
+		Batch: resp.Results, Degraded: resp.Degraded, FailedShards: resp.FailedShards,
+		Hedges: resp.Hedges + resp.ShardHedges, Replica: &resp.Replica, Gen: resp.Gen, Failovers: resp.Failovers,
+	}, err
+}
+
+func (b *groupBackend) Pending() int {
+	depth := 0
+	for ri := 0; ri < b.Replicas(); ri++ {
+		depth += b.Stat(ri).InFlight
+	}
+	return depth
+}
+
+func (b *groupBackend) Describe(info *wire.RegionInfo) {
+	info.Replicas, info.Gen = b.Replicas(), b.Gen()
+	if sc := b.e.cfgWire.Sharding; sc != nil {
+		info.Shards = sc.Shards
+	}
+}
+
+// newGroupBackend builds a freshly created entry's replica.Group,
 // validating both the group options and the underlying backend
 // configuration (by probing an empty backend, so a bad metric/mode or
 // sharding combo fails at create time, not at first build).
-func (s *Server) newGroupEntry(e *regionEntry, req wire.CreateRegionRequest) error {
+func (s *Server) newGroupBackend(e *regionEntry, req wire.CreateRegionRequest) (backend, error) {
 	rc := req.Config.Replicas
 	opts := replica.Options{
 		Replicas: rc.Replicas,
@@ -40,27 +99,26 @@ func (s *Server) newGroupEntry(e *regionEntry, req wire.CreateRegionRequest) err
 	if sc := req.Config.Sharding; sc != nil {
 		shardOpts, err := toShardingOptions(sc)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		probe, err := cluster.New(e.dims, e.cfg, shardOpts)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		probe.Free()
 		e.shardOpts = shardOpts
 	} else {
 		probe, err := ssam.New(e.dims, e.cfg)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		probe.Free()
 	}
 	group, err := replica.NewGroup(opts)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	e.group = group
-	return nil
+	return &groupBackend{Group: group, s: s, e: e}, nil
 }
 
 // buildReplicaBackend constructs one replica's backend from a
@@ -97,13 +155,14 @@ func (s *Server) buildReplicaBackend(e *regionEntry, data []float32) (replica.Ba
 	return replica.WrapRegion(r), nil
 }
 
-// swapGroup runs one generational swap from the entry's staged
-// dataset. The data snapshot is copied under e.mu (handleLoad reuses
-// the staging slice's backing array, so the swap must not share it),
-// but the swap itself — backend builds, warming, cutover, drain —
-// runs outside e.mu so /statsz, searches, and metric scrapes keep
-// flowing while the new generation is under construction.
-func (s *Server) swapGroup(e *regionEntry) (replica.SwapStats, error) {
+// swap runs one generational swap from the entry's staged dataset.
+// The data snapshot is copied under e.mu (handleLoad reuses the staging
+// slice's backing array, so the swap must not share it), but the swap
+// itself — backend builds, warming, cutover, drain — runs outside e.mu
+// so /statsz, searches, and metric scrapes keep flowing while the new
+// generation is under construction.
+func (b *groupBackend) swap() (replica.SwapStats, error) {
+	e := b.e
 	e.mu.Lock()
 	data := append([]float32(nil), e.data...)
 	e.mu.Unlock()
@@ -114,30 +173,9 @@ func (s *Server) swapGroup(e *regionEntry) (replica.SwapStats, error) {
 	for i := 0; i < rows && i < warmQueries; i++ {
 		warm = append(warm, data[i*e.dims:(i+1)*e.dims])
 	}
-
-	st, err := e.group.Swap(func(int) (replica.Backend, error) {
-		return s.buildReplicaBackend(e, data)
+	return b.Swap(func(int) (replica.Backend, error) {
+		return b.s.buildReplicaBackend(e, data)
 	}, warm, 1)
-	if err != nil {
-		return replica.SwapStats{}, err
-	}
-	e.mu.Lock()
-	e.built = true
-	e.mu.Unlock()
-	return st, nil
-}
-
-// buildGroupGeneration is the replicated half of handleBuild: the
-// first swap, installing generation 1 from the staged dataset.
-func (s *Server) buildGroupGeneration(w http.ResponseWriter, e *regionEntry) {
-	if _, err := s.swapGroup(e); err != nil {
-		writeErr(w, http.StatusConflict, "%v", err)
-		return
-	}
-	e.mu.Lock()
-	info := e.info()
-	e.mu.Unlock()
-	writeJSON(w, http.StatusOK, info)
 }
 
 // handleReload is POST /regions/{name}/reload: rebuild a replicated
@@ -153,23 +191,20 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if e == nil {
 		return
 	}
-	if e.group == nil {
+	grp, ok := e.be.(*groupBackend)
+	if !ok {
 		writeErr(w, http.StatusConflict,
 			"region %q is not replicated (create with config.replicas to enable reload)", e.name)
 		return
 	}
-	e.mu.Lock()
-	built := e.built
-	e.mu.Unlock()
-	if !built {
-		writeErr(w, http.StatusConflict, "region %q has no built index (POST .../build first)", e.name)
+	if !e.serving(w) {
 		return
 	}
 	forced := r.Header.Get(TraceHeader) != ""
 	tr := s.tracer.Trace("reload", forced, obs.Tag{Key: "region", Value: e.name})
 	root := tr.Root()
 	rsp := root.Start("swap")
-	st, err := s.swapGroup(e)
+	st, err := grp.swap()
 	rsp.SetTag("gen", st.Gen)
 	rsp.End()
 	s.tracer.Finish(tr)
@@ -180,7 +215,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, wire.ReloadResponse{
 		Gen:      st.Gen,
 		Replicas: st.Replicas,
-		Len:      e.group.Len(),
+		Len:      grp.Len(),
 		BuildMs:  float64(st.Build) / float64(time.Millisecond),
 		DrainMs:  float64(st.Drain) / float64(time.Millisecond),
 	})
@@ -224,10 +259,11 @@ func (s *Server) regionGroup(region string) (*replica.Group, error) {
 	if e == nil {
 		return nil, fmt.Errorf("server: no region %q", region)
 	}
-	if e.group == nil {
+	grp, ok := e.be.(*groupBackend)
+	if !ok {
 		return nil, fmt.Errorf("server: region %q is not replicated", region)
 	}
-	return e.group, nil
+	return grp.Group, nil
 }
 
 // toWireReplication converts a group's stats to the wire block

@@ -51,6 +51,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -64,7 +65,6 @@ import (
 	"ssam"
 	"ssam/internal/cluster"
 	"ssam/internal/obs"
-	"ssam/internal/replica"
 	"ssam/internal/server/batcher"
 	"ssam/internal/server/wire"
 )
@@ -131,13 +131,9 @@ type Server struct {
 	regions map[string]*regionEntry
 }
 
-// regionEntry is one named region plus its serving attachments.
-// Exactly one of region, cluster, and group is non-nil: cluster
-// entries are the sharded kind (config.sharding at create time) and
-// scatter-gather each query themselves instead of riding the
-// micro-batcher; group entries are the replicated kind
-// (config.replicas) and route each query to one of N interchangeable
-// backend copies (see replicated.go).
+// regionEntry is one named region: its staged dataset and the one
+// backend serving it, whose kind — plain region, sharded cluster, or
+// replica group — is chosen once, at create time (handleCreate).
 type regionEntry struct {
 	name    string
 	dims    int
@@ -149,14 +145,181 @@ type regionEntry struct {
 	// is both replicated and sharded (fixed at create time).
 	shardOpts cluster.Options
 
-	mu      sync.Mutex // guards mutation (load/build/free) and the fields below
-	region  *ssam.Region
-	cluster *cluster.Cluster
-	group   *replica.Group // fixed at create time (generations swap inside it)
-	data    []float32      // accumulated rows, so Append loads can restage
-	built   bool
-	batcher *batcher.Batcher // non-nil once built (unsharded regions only)
+	be backend // fixed at create time
+
+	mu   sync.Mutex // guards load/build/free on the backend and data
+	data []float32  // accumulated rows, so Append loads can restage
 }
+
+// answer is a backend's reply to a search: the superset of what the
+// kinds report, as it goes on the wire. Search fills Results,
+// SearchBatch fills Batch.
+type answer struct {
+	Results      []ssam.Result
+	Batch        [][]ssam.Result
+	Degraded     bool
+	FailedShards []int
+	Hedges       int // shard-level plus replica-level re-issues
+	Replica      *int
+	Gen          uint64
+	Failovers    int
+}
+
+// backend is what an entry serves from. Load, Built, Len, Describe and
+// Free are called with the entry's mu held; Build is called without it
+// and takes it for as long as the kind needs (a replica group builds a
+// whole generation outside the lock, so searches and scrapes keep
+// flowing); Search, SearchBatch and Pending are lock-free. Search opens
+// the request's "batch" stage under sp itself, since whether the
+// micro-batcher is bypassed is the backend's business; SearchBatch runs
+// under the caller's.
+type backend interface {
+	Load(rows []float32) error
+	Build() error
+	Built() bool
+	Search(ctx context.Context, q []float32, k int, sp *obs.Span) (answer, error)
+	SearchBatch(qs [][]float32, k int, sp *obs.Span) (answer, error)
+	Len() int
+	Pending() int // queries queued or in flight inside the backend
+	Describe(info *wire.RegionInfo)
+	Free()
+}
+
+// bypass opens the "batch" stage of a query that skips the
+// micro-batcher: the fan-out (sharded) or the routing (replicated) is
+// the parallelism, so the stage is a size-1 bypass holding those spans.
+func bypass(sp *obs.Span) *obs.Span {
+	return sp.Start("batch", obs.Tag{Key: "bypass", Value: true}, obs.Tag{Key: "size", Value: 1})
+}
+
+// regionBackend is the plain kind: one region behind a micro-batcher.
+type regionBackend struct {
+	*ssam.Region
+	s   *Server
+	e   *regionEntry
+	bat atomic.Pointer[batcher.Batcher] // non-nil once built
+}
+
+func (b *regionBackend) Load(rows []float32) error {
+	if err := b.LoadFloat32(rows); err != nil {
+		return err
+	}
+	// A reload invalidates the built index; stop batching until the
+	// caller rebuilds.
+	b.stopBatcher()
+	return nil
+}
+
+func (b *regionBackend) stopBatcher() {
+	if old := b.bat.Swap(nil); old != nil {
+		old.Close()
+	}
+}
+
+func (b *regionBackend) Build() error {
+	b.e.mu.Lock()
+	defer b.e.mu.Unlock()
+	if err := b.BuildIndex(); err != nil {
+		return err
+	}
+	b.stopBatcher()
+	// Built Linear regions can take writes; surface compaction passes
+	// in /tracez and the region counters from the moment that becomes
+	// possible (the hook is installed before any write can migrate the
+	// region to its mutable store).
+	b.s.installCompactHook(b.e, b.Region)
+	stats := b.e.stats
+	b.bat.Store(batcher.New(b.SearchBatchSpan, batcher.Options{
+		Window:   b.s.opts.BatchWindow,
+		MaxBatch: b.s.opts.MaxBatch,
+		OnFlush:  func(size int, _ time.Duration) { stats.recordBatch(size) },
+	}))
+	return nil
+}
+
+func (b *regionBackend) Built() bool { return b.bat.Load() != nil }
+
+func (b *regionBackend) Search(ctx context.Context, q []float32, k int, sp *obs.Span) (answer, error) {
+	bat := b.bat.Load()
+	if bat == nil {
+		return answer{}, errors.New("server: region was reloaded mid-request (rebuild first)")
+	}
+	bsp := sp.Start("batch")
+	res, err := bat.SearchSpan(ctx, q, k, bsp)
+	bsp.End()
+	return answer{Results: res}, err
+}
+
+func (b *regionBackend) SearchBatch(qs [][]float32, k int, sp *obs.Span) (answer, error) {
+	res, err := b.SearchBatchSpan(qs, k, sp)
+	return answer{Batch: res}, err
+}
+
+func (b *regionBackend) Pending() int {
+	if bat := b.bat.Load(); bat != nil {
+		return bat.Pending()
+	}
+	return 0
+}
+
+func (b *regionBackend) Describe(*wire.RegionInfo) {}
+
+func (b *regionBackend) Free() {
+	b.stopBatcher()
+	b.Region.Free()
+}
+
+// clusterBackend is the sharded kind: every query scatter-gathers
+// across the cluster's shards, so the micro-batcher stays out of the
+// way. It has no write path (not a mutator): the partitioner bakes row
+// placement at load time.
+type clusterBackend struct {
+	*cluster.Cluster
+	e     *regionEntry
+	built bool
+}
+
+func (b *clusterBackend) Load(rows []float32) error {
+	if err := b.LoadFloat32(rows); err != nil {
+		return err
+	}
+	b.built = false
+	return nil
+}
+
+func (b *clusterBackend) Build() error {
+	b.e.mu.Lock()
+	defer b.e.mu.Unlock()
+	if err := b.BuildIndex(); err != nil {
+		return err
+	}
+	b.built = true
+	return nil
+}
+
+func (b *clusterBackend) Built() bool { return b.built }
+
+func (b *clusterBackend) Search(_ context.Context, q []float32, k int, sp *obs.Span) (answer, error) {
+	bsp := bypass(sp)
+	resp, err := b.SearchTraced(q, k, bsp)
+	bsp.End()
+	return answer{Results: resp.Results, Degraded: resp.Degraded, FailedShards: resp.FailedShards, Hedges: resp.Hedges}, err
+}
+
+func (b *clusterBackend) SearchBatch(qs [][]float32, k int, sp *obs.Span) (answer, error) {
+	resp, err := b.SearchBatchTraced(qs, k, sp)
+	return answer{Batch: resp.Results, Degraded: resp.Degraded, FailedShards: resp.FailedShards, Hedges: resp.Hedges}, err
+}
+
+func (b *clusterBackend) Pending() int {
+	depth := 0
+	for si := 0; si < b.Shards(); si++ {
+		depth += b.ShardStat(si).InFlight
+	}
+	return depth
+}
+
+func (b *clusterBackend) Describe(info *wire.RegionInfo) { info.Shards = b.Shards() }
 
 // New returns a ready-to-serve Server.
 func New(opts Options) *Server {
@@ -219,18 +382,7 @@ func (s *Server) Close() {
 	for _, e := range entries {
 		s.registry.Unregister(obs.Labels{"region": e.name})
 		e.mu.Lock()
-		if e.batcher != nil {
-			e.batcher.Close()
-		}
-		if e.region != nil {
-			e.region.Free()
-		}
-		if e.cluster != nil {
-			e.cluster.Free()
-		}
-		if e.group != nil {
-			e.group.Free()
-		}
+		e.be.Free()
 		e.mu.Unlock()
 	}
 }
@@ -373,32 +525,14 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	e := &regionEntry{
 		name: req.Name, dims: req.Dims, cfg: cfg, cfgWire: req.Config,
 	}
-	switch {
-	case req.Config.Replicas != nil:
-		if err := s.newGroupEntry(e, req); err != nil {
-			writeErr(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-	case req.Config.Sharding != nil:
-		opts, err := toShardingOptions(req.Config.Sharding)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		if e.cluster, err = cluster.New(req.Dims, cfg, opts); err != nil {
-			writeErr(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-	default:
-		if e.region, err = ssam.New(req.Dims, cfg); err != nil {
-			writeErr(w, http.StatusBadRequest, "%v", err)
-			return
-		}
+	if e.be, err = s.newBackend(e, req); err != nil {
+		writeErr(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	s.mu.Lock()
 	if _, dup := s.regions[req.Name]; dup {
 		s.mu.Unlock()
-		e.free()
+		e.be.Free()
 		writeErr(w, http.StatusConflict, "region %q already exists", req.Name)
 		return
 	}
@@ -412,38 +546,35 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, e.info())
 }
 
-// free releases the entry's backing store (caller holds e.mu or has
-// exclusive ownership).
-func (e *regionEntry) free() {
-	if e.region != nil {
-		e.region.Free()
+// newBackend picks the entry's backend kind from the create request —
+// the one place the kind is decided.
+func (s *Server) newBackend(e *regionEntry, req wire.CreateRegionRequest) (backend, error) {
+	switch {
+	case req.Config.Replicas != nil:
+		return s.newGroupBackend(e, req)
+	case req.Config.Sharding != nil:
+		opts, err := toShardingOptions(req.Config.Sharding)
+		if err != nil {
+			return nil, err
+		}
+		c, err := cluster.New(e.dims, e.cfg, opts)
+		if err != nil {
+			return nil, err
+		}
+		return &clusterBackend{Cluster: c, e: e}, nil
 	}
-	if e.cluster != nil {
-		e.cluster.Free()
+	r, err := ssam.New(e.dims, e.cfg)
+	if err != nil {
+		return nil, err
 	}
-	if e.group != nil {
-		e.group.Free()
-	}
+	return &regionBackend{Region: r, s: s, e: e}, nil
 }
 
 func (e *regionEntry) info() wire.RegionInfo {
 	info := wire.RegionInfo{
-		Name: e.name, Dims: e.dims, Built: e.built, Config: e.cfgWire,
+		Name: e.name, Dims: e.dims, Len: e.be.Len(), Built: e.be.Built(), Config: e.cfgWire,
 	}
-	switch {
-	case e.group != nil:
-		info.Len = e.group.Len()
-		info.Replicas = e.group.Replicas()
-		info.Gen = e.group.Gen()
-		if sc := e.cfgWire.Sharding; sc != nil {
-			info.Shards = sc.Shards
-		}
-	case e.cluster != nil:
-		info.Len = e.cluster.Len()
-		info.Shards = e.cluster.Shards()
-	default:
-		info.Len = e.region.Len()
-	}
+	e.be.Describe(&info)
 	return info
 }
 
@@ -502,29 +633,10 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	for _, v := range req.Vectors {
 		e.data = append(e.data, v...)
 	}
-	if e.group != nil {
-		// Replicated regions only stage: the serving generation keeps
-		// answering from the old dataset until build (first time) or
-		// reload cuts over — that is the zero-downtime contract.
-		writeJSON(w, http.StatusOK, e.info())
-		return
-	}
-	if e.cluster != nil {
-		err = e.cluster.LoadFloat32(e.data)
-	} else {
-		err = e.region.LoadFloat32(e.data)
-	}
-	if err != nil {
+	if err := e.be.Load(e.data); err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// A reload invalidates the built index; stop batching until the
-	// caller rebuilds.
-	if e.batcher != nil {
-		e.batcher.Close()
-		e.batcher = nil
-	}
-	e.built = false
 	writeJSON(w, http.StatusOK, e.info())
 }
 
@@ -533,47 +645,14 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 	if e == nil {
 		return
 	}
-	if e.group != nil {
-		// First build of a replicated region: install generation 1 from
-		// the staged dataset (later rebuilds go through .../reload).
-		// The group pointer is fixed at create time, so reading it
-		// without e.mu is safe.
-		s.buildGroupGeneration(w, e)
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.cluster != nil {
-		// Sharded regions scatter-gather each query across shards
-		// themselves; the micro-batcher stays out of the way.
-		if err := e.cluster.BuildIndex(); err != nil {
-			writeErr(w, http.StatusConflict, "%v", err)
-			return
-		}
-		e.built = true
-		writeJSON(w, http.StatusOK, e.info())
-		return
-	}
-	if err := e.region.BuildIndex(); err != nil {
+	if err := e.be.Build(); err != nil {
 		writeErr(w, http.StatusConflict, "%v", err)
 		return
 	}
-	if e.batcher != nil {
-		e.batcher.Close()
-	}
-	// Built Linear regions can take writes; surface compaction passes
-	// in /tracez and the region counters from the moment that becomes
-	// possible (the hook is installed before any write can migrate the
-	// region to its mutable store).
-	s.installCompactHook(e)
-	region := e.region
-	e.batcher = batcher.New(region.SearchBatchSpan, batcher.Options{
-		Window:   s.opts.BatchWindow,
-		MaxBatch: s.opts.MaxBatch,
-		OnFlush:  func(size int, _ time.Duration) { e.stats.recordBatch(size) },
-	})
-	e.built = true
-	writeJSON(w, http.StatusOK, e.info())
+	e.mu.Lock()
+	info := e.info()
+	e.mu.Unlock()
+	writeJSON(w, http.StatusOK, info)
 }
 
 func (s *Server) handleFree(w http.ResponseWriter, r *http.Request) {
@@ -587,33 +666,25 @@ func (s *Server) handleFree(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Drop the metric series before freeing: scrape callbacks read the
-	// cluster's counters, and Unregister synchronizes with any render
-	// in progress (both hold the registry lock). Must run outside e.mu
-	// — the queue-depth callback locks e.mu under the registry lock.
+	// backend's counters, and Unregister synchronizes with any render
+	// in progress (both hold the registry lock).
 	s.registry.Unregister(obs.Labels{"region": name})
 	e.mu.Lock()
-	if e.batcher != nil {
-		e.batcher.Close()
-		e.batcher = nil
-	}
-	e.free()
-	e.built = false
+	e.be.Free()
 	e.mu.Unlock()
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// searchable snapshots the entry's serving state; it reports an error
-// response when the region has no built index yet. Sharded entries
-// return a cluster, replicated entries a group, each with the other
-// kinds nil.
-func (e *regionEntry) searchable(w http.ResponseWriter) (*batcher.Batcher, *cluster.Cluster, *replica.Group, *ssam.Region, bool) {
+// serving reports whether the entry has a built index to search; if
+// not it writes the error response.
+func (e *regionEntry) serving(w http.ResponseWriter) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !e.built || (e.cluster == nil && e.group == nil && e.batcher == nil) {
+	if !e.be.Built() {
 		writeErr(w, http.StatusConflict, "region %q has no built index (POST .../build first)", e.name)
-		return nil, nil, nil, nil, false
+		return false
 	}
-	return e.batcher, e.cluster, e.group, e.region, true
+	return true
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
@@ -648,76 +719,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	b, cl, grp, _, ok := e.searchable(w)
-	if !ok {
+	if !e.serving(w) {
 		s.tracer.Finish(tr)
 		return
 	}
-	if grp != nil {
-		// Replicated queries bypass the micro-batcher too: the group
-		// routes each query to one replica (hedging to a second), so
-		// the "batch" stage is a size-1 bypass holding the route spans.
-		bsp := root.Start("batch",
-			obs.Tag{Key: "bypass", Value: true}, obs.Tag{Key: "size", Value: 1})
-		resp, err := grp.Search(req.Query, req.K, bsp)
-		bsp.End()
-		if err != nil {
-			s.tracer.Finish(tr)
-			writeErr(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		if resp.Degraded {
-			e.stats.recordDegraded()
-		}
-		e.stats.recordQueries(1, time.Since(start))
-		rep := resp.Replica
-		out := wire.SearchResponse{
-			Results:      toNeighbors(resp.Results),
-			Degraded:     resp.Degraded,
-			FailedShards: resp.FailedShards,
-			Hedges:       resp.Hedges + resp.ShardHedges,
-			Replica:      &rep,
-			Gen:          resp.Gen,
-			Failovers:    resp.Failovers,
-		}
-		if td := s.tracer.Finish(tr); forced {
-			out.Trace = td
-		}
-		writeJSON(w, http.StatusOK, out)
-		return
-	}
-	if cl != nil {
-		// Sharded queries bypass the micro-batcher: the fan-out itself
-		// is the parallelism, so the "batch" stage is a size-1 bypass
-		// holding the fanout and merge spans.
-		bsp := root.Start("batch",
-			obs.Tag{Key: "bypass", Value: true}, obs.Tag{Key: "size", Value: 1})
-		resp, err := cl.SearchTraced(req.Query, req.K, bsp)
-		bsp.End()
-		if err != nil {
-			s.tracer.Finish(tr)
-			writeErr(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		if resp.Degraded {
-			e.stats.recordDegraded()
-		}
-		e.stats.recordQueries(1, time.Since(start))
-		out := wire.SearchResponse{
-			Results:      toNeighbors(resp.Results),
-			Degraded:     resp.Degraded,
-			FailedShards: resp.FailedShards,
-			Hedges:       resp.Hedges,
-		}
-		if td := s.tracer.Finish(tr); forced {
-			out.Trace = td
-		}
-		writeJSON(w, http.StatusOK, out)
-		return
-	}
-	bsp := root.Start("batch")
-	res, err := b.SearchSpan(r.Context(), req.Query, req.K, bsp)
-	bsp.End()
+	ans, err := e.be.Search(r.Context(), req.Query, req.K, root)
 	if err != nil {
 		s.tracer.Finish(tr)
 		if errors.Is(err, r.Context().Err()) {
@@ -726,8 +732,19 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
+	if ans.Degraded {
+		e.stats.recordDegraded()
+	}
 	e.stats.recordQueries(1, time.Since(start))
-	out := wire.SearchResponse{Results: toNeighbors(res)}
+	out := wire.SearchResponse{
+		Results:      toNeighbors(ans.Results),
+		Degraded:     ans.Degraded,
+		FailedShards: ans.FailedShards,
+		Hedges:       ans.Hedges,
+		Replica:      ans.Replica,
+		Gen:          ans.Gen,
+		Failovers:    ans.Failovers,
+	}
 	if td := s.tracer.Finish(tr); forced {
 		out.Trace = td
 	}
@@ -762,52 +779,31 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	_, cl, grp, region, ok := e.searchable(w)
-	if !ok {
+	if !e.serving(w) {
 		s.tracer.Finish(tr)
 		return
 	}
-	resp := wire.SearchBatchResponse{}
-	var batch [][]ssam.Result
 	bsp := root.Start("batch", obs.Tag{Key: "size", Value: len(req.Queries)})
-	switch {
-	case grp != nil:
-		var gr replica.BatchResponse
-		if gr, err = grp.SearchBatch(req.Queries, req.K, bsp); err == nil {
-			batch = gr.Results
-			resp.Degraded = gr.Degraded
-			resp.FailedShards = gr.FailedShards
-			resp.Hedges = gr.Hedges + gr.ShardHedges
-			rep := gr.Replica
-			resp.Replica = &rep
-			resp.Gen = gr.Gen
-			resp.Failovers = gr.Failovers
-			if gr.Degraded {
-				e.stats.recordDegraded()
-			}
-		}
-	case cl != nil:
-		var br cluster.BatchResponse
-		if br, err = cl.SearchBatchTraced(req.Queries, req.K, bsp); err == nil {
-			batch = br.Results
-			resp.Degraded = br.Degraded
-			resp.FailedShards = br.FailedShards
-			resp.Hedges = br.Hedges
-			if br.Degraded {
-				e.stats.recordDegraded()
-			}
-		}
-	default:
-		batch, err = region.SearchBatchSpan(req.Queries, req.K, bsp)
-	}
+	ans, err := e.be.SearchBatch(req.Queries, req.K, bsp)
 	bsp.End()
 	if err != nil {
 		s.tracer.Finish(tr)
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	resp.Results = make([][]wire.Neighbor, len(batch))
-	for i, res := range batch {
+	if ans.Degraded {
+		e.stats.recordDegraded()
+	}
+	resp := wire.SearchBatchResponse{
+		Results:      make([][]wire.Neighbor, len(ans.Batch)),
+		Degraded:     ans.Degraded,
+		FailedShards: ans.FailedShards,
+		Hedges:       ans.Hedges,
+		Replica:      ans.Replica,
+		Gen:          ans.Gen,
+		Failovers:    ans.Failovers,
+	}
+	for i, res := range ans.Batch {
 		resp.Results[i] = toNeighbors(res)
 	}
 	e.stats.recordBatch(len(req.Queries))
@@ -835,18 +831,13 @@ func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 		Regions:       make(map[string]wire.RegionStats, len(entries)),
 	}
 	for name, e := range entries {
-		depth := 0
-		var shardStats []wire.ShardStats
-		var repStats *wire.ReplicationStats
-		e.mu.Lock()
-		region := e.region
-		if e.batcher != nil {
-			depth = e.batcher.Pending()
-		}
-		if e.cluster != nil {
-			for _, st := range e.cluster.ShardStats() {
-				depth += st.InFlight
-				shardStats = append(shardStats, wire.ShardStats{
+		rs := e.stats.snapshot(e.be.Pending())
+		// The per-kind blocks are different instruments, so they stay
+		// per-kind.
+		switch b := e.be.(type) {
+		case *clusterBackend:
+			for _, st := range b.ShardStats() {
+				rs.Shards = append(rs.Shards, wire.ShardStats{
 					Shard:        st.Shard,
 					Len:          st.Len,
 					InFlight:     st.InFlight,
@@ -857,30 +848,20 @@ func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 					AvgLatencyMs: float64(st.AvgLatency) / float64(time.Millisecond),
 				})
 			}
-		}
-		e.mu.Unlock()
-		if e.group != nil {
-			gst := e.group.Stats()
-			repStats = toWireReplication(gst)
-			for _, r := range gst.Replicas {
-				depth += r.InFlight
-			}
-		}
-		rs := e.stats.snapshot(depth)
-		rs.Shards = shardStats
-		rs.Replication = repStats
-		if region != nil {
-			if mst, ok := region.MutationStats(); ok {
+		case *groupBackend:
+			rs.Replication = toWireReplication(b.Stats())
+		case *regionBackend:
+			if mst, ok := b.MutationStats(); ok {
 				rs.Mutation = toWireMutation(mst)
 			}
-			if qst, ok := region.QuantizedStats(); ok {
+			if qst, ok := b.QuantizedStats(); ok {
 				rs.Quantized = &wire.QuantizedStats{
 					TableBuilds: qst.TableBuilds,
 					CodeEvals:   qst.CodeEvals,
 					RerankEvals: qst.RerankEvals,
 				}
 			}
-			if tst, ok := region.TieredStats(); ok {
+			if tst, ok := b.TieredStats(); ok {
 				rs.Tiered = &wire.TieredStats{
 					Reads:         tst.Reads,
 					BytesRead:     tst.BytesRead,

@@ -62,10 +62,14 @@ func faultShard(t *testing.T, srv *Server, name string, dead int) {
 	srv.mu.RLock()
 	e := srv.regions[name]
 	srv.mu.RUnlock()
-	if e == nil || e.cluster == nil {
+	var cl *clusterBackend
+	if e != nil {
+		cl, _ = e.be.(*clusterBackend)
+	}
+	if cl == nil {
 		t.Fatalf("region %q is not a live sharded region", name)
 	}
-	e.cluster.SetFaultHook(func(shard, attempt int) error {
+	cl.SetFaultHook(func(shard, attempt int) error {
 		if shard == dead {
 			return errors.New("injected shard fault")
 		}

@@ -76,7 +76,7 @@ func TestSoakShardedFaults(t *testing.T) {
 	srv.mu.RLock()
 	e := srv.regions["shardy"]
 	srv.mu.RUnlock()
-	e.cluster.SetFaultHook(soakFault(1))
+	e.be.(*clusterBackend).SetFaultHook(soakFault(1))
 
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

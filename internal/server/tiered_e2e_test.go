@@ -195,3 +195,73 @@ func TestTieredRegionWireRejections(t *testing.T) {
 		t.Fatal("upsert on a storage-backed region succeeded")
 	}
 }
+
+// TestTieredQuantizedCountersEndToEnd pins the quantized work counters
+// of a storage-backed Quantized region: its engine is the tiered PQ
+// scan, and the /statsz quantized block and the ssam_pq_* series must
+// count its searches like they do for the in-RAM engine (they read 0
+// forever when the counters were taken from the in-RAM engine only).
+func TestTieredQuantizedCountersEndToEnd(t *testing.T) {
+	const n, dim, k, nq = 600, 16, 5, 8
+	rows, queries := testData(n, nq, dim)
+
+	srv := server.New(server.Options{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	ctx := context.Background()
+	c := client.New(ts.URL, client.WithTimeout(time.Minute))
+
+	cfg := wire.RegionConfig{
+		Mode:    "quantized",
+		Vaults:  4,
+		Index:   wire.IndexParams{M: 4, Sample: 512, Rerank: 32, Seed: 9},
+		Storage: &wire.StorageConfig{Path: filepath.Join(t.TempDir(), "pq.tier"), BudgetBytes: n * dim * 4 / 4},
+	}
+	if _, err := c.CreateRegion(ctx, "bigpq", dim, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Load(ctx, "bigpq", rows); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Build(ctx, "bigpq"); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range queries {
+		if _, err := c.Search(ctx, "bigpq", q, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	st, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qst := st.Regions["bigpq"].Quantized
+	if qst == nil {
+		t.Fatal("statsz quantized block missing for a storage-backed quantized region")
+	}
+	if qst.TableBuilds != nq || qst.CodeEvals != nq*n || qst.RerankEvals != nq*32 {
+		t.Errorf("quantized block = %+v, want %d table builds, %d code evals, %d rerank evals",
+			qst, nq, nq*n, nq*32)
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for series, want := range map[string]string{
+		`ssam_pq_table_builds_total{region="bigpq"}`: "8",
+		`ssam_pq_code_evals_total{region="bigpq"}`:   "4800",
+		`ssam_pq_rerank_evals_total{region="bigpq"}`: "256",
+	} {
+		if line := series + " " + want + "\n"; !strings.Contains(string(body), line) {
+			t.Errorf("/metrics missing %q", line)
+		}
+	}
+}

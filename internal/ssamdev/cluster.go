@@ -105,5 +105,5 @@ func (c *Cluster) Search(q []float32, k int) ([]topk.Result, QueryStats, error) 
 	queryBytes := int64(c.dim * 4)
 	resultBytes := int64(len(c.devices) * k * 8)
 	st.Seconds += c.cfg.HMC.LinkTime(queryBytes + resultBytes).Seconds()
-	return topk.Merge(k, lists...), st, nil
+	return topk.MergeSorted(k, lists...), st, nil
 }

@@ -107,16 +107,21 @@ func (t *KMTreeIndex) Search(q []float32, k, checksPerPU int) ([]topk.Result, Qu
 	copy(query, sim.QuantizeDevice(q, d.shift))
 	puCfg := d.puConfig(((k + topk.QueueDepth - 1) / topk.QueueDepth) * topk.QueueDepth)
 
+	// Resolve every slice's kernel before the fan-out: the program cache
+	// is an unguarded map, so it must only be touched from this goroutine.
+	progs := make([][]isa.Inst, len(t.slices))
+	for i := range t.slices {
+		var err error
+		if progs[i], err = t.program(checksPerPU, t.slices[i].lay.CentBase); err != nil {
+			return nil, QueryStats{}, err
+		}
+	}
+
 	results := make([][]topk.Result, len(t.slices))
 	outs := make([]sim.Stats, len(t.slices))
 	errs := make([]error, len(t.slices))
 	runParallel(len(t.slices), func(i int) {
 		ks := &t.slices[i]
-		prog, err := t.program(checksPerPU, ks.lay.CentBase)
-		if err != nil {
-			errs[i] = err
-			return
-		}
 		pu := sim.New(puCfg, ks.dram)
 		if err := pu.WriteScratch(0, query); err != nil {
 			errs[i] = err
@@ -126,7 +131,7 @@ func (t *KMTreeIndex) Search(q []float32, k, checksPerPU int) ([]topk.Result, Qu
 			errs[i] = err
 			return
 		}
-		if err := pu.Run(prog); err != nil {
+		if err := pu.Run(progs[i]); err != nil {
 			errs[i] = err
 			return
 		}
@@ -156,5 +161,5 @@ func (t *KMTreeIndex) Search(q []float32, k, checksPerPU int) ([]topk.Result, Qu
 		st.PQInserts += s.PQInserts
 	}
 	st.Seconds = float64(st.Cycles) / d.cfg.PU.ClockHz
-	return topk.Merge(k, lists...), st, nil
+	return topk.MergeSorted(k, lists...), st, nil
 }

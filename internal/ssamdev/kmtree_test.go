@@ -1,6 +1,8 @@
 package ssamdev
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 
 	"ssam/internal/dataset"
@@ -139,5 +141,40 @@ func TestKMTreeErrors(t *testing.T) {
 	}
 	if _, _, err := ti.Search(ds.Queries[0], 3, 0); err == nil {
 		t.Fatal("zero budget accepted")
+	}
+}
+
+// TestKMTreeProgramCacheRace pins the kernel cache to one goroutine:
+// the per-CentBase programs must be resolved before the PU fan-out, not
+// from inside its workers. GOMAXPROCS is raised for the test's duration
+// so runParallel really runs several workers (and the race detector
+// trips) even on a 1-CPU box; each fresh checks value forces cache
+// misses, the racy path.
+func TestKMTreeProgramCacheRace(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	ds := smallDataset(900, 16)
+	dev, err := NewFloat(DefaultConfig(4), ds.Data, ds.Dim(), vec.Euclidean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ti, err := dev.BuildKMTreeIndex(4, 8, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := ti.Search(ds.Queries[0], 5, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for checks := 17; checks < 25; checks++ {
+		if _, _, err := ti.Search(ds.Queries[0], 5, checks); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, _, err := ti.Search(ds.Queries[0], 5, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("cached kernel changed the answer: %v vs %v", got, want)
 	}
 }

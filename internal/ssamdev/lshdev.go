@@ -186,5 +186,5 @@ func (x *LSHIndex) Search(q []float32, k int) ([]topk.Result, QueryStats, error)
 		st.PQInserts += s.PQInserts
 	}
 	st.Seconds = float64(st.Cycles) / d.cfg.PU.ClockHz
-	return topk.Merge(k, lists...), st, nil
+	return topk.MergeSorted(k, lists...), st, nil
 }

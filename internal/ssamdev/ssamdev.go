@@ -428,7 +428,7 @@ func (d *Device) run(query []int32, k int) ([]topk.Result, QueryStats, error) {
 	}
 	st.Seconds = float64(st.Cycles) / d.cfg.PU.ClockHz
 	st = d.applyStorage(st)
-	return topk.Merge(k, lists...), st, nil
+	return topk.MergeSorted(k, lists...), st, nil
 }
 
 // ApproxWork summarizes the per-query work of an indexed (approximate)

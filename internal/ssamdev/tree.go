@@ -146,5 +146,5 @@ func (t *TreeIndex) Search(q []float32, k, checksPerPU int) ([]topk.Result, Quer
 		st.PQInserts += s.PQInserts
 	}
 	st.Seconds = float64(st.Cycles) / d.cfg.PU.ClockHz
-	return topk.Merge(k, lists...), st, nil
+	return topk.MergeSorted(k, lists...), st, nil
 }

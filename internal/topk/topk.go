@@ -139,25 +139,14 @@ func SortResults(rs []Result) {
 	})
 }
 
-// Merge combines per-partition top-k lists (each already sorted or not)
-// into the global top-k, the "final set of global top-k reductions on
-// the host processor" from Section III-D.
-func Merge(k int, lists ...[]Result) []Result {
-	s := New(k)
-	for _, l := range lists {
-		for _, r := range l {
-			s.Push(r.ID, r.Dist)
-		}
-	}
-	return s.Results()
-}
-
-// MergeSorted combines per-partition top-k lists into the global top-k
-// under the total order (ascending distance, ties by ascending id).
-// Unlike Merge, whose boundary tie-breaking depends on push order, the
-// result is independent of list order and of how candidates were
-// partitioned — the property the sharded scatter-gather layer
-// (internal/cluster) needs for cluster-vs-region equivalence.
+// MergeSorted combines per-partition top-k lists (each already sorted
+// or not) into the global top-k under the total order (ascending
+// distance, ties by ascending id) — the "final set of global top-k
+// reductions on the host processor" from Section III-D. The result is
+// independent of list order and of how candidates were partitioned,
+// the property the vault-parallel engines and the sharded
+// scatter-gather layer (internal/cluster) need for equivalence with a
+// serial scan.
 func MergeSorted(k int, lists ...[]Result) []Result {
 	total := 0
 	for _, l := range lists {

@@ -132,7 +132,7 @@ func TestSelectorMatchesSortQuick(t *testing.T) {
 func TestMerge(t *testing.T) {
 	a := []Result{{ID: 1, Dist: 1}, {ID: 2, Dist: 4}}
 	b := []Result{{ID: 3, Dist: 2}, {ID: 4, Dist: 3}}
-	got := Merge(3, a, b)
+	got := MergeSorted(3, a, b)
 	wantIDs := []int{1, 3, 4}
 	if len(got) != 3 {
 		t.Fatalf("Merge len = %d", len(got))
@@ -166,7 +166,7 @@ func TestMergePartitionQuick(t *testing.T) {
 		for p := range sels {
 			lists[p] = sels[p].Results()
 		}
-		got := Merge(k, lists...)
+		got := MergeSorted(k, lists...)
 		want := all.Results()
 		if len(got) != len(want) {
 			return false

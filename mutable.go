@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"ssam/internal/mutate"
-	"ssam/internal/obs"
 	"ssam/internal/vec"
 )
 
@@ -29,59 +28,22 @@ type CompactResult = mutate.CompactResult
 // that migrate to the mutable store.
 const DefaultCompactInterval = 200 * time.Millisecond
 
-// regionStore holds the mutable store a Linear region migrates to on
-// its first write — exactly one of f (float metrics) or b (Hamming) is
-// set.
-type regionStore struct {
-	f *mutate.Store[[]float32]
-	b *mutate.Store[vec.Binary]
-}
-
-func (ms *regionStore) len() int {
-	if ms.b != nil {
-		return ms.b.Len()
-	}
-	return ms.f.Len()
-}
-
-func (ms *regionStore) stats() MutationStats {
-	if ms.b != nil {
-		return ms.b.Stats()
-	}
-	return ms.f.Stats()
-}
-
-func (ms *regionStore) close() {
-	if ms.b != nil {
-		ms.b.Close()
-	} else {
-		ms.f.Close()
-	}
-}
-
-func (ms *regionStore) compactOnce() CompactResult {
-	if ms.b != nil {
-		return ms.b.CompactOnce()
-	}
-	return ms.f.CompactOnce()
-}
-
 // mutable returns the region's store if it has migrated to the write
-// path (lock-free; the search fast paths call this per query).
-func (r *Region) mutable() *regionStore { return r.mut.Load() }
+// path, else nil.
+func (r *Region) mutable() mutableStore {
+	ms, _ := r.engine().(mutableStore)
+	return ms
+}
 
 // Mutable reports whether the region has taken at least one write and
 // is serving from the mutable store.
-func (r *Region) Mutable() bool { return r.mut.Load() != nil }
+func (r *Region) Mutable() bool { return r.mutable() != nil }
 
 // Seq returns the region's last committed mutation sequence number
 // (zero before the first write).
 func (r *Region) Seq() uint64 {
-	if ms := r.mut.Load(); ms != nil {
-		if ms.b != nil {
-			return ms.b.Seq()
-		}
-		return ms.f.Seq()
+	if ms := r.mutable(); ms != nil {
+		return ms.Seq()
 	}
 	return 0
 }
@@ -89,11 +51,11 @@ func (r *Region) Seq() uint64 {
 // MutationStats returns the region's write-path counters; ok is false
 // if the region has never been mutated.
 func (r *Region) MutationStats() (MutationStats, bool) {
-	ms := r.mut.Load()
+	ms := r.mutable()
 	if ms == nil {
 		return MutationStats{}, false
 	}
-	return ms.stats(), true
+	return ms.Stats(), true
 }
 
 // SetCompactHook installs fn to run after every compaction pass that
@@ -104,12 +66,8 @@ func (r *Region) SetCompactHook(fn func(CompactResult)) {
 	r.mutMu.Lock()
 	defer r.mutMu.Unlock()
 	r.onCompact = fn
-	if ms := r.mut.Load(); ms != nil {
-		if ms.b != nil {
-			ms.b.OnCompact = fn
-		} else {
-			ms.f.OnCompact = fn
-		}
+	if ms := r.mutable(); ms != nil {
+		ms.setHook(fn)
 	}
 }
 
@@ -121,11 +79,11 @@ func (r *Region) CompactNow() (CompactResult, error) {
 	if r.freed {
 		return CompactResult{}, ErrFreed
 	}
-	ms := r.mut.Load()
+	ms := r.mutable()
 	if ms == nil {
 		return CompactResult{}, errors.New("ssam: CompactNow on an unmutated region")
 	}
-	return ms.compactOnce(), nil
+	return ms.CompactOnce(), nil
 }
 
 // Upsert inserts vector v under id (replacing any existing row with
@@ -146,7 +104,7 @@ func (r *Region) Upsert(id int, v []float32) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return ms.f.Upsert(id, v)
+	return ms.(*mutableEngine[[]float32]).Upsert(id, v)
 }
 
 // UpsertBinary is Upsert for Hamming regions.
@@ -161,7 +119,7 @@ func (r *Region) UpsertBinary(id int, c BinaryCode) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return ms.b.Upsert(id, c)
+	return ms.(*mutableEngine[vec.Binary]).Upsert(id, c)
 }
 
 // Delete tombstones the row with the given id, reporting whether it was
@@ -172,173 +130,40 @@ func (r *Region) Delete(id int) (seq uint64, ok bool, err error) {
 	if err != nil {
 		return 0, false, err
 	}
-	if ms.b != nil {
-		seq, ok = ms.b.Delete(id)
-	} else {
-		seq, ok = ms.f.Delete(id)
-	}
+	seq, ok = ms.Delete(id)
 	return seq, ok, nil
 }
 
 // migrate returns the region's mutable store, performing the one-time
-// engine-to-store migration on first use. Concurrent first writes are
-// serialized by mutMu; searches never take that lock — they observe the
-// migration through the atomic pointer, and because the store is seeded
-// with exactly the engine's rows under ids equal to row indices, a
-// query racing the flip returns bit-identical results either way.
-func (r *Region) migrate() (*regionStore, error) {
-	if ms := r.mut.Load(); ms != nil {
+// engine swap on first use. Concurrent first writes are serialized by
+// mutMu; searches never take that lock — they observe the swap through
+// the atomic engine pointer, and because the store is seeded with
+// exactly the engine's rows under ids equal to row indices, a query
+// racing the flip returns bit-identical results either way.
+func (r *Region) migrate() (mutableStore, error) {
+	if ms := r.mutable(); ms != nil {
 		return ms, nil
 	}
 	r.mutMu.Lock()
 	defer r.mutMu.Unlock()
-	if ms := r.mut.Load(); ms != nil {
+	if ms := r.mutable(); ms != nil {
 		return ms, nil
 	}
-	if r.freed {
+	switch {
+	case r.freed:
 		return nil, ErrFreed
-	}
-	if r.cfg.Mode != Linear {
-		return nil, ErrImmutableEngine
-	}
-	if r.cfg.Storage != nil {
-		// Storage-backed regions are immutable: the backing file is the
-		// dataset, and the RCU store has no out-of-core write path yet
-		// (see ROADMAP follow-ups).
-		return nil, fmt.Errorf("%w: storage-backed region", ErrImmutableEngine)
-	}
-	if !r.built {
+	case r.immutable != nil:
+		return nil, r.immutable
+	case r.engine() == nil:
 		return nil, errors.New("ssam: mutation before BuildIndex")
 	}
-	opts := mutate.Options{Vaults: r.cfg.Vaults}
-	ms := &regionStore{}
-	if r.cfg.Metric == Hamming {
-		ms.b = mutate.NewBinary(r.dims, opts)
-		n := len(r.codes)
-		ids := make([]int, n)
-		for i := range ids {
-			ids[i] = i
-		}
-		if err := ms.b.Seed(ids, r.codes); err != nil {
-			return nil, err
-		}
-		ms.b.OnCompact = r.onCompact
-		ms.b.StartCompactor(DefaultCompactInterval)
-	} else {
-		ms.f = mutate.NewFloat(r.dims, r.cfg.Metric.toVec(), opts)
-		n := len(r.data) / r.dims
-		ids := make([]int, n)
-		rows := make([][]float32, n)
-		for i := range ids {
-			ids[i] = i
-			rows[i] = r.data[i*r.dims : (i+1)*r.dims]
-		}
-		if err := ms.f.Seed(ids, rows); err != nil {
-			return nil, err
-		}
-		ms.f.OnCompact = r.onCompact
-		ms.f.StartCompactor(DefaultCompactInterval)
+	ms, err := r.seed()
+	if err != nil {
+		return nil, err
 	}
-	r.mut.Store(ms)
+	ms.setHook(r.onCompact)
+	ms.StartCompactor(DefaultCompactInterval)
+	var e engine = ms
+	r.eng.Store(&e) // the replaced exact-scan engine holds nothing to close
 	return ms, nil
-}
-
-// dropStore closes and detaches the mutable store (dataset reload and
-// Free): the region reverts to pure load-then-search state.
-func (r *Region) dropStore() {
-	r.mutMu.Lock()
-	defer r.mutMu.Unlock()
-	if ms := r.mut.Load(); ms != nil {
-		ms.close()
-		r.mut.Store(nil)
-	}
-}
-
-// searchMutable answers a float query from the mutable store. For
-// Device execution the store computes the results (the cycle simulator
-// scans a frozen layout) and the device prices the scan analytically —
-// same result bits, modeled cost.
-func (r *Region) searchMutable(ms *regionStore, q []float32, k int, sp *obs.Span) ([]Result, DeviceStats, error) {
-	execTag := "host"
-	if r.device != nil {
-		execTag = "device"
-	}
-	esp := sp.Start("exec",
-		obs.Tag{Key: "execution", Value: execTag},
-		obs.Tag{Key: "mutable", Value: true},
-		obs.Tag{Key: "vaults", Value: ms.f.Vaults()})
-	res, st := ms.f.SearchStatsSpan(q, k, esp)
-	if esp != nil {
-		esp.SetTag("seq", st.Seq)
-		esp.SetTag("live_rows", st.DistEvals)
-	}
-	esp.End()
-	if r.device != nil {
-		// st.DistEvals is exactly the live rows the device would scan.
-		dst := toDeviceStats(r.device.ApproxLinearStats(st.DistEvals))
-		r.mu.Lock()
-		r.lastStats = dst
-		r.mu.Unlock()
-		return res, dst, nil
-	}
-	return res, DeviceStats{}, nil
-}
-
-// searchMutableBinary is searchMutable for Hamming queries.
-func (r *Region) searchMutableBinary(ms *regionStore, q BinaryCode, k int, sp *obs.Span) ([]Result, DeviceStats, error) {
-	execTag := "host"
-	if r.device != nil {
-		execTag = "device"
-	}
-	esp := sp.Start("exec",
-		obs.Tag{Key: "execution", Value: execTag},
-		obs.Tag{Key: "mutable", Value: true},
-		obs.Tag{Key: "vaults", Value: ms.b.Vaults()})
-	res, st := ms.b.SearchStatsSpan(q, k, esp)
-	if esp != nil {
-		esp.SetTag("seq", st.Seq)
-		esp.SetTag("live_rows", st.DistEvals)
-	}
-	esp.End()
-	if r.device != nil {
-		dst := toDeviceStats(r.device.ApproxLinearStats(st.DistEvals))
-		r.mu.Lock()
-		r.lastStats = dst
-		r.mu.Unlock()
-		return res, dst, nil
-	}
-	return res, DeviceStats{}, nil
-}
-
-// searchMutableBatch answers a float batch from the mutable store, all
-// queries against one snapshot generation.
-func (r *Region) searchMutableBatch(ms *regionStore, qs [][]float32, k int, sp *obs.Span) ([][]Result, error) {
-	execTag := "host"
-	if r.device != nil {
-		execTag = "device"
-	}
-	live := ms.f.Len()
-	esp := sp.Start("exec",
-		obs.Tag{Key: "execution", Value: execTag},
-		obs.Tag{Key: "mutable", Value: true},
-		obs.Tag{Key: "batch", Value: len(qs)},
-		obs.Tag{Key: "vaults", Value: ms.f.Vaults()})
-	out := ms.f.SearchBatch(qs, k, r.cfg.Workers, esp)
-	esp.End()
-	if r.device != nil {
-		per := r.device.ApproxLinearStats(live)
-		var agg DeviceStats
-		for range qs {
-			agg.Cycles += per.Cycles
-			agg.Seconds += per.Seconds
-			agg.Instructions += per.Instructions
-			agg.VectorInstructions += per.VectorInsts
-			agg.DRAMBytesRead += per.DRAMBytesRead
-			agg.ProcessingUnits = per.PUs
-		}
-		r.mu.Lock()
-		r.lastStats = agg
-		r.mu.Unlock()
-	}
-	return out, nil
 }

@@ -159,6 +159,36 @@ func TestTieredRegionSetChecksRetargetsRerank(t *testing.T) {
 	}
 }
 
+// TestTieredRegionQuantizedStats pins the work counters of a
+// storage-backed Quantized region: the tiered PQ engine is the region's
+// engine, so QuantizedStats must report its searches (and a tiered
+// Linear region, which has no ADC work, must report none).
+func TestTieredRegionQuantizedStats(t *testing.T) {
+	ds := tieredTestDataset(t)
+	ip := IndexParams{Seed: 5, M: 4, Sample: 1024, Rerank: 8}
+	tr := buildTieredRegion(t, ds, Config{Mode: Quantized, Vaults: 4, Index: ip, Storage: &Storage{
+		Path: filepath.Join(t.TempDir(), "region.tier"), BudgetBytes: 4096,
+	}})
+	if st, ok := tr.QuantizedStats(); !ok || st != (QuantizedCounters{}) {
+		t.Fatalf("QuantizedStats before any search = %+v, %v; want zero, true", st, ok)
+	}
+	for _, q := range ds.Queries[:3] {
+		if _, err := tr.Search(q, 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, ok := tr.QuantizedStats()
+	if !ok || st.TableBuilds != 3 || st.CodeEvals != uint64(3*ds.N()) || st.RerankEvals != 3*10 {
+		t.Fatalf("QuantizedStats after 3 searches = %+v, %v", st, ok)
+	}
+	lin := buildTieredRegion(t, ds, Config{Vaults: 4, Storage: &Storage{
+		Path: filepath.Join(t.TempDir(), "linear.tier"),
+	}})
+	if _, ok := lin.QuantizedStats(); ok {
+		t.Fatal("a tiered Linear region reported quantized counters")
+	}
+}
+
 func TestTieredRegionConfigValidation(t *testing.T) {
 	good := &Storage{Path: "x.tier"}
 	cases := []struct {
