@@ -168,6 +168,7 @@ func conform(t *testing.T, r *Region, cfg Config, mutate bool) {
 
 	// Direct ≡ staged ≡ batch, and a traced query reports its work.
 	var direct [][]Result
+	var distEvals, dims int // summed over the single queries
 	for i := 0; i < 3; i++ {
 		var res, staged []Result
 		var st DeviceStats
@@ -192,10 +193,11 @@ func conform(t *testing.T, r *Region, cfg Config, mutate bool) {
 			// Host engines (and the store a device region migrates to)
 			// account their distance work on the span.
 			de, _ := exec.Tags["dist_evals"].(int)
-			dims, _ := exec.Tags["dims"].(int)
-			if de <= 0 || dims <= 0 {
+			d, _ := exec.Tags["dims"].(int)
+			if de <= 0 || d <= 0 {
 				t.Fatalf("exec span work tags: dist_evals=%v dims=%v", exec.Tags["dist_evals"], exec.Tags["dims"])
 			}
+			distEvals, dims = distEvals+de, dims+d
 		}
 		if (cfg.Execution == Device) != (st.Cycles > 0) {
 			t.Fatalf("DeviceStats.Cycles = %d under %v execution", st.Cycles, cfg.Execution)
@@ -224,12 +226,27 @@ func conform(t *testing.T, r *Region, cfg Config, mutate bool) {
 		direct = append(direct, res)
 	}
 	if !binary {
-		got, err := r.SearchBatch(fqs, confK)
+		tracer := obs.NewTracer(0, 1)
+		tr := tracer.Trace("batch", true)
+		got, err := r.SearchBatchSpan(fqs, confK, tr.Root())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, direct) {
 			t.Fatalf("SearchBatch diverged from Search:\n%v\n%v", got, direct)
+		}
+		exec := tracer.Finish(tr).Root.Find("exec")
+		if exec == nil || exec.Tags["batch"] != len(fqs) {
+			t.Fatalf("batch exec span = %+v, want batch=%d", exec, len(fqs))
+		}
+		if cfg.Mode == Linear && cfg.Storage == nil && (cfg.Execution == Host || mutated) {
+			// The query-tiled scans (the exact engine and the store it
+			// migrates to) account the batch: exactly the work of its
+			// queries run one at a time.
+			if exec.Tags["dist_evals"] != distEvals || exec.Tags["dims"] != dims {
+				t.Fatalf("batch exec span work tags: dist_evals=%v dims=%v, want %d and %d",
+					exec.Tags["dist_evals"], exec.Tags["dims"], distEvals, dims)
+			}
 		}
 	} else if _, err := r.SearchBatch([][]float32{make([]float32, r.Dims())}, confK); err == nil {
 		t.Fatal("float batch on a Hamming region accepted")

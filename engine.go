@@ -31,18 +31,19 @@ type query struct {
 	b vec.Binary
 }
 
-// work is what one engine call did: host work counters (single queries
-// only — the engines' batch paths do not report them), and the simulated
-// execution for Device regions, summed over a batch.
+// work is what one engine call did, summed over a batch: host work
+// counters (the engines that fan a batch out per query do not report
+// theirs), and the simulated execution for Device regions.
 type work struct {
 	knn     knn.Stats
 	dev     DeviceStats
 	mutable bool // served by the mutable store: knn.Seq is its generation
+	live    int  // rows the mutable store scanned per query
 }
 
 // tag records the work on the exec span — the one place counters reach
-// the trace. A call that accounted nothing (a failed query, a batch, the
-// simulated device) leaves the span bare.
+// the trace. A call that accounted nothing (a failed query, a fanned-out
+// batch, the simulated device) leaves the span bare.
 func (w work) tag(sp *obs.Span) {
 	if sp == nil || w.knn == (knn.Stats{}) {
 		return
@@ -55,7 +56,7 @@ func (w work) tag(sp *obs.Span) {
 	}
 	if w.mutable {
 		sp.SetTag("seq", w.knn.Seq)
-		sp.SetTag("live_rows", w.knn.DistEvals)
+		sp.SetTag("live_rows", w.live)
 	}
 }
 
@@ -89,9 +90,8 @@ func hostTags(extra ...obs.Tag) []obs.Tag {
 }
 
 // linearEngine is the exact float scan. The engine is vault-parallel:
-// each scanned slice shows up as a "vault" child of exec, and it owns
-// the batch policy (vault-parallel scans for short batches, cross-query
-// fan-out for long ones).
+// each scanned slice shows up as a "vault" child of exec, once per call
+// — a batch walks every vault once for all its queries.
 type linearEngine struct {
 	noKnob
 	noClose
@@ -104,7 +104,8 @@ func (a linearEngine) search(q query, k int, exec *obs.Span) ([]Result, work, er
 }
 
 func (a linearEngine) searchBatch(qs [][]float32, k int, exec *obs.Span) ([][]Result, work, int, error) {
-	return a.e.SearchBatchSpan(qs, k, exec), work{}, -1, nil
+	out, st := a.e.SearchBatchSpan(qs, k, exec)
+	return out, work{knn: st}, -1, nil
 }
 
 func (a linearEngine) len() int { return a.e.N() }
@@ -185,7 +186,7 @@ func pqTags(mode string, m, rerank, vaults int) []obs.Tag {
 
 // pqEngine is the in-RAM product-quantized scan: vault-parallel like the
 // linear engine (scanned slabs are "vault" children, the exact re-rank a
-// "rerank" child) with the same batch policy.
+// "rerank" child); long batches fan out across workers.
 type pqEngine struct {
 	noClose
 	e *knn.PQEngine
@@ -353,9 +354,8 @@ func (d *deviceEngine) tags() []obs.Tag {
 type mutableEngine[V any] struct {
 	noKnob
 	*mutate.Store[V]
-	pick    func(query) V
-	dev     *ssamdev.Device // nil for Host execution
-	workers int
+	pick func(query) V
+	dev  *ssamdev.Device // nil for Host execution
 }
 
 // mutableStore is what the write path (mutable.go) needs beyond engine,
@@ -373,7 +373,7 @@ type mutableStore interface {
 // newMutable seeds a store with rows under ids 0..n-1 — exactly the
 // engine's rows, so a query racing the swap answers the same either way
 // — and starts its compactor.
-func newMutable[V any](st *mutate.Store[V], rows []V, pick func(query) V, dev *ssamdev.Device, workers int) (mutableStore, error) {
+func newMutable[V any](st *mutate.Store[V], rows []V, pick func(query) V, dev *ssamdev.Device) (mutableStore, error) {
 	ids := make([]int, len(rows))
 	for i := range ids {
 		ids[i] = i
@@ -381,7 +381,7 @@ func newMutable[V any](st *mutate.Store[V], rows []V, pick func(query) V, dev *s
 	if err := st.Seed(ids, rows); err != nil {
 		return nil, err
 	}
-	return &mutableEngine[V]{Store: st, pick: pick, dev: dev, workers: workers}, nil
+	return &mutableEngine[V]{Store: st, pick: pick, dev: dev}, nil
 }
 
 // price is the device cost of scanning rows live vectors.
@@ -395,21 +395,25 @@ func (m *mutableEngine[V]) price(rows int) DeviceStats {
 func (m *mutableEngine[V]) search(q query, k int, exec *obs.Span) ([]Result, work, error) {
 	res, st := m.SearchStatsSpan(m.pick(q), k, exec)
 	// st.DistEvals is exactly the live rows the device would scan.
-	return res, work{knn: st, dev: m.price(st.DistEvals), mutable: true}, nil
+	return res, work{knn: st, dev: m.price(st.DistEvals), mutable: true, live: st.DistEvals}, nil
 }
 
 // searchBatch answers the whole batch against one snapshot generation —
 // batch-level consistency under concurrent writes.
 func (m *mutableEngine[V]) searchBatch(qs [][]float32, k int, exec *obs.Span) ([][]Result, work, int, error) {
-	per := m.price(m.Len())
 	vs := make([]V, len(qs))
 	for i, q := range qs {
 		vs[i] = m.pick(query{f: q})
 	}
-	out := m.SearchBatch(vs, k, m.workers, exec)
-	var w work
-	for range qs {
-		w.dev.add(per)
+	out, st := m.SearchBatch(vs, k, exec)
+	w := work{knn: st, mutable: true}
+	if len(qs) > 0 {
+		// Every query of the batch scanned the generation's live rows.
+		w.live = st.DistEvals / len(qs)
+		per := m.price(w.live)
+		for range qs {
+			w.dev.add(per)
+		}
 	}
 	return out, w, -1, nil
 }
@@ -492,14 +496,14 @@ func (r *Region) seedFloat(dev *ssamdev.Device) func() (mutableStore, error) {
 			rows[i] = r.data[i*r.dims : (i+1)*r.dims]
 		}
 		st := mutate.NewFloat(r.dims, r.cfg.Metric.toVec(), mutate.Options{Vaults: r.cfg.Vaults})
-		return newMutable(st, rows, func(q query) []float32 { return q.f }, dev, r.cfg.Workers)
+		return newMutable(st, rows, func(q query) []float32 { return q.f }, dev)
 	}
 }
 
 func (r *Region) seedBinary(dev *ssamdev.Device) func() (mutableStore, error) {
 	return func() (mutableStore, error) {
 		st := mutate.NewBinary(r.dims, mutate.Options{Vaults: r.cfg.Vaults})
-		return newMutable(st, r.codes, func(q query) vec.Binary { return q.b }, dev, r.cfg.Workers)
+		return newMutable(st, r.codes, func(q query) vec.Binary { return q.b }, dev)
 	}
 }
 

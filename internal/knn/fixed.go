@@ -72,7 +72,7 @@ func (e *FixedEngine) SearchStatsSpan(q []int32, k int, sp *obs.Span) ([]topk.Re
 	if e.metric == vec.Manhattan {
 		dist = vec.L1Fixed
 	}
-	scan := func(lo, hi int) ([]topk.Result, Stats) {
+	return scanOne(e.n, e.vaults, e.serialBelow, k, sp, func(lo, hi int) ([]topk.Result, Stats) {
 		sel := topk.New(k)
 		var st Stats
 		for i := lo; i < hi; i++ {
@@ -85,11 +85,7 @@ func (e *FixedEngine) SearchStatsSpan(q []int32, k int, sp *obs.Span) ([]topk.Re
 			}
 		}
 		return sel.Results(), st
-	}
-	if e.vaults == 1 || e.n < e.serialBelow {
-		return scan(0, e.n)
-	}
-	return scanVaults(e.n, e.vaults, k, sp, scan)
+	})
 }
 
 // HammingEngine is an exact linear-scan engine over binarized vectors
@@ -137,7 +133,7 @@ func (e *HammingEngine) SearchStats(q vec.Binary, k int) ([]topk.Result, Stats) 
 // per scanned slice (sp may be nil). Results are bit-identical to a
 // serial scan at any vault count.
 func (e *HammingEngine) SearchStatsSpan(q vec.Binary, k int, sp *obs.Span) ([]topk.Result, Stats) {
-	scan := func(lo, hi int) ([]topk.Result, Stats) {
+	return scanOne(len(e.data), e.vaults, e.serialBelow, k, sp, func(lo, hi int) ([]topk.Result, Stats) {
 		sel := topk.New(k)
 		var st Stats
 		for i := lo; i < hi; i++ {
@@ -150,10 +146,5 @@ func (e *HammingEngine) SearchStatsSpan(q vec.Binary, k int, sp *obs.Span) ([]to
 			}
 		}
 		return sel.Results(), st
-	}
-	n := len(e.data)
-	if e.vaults == 1 || n < e.serialBelow {
-		return scan(0, n)
-	}
-	return scanVaults(n, e.vaults, k, sp, scan)
+	})
 }

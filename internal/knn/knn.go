@@ -3,8 +3,8 @@
 // (Section II: "linear search performance is still valuable since
 // higher accuracy targets reduce to linear search"). Engines exist for
 // float32, 32-bit fixed-point, and binarized Hamming-space databases.
-// Each engine scans vault-parallel within a query (see vault.go) and
-// fans out across queries in batched form.
+// Each engine scans vault-parallel within a query (see vault.go); the
+// float engine answers a batch in one query-tiled pass over the rows.
 package knn
 
 import (
@@ -68,43 +68,36 @@ type Engine struct {
 	dim         int
 	n           int
 	metric      vec.Metric
-	workers     int // cross-query fan-out width
-	vaults      int // intra-query scan partitions
-	serialBelow int // scan serially when n is below this
+	vaults      int // scan partitions, within a query and within a batch
+	serialBelow int // scan serially below this many row x query distances
 }
 
 // NewEngine creates a linear engine over a flattened row-major
-// database. workers <= 0 selects GOMAXPROCS. The intra-query vault
-// count follows workers (capped at MaxVaults); use NewEngineVaults to
-// set it independently.
+// database. workers <= 0 selects GOMAXPROCS. The vault count follows
+// workers (capped at MaxVaults); use NewEngineVaults to set it
+// independently.
 func NewEngine(data []float32, dim int, metric vec.Metric, workers int) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	v := workers
-	if v > MaxVaults {
-		v = MaxVaults
-	}
-	return NewEngineVaults(data, dim, metric, workers, v)
+	return NewEngineVaults(data, dim, metric, workers, min(workers, MaxVaults))
 }
 
-// NewEngineVaults is NewEngine with an explicit intra-query vault
-// count: the database is split into vaults contiguous slices scanned
-// concurrently within each query (vaults <= 0 selects DefaultVaults,
-// values above MaxVaults clamp to it). workers <= 0 selects GOMAXPROCS.
-func NewEngineVaults(data []float32, dim int, metric vec.Metric, workers, vaults int) *Engine {
+// NewEngineVaults is NewEngine with an explicit vault count: the
+// database is split into vaults contiguous slices scanned concurrently
+// (vaults <= 0 selects DefaultVaults, values above MaxVaults clamp to
+// it). The vaults are the engine's only parallelism — a batch walks
+// them once for all its queries — so the workers argument, kept for
+// the constructor pair's callers, is unused.
+func NewEngineVaults(data []float32, dim int, metric vec.Metric, _, vaults int) *Engine {
 	if dim <= 0 || len(data)%dim != 0 {
 		panic("knn: data length not a multiple of dim")
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	return &Engine{
 		data:        data,
 		dim:         dim,
 		n:           len(data) / dim,
 		metric:      metric,
-		workers:     workers,
 		vaults:      resolveVaults(vaults),
 		serialBelow: DefaultSerialThreshold,
 	}
@@ -119,11 +112,11 @@ func (e *Engine) Dim() int { return e.dim }
 // Metric returns the engine's distance metric.
 func (e *Engine) Metric() vec.Metric { return e.metric }
 
-// Vaults returns the intra-query vault count.
+// Vaults returns the vault count.
 func (e *Engine) Vaults() int { return e.vaults }
 
-// SetSerialThreshold overrides the dataset size below which queries
-// scan serially regardless of the vault count (default
+// SetSerialThreshold overrides the scan size (rows times queries) below
+// which a call scans serially regardless of the vault count (default
 // DefaultSerialThreshold). Zero forces the vault path for any size;
 // tests use it to exercise vault parallelism on small datasets.
 func (e *Engine) SetSerialThreshold(n int) { e.serialBelow = n }
@@ -145,60 +138,126 @@ func (e *Engine) SearchStats(q []float32, k int) ([]topk.Result, Stats) {
 
 // SearchStatsSpan is SearchStats recording one "vault" child span of sp
 // per scanned slice (sp may be nil). Results are bit-identical to a
-// serial scan at any vault count: ids, order, and distances.
+// serial scan at any vault count: ids, order, and distances. A single
+// query is a batch of one.
 func (e *Engine) SearchStatsSpan(q []float32, k int, sp *obs.Span) ([]topk.Result, Stats) {
-	if e.vaults == 1 || e.n < e.serialBelow {
-		return e.scanRange(q, k, 0, e.n)
-	}
-	return scanVaults(e.n, e.vaults, k, sp, func(lo, hi int) ([]topk.Result, Stats) {
-		return e.scanRange(q, k, lo, hi)
-	})
+	out, st := e.SearchBatchSpan([][]float32{q}, k, sp)
+	return out[0], st
 }
 
-func (e *Engine) scanRange(q []float32, k, lo, hi int) ([]topk.Result, Stats) {
-	sel := topk.New(k)
-	var st Stats
-	for i := lo; i < hi; i++ {
-		d := vec.Distance(e.metric, q, e.Row(i))
-		st.DistEvals++
-		st.Dims += e.dim
-		st.PQInserts++
-		if sel.Push(i, d) {
-			st.PQKept++
-		}
-	}
-	return sel.Results(), st
-}
-
-// SearchBatch runs one Search per query. A single query, or fewer
-// queries than workers, runs them in turn with vault-parallel scans so
-// a short batch still uses the machine; longer batches fan out across
-// workers with serial scans, which keeps total parallelism at the
-// worker count instead of workers × vaults.
+// SearchBatch answers every query of qs in one query-tiled scan: the
+// rows split into the engine's vaults and each vault walks its slice
+// once, scoring every row against the whole batch (vec.Tile) into one
+// vault-local selector per query, so the dataset is read once per
+// batch, not once per query. out[i] is exactly Search(qs[i], k).
 func (e *Engine) SearchBatch(qs [][]float32, k int) [][]topk.Result {
-	return e.SearchBatchSpan(qs, k, nil)
+	out, _ := e.SearchBatchSpan(qs, k, nil)
+	return out
 }
 
-// SearchBatchSpan is SearchBatch recording "vault" child spans of sp
-// for queries that take the vault-parallel path (sp may be nil).
-// Queries on the cross-query fan-out path scan serially and record no
-// vault spans — per-query parallelism is genuinely absent there.
-func (e *Engine) SearchBatchSpan(qs [][]float32, k int, sp *obs.Span) [][]topk.Result {
-	if e.vaults > 1 && (len(qs) == 1 || len(qs) < e.workers) {
-		out := make([][]topk.Result, len(qs))
-		for i, q := range qs {
-			out[i], _ = e.SearchStatsSpan(q, k, sp)
-		}
-		return out
+// SearchBatchSpan is SearchBatch plus work accounting, recording one
+// "vault" child span of sp per scanned slice per batch (sp may be
+// nil). The Stats sum over the batch: DistEvals, Dims and PQInserts are
+// len(qs) times one query's.
+func (e *Engine) SearchBatchSpan(qs [][]float32, k int, sp *obs.Span) ([][]topk.Result, Stats) {
+	if len(qs) == 0 {
+		return [][]topk.Result{}, Stats{}
 	}
-	return Batch(qs, k, e.workers, func(q []float32, k int) []topk.Result {
-		res, _ := e.scanRange(q, k, 0, e.n)
-		return res
-	})
+	t := vec.NewTile(e.metric, qs)
+	scan := func(lo, hi int) ([][]topk.Result, Stats) {
+		ts := newTileScan(t, k)
+		for i := lo; i < hi; i++ {
+			ts.offer(i, e.Row(i))
+		}
+		return ts.Results(), ts.Stats
+	}
+	if e.vaults == 1 || e.n*len(qs) < e.serialBelow {
+		return scan(0, e.n)
+	}
+	return scanVaults(e.n, e.vaults, k, len(qs), sp, scan)
+}
+
+// tileScan is the row loop every exact float scan shares: a prepared
+// query tile and the call's selectors. offer scores a row against the
+// whole tile and offers it to each query's selector.
+type tileScan struct {
+	*Selectors
+	tile *vec.Tile
+}
+
+func newTileScan(t *vec.Tile, k int) *tileScan {
+	return &tileScan{Selectors: NewSelectors(t.Len(), k), tile: t}
+}
+
+func (ts *tileScan) offer(id int, row []float32) {
+	ts.tile.Row(row, ts.Dists)
+	ts.Offer(id, len(row))
+}
+
+// Selectors is the top-k side of a query-tiled scan: one selector per
+// query of the call, offered each scanned row's distances together,
+// plus the scan's work accounting. One goroutine uses a Selectors; a
+// vault-parallel scan gives each vault its own and reduces them with
+// MergeVaults.
+type Selectors struct {
+	// Dists is the current row's distances, one per query: the scan
+	// fills it, then calls Offer.
+	Dists []float64
+	Stats Stats
+	sels  []*topk.Selector
+}
+
+// NewSelectors returns selectors retaining the k closest rows for each
+// of queries queries.
+func NewSelectors(queries, k int) *Selectors {
+	s := &Selectors{Dists: make([]float64, queries), sels: make([]*topk.Selector, queries)}
+	for j := range s.sels {
+		s.sels[j] = topk.New(k)
+	}
+	return s
+}
+
+// Offer offers row id, at distance Dists[j] from query j, to every
+// query's selector; dim is the row's width, for Stats.Dims.
+func (s *Selectors) Offer(id, dim int) {
+	for j, d := range s.Dists {
+		if s.sels[j].Push(id, d) {
+			s.Stats.PQKept++
+		}
+	}
+	s.Stats.DistEvals += len(s.sels)
+	s.Stats.Dims += len(s.sels) * dim
+	s.Stats.PQInserts += len(s.sels)
+}
+
+// Results returns each query's retained neighbors, closest first.
+func (s *Selectors) Results() [][]topk.Result {
+	out := make([][]topk.Result, len(s.sels))
+	for j, sel := range s.sels {
+		out[j] = sel.Results()
+	}
+	return out
+}
+
+// MergeVaults reduces per-vault results of one call — parts[v][j] is
+// vault v's list for query j — to each query's global top-k under the
+// total order.
+func MergeVaults(k, queries int, parts [][][]topk.Result) [][]topk.Result {
+	out := make([][]topk.Result, queries)
+	lists := make([][]topk.Result, len(parts))
+	for j := range out {
+		for v, p := range parts {
+			lists[v] = p[j]
+		}
+		out[j] = topk.MergeSorted(k, lists...)
+	}
+	return out
 }
 
 // Batch fans queries out over workers goroutines (workers <= 0 selects
-// GOMAXPROCS), preserving order. search must be safe for concurrent use.
+// GOMAXPROCS), preserving order. search must be safe for concurrent
+// use. It serves the engines that have no query tile: Engine's batches
+// share one scan instead.
 func Batch(qs [][]float32, k, workers int, search func([]float32, int) []topk.Result) [][]topk.Result {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -49,10 +49,10 @@ type PQCounters struct {
 }
 
 // PQEngine is an approximate linear-scan engine over product-quantized
-// codes, with optional exact re-ranking. It mirrors Engine's execution
-// shape: vault-parallel within a query, worker fan-out across queries,
-// and results merged under the (distance, id) total order so serial
-// and vault-parallel scans are bit-identical.
+// codes, with optional exact re-ranking: vault-parallel within a query,
+// worker fan-out across the queries of a batch (the ADC scan has no
+// query tile yet), and results merged under the (distance, id) total
+// order so serial and vault-parallel scans are bit-identical.
 type PQEngine struct {
 	data        []float32 // retained full-precision rows (re-rank)
 	dim         int
@@ -241,22 +241,18 @@ func (e *PQEngine) search(q []float32, k int, sp *obs.Span, forceSerial bool) ([
 		return cands, st
 	}
 	// Exact re-rank: re-score every ADC candidate under the true
-	// metric over the retained float32 rows. Selector admission is
-	// push-order independent, so the result is a pure function of the
-	// candidate set — and with rerank >= n the candidate set is the
-	// whole database, making results bit-identical to the exact scan.
-	sel := topk.New(k)
+	// metric over the retained float32 rows, with the exact scan's
+	// kernel. Selector admission is push-order independent, so the
+	// result is a pure function of the candidate set — and with rerank
+	// >= n the candidate set is the whole database, making results
+	// bit-identical to the exact scan.
+	ts := newTileScan(vec.NewTile(e.metric, [][]float32{q}), k)
 	for _, c := range cands {
-		d := vec.Distance(e.metric, q, e.Row(c.ID))
-		st.DistEvals++
-		st.Dims += e.dim
-		st.PQInserts++
-		if sel.Push(c.ID, d) {
-			st.PQKept++
-		}
+		ts.offer(c.ID, e.Row(c.ID))
 	}
+	st.Add(ts.Stats)
 	e.counters.rerankEvals.Add(uint64(len(cands)))
-	return sel.Results(), st
+	return ts.Results()[0], st
 }
 
 // adcCandidates runs the query's table build and ADC scan, returning
@@ -286,15 +282,13 @@ func (e *PQEngine) adcCandidates(q []float32, k int, sp *obs.Span, forceSerial b
 	if e.rerank > 0 && e.rerank > k {
 		r = e.rerank
 	}
-	var cands []topk.Result
-	var scanStats Stats
-	if forceSerial || e.vaults == 1 || e.n < e.serialBelow {
-		cands, scanStats = e.scanRange(lut, r, 0, e.n)
-	} else {
-		cands, scanStats = scanVaults(e.n, e.vaults, r, sp, func(lo, hi int) ([]topk.Result, Stats) {
-			return e.scanRange(lut, r, lo, hi)
-		})
+	vaults := e.vaults
+	if forceSerial {
+		vaults = 1
 	}
+	cands, scanStats := scanOne(e.n, vaults, e.serialBelow, r, sp, func(lo, hi int) ([]topk.Result, Stats) {
+		return e.scanRange(lut, r, lo, hi)
+	})
 	st.Add(scanStats)
 	e.counters.tableBuilds.Add(1)
 	e.counters.codeEvals.Add(uint64(st.CodeEvals))
@@ -328,9 +322,11 @@ func (e *PQEngine) scanRange(lut []float32, k, lo, hi int) ([]topk.Result, Stats
 	return sel.Results(), st
 }
 
-// SearchBatch runs one Search per query with Engine's batch policy:
-// short batches take the vault-parallel path per query, longer batches
-// fan out across workers with serial scans.
+// SearchBatch runs one Search per query. A single query, or fewer
+// queries than workers, runs them in turn with vault-parallel scans so
+// a short batch still uses the machine; longer batches fan out across
+// workers with serial scans, which keeps total parallelism at the
+// worker count instead of workers × vaults.
 func (e *PQEngine) SearchBatch(qs [][]float32, k int) [][]topk.Result {
 	return e.SearchBatchSpan(qs, k, nil)
 }

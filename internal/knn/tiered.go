@@ -76,13 +76,14 @@ func (e *TieredEngine) SearchStatsSpan(q []float32, k int, sp *obs.Span) ([]topk
 		return nil, Stats{}, fmt.Errorf("knn: query dim %d, want %d", len(q), e.dim)
 	}
 	var st Stats
+	t := vec.NewTile(e.metric, [][]float32{q})
 	vaults := e.store.Vaults()
 	lists := make([][]topk.Result, 0, vaults)
 	for v := 0; v < vaults; v++ {
 		if v+1 < vaults {
 			e.store.Prefetch(v + 1)
 		}
-		res, vst, err := e.scanPage(q, k, v, sp)
+		res, vst, err := e.scanPage(t, k, v, sp)
 		if err != nil {
 			return nil, st, err
 		}
@@ -92,8 +93,9 @@ func (e *TieredEngine) SearchStatsSpan(q []float32, k int, sp *obs.Span) ([]topk
 	return topk.MergeSorted(k, lists...), st, nil
 }
 
-// scanPage pins vault page v and runs Engine's scan kernel over it.
-func (e *TieredEngine) scanPage(q []float32, k, v int, sp *obs.Span) ([]topk.Result, Stats, error) {
+// scanPage pins vault page v and runs Engine's scan kernel over it for
+// the single query of t.
+func (e *TieredEngine) scanPage(t *vec.Tile, k, v int, sp *obs.Span) ([]topk.Result, Stats, error) {
 	pg, err := e.store.Acquire(v)
 	if err != nil {
 		return nil, Stats{}, fmt.Errorf("knn: tiered scan: %w", err)
@@ -105,20 +107,12 @@ func (e *TieredEngine) scanPage(q []float32, k, v int, sp *obs.Span) ([]topk.Res
 		obs.Tag{Key: "rows", Value: hi - lo},
 		obs.Tag{Key: "tier_hit", Value: pg.CacheHit()})
 	defer vsp.End()
-	sel := topk.New(k)
-	var st Stats
+	ts := newTileScan(t, k)
 	data := pg.Data()
 	for i := lo; i < hi; i++ {
-		row := data[(i-lo)*e.dim : (i-lo+1)*e.dim]
-		d := vec.Distance(e.metric, q, row)
-		st.DistEvals++
-		st.Dims += e.dim
-		st.PQInserts++
-		if sel.Push(i, d) {
-			st.PQKept++
-		}
+		ts.offer(i, data[(i-lo)*e.dim:(i-lo+1)*e.dim])
 	}
-	return sel.Results(), st, nil
+	return ts.Results()[0], ts.Stats, nil
 }
 
 // SearchBatch runs one Search per query, sequentially: the vault
@@ -341,7 +335,7 @@ func (e *TieredPQEngine) SearchStatsSpan(q []float32, k int, sp *obs.Span) ([]to
 			order[j], order[j-1] = order[j-1], order[j]
 		}
 	}
-	sel := topk.New(k)
+	ts := newTileScan(vec.NewTile(e.pq.metric, [][]float32{q}), k)
 	for oi, v := range order {
 		if oi+1 < len(order) {
 			e.store.Prefetch(order[oi+1])
@@ -355,19 +349,14 @@ func (e *TieredPQEngine) SearchStatsSpan(q []float32, k int, sp *obs.Span) ([]to
 			obs.Tag{Key: "cands", Value: len(buckets[v])},
 			obs.Tag{Key: "tier_hit", Value: pg.CacheHit()})
 		for _, c := range buckets[v] {
-			d := vec.Distance(e.pq.metric, q, pg.Row(c.ID))
-			st.DistEvals++
-			st.Dims += e.pq.dim
-			st.PQInserts++
-			if sel.Push(c.ID, d) {
-				st.PQKept++
-			}
+			ts.offer(c.ID, pg.Row(c.ID))
 		}
 		pg.Release()
 		rsp.End()
 	}
+	st.Add(ts.Stats)
 	e.pq.counters.rerankEvals.Add(uint64(len(cands)))
-	return sel.Results(), st, nil
+	return ts.Results()[0], st, nil
 }
 
 // SearchBatch runs one Search per query sequentially (see

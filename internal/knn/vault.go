@@ -5,8 +5,9 @@ package knn
 // a global top-k reduction on the host (PAPER §IV, Fig. 4). The host
 // engines reproduce that topology inside one region: the database is
 // split into up to Vaults contiguous slices, one goroutine per slice
-// runs the scan kernel into a vault-local topk.Selector, and the
-// vault-local lists are reduced with topk.MergeSorted.
+// runs the scan kernel into a vault-local topk.Selector per query of
+// the call, and the vault-local lists are reduced with
+// topk.MergeSorted.
 //
 // The result is bit-for-bit identical to a serial scan — ids, order,
 // and distances — because both sides follow one total order (ascending
@@ -69,20 +70,19 @@ func resolveVaults(v int) int {
 
 // scanVaults partitions rows [0, n) into vaults contiguous slices, runs
 // scan on each from its own goroutine, and merges the vault-local
-// top-k lists under the total order. Each slice is recorded as a
-// "vault" child span of sp (nil-safe) tagged with its index and row
-// count, so a sampled trace shows per-vault skew. The returned Stats
-// sum the per-vault accounting; because every row is scanned by
-// exactly one vault, DistEvals, Dims and PQInserts are identical to a
-// serial scan's (PQKept may exceed it — vault-local selectors bound
-// against fewer competitors).
-func scanVaults(n, vaults, k int, sp *obs.Span, scan func(lo, hi int) ([]topk.Result, Stats)) ([]topk.Result, Stats) {
-	type part struct {
-		res   []topk.Result
-		stats Stats
-	}
+// top-k lists under the total order, query by query: scan returns one
+// list per query of the call (a single-query engine returns one). Each
+// slice is recorded as a "vault" child span of sp (nil-safe) tagged
+// with its index, row count and the queries it served, so a sampled
+// trace shows per-vault skew. The returned Stats sum the per-vault
+// accounting; because every row is scanned by exactly one vault,
+// DistEvals, Dims and PQInserts are identical to a serial scan's
+// (PQKept may exceed it — vault-local selectors bound against fewer
+// competitors).
+func scanVaults(n, vaults, k, queries int, sp *obs.Span, scan func(lo, hi int) ([][]topk.Result, Stats)) ([][]topk.Result, Stats) {
 	chunk := (n + vaults - 1) / vaults
-	parts := make([]part, vaults)
+	parts := make([][][]topk.Result, vaults)
+	stats := make([]Stats, vaults)
 	active := 0
 	var wg sync.WaitGroup
 	for v := 0; v < vaults; v++ {
@@ -96,20 +96,33 @@ func scanVaults(n, vaults, k int, sp *obs.Span, scan func(lo, hi int) ([]topk.Re
 		// covers scheduling delay — exactly the skew a trace should show.
 		vsp := sp.Start("vault",
 			obs.Tag{Key: "vault", Value: v},
-			obs.Tag{Key: "rows", Value: hi - lo})
+			obs.Tag{Key: "rows", Value: hi - lo},
+			obs.Tag{Key: "queries", Value: queries})
 		wg.Add(1)
 		go func(v, lo, hi int, vsp *obs.Span) {
 			defer wg.Done()
-			parts[v].res, parts[v].stats = scan(lo, hi)
+			parts[v], stats[v] = scan(lo, hi)
 			vsp.End()
 		}(v, lo, hi, vsp)
 	}
 	wg.Wait()
 	var st Stats
-	lists := make([][]topk.Result, 0, active)
-	for _, p := range parts[:active] {
-		lists = append(lists, p.res)
-		st.Add(p.stats)
+	for _, vst := range stats[:active] {
+		st.Add(vst)
 	}
-	return topk.MergeSorted(k, lists...), st
+	return MergeVaults(k, queries, parts[:active]), st
+}
+
+// scanOne is the single-query engines' scan policy around one range
+// scan: serial when one vault is configured or the dataset is under
+// serialBelow rows, vault-parallel otherwise.
+func scanOne(n, vaults, serialBelow, k int, sp *obs.Span, scan func(lo, hi int) ([]topk.Result, Stats)) ([]topk.Result, Stats) {
+	if vaults == 1 || n < serialBelow {
+		return scan(0, n)
+	}
+	out, st := scanVaults(n, vaults, k, 1, sp, func(lo, hi int) ([][]topk.Result, Stats) {
+		res, st := scan(lo, hi)
+		return [][]topk.Result{res}, st
+	})
+	return out[0], st
 }

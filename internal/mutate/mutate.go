@@ -58,9 +58,10 @@ type Options struct {
 	// parallelism, mirroring the paper's per-vault accelerators). <= 0
 	// selects knn.DefaultVaults; values above knn.MaxVaults clamp.
 	Vaults int
-	// SerialBelow is the physical row count under which queries scan
-	// serially regardless of the vault count (default
-	// knn.DefaultSerialThreshold; negative forces the parallel path).
+	// SerialBelow is the scan size (physical rows times queries of the
+	// call) under which a search scans serially regardless of the vault
+	// count (default knn.DefaultSerialThreshold; negative forces the
+	// parallel path).
 	SerialBelow int
 	// GarbageThreshold is the per-vault dead fraction (dead / physical)
 	// at which a compaction pass rewrites the vault (default 0.3).
@@ -138,7 +139,9 @@ type Store[V any] struct {
 	dim   int           // for Stats.Dims accounting and error text
 	check func(V) error // row validation (width, finiteness is wire's job)
 	clone func(V) V     // defensive copy on insert
-	dist  func(q, row V) float64
+	// prep readies a query batch for scanning: the function it returns
+	// writes the distance from a row to every query of the batch.
+	prep func(qs []V) func(row V, out []float64)
 
 	snap atomic.Pointer[snapshot[V]]
 
@@ -189,7 +192,9 @@ func NewFloat(dim int, metric vec.Metric, opts Options) *Store[[]float32] {
 			return nil
 		},
 		func(v []float32) []float32 { return append([]float32(nil), v...) },
-		func(q, row []float32) float64 { return vec.Distance(metric, q, row) },
+		// knn.Engine's scan kernel: queries widened once, each row
+		// scored against the whole batch.
+		func(qs [][]float32) func([]float32, []float64) { return vec.NewTile(metric, qs).Row },
 	)
 }
 
@@ -217,7 +222,7 @@ func NewFixed(dim int, metric vec.Metric, opts Options) *Store[[]int32] {
 			return nil
 		},
 		func(v []int32) []int32 { return append([]int32(nil), v...) },
-		func(q, row []int32) float64 { return float64(dist(q, row)) },
+		perQuery(func(q, row []int32) float64 { return float64(dist(q, row)) }),
 	)
 }
 
@@ -237,17 +242,29 @@ func NewBinary(bits int, opts Options) *Store[vec.Binary] {
 		func(v vec.Binary) vec.Binary {
 			return vec.Binary{Dim: v.Dim, Words: append([]uint64(nil), v.Words...)}
 		},
-		func(q, row vec.Binary) float64 { return float64(vec.Hamming(q, row)) },
+		perQuery(func(q, row vec.Binary) float64 { return float64(vec.Hamming(q, row)) }),
 	)
 }
 
-func newStore[V any](dim int, opts Options, check func(V) error, clone func(V) V, dist func(q, row V) float64) *Store[V] {
+// perQuery is the batch kernel of a two-vector distance: each row is
+// scored against the queries one at a time.
+func perQuery[V any](dist func(q, row V) float64) func([]V) func(V, []float64) {
+	return func(qs []V) func(V, []float64) {
+		return func(row V, out []float64) {
+			for j, q := range qs {
+				out[j] = dist(q, row)
+			}
+		}
+	}
+}
+
+func newStore[V any](dim int, opts Options, check func(V) error, clone func(V) V, prep func([]V) func(V, []float64)) *Store[V] {
 	s := &Store[V]{
 		opts:  opts.fill(),
 		dim:   dim,
 		check: check,
 		clone: clone,
-		dist:  dist,
+		prep:  prep,
 		index: make(map[int]loc),
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
@@ -474,70 +491,37 @@ func (s *Store[V]) SearchStats(q V, k int) ([]topk.Result, knn.Stats) {
 // SearchStatsSpan is SearchStats recording one "vault" child span of sp
 // per scanned partition (sp may be nil). Results are bit-identical to a
 // serial scan of the same generation at any vault count: the total
-// order is (distance, external id), independent of physical layout.
+// order is (distance, external id), independent of physical layout. A
+// single query is a batch of one.
 func (s *Store[V]) SearchStatsSpan(q V, k int, sp *obs.Span) ([]topk.Result, knn.Stats) {
-	snap := s.snap.Load()
-	return s.searchSnap(snap, q, k, sp, false)
+	out, st := s.SearchBatch([]V{q}, k, sp)
+	return out[0], st
 }
 
 // SearchBatch answers one query per element of qs, all against a single
-// snapshot generation (batch-level consistency). Short batches run each
-// query vault-parallel in turn; batches of at least workers queries fan
-// out across workers goroutines with serial per-query scans, keeping
-// total parallelism at the worker count. workers <= 0 selects the vault
-// count.
-func (s *Store[V]) SearchBatch(qs []V, k int, workers int, sp *obs.Span) [][]topk.Result {
+// snapshot generation (batch-level consistency), in one query-tiled
+// scan: each vault walks its live rows once, scoring every row against
+// the whole batch into one vault-local selector per query, and records
+// one "vault" child span of sp (nil-safe). out[i] is exactly what Search
+// returns for qs[i] on that generation. The Stats sum over the batch —
+// DistEvals, Dims and PQInserts are len(qs) times one query's — and Seq
+// is the generation scanned.
+func (s *Store[V]) SearchBatch(qs []V, k int, sp *obs.Span) ([][]topk.Result, knn.Stats) {
 	snap := s.snap.Load()
-	if workers <= 0 {
-		workers = s.opts.Vaults
+	st := knn.Stats{Seq: snap.seq}
+	if k <= 0 || len(qs) == 0 {
+		return make([][]topk.Result, len(qs)), st
 	}
-	out := make([][]topk.Result, len(qs))
-	if len(qs) < workers || workers <= 1 {
-		for i, q := range qs {
-			out[i], _ = s.searchSnap(snap, q, k, sp, false)
-		}
-		return out
-	}
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				out[i], _ = s.searchSnap(snap, qs[i], k, nil, true)
-			}
-		}()
-	}
-	for i := range qs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	return out
-}
-
-// searchSnap scans one snapshot. forceSerial suppresses vault
-// parallelism (cross-query fan-out paths provide their own).
-func (s *Store[V]) searchSnap(snap *snapshot[V], q V, k int, sp *obs.Span, forceSerial bool) ([]topk.Result, knn.Stats) {
-	if k <= 0 {
-		return nil, knn.Stats{Seq: snap.seq}
-	}
-	phys := snap.live + snap.dead
-	if forceSerial || s.opts.Vaults == 1 || phys < s.opts.SerialBelow {
-		sel := topk.New(k)
-		var st knn.Stats
+	dists := s.prep(qs)
+	if phys := snap.live + snap.dead; s.opts.Vaults == 1 || phys*len(qs) < s.opts.SerialBelow {
+		sels := knn.NewSelectors(len(qs), k)
 		for v := range snap.vaults {
-			s.scanVault(&snap.vaults[v], q, sel, &st)
+			s.scanVault(&snap.vaults[v], dists, sels)
 		}
-		st.Seq = snap.seq
-		return sel.Results(), st
+		st.Add(sels.Stats)
+		return sels.Results(), st
 	}
-	type part struct {
-		res   []topk.Result
-		stats knn.Stats
-	}
-	parts := make([]part, len(snap.vaults))
+	sels := make([]*knn.Selectors, len(snap.vaults))
 	var wg sync.WaitGroup
 	for v := range snap.vaults {
 		if len(snap.vaults[v].ids) == 0 {
@@ -545,41 +529,36 @@ func (s *Store[V]) searchSnap(snap *snapshot[V], q V, k int, sp *obs.Span, force
 		}
 		vsp := sp.Start("vault",
 			obs.Tag{Key: "vault", Value: v},
-			obs.Tag{Key: "rows", Value: len(snap.vaults[v].ids)})
+			obs.Tag{Key: "rows", Value: len(snap.vaults[v].ids)},
+			obs.Tag{Key: "queries", Value: len(qs)})
+		sels[v] = knn.NewSelectors(len(qs), k)
 		wg.Add(1)
 		go func(v int, vsp *obs.Span) {
 			defer wg.Done()
-			sel := topk.New(k)
-			s.scanVault(&snap.vaults[v], q, sel, &parts[v].stats)
-			parts[v].res = sel.Results()
+			s.scanVault(&snap.vaults[v], dists, sels[v])
 			vsp.End()
 		}(v, vsp)
 	}
 	wg.Wait()
-	var st knn.Stats
-	lists := make([][]topk.Result, 0, len(parts))
-	for v := range parts {
-		if parts[v].res != nil {
-			lists = append(lists, parts[v].res)
+	parts := make([][][]topk.Result, 0, len(sels))
+	for _, vs := range sels {
+		if vs != nil {
+			parts = append(parts, vs.Results())
+			st.Add(vs.Stats)
 		}
-		st.Add(parts[v].stats)
 	}
-	st.Seq = snap.seq
-	return topk.MergeSorted(k, lists...), st
+	return knn.MergeVaults(k, len(qs), parts), st
 }
 
-// scanVault runs the scan kernel over one vault's live rows.
-func (s *Store[V]) scanVault(vs *vaultShard[V], q V, sel *topk.Selector, st *knn.Stats) {
+// scanVault offers one vault's live rows, scored against the whole
+// batch by dists, to the batch's selectors; tombstones are skipped
+// before any distance work.
+func (s *Store[V]) scanVault(vs *vaultShard[V], dists func(row V, out []float64), sels *knn.Selectors) {
 	for i := range vs.rows {
 		if vs.dead[i] {
 			continue
 		}
-		d := s.dist(q, vs.rows[i])
-		st.DistEvals++
-		st.Dims += s.dim
-		st.PQInserts++
-		if sel.Push(vs.ids[i], d) {
-			st.PQKept++
-		}
+		dists(vs.rows[i], sels.Dists)
+		sels.Offer(vs.ids[i], s.dim)
 	}
 }

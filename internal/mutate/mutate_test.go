@@ -274,19 +274,15 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 	}
 	for _, nq := range []int{1, 3, 16} {
 		qs := randRows(r, nq, dim)
-		// Both the short-batch (vault-parallel) and fan-out paths must
-		// agree with single-query search.
-		for _, workers := range []int{1, 2, 8} {
-			got := s.SearchBatch(qs, 5, workers, nil)
-			for i, q := range qs {
-				want := s.Search(q, 5)
-				if !reflect.DeepEqual(got[i], want) {
-					t.Fatalf("nq=%d workers=%d query %d: %v != %v", nq, workers, i, got[i], want)
-				}
+		got, _ := s.SearchBatch(qs, 5, nil)
+		for i, q := range qs {
+			want := s.Search(q, 5)
+			if !reflect.DeepEqual(got[i], want) {
+				t.Fatalf("nq=%d query %d: %v != %v", nq, i, got[i], want)
 			}
 		}
 	}
-	if out := s.SearchBatch(nil, 5, 0, nil); len(out) != 0 {
+	if out, _ := s.SearchBatch(nil, 5, nil); len(out) != 0 {
 		t.Fatalf("empty batch returned %v", out)
 	}
 }

@@ -2,8 +2,9 @@
 // region batch searches, the serving-layer analogue of the paper's
 // query batching across vaults: many independent front-end requests
 // arriving within a short window are answered by one SearchBatch call,
-// which fans out across all host cores (or, on the simulated device,
-// amortizes query broadcast).
+// which on the exact scan reads the dataset once for the whole batch
+// (on the indexes it fans out across the host cores, on the simulated
+// device it amortizes query broadcast).
 //
 // Requests are grouped per k — a batch must be homogeneous in k
 // because Region.SearchBatch answers every query with the same

@@ -70,8 +70,20 @@ func (s *Selector) Bound() (dist float64, ok bool) {
 // Once the selector is full a candidate displaces the current worst
 // exactly when it precedes it under the total order (smaller distance,
 // or equal distance and smaller id), so boundary ties resolve to the
-// lowest ids no matter the arrival order.
+// lowest ids no matter the arrival order. A scan rejects nearly every
+// offer against a full selector on distance alone, so that case is one
+// compare sized to inline into the scan loop; the rest goes to offer.
 func (s *Selector) Push(id int, dist float64) bool {
+	if len(s.heap) == s.k && s.heap[0].Dist < dist {
+		return false
+	}
+	return s.offer(id, dist)
+}
+
+// offer is Push for the candidates its compare cannot settle: the
+// selector has room, the candidate ties or beats the current worst
+// distance, or a distance is NaN. It applies the total order in full.
+func (s *Selector) offer(id int, dist float64) bool {
 	c := Result{ID: id, Dist: dist}
 	if len(s.heap) < s.k {
 		s.heap = append(s.heap, c)

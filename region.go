@@ -459,9 +459,13 @@ func (r *Region) SearchBinaryStatsSpan(q BinaryCode, k int, sp *obs.Span) ([]Res
 	return r.run("SearchBinary", query{b: q}, k, sp)
 }
 
-// SearchBatch answers one query per element of qs. Host execution
-// fans the batch out across worker goroutines (the index structures
-// are read-only at query time); Device execution serves the batch
+// SearchBatch answers one query per element of qs. On a Host Linear
+// region the batch is one query-tiled scan: every vault walks its rows
+// once for all the queries, so the dataset is read once per batch, not
+// once per query (a region that has taken writes does the same over
+// one snapshot). The indexed and quantized Host modes fan the batch out
+// across worker goroutines (their structures are read-only at query
+// time); storage-backed regions and Device execution serve it
 // sequentially — the module broadcasts one query at a time, and as the
 // paper notes, batching buys little on a device that already saturates
 // its internal bandwidth per query. After a Device batch, LastStats

@@ -114,3 +114,26 @@ func BenchmarkRegionSearchHostTraced(b *testing.B) {
 		tracer.Finish(tr)
 	}
 }
+
+// BenchmarkRegionSearchBatch16Host is a batch of 16 on the exact shape
+// of BenchmarkRegionSearchHost (4096 x 64, k=10). The ratio between
+// their ns/op is what a batch costs in single scans: an untiled batch
+// reads 16, the query-tiled scan about half that, and ci.sh
+// regression-checks the ratio so the tile cannot rot into 16 passes.
+func BenchmarkRegionSearchBatch16Host(b *testing.B) {
+	r, _ := benchRegion(b, 4096, 64)
+	rng := rand.New(rand.NewSource(4))
+	qs := make([][]float32, 16)
+	for j := range qs {
+		qs[j] = make([]float32, 64)
+		for i := range qs[j] {
+			qs[j][i] = rng.Float32()
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.SearchBatch(qs, 10); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

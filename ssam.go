@@ -255,8 +255,10 @@ type Config struct {
 	// VectorLength selects the SSAM-n device variant (2, 4, 8 or 16)
 	// for Device execution; default 8.
 	VectorLength int
-	// Workers bounds host-side parallelism across queries; 0 uses all
-	// cores.
+	// Workers bounds host-side parallelism across the queries of a
+	// batch for the engines that fan one out (the indexes and the
+	// quantized scan); 0 uses all cores. The exact linear scan answers a
+	// batch in one pass whose parallelism is Vaults.
 	Workers int
 	// Vaults sets the intra-query scan partition count for Host linear
 	// execution, mirroring the paper's per-vault accelerators: the
