@@ -3,7 +3,7 @@
 // and Prometheus /metrics, sampled request traces at /tracez, and
 // optional pprof (see internal/server).
 //
-//	ssam-serve -addr :8080 -max-inflight 256 -batch-window 2ms
+//	ssam-serve -addr :8080 -max-inflight 256 -max-batch 64
 //	ssam-serve -preload glove:0.01            # serve a ready-built region
 //	ssam-serve -preload glove:0.01 -preload-shards 4 -preload-allow-partial
 //	ssam-serve -preload glove:0.01 -preload-replicas 3   # p2c-routed replica group
@@ -32,6 +32,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -46,8 +47,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	maxInFlight := flag.Int("max-inflight", 256, "admitted search requests before shedding 503s")
-	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "micro-batcher coalescing window")
-	maxBatch := flag.Int("max-batch", 64, "micro-batcher size cap")
+	maxBatch := flag.Int("max-batch", 64, "micro-batcher size cap (batches form from load: queries queue only while every core is busy)")
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on shed load")
 	preload := flag.String("preload", "", "serve a ready-built region: dataset[:scale], dataset in {glove,gist,alexnet}")
 	preloadMode := flag.String("preload-mode", "linear", "indexing mode for the preloaded region")
@@ -77,7 +77,6 @@ func main() {
 
 	srv := server.New(server.Options{
 		MaxInFlight:      *maxInFlight,
-		BatchWindow:      *batchWindow,
 		MaxBatch:         *maxBatch,
 		RetryAfter:       *retryAfter,
 		TraceSampleEvery: *traceSample,
@@ -153,8 +152,8 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Printf("ssam-serve listening on %s (max-inflight=%d window=%v max-batch=%d)",
-		*addr, *maxInFlight, *batchWindow, *maxBatch)
+	log.Printf("ssam-serve listening on %s (max-inflight=%d max-batch=%d, no batch timer: up to %d batches at once per region)",
+		*addr, *maxInFlight, *maxBatch, runtime.GOMAXPROCS(0))
 
 	select {
 	case err := <-errc:

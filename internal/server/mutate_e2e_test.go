@@ -23,7 +23,7 @@ import (
 // mutServer stands up a server plus client for the mutation tests.
 func mutServer(t *testing.T) (*server.Server, *httptest.Server, *client.Client) {
 	t.Helper()
-	srv := server.New(server.Options{BatchWindow: time.Millisecond})
+	srv := server.New(server.Options{})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { srv.Close(); ts.Close() })
 	return srv, ts, client.New(ts.URL, client.WithTimeout(time.Minute), client.WithRetries(0))

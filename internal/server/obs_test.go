@@ -162,11 +162,25 @@ func TestMetricsEndpoint(t *testing.T) {
 	if got := samples[`ssam_region_latency_seconds_sum{region="mx"}`]; got <= 0 {
 		t.Errorf("ssam_region_latency_seconds_sum = %v, want > 0", got)
 	}
-	// Every micro-batch flush plus the explicit batch increments
-	// batches; the explicit batch of 3 lands in the le="4" size bucket
-	// and above (cumulative).
-	if got := samples[`ssam_region_batches_total{region="mx"}`]; got < 1 {
-		t.Errorf("ssam_region_batches_total = %v, want >= 1", got)
+	// The singles arrive one at a time at an idle batcher, so each
+	// leaves at once as a batch of one; the explicit batch of 3 lands in
+	// the le="4" size bucket and above (cumulative).
+	if got := samples[`ssam_region_batches_total{region="mx"}`]; got != singles+1 {
+		t.Errorf("ssam_region_batches_total = %v, want %d", got, singles+1)
+	}
+	if got := samples[`ssam_region_batch_size_bucket{region="mx",le="1"}`]; got != singles {
+		t.Errorf("batch_size le=1 bucket = %v, want %d", got, singles)
+	}
+	// Only micro-batcher batches have a queue to wait in, and what an
+	// idle batcher makes a query wait is a small part of its latency.
+	if got := samples[`ssam_region_queue_seconds_count{region="mx"}`]; got != singles {
+		t.Errorf("ssam_region_queue_seconds_count = %v, want %d", got, singles)
+	}
+	if got := samples[`ssam_region_queue_seconds_bucket{region="mx",le="+Inf"}`]; got != singles {
+		t.Errorf("queue_seconds +Inf bucket = %v, want %d", got, singles)
+	}
+	if q, l := samples[`ssam_region_queue_seconds_sum{region="mx"}`], samples[`ssam_region_latency_seconds_sum{region="mx"}`]; q < 0 || q >= l {
+		t.Errorf("ssam_region_queue_seconds_sum = %v, want within [0, latency sum %v)", q, l)
 	}
 	if got := samples[`ssam_region_batch_size_bucket{region="mx",le="64"}`]; got < 1 {
 		t.Errorf("batch_size le=64 bucket = %v, want >= 1", got)

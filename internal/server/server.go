@@ -78,10 +78,9 @@ type Options struct {
 	// MaxInFlight bounds concurrently admitted search requests;
 	// arrivals beyond it receive 503 + Retry-After (default 256).
 	MaxInFlight int
-	// BatchWindow and MaxBatch configure each region's micro-batcher
-	// (defaults 2ms / 64).
-	BatchWindow time.Duration
-	MaxBatch    int
+	// MaxBatch caps the queries one micro-batcher batch holds
+	// (default 64).
+	MaxBatch int
 	// RetryAfter is the hint returned with shed load (default 1s).
 	RetryAfter time.Duration
 	// MaxBodyBytes caps request bodies (default 1 GiB; loads are big).
@@ -98,9 +97,6 @@ type Options struct {
 func (o *Options) fill() {
 	if o.MaxInFlight <= 0 {
 		o.MaxInFlight = 256
-	}
-	if o.BatchWindow <= 0 {
-		o.BatchWindow = 2 * time.Millisecond
 	}
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 64
@@ -230,9 +226,11 @@ func (b *regionBackend) Build() error {
 	b.s.installCompactHook(b.e, b.Region)
 	stats := b.e.stats
 	b.bat.Store(batcher.New(b.SearchBatchSpan, batcher.Options{
-		Window:   b.s.opts.BatchWindow,
 		MaxBatch: b.s.opts.MaxBatch,
-		OnFlush:  func(size int, _ time.Duration) { stats.recordBatch(size) },
+		OnFlush: func(size int, _, queued time.Duration) {
+			stats.recordBatch(size)
+			stats.queueWait.Observe(queued.Seconds())
+		},
 	}))
 	return nil
 }
@@ -364,11 +362,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // StartDrain makes the server shed all subsequent search traffic with
 // 503 (clients retry against a replacement) while leaving in-flight
 // batches to complete. Call before http.Server.Shutdown so connection
-// draining isn't stuck behind batching windows.
+// draining isn't stuck behind newly admitted queries.
 func (s *Server) StartDrain() { s.draining.Store(true) }
 
-// Close drains every region's batcher (flushing open batches) and
-// frees the regions. The server sheds new work from the moment Close
+// Close drains every region's batcher (queued queries still execute)
+// and frees the regions. The server sheds new work from the moment Close
 // begins; call after http.Server.Shutdown has returned.
 func (s *Server) Close() {
 	s.StartDrain()

@@ -5,12 +5,16 @@ package server
 // server_test suite cannot do.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"ssam"
 	"ssam/internal/client"
@@ -21,7 +25,12 @@ import (
 // and built, and returns the fixture pieces tests need.
 func shardedFixture(t *testing.T, shards int, allowPartial bool, rows int, dims int) (*Server, *client.Client, [][]float32, func()) {
 	t.Helper()
-	srv := New(Options{})
+	return shardedFixtureOpts(t, Options{}, shards, allowPartial, rows, dims)
+}
+
+func shardedFixtureOpts(t *testing.T, opts Options, shards int, allowPartial bool, rows int, dims int) (*Server, *client.Client, [][]float32, func()) {
+	t.Helper()
+	srv := New(opts)
 	ts := httptest.NewServer(srv)
 	c := client.New(ts.URL)
 	ctx := context.Background()
@@ -59,6 +68,18 @@ func shardedFixture(t *testing.T, shards int, allowPartial bool, rows int, dims 
 // sharded region.
 func faultShard(t *testing.T, srv *Server, name string, dead int) {
 	t.Helper()
+	setShardHook(t, srv, name, func(shard, attempt int) error {
+		if shard == dead {
+			return errors.New("injected shard fault")
+		}
+		return nil
+	})
+}
+
+// setShardHook installs fn as the fault hook of the named sharded
+// region's cluster.
+func setShardHook(t *testing.T, srv *Server, name string, fn func(shard, attempt int) error) {
+	t.Helper()
 	srv.mu.RLock()
 	e := srv.regions[name]
 	srv.mu.RUnlock()
@@ -69,12 +90,7 @@ func faultShard(t *testing.T, srv *Server, name string, dead int) {
 	if cl == nil {
 		t.Fatalf("region %q is not a live sharded region", name)
 	}
-	cl.SetFaultHook(func(shard, attempt int) error {
-		if shard == dead {
-			return errors.New("injected shard fault")
-		}
-		return nil
-	})
+	cl.SetFaultHook(fn)
 }
 
 // TestShardedDegradedResponse is the acceptance scenario: kill one
@@ -212,5 +228,69 @@ func TestShardedInfoReportsShards(t *testing.T) {
 	}
 	if info.Len != 20 {
 		t.Fatalf("info.Len = %d, want 20", info.Len)
+	}
+}
+
+// TestOverCapacitySheds checks admission control: with a 2-token
+// budget and both tokens held by requests stuck in a blocked backend,
+// every further request must be answered with 503 + Retry-After
+// instead of queuing without bound, and the held ones still succeed.
+func TestOverCapacitySheds(t *testing.T) {
+	const dims = 8
+	srv, c, vecs, cleanup := shardedFixtureOpts(t,
+		Options{MaxInFlight: 2, RetryAfter: 7 * time.Second}, 1, false, 64, dims)
+	defer cleanup()
+	entered := make(chan struct{}, 2)
+	gate := make(chan struct{})
+	setShardHook(t, srv, "shardy", func(int, int) error {
+		entered <- struct{}{}
+		<-gate
+		return nil
+	})
+
+	// Straight into the handler (no client retry) so 503s are observable.
+	post := func(q []float32) (int, string) {
+		body, _ := json.Marshal(wire.SearchRequest{Query: q, K: 3})
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("POST", "/regions/shardy/search", bytes.NewReader(body)))
+		return rec.Code, rec.Header().Get("Retry-After")
+	}
+
+	held := make(chan int, 2)
+	for i := 0; i < 2; i++ {
+		go func(i int) {
+			code, _ := post(vecs[i])
+			held <- code
+		}(i)
+	}
+	<-entered
+	<-entered
+
+	const burst = 8
+	for i := 0; i < burst; i++ {
+		code, retryAfter := post(vecs[2+i])
+		if code != http.StatusServiceUnavailable {
+			t.Fatalf("request %d past a held 2-token budget: status %d, want 503", i, code)
+		}
+		if retryAfter != "7" {
+			t.Fatalf("503 %d carried Retry-After %q, want \"7\"", i, retryAfter)
+		}
+	}
+	close(gate)
+	for i := 0; i < 2; i++ {
+		if code := <-held; code != http.StatusOK {
+			t.Fatalf("held request finished with status %d, want 200", code)
+		}
+	}
+
+	stats, err := c.Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Rejected != burst {
+		t.Fatalf("statsz rejected = %d, observed %d sheds", stats.Rejected, burst)
+	}
+	if stats.MaxInFlight != 2 {
+		t.Fatalf("statsz max_in_flight = %d, want 2", stats.MaxInFlight)
 	}
 }

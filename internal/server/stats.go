@@ -41,6 +41,7 @@ type regionStats struct {
 	writes      *obs.Counter   // ssam_region_writes_total
 	compactions *obs.Counter   // ssam_region_compactions_total
 	batchSize   *obs.Histogram // ssam_region_batch_size
+	queueWait   *obs.Histogram // ssam_region_queue_seconds
 	latency     *obs.Histogram // ssam_region_latency_seconds
 
 	mu       sync.Mutex
@@ -70,7 +71,8 @@ func newRegionStats(reg *obs.Registry, region string) *regionStats {
 		writes:      reg.Counter("ssam_region_writes_total", "Committed upserts and deletes, per region.", lbl),
 		compactions: reg.Counter("ssam_region_compactions_total", "Layout-changing compaction passes, per region.", lbl),
 		batchSize:   reg.Histogram("ssam_region_batch_size", "Executed batch sizes, per region.", lbl, sizeBounds),
-		latency:     reg.Histogram("ssam_region_latency_seconds", "Request latency including batching wait, per region.", lbl, latencyBounds),
+		queueWait:   reg.Histogram("ssam_region_queue_seconds", "Longest micro-batcher queue wait of each executed batch, per region: near zero when a core was free, an engine call when none was.", lbl, latencyBounds),
+		latency:     reg.Histogram("ssam_region_latency_seconds", "Request latency including any micro-batcher queue wait, per region.", lbl, latencyBounds),
 	}
 }
 

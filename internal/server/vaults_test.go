@@ -27,7 +27,7 @@ func TestVaultsConfigRoundTripAndServing(t *testing.T) {
 	)
 	rows, queries := testData(n, 4, dim)
 
-	srv := server.New(server.Options{BatchWindow: time.Millisecond})
+	srv := server.New(server.Options{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
