@@ -152,8 +152,8 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Printf("ssam-serve listening on %s (max-inflight=%d max-batch=%d, no batch timer: up to %d batches at once per region)",
-		*addr, *maxInFlight, *maxBatch, runtime.GOMAXPROCS(0))
+	log.Printf("ssam-serve listening on %s (max-inflight=%d max-batch=%d, no batch timer: up to %d batches at once per region, scan kernel %s)",
+		*addr, *maxInFlight, *maxBatch, runtime.GOMAXPROCS(0), ssam.ScanKernel())
 
 	select {
 	case err := <-errc:

@@ -89,6 +89,10 @@ func hostTags(extra ...obs.Tag) []obs.Tag {
 	return append([]obs.Tag{{Key: "execution", Value: "host"}}, extra...)
 }
 
+// kernelTag names the float scan kernel (vec.Tile) on the exec span of
+// the engines that run it, so a trace from a slow host says why.
+func kernelTag() obs.Tag { return obs.Tag{Key: "kernel", Value: vec.Kernel()} }
+
 // linearEngine is the exact float scan. The engine is vault-parallel:
 // each scanned slice shows up as a "vault" child of exec, once per call
 // — a batch walks every vault once for all its queries.
@@ -111,7 +115,7 @@ func (a linearEngine) searchBatch(qs [][]float32, k int, exec *obs.Span) ([][]Re
 func (a linearEngine) len() int { return a.e.N() }
 
 func (a linearEngine) tags() []obs.Tag {
-	return hostTags(obs.Tag{Key: "vaults", Value: a.e.Vaults()})
+	return hostTags(obs.Tag{Key: "vaults", Value: a.e.Vaults()}, kernelTag())
 }
 
 // hammingEngine is the exact scan over bit-packed codes.
@@ -181,7 +185,8 @@ func pqTags(mode string, m, rerank, vaults int) []obs.Tag {
 		obs.Tag{Key: "mode", Value: mode},
 		obs.Tag{Key: "m", Value: m},
 		obs.Tag{Key: "rerank", Value: rerank},
-		obs.Tag{Key: "vaults", Value: vaults})
+		obs.Tag{Key: "vaults", Value: vaults},
+		kernelTag())
 }
 
 // pqEngine is the in-RAM product-quantized scan: vault-parallel like the
@@ -236,7 +241,8 @@ func (a tieredEngine) close()   { a.e.Store().Close() }
 func (a tieredEngine) tags() []obs.Tag {
 	return hostTags(
 		obs.Tag{Key: "mode", Value: "tiered"},
-		obs.Tag{Key: "vaults", Value: a.e.Vaults()})
+		obs.Tag{Key: "vaults", Value: a.e.Vaults()},
+		kernelTag())
 }
 
 // tieredPQEngine scans resident codes; only the exact re-rank touches
@@ -427,10 +433,14 @@ func (m *mutableEngine[V]) tags() []obs.Tag {
 	if m.dev != nil {
 		exec = "device"
 	}
-	return []obs.Tag{
+	tags := []obs.Tag{
 		{Key: "execution", Value: exec},
 		{Key: "mutable", Value: true},
 		{Key: "vaults", Value: m.Vaults()}}
+	if _, float := any(m).(*mutableEngine[[]float32]); float {
+		tags = append(tags, kernelTag())
+	}
+	return tags
 }
 
 func toDeviceStats(st ssamdev.QueryStats) DeviceStats {

@@ -165,11 +165,11 @@ func (e *Engine) SearchBatchSpan(qs [][]float32, k int, sp *obs.Span) ([][]topk.
 	}
 	t := vec.NewTile(e.metric, qs)
 	scan := func(lo, hi int) ([][]topk.Result, Stats) {
-		ts := newTileScan(t, k)
+		ts := NewTileScan(t, k)
 		for i := lo; i < hi; i++ {
-			ts.offer(i, e.Row(i))
+			ts.Offer(i, e.Row(i))
 		}
-		return ts.Results(), ts.Stats
+		return ts.Results()
 	}
 	if e.vaults == 1 || e.n*len(qs) < e.serialBelow {
 		return scan(0, e.n)
@@ -177,57 +177,99 @@ func (e *Engine) SearchBatchSpan(qs [][]float32, k int, sp *obs.Span) ([][]topk.
 	return scanVaults(e.n, e.vaults, k, len(qs), sp, scan)
 }
 
-// tileScan is the row loop every exact float scan shares: a prepared
-// query tile and the call's selectors. offer scores a row against the
-// whole tile and offers it to each query's selector.
-type tileScan struct {
-	*Selectors
-	tile *vec.Tile
+// TileScan is the row loop every exact float scan shares: a prepared
+// query tile, the call's selectors, and a buffer of up to a block of
+// offered rows. Offer scores rows against the whole tile a block at a
+// time (vec.Tile.Block) and offers each to every query's selector, in
+// the order given; Results scores what the last block left over a row
+// at a time. The rows are slices, so they need not be adjacent: a slab,
+// a pinned page, separately allocated rows and scattered re-rank
+// candidates all scan through it. One goroutine uses a TileScan.
+type TileScan struct {
+	sels  *Selectors
+	tile  *vec.Tile
+	lanes []float64 // the block kernel's working memory
+	ids   [vec.BlockRows]int
+	rows  [vec.BlockRows][]float32
+	n     int // rows buffered
 }
 
-func newTileScan(t *vec.Tile, k int) *tileScan {
-	return &tileScan{Selectors: NewSelectors(t.Len(), k), tile: t}
+// NewTileScan returns a scan of t's queries retaining the k closest
+// rows for each.
+func NewTileScan(t *vec.Tile, k int) *TileScan {
+	return &TileScan{sels: NewSelectors(t.Len(), k, vec.BlockRows), tile: t, lanes: t.Lanes()}
 }
 
-func (ts *tileScan) offer(id int, row []float32) {
-	ts.tile.Row(row, ts.Dists)
-	ts.Offer(id, len(row))
+// Offer adds row id to the scan. The scan reads row until the block it
+// lands in is scored: by the Offer that fills the block, or by Flush.
+func (ts *TileScan) Offer(id int, row []float32) {
+	ts.ids[ts.n], ts.rows[ts.n] = id, row
+	ts.n++
+	if ts.n == vec.BlockRows {
+		ts.tile.Block(&ts.rows, ts.lanes, ts.sels.Dists)
+		ts.sels.Offer(ts.ids[:], len(row))
+		ts.n = 0
+	}
+}
+
+// Flush scores the rows still buffered, so that none offered so far is
+// read again: a caller about to give up the memory behind them (a
+// pinned page) flushes first.
+func (ts *TileScan) Flush() {
+	for r := 0; r < ts.n; r++ {
+		ts.tile.Row(ts.rows[r], ts.sels.Dists)
+		ts.sels.Offer(ts.ids[r:r+1], len(ts.rows[r]))
+	}
+	ts.n = 0
+}
+
+// Results flushes the scan and returns each query's retained
+// neighbors, closest first, with the scan's work accounting.
+func (ts *TileScan) Results() ([][]topk.Result, Stats) {
+	ts.Flush()
+	return ts.sels.Results(), ts.sels.Stats
 }
 
 // Selectors is the top-k side of a query-tiled scan: one selector per
-// query of the call, offered each scanned row's distances together,
-// plus the scan's work accounting. One goroutine uses a Selectors; a
-// vault-parallel scan gives each vault its own and reduces them with
-// MergeVaults.
+// query of the call, offered the distances of one or more scanned rows
+// together, plus the scan's work accounting. One goroutine uses a
+// Selectors; a vault-parallel scan gives each vault its own and reduces
+// them with MergeVaults.
 type Selectors struct {
-	// Dists is the current row's distances, one per query: the scan
-	// fills it, then calls Offer.
+	// Dists is the distances of the rows about to be offered, query by
+	// query: the scan fills it, then calls Offer with the rows' ids.
 	Dists []float64
 	Stats Stats
 	sels  []*topk.Selector
 }
 
 // NewSelectors returns selectors retaining the k closest rows for each
-// of queries queries.
-func NewSelectors(queries, k int) *Selectors {
-	s := &Selectors{Dists: make([]float64, queries), sels: make([]*topk.Selector, queries)}
+// of queries queries, offered at most rows rows at a time.
+func NewSelectors(queries, k, rows int) *Selectors {
+	s := &Selectors{Dists: make([]float64, queries*rows), sels: make([]*topk.Selector, queries)}
 	for j := range s.sels {
 		s.sels[j] = topk.New(k)
 	}
 	return s
 }
 
-// Offer offers row id, at distance Dists[j] from query j, to every
-// query's selector; dim is the row's width, for Stats.Dims.
-func (s *Selectors) Offer(id, dim int) {
-	for j, d := range s.Dists {
-		if s.sels[j].Push(id, d) {
-			s.Stats.PQKept++
+// Offer offers rows ids, in that order, to every query's selector: row
+// ids[r] is at distance Dists[j*len(ids)+r] from query j. dim is the
+// rows' width, for Stats.Dims. The work counters advance once a call,
+// by rows times queries.
+func (s *Selectors) Offer(ids []int, dim int) {
+	n := len(ids)
+	for j, sel := range s.sels {
+		for r, d := range s.Dists[j*n : (j+1)*n] {
+			if sel.Push(ids[r], d) {
+				s.Stats.PQKept++
+			}
 		}
 	}
-	s.Stats.DistEvals += len(s.sels)
-	s.Stats.Dims += len(s.sels) * dim
-	s.Stats.PQInserts += len(s.sels)
+	pairs := n * len(s.sels)
+	s.Stats.DistEvals += pairs
+	s.Stats.Dims += pairs * dim
+	s.Stats.PQInserts += pairs
 }
 
 // Results returns each query's retained neighbors, closest first.

@@ -246,13 +246,14 @@ func (e *PQEngine) search(q []float32, k int, sp *obs.Span, forceSerial bool) ([
 	// result is a pure function of the candidate set — and with rerank
 	// >= n the candidate set is the whole database, making results
 	// bit-identical to the exact scan.
-	ts := newTileScan(vec.NewTile(e.metric, [][]float32{q}), k)
+	ts := NewTileScan(vec.NewTile(e.metric, [][]float32{q}), k)
 	for _, c := range cands {
-		ts.offer(c.ID, e.Row(c.ID))
+		ts.Offer(c.ID, e.Row(c.ID))
 	}
-	st.Add(ts.Stats)
+	res, rst := ts.Results()
+	st.Add(rst)
 	e.counters.rerankEvals.Add(uint64(len(cands)))
-	return ts.Results()[0], st
+	return res[0], st
 }
 
 // adcCandidates runs the query's table build and ADC scan, returning

@@ -107,12 +107,15 @@ func (e *TieredEngine) scanPage(t *vec.Tile, k, v int, sp *obs.Span) ([]topk.Res
 		obs.Tag{Key: "rows", Value: hi - lo},
 		obs.Tag{Key: "tier_hit", Value: pg.CacheHit()})
 	defer vsp.End()
-	ts := newTileScan(t, k)
+	ts := NewTileScan(t, k)
 	data := pg.Data()
 	for i := lo; i < hi; i++ {
-		ts.offer(i, data[(i-lo)*e.dim:(i-lo+1)*e.dim])
+		ts.Offer(i, data[(i-lo)*e.dim:(i-lo+1)*e.dim])
 	}
-	return ts.Results()[0], ts.Stats, nil
+	// Results scores the last rows buffered while the page is still
+	// pinned: the deferred Release runs after it.
+	res, st := ts.Results()
+	return res[0], st, nil
 }
 
 // SearchBatch runs one Search per query, sequentially: the vault
@@ -335,7 +338,7 @@ func (e *TieredPQEngine) SearchStatsSpan(q []float32, k int, sp *obs.Span) ([]to
 			order[j], order[j-1] = order[j-1], order[j]
 		}
 	}
-	ts := newTileScan(vec.NewTile(e.pq.metric, [][]float32{q}), k)
+	ts := NewTileScan(vec.NewTile(e.pq.metric, [][]float32{q}), k)
 	for oi, v := range order {
 		if oi+1 < len(order) {
 			e.store.Prefetch(order[oi+1])
@@ -349,14 +352,18 @@ func (e *TieredPQEngine) SearchStatsSpan(q []float32, k int, sp *obs.Span) ([]to
 			obs.Tag{Key: "cands", Value: len(buckets[v])},
 			obs.Tag{Key: "tier_hit", Value: pg.CacheHit()})
 		for _, c := range buckets[v] {
-			ts.offer(c.ID, pg.Row(c.ID))
+			ts.Offer(c.ID, pg.Row(c.ID))
 		}
+		// A block may not straddle two pages: the rows of this one are
+		// scored before it can be evicted.
+		ts.Flush()
 		pg.Release()
 		rsp.End()
 	}
-	st.Add(ts.Stats)
+	res, rst := ts.Results()
+	st.Add(rst)
 	e.pq.counters.rerankEvals.Add(uint64(len(cands)))
-	return ts.Results()[0], st, nil
+	return res[0], st, nil
 }
 
 // SearchBatch runs one Search per query sequentially (see

@@ -314,6 +314,77 @@ func TestTieredConcurrentEvictionSoak(t *testing.T) {
 	}
 }
 
+// TestTieredBlockNeverOutlivesItsPage pins where the buffered scan
+// flushes: a page's last rows, one to three short of a block of four,
+// must be scored before the page is released, never by a late flush
+// from the next page's scan or from Results. Pages hold 63, 63, 63 and
+// 61 rows under a one-page budget, and every evicted page is poisoned
+// with NaN, so a block that straddled two pages would score a NaN: the
+// float scan and the PQ re-rank (at a depth that re-ranks every row, and
+// at one that leaves each page a ragged handful) must instead stay
+// bit-identical to their in-RAM engines.
+func TestTieredBlockNeverOutlivesItsPage(t *testing.T) {
+	const n, dim, vaults, k = 250, 8, 4, 6
+	data := tieredDataset("smooth", n, dim, 51)
+	qs := tieredDataset("smooth", 5, dim, 52)
+	nan := float32(math.NaN())
+	poisoned := func(prefetch bool) *tier.Store {
+		st := tieredStore(t, data, dim, vaults, 1.0/vaults, prefetch)
+		st.SetEvictHook(func(v int, page []float32) {
+			for i := range page {
+				page[i] = nan
+			}
+		})
+		return st
+	}
+	for _, prefetch := range []bool{false, true} {
+		for _, metric := range []vec.Metric{vec.Euclidean, vec.Manhattan, vec.Cosine} {
+			base := NewEngineVaults(data, dim, metric, 1, vaults)
+			base.SetSerialThreshold(0)
+			st := poisoned(prefetch)
+			eng := NewTieredEngine(st, metric)
+			for qi := 0; qi*dim < len(qs); qi++ {
+				q := qs[qi*dim : (qi+1)*dim]
+				want, wst := base.SearchStats(q, k)
+				got, gst, err := eng.SearchStats(q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("float/%v/prefetch=%v/q=%d", metric, prefetch, qi)
+				sameResults(t, label, got, want)
+				checkVaultStats(t, label, wst, gst)
+			}
+			if c := st.Counters(); c.Evictions == 0 {
+				t.Fatal("no evictions; the budget is not forcing turnover")
+			}
+			for _, rerank := range []int{n, 37} {
+				p := PQParams{M: 4, Rerank: rerank, Seed: 10}
+				pbase, err := NewPQEngineVaults(data, dim, metric, p, 1, vaults)
+				if err != nil {
+					t.Fatal(err)
+				}
+				peng, err := NewTieredPQEngine(data, dim, metric, p, 1, vaults, poisoned(prefetch))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for qi := 0; qi*dim < len(qs); qi++ {
+					q := qs[qi*dim : (qi+1)*dim]
+					want, wst := pbase.SearchStats(q, k)
+					got, gst, err := peng.SearchStats(q, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					label := fmt.Sprintf("pq/%v/rerank=%d/prefetch=%v/q=%d", metric, rerank, prefetch, qi)
+					sameResults(t, label, got, want)
+					if gst.DistEvals != wst.DistEvals || gst.DistEvals != rerank {
+						t.Fatalf("%s: re-ranked %d rows, in RAM %d, want %d", label, gst.DistEvals, wst.DistEvals, rerank)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestTieredAccessors pins the shape accessors every engine exposes:
 // they must report the store's geometry, not stale construction-time
 // copies, and the PQ batch path must answer like its single-query

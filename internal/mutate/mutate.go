@@ -140,8 +140,10 @@ type Store[V any] struct {
 	check func(V) error // row validation (width, finiteness is wire's job)
 	clone func(V) V     // defensive copy on insert
 	// prep readies a query batch for scanning: the function it returns
-	// writes the distance from a row to every query of the batch.
-	prep func(qs []V) func(row V, out []float64)
+	// starts one scan of the batch, retaining the k closest rows offered
+	// for each query. A serial search runs one scan, a vault-parallel
+	// search one per vault.
+	prep func(qs []V, k int) func() scan[V]
 
 	snap atomic.Pointer[snapshot[V]]
 
@@ -192,9 +194,12 @@ func NewFloat(dim int, metric vec.Metric, opts Options) *Store[[]float32] {
 			return nil
 		},
 		func(v []float32) []float32 { return append([]float32(nil), v...) },
-		// knn.Engine's scan kernel: queries widened once, each row
-		// scored against the whole batch.
-		func(qs [][]float32) func([]float32, []float64) { return vec.NewTile(metric, qs).Row },
+		// knn.Engine's scan: queries widened once, live rows gathered
+		// four at a time and scored against the whole batch.
+		func(qs [][]float32, k int) func() scan[[]float32] {
+			t := vec.NewTile(metric, qs)
+			return func() scan[[]float32] { return knn.NewTileScan(t, k) }
+		},
 	)
 }
 
@@ -222,7 +227,7 @@ func NewFixed(dim int, metric vec.Metric, opts Options) *Store[[]int32] {
 			return nil
 		},
 		func(v []int32) []int32 { return append([]int32(nil), v...) },
-		perQuery(func(q, row []int32) float64 { return float64(dist(q, row)) }),
+		perQuery(dim, func(q, row []int32) float64 { return float64(dist(q, row)) }),
 	)
 }
 
@@ -242,23 +247,47 @@ func NewBinary(bits int, opts Options) *Store[vec.Binary] {
 		func(v vec.Binary) vec.Binary {
 			return vec.Binary{Dim: v.Dim, Words: append([]uint64(nil), v.Words...)}
 		},
-		perQuery(func(q, row vec.Binary) float64 { return float64(vec.Hamming(q, row)) }),
+		perQuery(bits, func(q, row vec.Binary) float64 { return float64(vec.Hamming(q, row)) }),
 	)
 }
 
-// perQuery is the batch kernel of a two-vector distance: each row is
-// scored against the queries one at a time.
-func perQuery[V any](dist func(q, row V) float64) func([]V) func(V, []float64) {
-	return func(qs []V) func(V, []float64) {
-		return func(row V, out []float64) {
-			for j, q := range qs {
-				out[j] = dist(q, row)
-			}
+// scan is one pass over rows for a batch of queries: live rows are
+// offered with their ids, and Results returns each query's neighbours
+// with the pass's work accounting. knn.TileScan is the float store's.
+type scan[V any] interface {
+	Offer(id int, row V)
+	Results() ([][]topk.Result, knn.Stats)
+}
+
+// pairScan is the scan of a two-vector distance: each row is scored
+// against the queries one at a time.
+type pairScan[V any] struct {
+	*knn.Selectors
+	qs   []V
+	dist func(q, row V) float64
+	dim  int
+}
+
+func (p *pairScan[V]) Offer(id int, row V) {
+	for j, q := range p.qs {
+		p.Dists[j] = p.dist(q, row)
+	}
+	p.Selectors.Offer([]int{id}, p.dim)
+}
+
+func (p *pairScan[V]) Results() ([][]topk.Result, knn.Stats) {
+	return p.Selectors.Results(), p.Stats
+}
+
+func perQuery[V any](dim int, dist func(q, row V) float64) func([]V, int) func() scan[V] {
+	return func(qs []V, k int) func() scan[V] {
+		return func() scan[V] {
+			return &pairScan[V]{Selectors: knn.NewSelectors(len(qs), k, 1), qs: qs, dist: dist, dim: dim}
 		}
 	}
 }
 
-func newStore[V any](dim int, opts Options, check func(V) error, clone func(V) V, prep func([]V) func(V, []float64)) *Store[V] {
+func newStore[V any](dim int, opts Options, check func(V) error, clone func(V) V, prep func([]V, int) func() scan[V]) *Store[V] {
 	s := &Store[V]{
 		opts:  opts.fill(),
 		dim:   dim,
@@ -512,16 +541,18 @@ func (s *Store[V]) SearchBatch(qs []V, k int, sp *obs.Span) ([][]topk.Result, kn
 	if k <= 0 || len(qs) == 0 {
 		return make([][]topk.Result, len(qs)), st
 	}
-	dists := s.prep(qs)
+	newScan := s.prep(qs, k)
 	if phys := snap.live + snap.dead; s.opts.Vaults == 1 || phys*len(qs) < s.opts.SerialBelow {
-		sels := knn.NewSelectors(len(qs), k)
+		sc := newScan()
 		for v := range snap.vaults {
-			s.scanVault(&snap.vaults[v], dists, sels)
+			scanVault(&snap.vaults[v], sc)
 		}
-		st.Add(sels.Stats)
-		return sels.Results(), st
+		res, sst := sc.Results()
+		st.Add(sst)
+		return res, st
 	}
-	sels := make([]*knn.Selectors, len(snap.vaults))
+	parts := make([][][]topk.Result, len(snap.vaults))
+	stats := make([]knn.Stats, len(snap.vaults))
 	var wg sync.WaitGroup
 	for v := range snap.vaults {
 		if len(snap.vaults[v].ids) == 0 {
@@ -531,34 +562,32 @@ func (s *Store[V]) SearchBatch(qs []V, k int, sp *obs.Span) ([][]topk.Result, kn
 			obs.Tag{Key: "vault", Value: v},
 			obs.Tag{Key: "rows", Value: len(snap.vaults[v].ids)},
 			obs.Tag{Key: "queries", Value: len(qs)})
-		sels[v] = knn.NewSelectors(len(qs), k)
 		wg.Add(1)
 		go func(v int, vsp *obs.Span) {
 			defer wg.Done()
-			s.scanVault(&snap.vaults[v], dists, sels[v])
+			sc := newScan()
+			scanVault(&snap.vaults[v], sc)
+			parts[v], stats[v] = sc.Results()
 			vsp.End()
 		}(v, vsp)
 	}
 	wg.Wait()
-	parts := make([][][]topk.Result, 0, len(sels))
-	for _, vs := range sels {
-		if vs != nil {
-			parts = append(parts, vs.Results())
-			st.Add(vs.Stats)
+	scanned := parts[:0]
+	for v, p := range parts {
+		if p != nil {
+			scanned = append(scanned, p)
+			st.Add(stats[v])
 		}
 	}
-	return knn.MergeVaults(k, len(qs), parts), st
+	return knn.MergeVaults(k, len(qs), scanned), st
 }
 
-// scanVault offers one vault's live rows, scored against the whole
-// batch by dists, to the batch's selectors; tombstones are skipped
-// before any distance work.
-func (s *Store[V]) scanVault(vs *vaultShard[V], dists func(row V, out []float64), sels *knn.Selectors) {
+// scanVault offers one vault's live rows to sc; tombstones are skipped
+// before any distance work, so a block of four holds live rows only.
+func scanVault[V any](vs *vaultShard[V], sc scan[V]) {
 	for i := range vs.rows {
-		if vs.dead[i] {
-			continue
+		if !vs.dead[i] {
+			sc.Offer(vs.ids[i], vs.rows[i])
 		}
-		dists(vs.rows[i], sels.Dists)
-		sels.Offer(vs.ids[i], s.dim)
 	}
 }

@@ -28,6 +28,8 @@ func (s *Server) registerServerMetrics() {
 		func() float64 { return float64(s.opts.MaxInFlight) })
 	reg.CounterFunc("ssam_rejected_total", "Search requests shed with 503.", nil,
 		func() uint64 { return s.rejected.Load() })
+	reg.GaugeFunc("ssam_scan_kernel", "Always 1; the label names the exact float scan's kernel on this host (avx2 or go).",
+		obs.Labels{"kernel": ssam.ScanKernel()}, func() float64 { return 1 })
 	reg.GaugeFunc("ssam_draining", "1 while the server is draining, else 0.", nil,
 		func() float64 {
 			if s.draining.Load() {

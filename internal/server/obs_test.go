@@ -18,6 +18,7 @@ import (
 	"strings"
 	"testing"
 
+	"ssam"
 	"ssam/internal/client"
 	"ssam/internal/obs"
 	"ssam/internal/server/wire"
@@ -197,6 +198,20 @@ func TestMetricsEndpoint(t *testing.T) {
 	if got := samples[`ssam_region_queue_depth{region="mx"}`]; got != 0 {
 		t.Errorf("ssam_region_queue_depth = %v, want 0 at rest", got)
 	}
+	// Which scan kernel this host runs: one info series, mirrored in
+	// /statsz.
+	kernel := ssam.ScanKernel()
+	if kernel != "avx2" && kernel != "go" {
+		t.Errorf("ScanKernel = %q, want avx2 or go", kernel)
+	}
+	if got := samples[`ssam_scan_kernel{kernel="`+kernel+`"}`]; got != 1 {
+		t.Errorf("ssam_scan_kernel{kernel=%q} = %v, want 1", kernel, got)
+	}
+	var stats wire.StatsResponse
+	httpGetJSON(t, srv, "/statsz", &stats)
+	if stats.ScanKernel != kernel {
+		t.Errorf("/statsz scan_kernel = %q, want %q", stats.ScanKernel, kernel)
+	}
 
 	// Freeing the region must drop its series from the exposition.
 	if err := c.Free(ctx, "mx"); err != nil {
@@ -353,6 +368,17 @@ func TestUnshardedTraceSpans(t *testing.T) {
 	}
 	if _, ok := exec.Tags["batch_size"]; !ok {
 		t.Errorf("exec span missing batch_size tag: %v", exec.Tags)
+	}
+	// The region's own exec span, under the batcher's, names the scan
+	// kernel the host ran it with.
+	var kernels []any
+	for _, sp := range exec.FindAll("exec") {
+		if k, ok := sp.Tags["kernel"]; ok {
+			kernels = append(kernels, k)
+		}
+	}
+	if len(kernels) != 1 || kernels[0] != ssam.ScanKernel() {
+		t.Errorf("exec spans carry kernel tags %v, want one %q", kernels, ssam.ScanKernel())
 	}
 
 	// An untraced request must not land in /tracez (ambient sampling

@@ -826,6 +826,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 		MaxInFlight:   s.opts.MaxInFlight,
 		Rejected:      s.rejected.Load(),
 		Draining:      s.draining.Load(),
+		ScanKernel:    ssam.ScanKernel(),
 		Regions:       make(map[string]wire.RegionStats, len(entries)),
 	}
 	for name, e := range entries {

@@ -365,5 +365,6 @@ type StatsResponse struct {
 	MaxInFlight   int                    `json:"max_in_flight"`
 	Rejected      uint64                 `json:"rejected"` // 503s shed by admission control
 	Draining      bool                   `json:"draining"`
+	ScanKernel    string                 `json:"scan_kernel"` // the exact float scan's kernel on this host: avx2 or go
 	Regions       map[string]RegionStats `json:"regions"`
 }

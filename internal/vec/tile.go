@@ -14,10 +14,15 @@ import "math"
 //     the float64 operations SquaredL2, L1 and CosineDistance use, so
 //     Row's output equals Distance(m, q, row) bit for bit at any batch
 //     size. Accumulation order is a property of this kernel alone.
+//   - Four rows a call where the CPU has the lanes. Block scores four
+//     rows at once; on amd64 with AVX2 an assembly kernel keeps each
+//     (query, row) accumulator in its own float64 lane and advances it
+//     exactly as Row does, and everywhere else Block is four Rows. The
+//     bits are the same either way.
 //
 // ChiSquared and JaccardMetric sit behind the same interface but score
 // each row per query through Distance. A Tile is immutable once built
-// and safe for concurrent Row calls.
+// and safe for concurrent Row and Block calls.
 type Tile struct {
 	metric Metric
 	dim    int
@@ -76,14 +81,19 @@ func (t *Tile) Len() int { return len(t.qs) }
 // query of the tile; out must hold at least Len elements. Each value
 // equals Distance(m, qs[j], row) exactly.
 func (t *Tile) Row(row []float32, out []float64) {
+	t.row(row, out[:len(t.qs)], 1)
+}
+
+// row is Row writing query j's distance to out[j*stride]: the pure-Go
+// kernel, and the oracle the assembly block is held to.
+func (t *Tile) row(row []float32, out []float64, stride int) {
 	if len(row) != t.dim {
 		panic("vec: dimension mismatch")
 	}
-	out = out[:len(t.qs)]
-	w, m := t.wide, t.metric
+	w, m, s := t.wide, t.metric, stride
 	if w == nil {
 		for j, q := range t.qs {
-			out[j] = Distance(m, q, row)
+			out[j*s] = Distance(m, q, row)
 		}
 		return
 	}
@@ -92,45 +102,99 @@ func (t *Tile) Row(row []float32, out []float64) {
 	var nb float64
 	j := 0
 	for ; j+4 <= len(w); j += 4 {
-		o := out[j : j+4 : j+4]
+		var a0, a1, a2, a3 float64
 		switch m {
 		case Euclidean:
-			o[0], o[1], o[2], o[3] = l2x4(w[j], w[j+1], w[j+2], w[j+3], row)
+			a0, a1, a2, a3 = l2x4(w[j], w[j+1], w[j+2], w[j+3], row)
 		case Manhattan:
-			o[0], o[1], o[2], o[3] = l1x4(w[j], w[j+1], w[j+2], w[j+3], row)
+			a0, a1, a2, a3 = l1x4(w[j], w[j+1], w[j+2], w[j+3], row)
 		default:
-			o[0], o[1], o[2], o[3], nb = dotx4(w[j], w[j+1], w[j+2], w[j+3], row)
+			a0, a1, a2, a3, nb = dotx4(w[j], w[j+1], w[j+2], w[j+3], row)
 		}
+		out[j*s], out[(j+1)*s], out[(j+2)*s], out[(j+3)*s] = a0, a1, a2, a3
 	}
 	if j+2 <= len(w) {
+		var a0, a1 float64
 		switch m {
 		case Euclidean:
-			out[j], out[j+1] = l2x2(w[j], w[j+1], row)
+			a0, a1 = l2x2(w[j], w[j+1], row)
 		case Manhattan:
-			out[j], out[j+1] = l1x2(w[j], w[j+1], row)
+			a0, a1 = l1x2(w[j], w[j+1], row)
 		default:
-			out[j], out[j+1], nb = dotx2(w[j], w[j+1], row)
+			a0, a1, nb = dotx2(w[j], w[j+1], row)
 		}
+		out[j*s], out[(j+1)*s] = a0, a1
 		j += 2
 	}
 	if j < len(w) {
 		switch m {
 		case Euclidean:
-			out[j] = l2x1(w[j], row)
+			out[j*s] = l2x1(w[j], row)
 		case Manhattan:
-			out[j] = l1x1(w[j], row)
+			out[j*s] = l1x1(w[j], row)
 		default:
-			out[j], nb = dotx1(w[j], row)
+			out[j*s], nb = dotx1(w[j], row)
 		}
 	}
 	if m == Cosine {
-		for j, dot := range out {
-			if na := t.norms[j]; na == 0 || nb == 0 {
-				out[j] = 1
-			} else {
-				out[j] = 1 - dot/math.Sqrt(na*nb)
+		for j, na := range t.norms {
+			out[j*s] = cosineOf(out[j*s], na, nb)
+		}
+	}
+}
+
+// cosineOf finishes CosineDistance from its three sums: the dot product
+// and the two vectors' sums of squares.
+func cosineOf(dot, na, nb float64) float64 {
+	if na == 0 || nb == 0 {
+		return 1
+	}
+	return 1 - dot/math.Sqrt(na*nb)
+}
+
+// BlockRows is the number of rows Block scores at once: the float64
+// lanes of one 256-bit register.
+const BlockRows = 4
+
+// blockAVX2 is the assembly block kernel, set once at start-up on a CPU
+// that runs it (block_amd64.go); nil selects the pure-Go kernel. Tests
+// flip it to hold each kernel to the other.
+var blockAVX2 func(t *Tile, rows *[BlockRows][]float32, lanes, out []float64)
+
+// Kernel names the block kernel this process scans with: "avx2" or
+// "go". Both produce the same bits; a host's scan speed depends on it.
+func Kernel() string {
+	if blockAVX2 != nil {
+		return "avx2"
+	}
+	return "go"
+}
+
+// Lanes returns the working memory one scanning goroutine passes to
+// Block: the block's rows widened and interleaved, element by element.
+// It belongs to that goroutine, never to the shared tile.
+func (t *Tile) Lanes() []float64 { return make([]float64, BlockRows*t.dim) }
+
+// Block writes the distance from rows[r] to query j into
+// out[j*BlockRows+r] for every query of the tile; out must hold at
+// least BlockRows*Len elements and lanes come from Lanes. Each value
+// equals Distance(m, qs[j], rows[r]) exactly: a lane of the assembly
+// kernel is one (query, row) accumulator advanced in index order by a
+// separate subtract, multiply and add, as Row's is. The rows need not be
+// adjacent in memory.
+func (t *Tile) Block(rows *[BlockRows][]float32, lanes, out []float64) {
+	out = out[:BlockRows*len(t.qs)]
+	if blockAVX2 != nil && t.wide != nil && t.dim > 0 {
+		for _, row := range rows {
+			if len(row) != t.dim {
+				panic("vec: dimension mismatch")
 			}
 		}
+		blockAVX2(t, rows, lanes[:BlockRows*t.dim], out)
+		return
+	}
+	for r, row := range rows {
+		t.row(row, out[r:], BlockRows)
 	}
 }
 

@@ -39,6 +39,12 @@ type Result = topk.Result
 // SignBinarize also produce it.
 type BinaryCode = vec.Binary
 
+// ScanKernel names the kernel this process runs the exact float scan
+// with: "avx2" (the assembly block kernel, on an amd64 CPU that has
+// AVX2) or "go" (the pure-Go one, everywhere else). Both return the same
+// bits; the name explains a host's scan speed.
+func ScanKernel() string { return vec.Kernel() }
+
 // Metric selects the distance function.
 type Metric int
 
