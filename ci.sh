@@ -88,16 +88,20 @@ ratio_gate() {
 }
 
 # ADC regression check: the quantized scan must stay meaningfully
-# faster than the float32 scan. Measured 1.65-1.8x on the growth box
-# with the AVX2 block kernel, 3.2-4.1x before it: the float scan got
-# 2.4x faster at this shape and the quantized scan, which is table
-# build, ADC and selection with a 64-row re-rank, did not move. The
-# 1.5x floor stays, with a tenth of headroom where there was a factor
-# of two; on a CPU without AVX2 the old headroom is back. If the float
-# kernel gains again, this gate is the one that trips without anything
-# having rotted: re-read it then.
+# faster than the float32 scan. Read at -cpu=1 on the growth box with
+# the AVX2 block kernel, quietest of three a side: 2.32x, 2.36x, 2.40x
+# (float scan 122-129 us, quantized 51.5-54.5 us at this shape), up
+# from 1.65-1.8x since the ADC pass folds four code columns a pass and
+# selects its candidates by threshold and quickselect, not through a
+# heap. What is left of the quantized side at 4096 x 64 is mostly the
+# lookup-table build (256 x 64 dims a query), which the ratio therefore
+# tracks too. The floor is 1.8x: the lowest reading leaves 29 % over it
+# (the bar for raising it was 25 %). On a CPU without AVX2 the float
+# scan is 2.4x slower and the headroom is a factor of two again. If the
+# float kernel gains again, this gate is the one that trips without
+# anything having rotted: re-read it then.
 ratio_gate "float32 scan time vs quantized scan" \
-    BenchmarkRegionSearchHost BenchmarkSearchPQ ">=" 1.5
+    BenchmarkRegionSearchHost BenchmarkSearchPQ ">=" 1.8
 
 # Tiered regression check: a fully-cached storage-backed region must
 # stay within 1.2x of the in-RAM host scan. Past the first pass every
@@ -178,7 +182,7 @@ trap - EXIT
 # Fuzz-seed smoke: replay every committed seed corpus through its fuzz
 # target (no fuzzing engine, just the corpus) so a decoder regression
 # against a known-tricky input fails the gate deterministically.
-go test -run='^Fuzz' -count=1 ./internal/server/wire ./internal/vec
+go test -run='^Fuzz' -count=1 ./internal/server/wire ./internal/vec ./internal/knn
 
 # Coverage floors on the region, the serving stack and the scan
 # kernels: these packages were hardened test-first; don't let coverage

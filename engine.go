@@ -41,8 +41,9 @@ type work struct {
 	live    int  // rows the mutable store scanned per query
 }
 
-// tag records the work on the exec span — the one place counters reach
-// the trace. A call that accounted nothing (a failed query, a fanned-out
+// tag records the work on the exec span — the one place knn.Stats
+// counters reach the trace (the quantized engine adds adc_kept, the ADC
+// pass's share of PQKept, itself). A call that accounted nothing (a failed query, a fanned-out
 // batch, the simulated device) leaves the span bare.
 func (w work) tag(sp *obs.Span) {
 	if sp == nil || w.knn == (knn.Stats{}) {
@@ -191,7 +192,9 @@ func pqTags(mode string, m, rerank, vaults int) []obs.Tag {
 
 // pqEngine is the in-RAM product-quantized scan: vault-parallel like the
 // linear engine (scanned slabs are "vault" children, the exact re-rank a
-// "rerank" child); long batches fan out across workers.
+// "rerank" child tagged cands; the engine itself tags exec adc_kept, the
+// ADC offers that passed the running bound); long batches fan out
+// across workers.
 type pqEngine struct {
 	noClose
 	e *knn.PQEngine

@@ -34,7 +34,14 @@ type Stats struct {
 	DistEvals int // full distance computations
 	Dims      int // total vector dimensions touched by distance math
 	PQInserts int // candidate offers to the top-k structure
-	PQKept    int // offers that were admitted
+	// PQKept is the offers that were admitted. On the quantized
+	// engine's ADC pass, which keeps candidates in a reservoir and not
+	// a heap, it is the offers that passed the running bound — every
+	// one until the first R have set a bound, then those ranking before
+	// the R-th best as of the last compaction. That is more than a heap
+	// would admit (its bound tightens on every admission) and, like the
+	// heap's count, a function of the partition alone, not of timing.
+	PQKept int
 	// TableBuilds and CodeEvals account for the product-quantized
 	// engine (pq.go): ADC lookup-table constructions and code-word
 	// distance evaluations. A code eval reads M bytes and does M table

@@ -11,7 +11,9 @@ package knn
 
 import (
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sync/atomic"
 
 	"ssam/internal/obs"
@@ -62,9 +64,9 @@ type PQEngine struct {
 	scale       float64    // ADC distance scale (0.5 for cosine)
 	encodeData  []float32  // rows as encoded (normalized for cosine)
 	cb          *pq.Codebook
-	slabs       []*pq.Codes // vault-local cache-blocked code groups
-	starts      []int       // first row of each slab; len(slabs)+1
-	rerank      int
+	slabs       []*pq.Codes  // vault-local cache-blocked code groups
+	starts      []int        // first row of each slab; len(slabs)+1
+	rerank      atomic.Int64 // read once per search: SetRerank may race a query
 	workers     int
 	vaults      int
 	serialBelow int
@@ -111,10 +113,14 @@ func NewPQEngineVaults(data []float32, dim int, metric vec.Metric, p PQParams, w
 		tableMetric: metric,
 		scale:       1,
 		encodeData:  data,
-		rerank:      p.Rerank,
 		workers:     workers,
 		vaults:      resolveVaults(vaults),
 		serialBelow: DefaultSerialThreshold,
+	}
+	e.rerank.Store(int64(p.Rerank))
+	// An ADC candidate carries its row in 32 bits.
+	if uint64(e.n) > math.MaxUint32 {
+		return nil, fmt.Errorf("knn: pq engine holds at most %d rows, got %d", uint32(math.MaxUint32), e.n)
 	}
 	switch metric {
 	case vec.Euclidean, vec.Manhattan:
@@ -190,16 +196,12 @@ func (e *PQEngine) CodeBytes() int {
 }
 
 // Rerank returns the current re-rank depth (0 = ADC only).
-func (e *PQEngine) Rerank() int { return e.rerank }
+func (e *PQEngine) Rerank() int { return int(e.rerank.Load()) }
 
-// SetRerank adjusts the re-rank depth, the engine's accuracy knob.
-// It must not be called concurrently with searches.
-func (e *PQEngine) SetRerank(r int) {
-	if r < 0 {
-		r = 0
-	}
-	e.rerank = r
-}
+// SetRerank adjusts the re-rank depth, the engine's accuracy knob. It
+// is safe beside running searches: each reads the depth once, so it
+// selects and re-ranks at the old depth or the new one, never a mix.
+func (e *PQEngine) SetRerank(r int) { e.rerank.Store(int64(max(r, 0))) }
 
 // SetSerialThreshold overrides the dataset size below which queries
 // scan serially regardless of the vault count.
@@ -236,35 +238,58 @@ func (e *PQEngine) SearchStatsSpan(q []float32, k int, sp *obs.Span) ([]topk.Res
 }
 
 func (e *PQEngine) search(q []float32, k int, sp *obs.Span, forceSerial bool) ([]topk.Result, Stats) {
-	cands, st := e.adcCandidates(q, k, sp, forceSerial)
-	if e.rerank == 0 {
-		return cands, st
+	rerank := e.Rerank()
+	cands, st := e.adcCandidates(q, k, rerank, sp, forceSerial)
+	if rerank == 0 {
+		return e.adcResults(cands), st
 	}
 	// Exact re-rank: re-score every ADC candidate under the true
 	// metric over the retained float32 rows, with the exact scan's
 	// kernel. Selector admission is push-order independent, so the
 	// result is a pure function of the candidate set — and with rerank
 	// >= n the candidate set is the whole database, making results
-	// bit-identical to the exact scan.
+	// bit-identical to the exact scan. The candidates come unsorted and
+	// are scored as they come: ordering them by row address first was
+	// measured and loses more to the sort than the rows' locality gives
+	// back (DESIGN.md §13).
+	rsp := sp.Start("rerank", obs.Tag{Key: "cands", Value: len(cands)})
 	ts := NewTileScan(vec.NewTile(e.metric, [][]float32{q}), k)
 	for _, c := range cands {
-		ts.Offer(c.ID, e.Row(c.ID))
+		ts.Offer(c.row(), e.Row(c.row()))
 	}
 	res, rst := ts.Results()
+	rsp.End()
 	st.Add(rst)
 	e.counters.rerankEvals.Add(uint64(len(cands)))
 	return res[0], st
 }
 
+// adcResults is the answer of a search that does not re-rank: the
+// candidates closest first, at their ADC distances.
+func (e *PQEngine) adcResults(cands []cand) []topk.Result {
+	slices.Sort(cands)
+	out := make([]topk.Result, len(cands))
+	for i, c := range cands {
+		out[i] = topk.Result{ID: c.row(), Dist: float64(c.dist()) * e.scale}
+	}
+	return out
+}
+
 // adcCandidates runs the query's table build and ADC scan, returning
-// the top-R candidates under ADC distance, R = max(k, rerank). It is
-// the shared front half of both the in-RAM search (re-rank against the
-// retained rows) and the tiered search (re-rank through the out-of-core
-// store): the candidate set depends only on the in-RAM codes, so the
-// two paths diverge strictly after this point.
-func (e *PQEngine) adcCandidates(q []float32, k int, sp *obs.Span, forceSerial bool) ([]topk.Result, Stats) {
+// the R best candidates under (ADC distance, row), R = max(k, rerank),
+// in no particular order. It is the shared front half of both the
+// in-RAM search (re-rank against the retained rows) and the tiered
+// search (re-rank through the out-of-core store): the candidate set
+// depends only on the in-RAM codes, so the two paths diverge strictly
+// after this point. sp, the caller's exec span, gets one "vault" child
+// per slab scanned in parallel and the adc_kept tag (in a batch, the
+// last query's).
+func (e *PQEngine) adcCandidates(q []float32, k, rerank int, sp *obs.Span, forceSerial bool) ([]cand, Stats) {
 	if len(q) != e.dim {
 		panic("knn: query dimension mismatch")
+	}
+	if k <= 0 {
+		panic("knn: k must be positive")
 	}
 	qt := q
 	if e.metric == vec.Cosine {
@@ -278,30 +303,36 @@ func (e *PQEngine) adcCandidates(q []float32, k int, sp *obs.Span, forceSerial b
 	// distances, which together touch Ks full vector widths.
 	st.Dims += pq.Ks * e.dim
 
-	// ADC pass: top-R candidates, R = max(k, rerank) when re-ranking.
-	r := k
-	if e.rerank > 0 && e.rerank > k {
-		r = e.rerank
+	// One selection at every depth: each scanned range keeps its R
+	// best in a reservoir and hands it over unsorted, and the ranges'
+	// candidates are selected from once more, together.
+	r := max(k, rerank)
+	scan := func(lo, hi int) ([]cand, Stats) { return e.scanRange(lut, r, lo, hi) }
+	var parts [][]cand
+	var scanStats Stats
+	if forceSerial || e.vaults == 1 || e.n < e.serialBelow {
+		parts = make([][]cand, 1)
+		parts[0], scanStats = scan(0, e.n)
+	} else {
+		parts, scanStats = fanVaults(e.n, e.vaults, 1, sp, scan)
 	}
-	vaults := e.vaults
-	if forceSerial {
-		vaults = 1
-	}
-	cands, scanStats := scanOne(e.n, vaults, e.serialBelow, r, sp, func(lo, hi int) ([]topk.Result, Stats) {
-		return e.scanRange(lut, r, lo, hi)
-	})
+	sp.SetTag("adc_kept", scanStats.PQKept)
 	st.Add(scanStats)
 	e.counters.tableBuilds.Add(1)
 	e.counters.codeEvals.Add(uint64(st.CodeEvals))
-	return cands, st
+	return selectCands(r, parts...), st
 }
 
 // scanRange runs the ADC kernel over global rows [lo, hi), walking the
-// vault slabs that overlap the range. Distances are float32 table sums
-// in fixed subquantizer order scaled by e.scale, so a row's distance
-// is independent of the partitioning.
-func (e *PQEngine) scanRange(lut []float32, k, lo, hi int) ([]topk.Result, Stats) {
-	sel := topk.New(k)
+// vault slabs that overlap the range, and returns the range's R best
+// candidates plus up to R more it had not yet dropped. A candidate's
+// distance is the float32 table sum in fixed subquantizer order, so it
+// is independent of the partitioning; e.scale (1, or the exact and
+// order-preserving 0.5) is applied only to distances that are
+// returned. Every row is one PQInserts, every row past the running
+// bound one PQKept.
+func (e *PQEngine) scanRange(lut []float32, r, lo, hi int) ([]cand, Stats) {
+	res := newReservoir(r, hi-lo)
 	var st Stats
 	for v, slab := range e.slabs {
 		start := e.starts[v]
@@ -311,16 +342,13 @@ func (e *PQEngine) scanRange(lut []float32, k, lo, hi int) ([]topk.Result, Stats
 			continue
 		}
 		slab.Scan(lut, l, h, func(base int, dists []float32) {
-			for i, d := range dists {
-				st.PQInserts++
-				if sel.Push(start+base+i, float64(d)*e.scale) {
-					st.PQKept++
-				}
-			}
+			res.offer(start+base, dists)
 		})
 		st.CodeEvals += h - l
 	}
-	return sel.Results(), st
+	st.PQInserts = st.CodeEvals
+	st.PQKept = res.kept
+	return res.buf, st
 }
 
 // SearchBatch runs one Search per query. A single query, or fewer

@@ -8,7 +8,10 @@ package knn
 // where re-ranking the whole database IS the exact scan.
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"ssam/internal/dataset"
@@ -91,28 +94,47 @@ func TestPQDeterministicAcrossBuilds(t *testing.T) {
 
 // Serial and vault-parallel scans must agree bit-for-bit at every
 // vault count, with and without re-ranking. SetSerialThreshold(0)
-// forces the vault path even on this small dataset.
+// forces the vault path even on this small dataset. The re-rank depths
+// are ADC only, exactly k, a depth every vault list fills, and one that
+// no list of seven or more vaults can (1000 > n/vaults); under
+// Manhattan the code widths cover every remainder of Codes.Scan's
+// four-column passes.
 func TestPQSerialParallelBitEquivalence(t *testing.T) {
-	const n, dim = 3000, 16
+	const n, dim, k = 3000, 16, 10
 	ds := pqClustered(n, dim, 10, 43)
-	for _, m := range []vec.Metric{vec.Euclidean, vec.Cosine} {
-		for _, rerank := range []int{0, 50} {
-			p := PQParams{M: 4, Sample: 512, Rerank: rerank, Seed: 7}
-			serial, err := NewPQEngineVaults(ds.Data, dim, m, p, 1, 1)
+	type shape struct {
+		metric vec.Metric
+		M      int
+		vaults []int
+	}
+	shapes := []shape{
+		{vec.Euclidean, 4, []int{2, 3, 7, 32}},
+		{vec.Cosine, 4, []int{2, 3, 7, 32}},
+	}
+	for _, M := range []int{1, 3, 4, 5, 8, 9} {
+		shapes = append(shapes, shape{vec.Manhattan, M, []int{2, 7}})
+	}
+	for _, sh := range shapes {
+		p := PQParams{M: sh.M, Sample: 512, Seed: 7}
+		serial, err := NewPQEngineVaults(ds.Data, dim, sh.metric, p, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, vaults := range sh.vaults {
+			par, err := NewPQEngineVaults(ds.Data, dim, sh.metric, p, 1, vaults)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, vaults := range []int{2, 3, 7, 32} {
-				par, err := NewPQEngineVaults(ds.Data, dim, m, p, 1, vaults)
-				if err != nil {
-					t.Fatal(err)
-				}
-				par.SetSerialThreshold(0)
-				if par.Vaults() != vaults {
-					t.Fatalf("vaults = %d, want %d", par.Vaults(), vaults)
-				}
+			par.SetSerialThreshold(0)
+			if par.Vaults() != vaults {
+				t.Fatalf("vaults = %d, want %d", par.Vaults(), vaults)
+			}
+			for _, rerank := range []int{0, k, 50, 1000} {
+				serial.SetRerank(rerank)
+				par.SetRerank(rerank)
 				for _, q := range ds.Queries {
-					sameResults(t, m.String(), par.Search(q, 10), serial.Search(q, 10))
+					sameResults(t, fmt.Sprintf("%v/M=%d/vaults=%d/rerank=%d", sh.metric, sh.M, vaults, rerank),
+						par.Search(q, k), serial.Search(q, k))
 				}
 			}
 		}
@@ -306,4 +328,85 @@ func TestPQKEdgeCases(t *testing.T) {
 		}()
 		e.Search(q, 0)
 	}()
+}
+
+// SetRerank beside running searches: every answer must be one of the
+// three a quiescent engine gives at the depths being flipped between —
+// a query that selected at one depth and re-ranked at another would
+// match none — and the race detector must stay quiet. The tiered
+// engine shares the depth and the ADC pass, and is held to the same.
+func TestPQSetRerankRacesSearch(t *testing.T) {
+	const n, dim, k = 1200, 12, 5
+	ds := pqClustered(n, dim, 16, 53)
+	depths := []int{0, 32, n}
+	p := PQParams{M: 4, Sample: 256, Seed: 9}
+	ram, err := NewPQEngineVaults(ds.Data, dim, vec.Euclidean, p, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ram.SetSerialThreshold(0)
+	tiered, err := NewTieredPQEngine(ds.Data, dim, vec.Euclidean, p, 1, 3, tieredStore(t, ds.Data, dim, 3, 0.5, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiered.SetSerialThreshold(0)
+	engines := []struct {
+		name      string
+		setRerank func(int)
+		search    func(q []float32) ([]topk.Result, error)
+	}{
+		{"ram", ram.SetRerank, func(q []float32) ([]topk.Result, error) { return ram.Search(q, k), nil }},
+		{"tiered", tiered.SetRerank, func(q []float32) ([]topk.Result, error) { return tiered.Search(q, k) }},
+	}
+	for _, e := range engines {
+		t.Run(e.name, func(t *testing.T) {
+			want := make([][][]topk.Result, len(depths)) // [depth][query]
+			for d, depth := range depths {
+				e.setRerank(depth)
+				for _, q := range ds.Queries {
+					res, err := e.search(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want[d] = append(want[d], res)
+				}
+			}
+			stop := make(chan struct{})
+			var flipper, searchers sync.WaitGroup
+			flipper.Add(1)
+			go func() {
+				defer flipper.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+						e.setRerank(depths[i%len(depths)])
+					}
+				}
+			}()
+			for g := 0; g < 4; g++ {
+				searchers.Add(1)
+				go func() {
+					defer searchers.Done()
+					for round := 0; round < 6; round++ {
+						for qi, q := range ds.Queries {
+							got, err := e.search(q)
+							if err != nil {
+								t.Error(err)
+								return
+							}
+							if !slices.ContainsFunc(want, func(w [][]topk.Result) bool { return slices.Equal(got, w[qi]) }) {
+								t.Errorf("query %d: %v is the answer at none of the depths %v", qi, got, depths)
+								return
+							}
+						}
+					}
+				}()
+			}
+			searchers.Wait()
+			close(stop)
+			flipper.Wait()
+		})
+	}
 }

@@ -284,7 +284,8 @@ func (e *TieredPQEngine) CodeBytes() int { return e.pq.CodeBytes() }
 // Rerank returns the current re-rank depth (0 = ADC only).
 func (e *TieredPQEngine) Rerank() int { return e.pq.Rerank() }
 
-// SetRerank adjusts the re-rank depth. Not concurrent with searches.
+// SetRerank adjusts the re-rank depth; safe beside running searches,
+// as PQEngine.SetRerank is.
 func (e *TieredPQEngine) SetRerank(r int) { e.pq.SetRerank(r) }
 
 // SetSerialThreshold overrides the ADC scan's serial threshold.
@@ -316,23 +317,23 @@ func (e *TieredPQEngine) SearchStatsSpan(q []float32, k int, sp *obs.Span) ([]to
 	if len(q) != e.pq.dim {
 		return nil, Stats{}, fmt.Errorf("knn: query dim %d, want %d", len(q), e.pq.dim)
 	}
-	cands, st := e.pq.adcCandidates(q, k, sp, false)
-	if e.pq.rerank == 0 {
-		return cands, st, nil
+	rerank := e.pq.Rerank()
+	cands, st := e.pq.adcCandidates(q, k, rerank, sp, false)
+	if rerank == 0 {
+		return e.pq.adcResults(cands), st, nil
 	}
 	// Bucket candidates by vault page so each page is pinned exactly
 	// once; ascending vault order makes the prefetch overlap useful.
-	buckets := make([][]topk.Result, e.store.Vaults())
+	buckets := make([][]cand, e.store.Vaults())
 	order := make([]int, 0, e.store.Vaults())
 	for _, c := range cands {
-		v := e.store.PageOf(c.ID)
+		v := e.store.PageOf(c.row())
 		if buckets[v] == nil {
 			order = append(order, v)
 		}
 		buckets[v] = append(buckets[v], c)
 	}
-	// Buckets fill in candidate (ADC rank) order; sort the page visit
-	// order ascending for sequential IO.
+	// Sort the page visit order ascending for sequential IO.
 	for i := 1; i < len(order); i++ {
 		for j := i; j > 0 && order[j] < order[j-1]; j-- {
 			order[j], order[j-1] = order[j-1], order[j]
@@ -352,7 +353,7 @@ func (e *TieredPQEngine) SearchStatsSpan(q []float32, k int, sp *obs.Span) ([]to
 			obs.Tag{Key: "cands", Value: len(buckets[v])},
 			obs.Tag{Key: "tier_hit", Value: pg.CacheHit()})
 		for _, c := range buckets[v] {
-			ts.Offer(c.ID, pg.Row(c.ID))
+			ts.Offer(c.row(), pg.Row(c.row()))
 		}
 		// A block may not straddle two pages: the rows of this one are
 		// scored before it can be evicted.

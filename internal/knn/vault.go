@@ -7,7 +7,8 @@ package knn
 // split into up to Vaults contiguous slices, one goroutine per slice
 // runs the scan kernel into a vault-local topk.Selector per query of
 // the call, and the vault-local lists are reduced with
-// topk.MergeSorted.
+// topk.MergeSorted. (The quantized engine keeps and reduces candidates
+// its own way, reservoir.go, to the same sets.)
 //
 // The result is bit-for-bit identical to a serial scan — ids, order,
 // and distances — because both sides follow one total order (ascending
@@ -68,20 +69,18 @@ func resolveVaults(v int) int {
 	return v
 }
 
-// scanVaults partitions rows [0, n) into vaults contiguous slices, runs
-// scan on each from its own goroutine, and merges the vault-local
-// top-k lists under the total order, query by query: scan returns one
-// list per query of the call (a single-query engine returns one). Each
-// slice is recorded as a "vault" child span of sp (nil-safe) tagged
-// with its index, row count and the queries it served, so a sampled
-// trace shows per-vault skew. The returned Stats sum the per-vault
-// accounting; because every row is scanned by exactly one vault,
-// DistEvals, Dims and PQInserts are identical to a serial scan's
-// (PQKept may exceed it — vault-local selectors bound against fewer
-// competitors).
-func scanVaults(n, vaults, k, queries int, sp *obs.Span, scan func(lo, hi int) ([][]topk.Result, Stats)) ([][]topk.Result, Stats) {
+// fanVaults partitions rows [0, n) into vaults contiguous slices, runs
+// scan on each from its own goroutine, and returns what each returned,
+// in vault order, for the caller to reduce. Each slice is recorded as a
+// "vault" child span of sp (nil-safe) tagged with its index, row count
+// and the queries it served, so a sampled trace shows per-vault skew.
+// The returned Stats sum the per-vault accounting; because every row is
+// scanned by exactly one vault, DistEvals, Dims and PQInserts are
+// identical to a serial scan's (PQKept may exceed it — vault-local
+// selection bounds against fewer competitors).
+func fanVaults[T any](n, vaults, queries int, sp *obs.Span, scan func(lo, hi int) (T, Stats)) ([]T, Stats) {
 	chunk := (n + vaults - 1) / vaults
-	parts := make([][][]topk.Result, vaults)
+	parts := make([]T, vaults)
 	stats := make([]Stats, vaults)
 	active := 0
 	var wg sync.WaitGroup
@@ -110,7 +109,16 @@ func scanVaults(n, vaults, k, queries int, sp *obs.Span, scan func(lo, hi int) (
 	for _, vst := range stats[:active] {
 		st.Add(vst)
 	}
-	return MergeVaults(k, queries, parts[:active]), st
+	return parts[:active], st
+}
+
+// scanVaults is fanVaults reduced with MergeVaults: scan returns one
+// top-k list per query of the call (a single-query engine returns
+// one), and the vault-local lists merge under the total order, query
+// by query.
+func scanVaults(n, vaults, k, queries int, sp *obs.Span, scan func(lo, hi int) ([][]topk.Result, Stats)) ([][]topk.Result, Stats) {
+	parts, st := fanVaults(n, vaults, queries, sp, scan)
+	return MergeVaults(k, queries, parts), st
 }
 
 // scanOne is the single-query engines' scan policy around one range

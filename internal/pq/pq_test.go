@@ -317,6 +317,34 @@ func TestScanMatchesADCOnAnyRange(t *testing.T) {
 	}
 }
 
+// Scan folds four subquantizer columns into a pass, the M mod 4 odd
+// ones first: at every width, over random codes and tables (no
+// codebook needed), whole and from mid-block to mid-block, each sum
+// must still be ADC's left-to-right float32 sum bit for bit.
+func TestScanMatchesADCAtEveryWidth(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	const n = 2*BlockRows + 37
+	for m := 1; m <= 13; m++ {
+		raw := make([]byte, n*m)
+		rng.Read(raw)
+		lut := make([]float32, m*Ks)
+		for i := range lut {
+			lut[i] = rng.Float32() * 100
+		}
+		c := Pack(raw, m)
+		for _, r := range [][2]int{{0, n}, {BlockRows - 3, 2*BlockRows + 5}} {
+			c.Scan(lut, r[0], r[1], func(base int, dists []float32) {
+				for i, d := range dists {
+					row := base + i
+					if want := ADC(lut, raw[row*m:(row+1)*m]); math.Float32bits(d) != math.Float32bits(want) {
+						t.Fatalf("M=%d range %v row %d: scan %v, want %v", m, r, row, d, want)
+					}
+				}
+			})
+		}
+	}
+}
+
 func TestScanBadInputPanics(t *testing.T) {
 	c := Pack(make([]byte, 10*2), 2)
 	lut := make([]float32, 2*Ks)

@@ -26,6 +26,13 @@ import "ssam/internal/vec"
 // (~1.25 KiB) against one 1 KiB table slice, comfortably inside L1.
 const BlockRows = 256
 
+// colsPerPass is how many subquantizer columns Scan folds into one
+// walk over the accumulator block: each pass loads and stores every
+// accumulator once, so four columns a pass cut that traffic by four,
+// and four column pointers, four table pointers and the accumulator
+// still fit the register file.
+const colsPerPass = 4
+
 // Table fills dst (len >= M*Ks, allocated when nil) with the ADC
 // lookup table for q: dst[j*Ks+c] is the partial distance between q's
 // j-th subvector and centroid c of subquantizer j. Supported metrics
@@ -145,6 +152,7 @@ func (c *Codes) Scan(lut []float32, lo, hi int, fn func(base int, dists []float3
 		panic("pq: scan range out of bounds")
 	}
 	var accBuf [BlockRows]float32
+	tab := func(j int) *[Ks]float32 { return (*[Ks]float32)(lut[j*Ks:]) }
 	for lo < hi {
 		blo := lo - lo%BlockRows
 		rows := min(BlockRows, c.n-blo)
@@ -152,18 +160,36 @@ func (c *Codes) Scan(lut []float32, lo, hi int, fn func(base int, dists []float3
 		cHi := min(hi-blo, rows)
 		acc := accBuf[:cHi-cLo]
 		base := blo * c.m
-		lut0 := (*[Ks]float32)(lut)
-		col := c.buf[base+cLo : base+cHi]
-		col = col[:len(acc)]
-		for r := range acc {
-			acc[r] = lut0[col[r]]
-		}
-		for j := 1; j < c.m; j++ {
-			lutj := (*[Ks]float32)(lut[j*Ks:])
-			col := c.buf[base+j*rows+cLo : base+j*rows+cHi]
-			col = col[:len(acc)]
+		col := func(j int) []byte { return c.buf[base+j*rows+cLo:][:len(acc)] }
+		// The first pass takes the M mod 4 odd columns (all four when
+		// there are none) and assigns; every later pass adds four.
+		w := (c.m-1)%colsPerPass + 1
+		switch w {
+		case 1:
+			l0, c0 := tab(0), col(0)
 			for r := range acc {
-				acc[r] += lutj[col[r]]
+				acc[r] = l0[c0[r]]
+			}
+		case 2:
+			l0, l1, c0, c1 := tab(0), tab(1), col(0), col(1)
+			for r := range acc {
+				acc[r] = l0[c0[r]] + l1[c1[r]]
+			}
+		case 3:
+			l0, l1, l2, c0, c1, c2 := tab(0), tab(1), tab(2), col(0), col(1), col(2)
+			for r := range acc {
+				acc[r] = l0[c0[r]] + l1[c1[r]] + l2[c2[r]]
+			}
+		default:
+			l0, l1, l2, l3, c0, c1, c2, c3 := tab(0), tab(1), tab(2), tab(3), col(0), col(1), col(2), col(3)
+			for r := range acc {
+				acc[r] = l0[c0[r]] + l1[c1[r]] + l2[c2[r]] + l3[c3[r]]
+			}
+		}
+		for j := w; j < c.m; j += colsPerPass {
+			l0, l1, l2, l3, c0, c1, c2, c3 := tab(j), tab(j+1), tab(j+2), tab(j+3), col(j), col(j+1), col(j+2), col(j+3)
+			for r := range acc {
+				acc[r] = acc[r] + l0[c0[r]] + l1[c1[r]] + l2[c2[r]] + l3[c3[r]]
 			}
 		}
 		fn(lo, acc)

@@ -151,8 +151,8 @@ func TestQuantizedSetChecks(t *testing.T) {
 }
 
 // TestQuantizedSearchSpans checks the scan trace: the exec span
-// carries mode/m/rerank tags, the ADC work counters, and per-vault
-// child spans from the vault-parallel scan.
+// carries mode/m/rerank tags and the ADC work counters, and the exact
+// re-rank is a child span of its own.
 func TestQuantizedSearchSpans(t *testing.T) {
 	ds := quantizedDataset(t)
 	r := buildQuantizedRegion(t, ds, Config{Vaults: 4, Index: IndexParams{Seed: 4, Rerank: 32}})
@@ -178,6 +178,18 @@ func TestQuantizedSearchSpans(t *testing.T) {
 	}
 	if re, ok := exec.Tags["rerank_evals"].(int); !ok || re != 32 {
 		t.Fatalf("rerank_evals tag = %v, want 32", exec.Tags["rerank_evals"])
+	}
+	// The ADC pass's useful-to-attempted ratio is adc_kept over
+	// code_evals: at least the 32 candidates, far from all the rows.
+	if kept, ok := exec.Tags["adc_kept"].(int); !ok || kept < 32 || kept >= ds.N() {
+		t.Fatalf("adc_kept tag = %v, want in [32, %d)", exec.Tags["adc_kept"], ds.N())
+	}
+	rerank := exec.Find("rerank")
+	if rerank == nil {
+		t.Fatal("no rerank span under exec")
+	}
+	if rerank.Tags["cands"] != 32 {
+		t.Fatalf("rerank cands tag = %v, want 32", rerank.Tags["cands"])
 	}
 }
 

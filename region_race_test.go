@@ -2,6 +2,8 @@ package ssam
 
 import (
 	"fmt"
+	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -150,5 +152,80 @@ func TestConcurrentSearchBatch(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestSetChecksRacesSearchQuantized retargets the re-rank depth of a
+// quantized region — in RAM and storage-backed — while searches run.
+// SetChecks is documented to work on a live region: the depth is read
+// once per query, so every answer is the one a quiescent region gives
+// at one of the depths, never a selection at one and a re-rank at
+// another. (SetChecks refuses 0; the engines' own test flips through
+// the ADC-only depth as well.)
+func TestSetChecksRacesSearchQuantized(t *testing.T) {
+	ds := raceDataset(t)
+	depths := []int{1, 32, ds.N()}
+	ip := IndexParams{Seed: 3, M: 4, Sample: 256}
+	for name, cfg := range map[string]Config{
+		"ram": {Mode: Quantized, Vaults: 2, Index: ip},
+		"storage": {Mode: Quantized, Vaults: 2, Index: ip, Storage: &Storage{
+			Path: filepath.Join(t.TempDir(), "race.tier"), BudgetBytes: 8192,
+		}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			r := buildTieredRegion(t, ds, cfg)
+			want := make([][][]Result, len(depths)) // [depth][query]
+			for d, depth := range depths {
+				if err := r.SetChecks(depth); err != nil {
+					t.Fatal(err)
+				}
+				for _, q := range ds.Queries {
+					res, err := r.Search(q, 5)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want[d] = append(want[d], res)
+				}
+			}
+			stop := make(chan struct{})
+			var flipper, searchers sync.WaitGroup
+			flipper.Add(1)
+			go func() {
+				defer flipper.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+						if err := r.SetChecks(depths[i%len(depths)]); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}
+			}()
+			for g := 0; g < 4; g++ {
+				searchers.Add(1)
+				go func() {
+					defer searchers.Done()
+					for round := 0; round < 4; round++ {
+						for qi, q := range ds.Queries {
+							got, err := r.Search(q, 5)
+							if err != nil {
+								t.Error(err)
+								return
+							}
+							if !slices.ContainsFunc(want, func(w [][]Result) bool { return slices.Equal(got, w[qi]) }) {
+								t.Errorf("query %d: %v is the answer at none of the depths %v", qi, got, depths)
+								return
+							}
+						}
+					}
+				}()
+			}
+			searchers.Wait()
+			close(stop)
+			flipper.Wait()
+		})
 	}
 }
