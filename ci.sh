@@ -126,6 +126,18 @@ grep -qw avx2 /proc/cpuinfo 2>/dev/null || batch_limit=12
 ratio_gate "batch-of-16 scan time vs single scan" \
     BenchmarkRegionSearchBatch16Host BenchmarkRegionSearchHost "<=" "$batch_limit"
 
+# One-scan regression check: the storage-backed scan is the in-RAM
+# scan's loop over another row source, so a fully-cached batch of 16
+# must cost the same multiple of a single scan there as it does in RAM.
+# Measured 5.55x on the growth box (692 us over 124.5 us, quietest of
+# three a side at -cpu=1, AVX2), beside 5.2x in RAM in the same run; it
+# read 16.1x while the storage-backed engines were a second family that
+# ran one whole scan, and pinned every page once, per query of a batch.
+# If this trips and the gate above does not, the two scans have forked
+# again: look for a second partition walk in internal/knn.
+ratio_gate "tiered batch-of-16 scan time vs tiered single scan" \
+    BenchmarkRegionSearchBatch16Tiered BenchmarkRegionSearchTiered "<=" "$batch_limit"
+
 # Write-mix smoke: stand a server up, drive a brief mixed read/write
 # load through ssam-loadgen (upserts and deletes against a live linear
 # region), and tear it down — the whole wire write path in one shot.

@@ -94,29 +94,43 @@ func hostTags(extra ...obs.Tag) []obs.Tag {
 // the engines that run it, so a trace from a slow host says why.
 func kernelTag() obs.Tag { return obs.Tag{Key: "kernel", Value: vec.Kernel()} }
 
-// linearEngine is the exact float scan. The engine is vault-parallel:
-// each scanned slice shows up as a "vault" child of exec, once per call
-// — a batch walks every vault once for all its queries.
+// linearEngine is the exact float scan, over resident rows or over a
+// storage cache it then owns. Each scanned partition — a vault's slice,
+// or a page, tagged tier_hit so a sampled trace tells cached from cold
+// scans — shows up as a "vault" child of exec, once per call: a batch
+// walks every partition once for all its queries, and a page that cannot
+// be read fails the whole batch.
 type linearEngine struct {
 	noKnob
-	noClose
-	e *knn.Engine
+	e *knn.ExactScan
 }
 
 func (a linearEngine) search(q query, k int, exec *obs.Span) ([]Result, work, error) {
-	res, st := a.e.SearchStatsSpan(q.f, k, exec)
-	return res, work{knn: st}, nil
+	out, w, _, err := a.searchBatch([][]float32{q.f}, k, exec)
+	if err != nil {
+		return nil, w, err
+	}
+	return out[0], w, nil
 }
 
 func (a linearEngine) searchBatch(qs [][]float32, k int, exec *obs.Span) ([][]Result, work, int, error) {
-	out, st := a.e.SearchBatchSpan(qs, k, exec)
+	out, st, err := a.e.Run(qs, k, exec)
+	if err != nil {
+		return nil, work{}, 0, err
+	}
 	return out, work{knn: st}, -1, nil
 }
 
-func (a linearEngine) len() int { return a.e.N() }
+func (a linearEngine) len() int           { return a.e.N() }
+func (a linearEngine) store() *tier.Store { return a.e.Store() }
+func (a linearEngine) close()             { a.e.Store().Close() }
 
 func (a linearEngine) tags() []obs.Tag {
-	return hostTags(obs.Tag{Key: "vaults", Value: a.e.Vaults()}, kernelTag())
+	tags := hostTags(obs.Tag{Key: "vaults", Value: a.e.Vaults()}, kernelTag())
+	if a.e.Store() != nil {
+		tags = append(tags, obs.Tag{Key: "mode", Value: "tiered"})
+	}
+	return tags
 }
 
 // hammingEngine is the exact scan over bit-packed codes.
@@ -180,97 +194,45 @@ func (a *indexEngine) tags() []obs.Tag {
 	return hostTags(a.extra()...)
 }
 
-// pqTags describes a quantized engine on the exec span.
-func pqTags(mode string, m, rerank, vaults int) []obs.Tag {
-	return hostTags(
-		obs.Tag{Key: "mode", Value: mode},
-		obs.Tag{Key: "m", Value: m},
-		obs.Tag{Key: "rerank", Value: rerank},
-		obs.Tag{Key: "vaults", Value: vaults},
-		kernelTag())
-}
-
-// pqEngine is the in-RAM product-quantized scan: vault-parallel like the
-// linear engine (scanned slabs are "vault" children, the exact re-rank a
+// pqEngine is the product-quantized scan: vault-parallel like the linear
+// engine (scanned slabs are "vault" children, the exact re-rank a
 // "rerank" child tagged cands; the engine itself tags exec adc_kept, the
 // ADC offers that passed the running bound); long batches fan out
-// across workers.
+// across workers. The codes are always resident; when the full-precision
+// rows sit in a storage cache, which the engine then owns, only the
+// re-rank touches it — one "rerank" child per page, tagged tier_hit —
+// and batches run a query at a time.
 type pqEngine struct {
-	noClose
-	e *knn.PQEngine
+	e *knn.PQScan
 }
 
 func (a pqEngine) search(q query, k int, exec *obs.Span) ([]Result, work, error) {
-	res, st := a.e.SearchStatsSpan(q.f, k, exec)
-	return res, work{knn: st}, nil
+	res, st, err := a.e.Run(q.f, k, exec)
+	return res, work{knn: st}, err
 }
 
 func (a pqEngine) searchBatch(qs [][]float32, k int, exec *obs.Span) ([][]Result, work, int, error) {
-	return a.e.SearchBatchSpan(qs, k, exec), work{}, -1, nil
+	out, failedAt, err := a.e.RunBatch(qs, k, exec)
+	return out, work{}, failedAt, err
 }
 
 func (a pqEngine) setKnob(n int) error                 { a.e.SetRerank(n); return nil }
 func (a pqEngine) len() int                            { return a.e.N() }
+func (a pqEngine) store() *tier.Store                  { return a.e.Store() }
+func (a pqEngine) close()                              { a.e.Store().Close() }
 func (a pqEngine) counters() (QuantizedCounters, bool) { return a.e.Counters(), true }
 
 func (a pqEngine) tags() []obs.Tag {
-	return pqTags("quantized", a.e.M(), a.e.Rerank(), a.e.Vaults())
-}
-
-// tieredEngine is the out-of-core exact scan: vault pages stream through
-// the storage cache, each a "vault" child tagged tier_hit, so a sampled
-// trace tells cached from cold scans. It owns the store.
-type tieredEngine struct {
-	noKnob
-	e *knn.TieredEngine
-}
-
-func (a tieredEngine) search(q query, k int, exec *obs.Span) ([]Result, work, error) {
-	res, st, err := a.e.SearchStatsSpan(q.f, k, exec)
-	return res, work{knn: st}, err
-}
-
-// searchBatch serves the batch one query at a time: each scan already
-// overlaps storage reads with compute, and sequential queries reuse the
-// hot cache instead of thrashing it.
-func (a tieredEngine) searchBatch(qs [][]float32, k int, exec *obs.Span) ([][]Result, work, int, error) {
-	out, failedAt, err := a.e.SearchBatchSpan(qs, k, exec)
-	return out, work{}, failedAt, err
-}
-
-func (a tieredEngine) len() int { return a.e.N() }
-func (a tieredEngine) close()   { a.e.Store().Close() }
-
-func (a tieredEngine) tags() []obs.Tag {
+	mode := "quantized"
+	if a.e.Store() != nil {
+		mode = "tiered-quantized"
+	}
 	return hostTags(
-		obs.Tag{Key: "mode", Value: "tiered"},
+		obs.Tag{Key: "mode", Value: mode},
+		obs.Tag{Key: "m", Value: a.e.M()},
+		obs.Tag{Key: "rerank", Value: a.e.Rerank()},
 		obs.Tag{Key: "vaults", Value: a.e.Vaults()},
 		kernelTag())
-}
-
-// tieredPQEngine scans resident codes; only the exact re-rank touches
-// the storage cache, grouped by vault page. It owns the store.
-type tieredPQEngine struct {
-	e *knn.TieredPQEngine
-}
-
-func (a tieredPQEngine) search(q query, k int, exec *obs.Span) ([]Result, work, error) {
-	res, st, err := a.e.SearchStatsSpan(q.f, k, exec)
-	return res, work{knn: st}, err
-}
-
-func (a tieredPQEngine) searchBatch(qs [][]float32, k int, exec *obs.Span) ([][]Result, work, int, error) {
-	out, failedAt, err := a.e.SearchBatchSpan(qs, k, exec)
-	return out, work{}, failedAt, err
-}
-
-func (a tieredPQEngine) setKnob(n int) error                 { a.e.SetRerank(n); return nil }
-func (a tieredPQEngine) len() int                            { return a.e.N() }
-func (a tieredPQEngine) close()                              { a.e.Store().Close() }
-func (a tieredPQEngine) counters() (QuantizedCounters, bool) { return a.e.Counters(), true }
-
-func (a tieredPQEngine) tags() []obs.Tag {
-	return pqTags("tiered-quantized", a.e.M(), a.e.Rerank(), a.e.Vaults())
 }
 
 // deviceEngine is the simulated SSAM module. The cycle simulator is
@@ -520,20 +482,25 @@ func (r *Region) seedBinary(dev *ssamdev.Device) func() (mutableStore, error) {
 	}
 }
 
-// createStore writes the backing file from the loaded rows and opens its
-// budgeted page cache; the tiered engine built over it owns it from
-// here (Region.store stays as the TieredStats source and a test seam).
-func (r *Region) createStore() (*tier.Store, error) {
-	return tier.Create(r.cfg.Storage.Path, r.data, r.dims, knn.ResolveVaults(r.cfg.Vaults), tier.Options{
-		BudgetBytes: r.cfg.Storage.BudgetBytes,
-		Prefetch:    r.cfg.Storage.Prefetch,
-	})
-}
-
 // newHostEngine builds the Host engine for the region's configuration.
 func (r *Region) newHostEngine() (engine, error) {
 	cfg, ip := r.cfg, r.cfg.Index
 	metric := cfg.Metric.toVec()
+	// A storage-backed region (float Linear or Quantized: New admits no
+	// other) writes its backing file from the loaded rows and opens the
+	// budgeted page cache over it; the engine built below owns the store
+	// from there. nil keeps the rows resident.
+	var st *tier.Store
+	if cfg.Storage != nil {
+		var err error
+		st, err = tier.Create(cfg.Storage.Path, r.data, r.dims, knn.ResolveVaults(cfg.Vaults), tier.Options{
+			BudgetBytes: cfg.Storage.BudgetBytes,
+			Prefetch:    cfg.Storage.Prefetch,
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
 	// index wraps a built kd-tree forest, k-means tree or LSH table set.
 	index := func(find func(q []float32, k int) (res []Result, distEvals, dims int), knob func(int)) engine {
 		return &indexEngine{rows: len(r.data) / r.dims, workers: cfg.Workers, knob: knob,
@@ -548,16 +515,12 @@ func (r *Region) newHostEngine() (engine, error) {
 		case cfg.Metric == Hamming:
 			r.seed = r.seedBinary(nil)
 			return hammingEngine{e: knn.NewHammingEngine(r.codes, cfg.Vaults)}, nil
-		case cfg.Storage != nil:
-			st, err := r.createStore()
-			if err != nil {
-				return nil, err
-			}
-			r.store, r.data = st, nil // rows live in the backing file now
-			return tieredEngine{e: knn.NewTieredEngine(st, metric)}, nil
+		case st != nil:
+			r.data = nil // rows live in the backing file now
+			return linearEngine{e: knn.NewExactScan(st, metric)}, nil
 		}
 		r.seed = r.seedFloat(nil)
-		return linearEngine{e: knn.NewEngineVaults(r.data, r.dims, metric, cfg.Workers, cfg.Vaults)}, nil
+		return linearEngine{e: &knn.NewEngineVaults(r.data, r.dims, metric, cfg.Workers, cfg.Vaults).ExactScan}, nil
 	case KDTree:
 		p := kdtree.DefaultParams()
 		p.NumTrees, p.LeafSize = or(ip.Trees, p.NumTrees), or(ip.LeafSize, p.LeafSize)
@@ -608,24 +571,15 @@ func (r *Region) newHostEngine() (engine, error) {
 				return []obs.Tag{{Key: "mode", Value: "graph"}, {Key: "ef", Value: g.EfSearch}}
 			}}, nil
 	case Quantized:
-		if cfg.Storage == nil {
-			e, err := knn.NewPQEngineVaults(r.data, r.dims, metric, ip.pqParams(), cfg.Workers, cfg.Vaults)
-			if err != nil {
-				return nil, err
-			}
-			return pqEngine{e: e}, nil
-		}
-		st, err := r.createStore()
-		if err != nil {
-			return nil, err
-		}
-		e, err := knn.NewTieredPQEngine(r.data, r.dims, metric, ip.pqParams(), cfg.Workers, cfg.Vaults, st)
+		e, err := knn.NewPQScan(r.data, r.dims, metric, ip.pqParams(), cfg.Workers, cfg.Vaults, st)
 		if err != nil {
 			st.Close()
 			return nil, err
 		}
-		r.store, r.data = st, nil // codes stay resident; full-precision rows do not
-		return tieredPQEngine{e: e}, nil
+		if st != nil {
+			r.data = nil // codes stay resident; full-precision rows do not
+		}
+		return pqEngine{e: e}, nil
 	}
 	return nil, fmt.Errorf("ssam: unknown mode %v", cfg.Mode)
 }

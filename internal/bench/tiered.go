@@ -80,7 +80,7 @@ func (t TieredTrajectory) FullyCachedSlowdown() float64 {
 }
 
 // TieredSweep measures single-query host throughput of the out-of-core
-// tiered engine against the in-RAM serial float32 scan on the gist128
+// exact scan against the in-RAM serial float32 scan on the gist128
 // workload, sweeping the cache budget. One backing file serves every
 // budget point (the store is reopened per point so each starts cold),
 // and every point verifies the bit-exactness contract on the query set
@@ -108,7 +108,7 @@ func TieredSweep(o Options) (TieredTrajectory, error) {
 		DatasetBytes: int64(ds.N()) * int64(ds.Dim()) * 4,
 	}
 
-	// In-RAM serial baseline: the same scan order the tiered engine
+	// In-RAM serial baseline: the same scan order the out-of-core scan
 	// walks (vault pages in sequence), so the slowdown isolates the
 	// storage tier rather than thread-level parallelism.
 	lin := knn.NewEngine(ds.Data, ds.Dim(), vec.Euclidean, 1)
@@ -138,17 +138,18 @@ func TieredSweep(o Options) (TieredTrajectory, error) {
 		if err != nil {
 			return out, err
 		}
-		eng := knn.NewTieredEngine(store, vec.Euclidean)
+		eng := knn.NewExactScan(store, vec.Euclidean)
 
 		// Bit-exactness check first; the timed window below reuses the
 		// now-warm (to the extent the budget allows) cache.
 		exact := true
 		for i, q := range qs {
-			res, err := eng.Search(q, k)
+			batch, _, err := eng.Run([][]float32{q}, k, nil)
 			if err != nil {
 				store.Close()
 				return out, err
 			}
+			res := batch[0]
 			if len(res) != len(want[i]) {
 				exact = false
 				break
@@ -164,7 +165,7 @@ func TieredSweep(o Options) (TieredTrajectory, error) {
 		before := store.Counters()
 		var searchErr error
 		qps := measureQPS(qs, func(q []float32) {
-			if _, err := eng.Search(q, k); err != nil && searchErr == nil {
+			if _, _, err := eng.Run([][]float32{q}, k, nil); err != nil && searchErr == nil {
 				searchErr = err
 			}
 		})

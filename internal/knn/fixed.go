@@ -34,7 +34,7 @@ func NewFixedEngine(data []int32, dim int, metric vec.Metric, vaults int) *Fixed
 		dim:         dim,
 		n:           len(data) / dim,
 		metric:      metric,
-		vaults:      resolveVaults(vaults),
+		vaults:      ResolveVaults(vaults),
 		serialBelow: DefaultSerialThreshold,
 	}
 }
@@ -103,7 +103,7 @@ type HammingEngine struct {
 func NewHammingEngine(data []vec.Binary, vaults int) *HammingEngine {
 	return &HammingEngine{
 		data:        data,
-		vaults:      resolveVaults(vaults),
+		vaults:      ResolveVaults(vaults),
 		serialBelow: DefaultSerialThreshold,
 	}
 }

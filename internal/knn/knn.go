@@ -8,10 +8,12 @@
 package knn
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 
 	"ssam/internal/obs"
+	"ssam/internal/tier"
 	"ssam/internal/topk"
 	"ssam/internal/vec"
 )
@@ -69,14 +71,117 @@ func (s *Stats) Add(other Stats) {
 	}
 }
 
-// Engine is an exact linear-scan kNN engine over float32 vectors.
-type Engine struct {
-	data        []float32
+// corpus is what the exact and the quantized scan both hold of the rows
+// they search: where they sit (rows.go), their shape and metric, and
+// how a scan partitions them.
+type corpus struct {
+	src         rowSource
 	dim         int
 	n           int
 	metric      vec.Metric
 	vaults      int // scan partitions, within a query and within a batch
-	serialBelow int // scan serially below this many row x query distances
+	serialBelow int // resident rows scan serially below this size
+}
+
+// N returns the database size.
+func (c *corpus) N() int { return c.n }
+
+// Dim returns the vector dimensionality.
+func (c *corpus) Dim() int { return c.dim }
+
+// Metric returns the scan's distance metric.
+func (c *corpus) Metric() vec.Metric { return c.metric }
+
+// Vaults returns the partition count: the vault count, or for an exact
+// scan over a store its page count.
+func (c *corpus) Vaults() int { return c.vaults }
+
+// SetSerialThreshold overrides the size (rows; for the exact scan, rows
+// times queries) below which a call over resident rows scans serially
+// regardless of the vault count (default DefaultSerialThreshold). Zero
+// forces the vault path for any size; tests use it to exercise vault
+// parallelism on small datasets.
+func (c *corpus) SetSerialThreshold(n int) { c.serialBelow = n }
+
+// Store returns the tier store the rows sit in, or nil when they are
+// resident.
+func (c *corpus) Store() *tier.Store { return c.src.pages() }
+
+// ExactScan is the exact linear scan over float32 rows, wherever they
+// sit. Over a resident slab it is Engine's core and cannot fail; over a
+// tier store (NewExactScan) every call can return the store's error,
+// which is why Run is the only way to search one.
+type ExactScan struct{ corpus }
+
+// NewExactScan creates an exact scan over an opened store, one
+// partition per page.
+func NewExactScan(store *tier.Store, metric vec.Metric) *ExactScan {
+	return &ExactScan{corpus{src: paged{store}, dim: store.Dim(), n: store.Rows(), metric: metric, vaults: store.Vaults()}}
+}
+
+// Run answers every query of qs in one query-tiled scan: each partition
+// of the rows is walked once, scoring every row against the whole batch
+// (vec.Tile) into one partition-local selector per query, so the
+// dataset is read — and over a store, each page pinned — once per
+// batch, not once per query. out[i] is what a batch of qs[i] alone
+// returns, bit for bit, wherever the rows sit: resident partitions are
+// scanned concurrently (as one under the serial threshold), a store's
+// pages in order, the next one prefetched. Each partition walked is a
+// "vault" child span of sp (nil-safe). The Stats sum over the batch:
+// DistEvals, Dims and PQInserts are len(qs) times one query's. An error
+// — a query of the wrong width, a page the store could not serve —
+// fails the whole batch: the queries share the walk, so no list is
+// complete.
+func (s *ExactScan) Run(qs [][]float32, k int, sp *obs.Span) ([][]topk.Result, Stats, error) {
+	if len(qs) == 0 {
+		return [][]topk.Result{}, Stats{}, nil
+	}
+	for _, q := range qs {
+		if err := checkDim(q, s.dim); err != nil {
+			return nil, Stats{}, err
+		}
+	}
+	t := vec.NewTile(s.metric, qs)
+	store, dim := s.src.pages(), s.dim
+	scan := func(v, lo, hi int, vsp *obs.Span) ([][]topk.Result, Stats, error) {
+		if store != nil {
+			store.Prefetch(v + 1) // read the next page while this one scans
+		}
+		rows, release, err := s.src.pin(v, lo, hi, vsp)
+		if err != nil {
+			return nil, Stats{}, err
+		}
+		ts := NewTileScan(t, k)
+		for i, off := lo, 0; i < hi; i, off = i+1, off+dim {
+			ts.Offer(i, rows[off:off+dim])
+		}
+		res, st := ts.Results() // scores the rows still buffered: only then may the block go
+		release()
+		return res, st, nil
+	}
+	if store == nil && (s.vaults == 1 || s.n*len(qs) < s.serialBelow) {
+		return scan(0, 0, s.n, nil)
+	}
+	parts, st, err := fanVaults(s.n, s.vaults, len(qs), store != nil, sp, scan)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	return MergeVaults(k, len(qs), parts), st, nil
+}
+
+func checkDim(q []float32, dim int) error {
+	if len(q) != dim {
+		return fmt.Errorf("knn: query dim %d, want %d", len(q), dim)
+	}
+	return nil
+}
+
+// Engine is an exact linear-scan kNN engine over resident float32
+// vectors: an ExactScan that cannot fail, so its searches return no
+// error.
+type Engine struct {
+	ExactScan
+	data []float32
 }
 
 // NewEngine creates a linear engine over a flattened row-major
@@ -100,33 +205,15 @@ func NewEngineVaults(data []float32, dim int, metric vec.Metric, _, vaults int) 
 	if dim <= 0 || len(data)%dim != 0 {
 		panic("knn: data length not a multiple of dim")
 	}
-	return &Engine{
-		data:        data,
+	return &Engine{data: data, ExactScan: ExactScan{corpus{
+		src:         slab{data, dim},
 		dim:         dim,
 		n:           len(data) / dim,
 		metric:      metric,
-		vaults:      resolveVaults(vaults),
+		vaults:      ResolveVaults(vaults),
 		serialBelow: DefaultSerialThreshold,
-	}
+	}}}
 }
-
-// N returns the database size.
-func (e *Engine) N() int { return e.n }
-
-// Dim returns the vector dimensionality.
-func (e *Engine) Dim() int { return e.dim }
-
-// Metric returns the engine's distance metric.
-func (e *Engine) Metric() vec.Metric { return e.metric }
-
-// Vaults returns the vault count.
-func (e *Engine) Vaults() int { return e.vaults }
-
-// SetSerialThreshold overrides the scan size (rows times queries) below
-// which a call scans serially regardless of the vault count (default
-// DefaultSerialThreshold). Zero forces the vault path for any size;
-// tests use it to exercise vault parallelism on small datasets.
-func (e *Engine) SetSerialThreshold(n int) { e.serialBelow = n }
 
 // Row returns database vector i.
 func (e *Engine) Row(i int) []float32 { return e.data[i*e.dim : (i+1)*e.dim] }
@@ -152,36 +239,20 @@ func (e *Engine) SearchStatsSpan(q []float32, k int, sp *obs.Span) ([]topk.Resul
 	return out[0], st
 }
 
-// SearchBatch answers every query of qs in one query-tiled scan: the
-// rows split into the engine's vaults and each vault walks its slice
-// once, scoring every row against the whole batch (vec.Tile) into one
-// vault-local selector per query, so the dataset is read once per
-// batch, not once per query. out[i] is exactly Search(qs[i], k).
+// SearchBatch answers every query of qs in one query-tiled scan (Run):
+// out[i] is exactly Search(qs[i], k).
 func (e *Engine) SearchBatch(qs [][]float32, k int) [][]topk.Result {
 	out, _ := e.SearchBatchSpan(qs, k, nil)
 	return out
 }
 
-// SearchBatchSpan is SearchBatch plus work accounting, recording one
-// "vault" child span of sp per scanned slice per batch (sp may be
-// nil). The Stats sum over the batch: DistEvals, Dims and PQInserts are
-// len(qs) times one query's.
+// SearchBatchSpan is SearchBatch plus work accounting and Run's spans.
 func (e *Engine) SearchBatchSpan(qs [][]float32, k int, sp *obs.Span) ([][]topk.Result, Stats) {
-	if len(qs) == 0 {
-		return [][]topk.Result{}, Stats{}
+	out, st, err := e.Run(qs, k, sp)
+	if err != nil {
+		panic(err) // resident rows always read: this is a query of the wrong width, the caller's bug
 	}
-	t := vec.NewTile(e.metric, qs)
-	scan := func(lo, hi int) ([][]topk.Result, Stats) {
-		ts := NewTileScan(t, k)
-		for i := lo; i < hi; i++ {
-			ts.Offer(i, e.Row(i))
-		}
-		return ts.Results()
-	}
-	if e.vaults == 1 || e.n*len(qs) < e.serialBelow {
-		return scan(0, e.n)
-	}
-	return scanVaults(e.n, e.vaults, k, len(qs), sp, scan)
+	return out, st
 }
 
 // TileScan is the row loop every exact float scan shares: a prepared

@@ -345,7 +345,7 @@ func TestPQSetRerankRacesSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	ram.SetSerialThreshold(0)
-	tiered, err := NewTieredPQEngine(ds.Data, dim, vec.Euclidean, p, 1, 3, tieredStore(t, ds.Data, dim, 3, 0.5, true))
+	tiered, err := NewPQScan(ds.Data, dim, vec.Euclidean, p, 1, 3, tieredStore(t, ds.Data, dim, 3, 0.5, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,10 @@ func TestPQSetRerankRacesSearch(t *testing.T) {
 		search    func(q []float32) ([]topk.Result, error)
 	}{
 		{"ram", ram.SetRerank, func(q []float32) ([]topk.Result, error) { return ram.Search(q, k), nil }},
-		{"tiered", tiered.SetRerank, func(q []float32) ([]topk.Result, error) { return tiered.Search(q, k) }},
+		{"tiered", tiered.SetRerank, func(q []float32) ([]topk.Result, error) {
+			res, _, err := tiered.Run(q, k, nil)
+			return res, err
+		}},
 	}
 	for _, e := range engines {
 		t.Run(e.name, func(t *testing.T) {

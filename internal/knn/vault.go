@@ -51,15 +51,11 @@ func DefaultVaults() int {
 	return MaxVaults
 }
 
-// ResolveVaults normalizes a configured vault count the same way the
-// engines do: values <= 0 select DefaultVaults, values above MaxVaults
-// clamp to it. Exported so out-of-core stores can be partitioned with
-// exactly the chunking the in-RAM scan would use.
-func ResolveVaults(v int) int { return resolveVaults(v) }
-
-// resolveVaults normalizes a configured vault count: values <= 0
-// select the default, values above MaxVaults clamp to it.
-func resolveVaults(v int) int {
+// ResolveVaults normalizes a configured vault count the way every engine
+// does: values <= 0 select DefaultVaults, values above MaxVaults clamp to
+// it. Exported so a store can be written with exactly the chunking the
+// in-RAM scan would use.
+func ResolveVaults(v int) int {
 	if v <= 0 {
 		return DefaultVaults()
 	}
@@ -69,20 +65,30 @@ func resolveVaults(v int) int {
 	return v
 }
 
-// fanVaults partitions rows [0, n) into vaults contiguous slices, runs
-// scan on each from its own goroutine, and returns what each returned,
-// in vault order, for the caller to reduce. Each slice is recorded as a
-// "vault" child span of sp (nil-safe) tagged with its index, row count
-// and the queries it served, so a sampled trace shows per-vault skew.
-// The returned Stats sum the per-vault accounting; because every row is
-// scanned by exactly one vault, DistEvals, Dims and PQInserts are
-// identical to a serial scan's (PQKept may exceed it — vault-local
-// selection bounds against fewer competitors).
-func fanVaults[T any](n, vaults, queries int, sp *obs.Span, scan func(lo, hi int) (T, Stats)) ([]T, Stats) {
+// fanVaults is the one partition walk: rows [0, n) split into vaults
+// contiguous slices, scan run on each, and what each returned handed
+// back in vault order for the caller to reduce. It stops at the first
+// slice that would be empty (100 rows at 32 vaults are 25 slices of 4),
+// so scan never sees one. Resident rows fan out, a goroutine a slice;
+// inOrder walks the slices one after another on the caller's goroutine
+// and stops at the first error — the walk over a store's pages, where
+// holding one page at a time is what keeps the cache budget true. Each
+// slice is recorded as a "vault" child span of sp (nil-safe) tagged with
+// its index, row count and the queries it served, and handed to scan to
+// tag further, so a sampled trace shows per-vault skew. The returned
+// Stats sum the per-vault accounting; because every row is scanned by
+// exactly one vault, DistEvals, Dims and PQInserts are identical to a
+// serial scan's (PQKept may exceed it — vault-local selection bounds
+// against fewer competitors).
+func fanVaults[T any](n, vaults, queries int, inOrder bool, sp *obs.Span,
+	scan func(v, lo, hi int, vsp *obs.Span) (T, Stats, error)) ([]T, Stats, error) {
 	chunk := (n + vaults - 1) / vaults
-	parts := make([]T, vaults)
-	stats := make([]Stats, vaults)
-	active := 0
+	type part struct {
+		res T
+		st  Stats
+		err error
+	}
+	parts := make([]part, 0, vaults)
 	var wg sync.WaitGroup
 	for v := 0; v < vaults; v++ {
 		lo := v * chunk
@@ -90,47 +96,53 @@ func fanVaults[T any](n, vaults, queries int, sp *obs.Span, scan func(lo, hi int
 		if lo >= hi {
 			break
 		}
-		active++
+		parts = parts[:v+1]
 		// The span starts before the goroutine launches so its duration
 		// covers scheduling delay — exactly the skew a trace should show.
 		vsp := sp.Start("vault",
 			obs.Tag{Key: "vault", Value: v},
 			obs.Tag{Key: "rows", Value: hi - lo},
 			obs.Tag{Key: "queries", Value: queries})
-		wg.Add(1)
-		go func(v, lo, hi int, vsp *obs.Span) {
-			defer wg.Done()
-			parts[v], stats[v] = scan(lo, hi)
+		p := &parts[v]
+		if inOrder {
+			p.res, p.st, p.err = scan(v, lo, hi, vsp)
 			vsp.End()
-		}(v, lo, hi, vsp)
+			if p.err != nil {
+				break
+			}
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p.res, p.st, p.err = scan(v, lo, hi, vsp)
+			vsp.End()
+		}()
 	}
 	wg.Wait()
+	out := make([]T, len(parts))
 	var st Stats
-	for _, vst := range stats[:active] {
-		st.Add(vst)
+	for v, p := range parts {
+		if p.err != nil {
+			return nil, Stats{}, p.err
+		}
+		out[v] = p.res
+		st.Add(p.st)
 	}
-	return parts[:active], st
-}
-
-// scanVaults is fanVaults reduced with MergeVaults: scan returns one
-// top-k list per query of the call (a single-query engine returns
-// one), and the vault-local lists merge under the total order, query
-// by query.
-func scanVaults(n, vaults, k, queries int, sp *obs.Span, scan func(lo, hi int) ([][]topk.Result, Stats)) ([][]topk.Result, Stats) {
-	parts, st := fanVaults(n, vaults, queries, sp, scan)
-	return MergeVaults(k, queries, parts), st
+	return out, st, nil
 }
 
 // scanOne is the single-query engines' scan policy around one range
 // scan: serial when one vault is configured or the dataset is under
-// serialBelow rows, vault-parallel otherwise.
+// serialBelow rows, vault-parallel otherwise, the vault-local lists
+// merged under the total order.
 func scanOne(n, vaults, serialBelow, k int, sp *obs.Span, scan func(lo, hi int) ([]topk.Result, Stats)) ([]topk.Result, Stats) {
 	if vaults == 1 || n < serialBelow {
 		return scan(0, n)
 	}
-	out, st := scanVaults(n, vaults, k, 1, sp, func(lo, hi int) ([][]topk.Result, Stats) {
+	parts, st, _ := fanVaults(n, vaults, 1, false, sp, func(_, lo, hi int, _ *obs.Span) ([]topk.Result, Stats, error) {
 		res, st := scan(lo, hi)
-		return [][]topk.Result{res}, st
+		return res, st, nil
 	})
-	return out[0], st
+	return topk.MergeSorted(k, parts...), st
 }

@@ -159,6 +159,76 @@ func TestTieredRegionEndToEnd(t *testing.T) {
 	}
 }
 
+// TestTieredRegionRaggedPagesOverHTTP: vaults is on the wire, and 100
+// rows at 32 vaults are 25 pages of 4 with 7 the store must not be
+// asked for. That create + load + build + search used to kill the
+// server process; it must answer 200 with the in-RAM region's
+// neighbors, one query and a batch, exact and quantized.
+func TestTieredRegionRaggedPagesOverHTTP(t *testing.T) {
+	const n, dim, k = 100, 8, 3
+	rows, queries := testData(n, 4, dim)
+
+	srv := server.New(server.Options{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	ctx := context.Background()
+	c := client.New(ts.URL, client.WithTimeout(time.Minute))
+
+	for name, mode := range map[string]ssam.Mode{"linear": ssam.Linear, "quantized": ssam.Quantized} {
+		cfg := wire.RegionConfig{
+			Mode:   name,
+			Vaults: 32,
+			Index:  wire.IndexParams{M: 4, Rerank: 8, Seed: 3},
+			Storage: &wire.StorageConfig{
+				Path: filepath.Join(t.TempDir(), name+".tier"), BudgetBytes: 256, Prefetch: true,
+			},
+		}
+		if _, err := c.CreateRegion(ctx, name, dim, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Load(ctx, name, rows); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Build(ctx, name); err != nil {
+			t.Fatal(err)
+		}
+		direct, err := ssam.New(dim, ssam.Config{Mode: mode, Vaults: 32, Index: ssam.IndexParams{M: 4, Rerank: 8, Seed: 3}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer direct.Free()
+		if err := direct.LoadFloat32(flatten(rows)); err != nil {
+			t.Fatal(err)
+		}
+		if err := direct.BuildIndex(); err != nil {
+			t.Fatal(err)
+		}
+		batch, err := c.SearchBatch(ctx, name, queries, k)
+		if err != nil {
+			t.Fatalf("%s: batch: %v", name, err)
+		}
+		for i, q := range queries {
+			served, err := c.Search(ctx, name, q, k)
+			if err != nil {
+				t.Fatalf("%s: query %d: %v", name, i, err)
+			}
+			want, err := direct.Search(q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(served) != len(want) || len(batch[i]) != len(want) {
+				t.Fatalf("%s: query %d: served %d and %d results, want %d", name, i, len(served), len(batch[i]), len(want))
+			}
+			for j := range want {
+				if served[j].ID != want[j].ID || served[j].Distance != want[j].Dist || batch[i][j] != served[j] {
+					t.Fatalf("%s: query %d rank %d: served %+v, in a batch %+v, want %+v", name, i, j, served[j], batch[i][j], want[j])
+				}
+			}
+		}
+	}
+}
+
 // TestTieredRegionWireRejections pins server-side rejection of
 // storage configs the wire layer lets through but the region cannot
 // serve (mode restrictions surface at create).

@@ -56,6 +56,19 @@ func (e *ReadError) Error() string {
 
 func (e *ReadError) Unwrap() error { return e.Err }
 
+// PageError is a request for a page the store does not hold. A store's
+// pages are 0..Vaults()-1, all non-empty; a walk that asks past them has
+// its partition arithmetic wrong, and must be told rather than handed a
+// page of negative length.
+type PageError struct {
+	Page  int
+	Pages int
+}
+
+func (e *PageError) Error() string {
+	return fmt.Sprintf("tier: page %d out of range [0,%d)", e.Page, e.Pages)
+}
+
 // SlowReadError reports a vault read that exceeded the configured
 // ReadTimeout. The data was read but is discarded: a degraded storage
 // device must surface as a typed error the serving layer can act on,
@@ -117,7 +130,6 @@ type page struct {
 // cache. All methods are safe for concurrent use.
 type Store struct {
 	f      *os.File
-	path   string
 	dim    int
 	n      int
 	vaults int
@@ -143,9 +155,10 @@ type Store struct {
 }
 
 // WriteFile writes a flattened row-major float32 dataset as a tier
-// backing file partitioned into vaults pages (the same contiguous
-// chunking the vault-parallel scan uses). vaults must be positive and
-// data a positive multiple of dim.
+// backing file partitioned for vaults scan partitions: pages of
+// ceil(n/vaults) rows (the same contiguous chunking the vault-parallel
+// scan uses). vaults must be positive and data a positive multiple of
+// dim.
 func WriteFile(path string, data []float32, dim, vaults int) error {
 	if dim <= 0 || len(data) == 0 || len(data)%dim != 0 {
 		return fmt.Errorf("tier: data length %d not a positive multiple of dim %d", len(data), dim)
@@ -171,7 +184,11 @@ func WriteFile(path string, data []float32, dim, vaults int) error {
 	return os.WriteFile(path, buf, 0o644)
 }
 
-// Open opens a backing file written by WriteFile.
+// Open opens a backing file written by WriteFile. The header's vault
+// count fixes the page size, ceil(n/vaults) rows; the store's pages are
+// the ones that hold rows, which is fewer whenever the page size covers
+// the rows early: 100 rows written for 32 vaults are 25 pages of 4, and
+// a page 26 would start past the last row.
 func Open(path string, opts Options) (*Store, error) {
 	if opts.BudgetBytes < 0 {
 		return nil, fmt.Errorf("tier: budget must be non-negative, got %d", opts.BudgetBytes)
@@ -209,13 +226,14 @@ func Open(path string, opts Options) (*Store, error) {
 		f.Close()
 		return nil, fmt.Errorf("tier: %s: truncated (%d bytes, want %d)", path, fi.Size(), want)
 	}
+	chunk := (n + vaults - 1) / vaults
+	vaults = (n + chunk - 1) / chunk
 	return &Store{
 		f:           f,
-		path:        path,
 		dim:         dim,
 		n:           n,
 		vaults:      vaults,
-		chunk:       (n + vaults - 1) / vaults,
+		chunk:       chunk,
 		budget:      opts.BudgetBytes,
 		prefetch:    opts.Prefetch,
 		readTimeout: opts.ReadTimeout,
@@ -238,29 +256,20 @@ func (s *Store) Dim() int { return s.dim }
 // Rows returns the dataset row count.
 func (s *Store) Rows() int { return s.n }
 
-// Vaults returns the page count.
+// Vaults returns the page count. Every page holds at least one row.
 func (s *Store) Vaults() int { return s.vaults }
-
-// BudgetBytes returns the configured cache budget (0 = unlimited).
-func (s *Store) BudgetBytes() int64 { return s.budget }
-
-// PrefetchEnabled reports whether the store was opened with prefetch.
-func (s *Store) PrefetchEnabled() bool { return s.prefetch }
-
-// Path returns the backing file path.
-func (s *Store) Path() string { return s.path }
 
 // PageOf returns the vault page holding global row i.
 func (s *Store) PageOf(i int) int { return i / s.chunk }
 
-// PageRows returns the global row range [lo, hi) of vault page v.
-func (s *Store) PageRows(v int) (lo, hi int) {
-	lo = v * s.chunk
-	hi = lo + s.chunk
-	if hi > s.n {
-		hi = s.n
+// PageRows returns the global row range [lo, hi) of vault page v, or a
+// *PageError if the store has no such page.
+func (s *Store) PageRows(v int) (lo, hi int, err error) {
+	if v < 0 || v >= s.vaults {
+		return 0, 0, &PageError{Page: v, Pages: s.vaults}
 	}
-	return lo, hi
+	lo = v * s.chunk
+	return lo, min(lo+s.chunk, s.n), nil
 }
 
 // SetReadHook installs a hook run before every backing-file read (fault
@@ -321,7 +330,10 @@ func (pg *Page) CacheHit() bool { return pg.hit }
 func (pg *Page) Data() []float32 { return pg.p.data }
 
 // Rows returns the page's global row range [lo, hi).
-func (pg *Page) Rows() (lo, hi int) { return pg.s.PageRows(pg.p.vault) }
+func (pg *Page) Rows() (lo, hi int) {
+	lo, hi, _ = pg.s.PageRows(pg.p.vault) // a pinned page is one the store has
+	return lo, hi
+}
 
 // Row returns the vector at global row index i (which must lie inside
 // the page's range).
@@ -352,10 +364,11 @@ func (pg *Page) Release() {
 // Acquire pins vault page v, reading it from the backing file on a
 // cache miss. Concurrent acquires of the same cold page issue one read
 // (waiters count as stalls). The returned page stays resident until
-// released, regardless of budget.
+// released, regardless of budget. A page the store does not hold is a
+// *PageError.
 func (s *Store) Acquire(v int) (*Page, error) {
-	if v < 0 || v >= s.vaults {
-		return nil, fmt.Errorf("tier: vault %d out of range [0,%d)", v, s.vaults)
+	if _, _, err := s.PageRows(v); err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -442,12 +455,14 @@ func (s *Store) Prefetch(v int) {
 // readVault reads one vault page from the backing file. Called with
 // s.mu held; the lock is dropped for the IO and re-taken, which is safe
 // because the caller has already published a loading page entry that
-// serializes access to this vault.
+// serializes access to this vault. The re-take is deferred: callers
+// unlock on their way out, and a panic inside the IO window (a read
+// hook's, say) must reach them holding the lock or their unlock is the
+// runtime's unrecoverable "unlock of unlocked mutex" over the panic.
 func (s *Store) readVault(v int) ([]float32, error) {
 	s.mu.Unlock()
-	data, err := s.readVaultIO(v)
-	s.mu.Lock()
-	return data, err
+	defer s.mu.Lock()
+	return s.readVaultIO(v)
 }
 
 func (s *Store) readVaultIO(v int) ([]float32, error) {
@@ -457,7 +472,10 @@ func (s *Store) readVaultIO(v int) ([]float32, error) {
 			return nil, &ReadError{Vault: v, Err: err}
 		}
 	}
-	lo, hi := s.PageRows(v)
+	lo, hi, err := s.PageRows(v)
+	if err != nil {
+		return nil, err
+	}
 	buf := make([]byte, (hi-lo)*s.dim*4)
 	off := int64(headerSize) + int64(lo)*int64(s.dim)*4
 	if _, err := s.f.ReadAt(buf, off); err != nil {
@@ -524,8 +542,12 @@ func (s *Store) dropLocked(p *page) {
 }
 
 // Close drops the cache and closes the backing file. Outstanding pages
-// must be released first; subsequent operations return ErrClosed.
+// must be released first; subsequent operations return ErrClosed. A nil
+// store — what an engine over resident rows has — closes to nothing.
 func (s *Store) Close() error {
+	if s == nil {
+		return nil
+	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()

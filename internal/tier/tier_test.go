@@ -2,6 +2,7 @@ package tier
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -66,15 +67,92 @@ func TestPageRowsPartition(t *testing.T) {
 	s := mustCreate(t, testData(10, 2, 2), 2, 4, Options{})
 	want := [][2]int{{0, 3}, {3, 6}, {6, 9}, {9, 10}}
 	for v, w := range want {
-		lo, hi := s.PageRows(v)
-		if lo != w[0] || hi != w[1] {
-			t.Fatalf("PageRows(%d) = [%d,%d), want [%d,%d)", v, lo, hi, w[0], w[1])
+		lo, hi, err := s.PageRows(v)
+		if err != nil || lo != w[0] || hi != w[1] {
+			t.Fatalf("PageRows(%d) = [%d,%d), %v, want [%d,%d)", v, lo, hi, err, w[0], w[1])
 		}
 	}
 }
 
+// TestRaggedPages pins the page count of row counts the vault count
+// does not divide: ceil(n/vaults) rows a page cover the rows in fewer
+// than vaults pages, and the store must hold exactly the pages that have
+// rows — counting the empty tail put Acquire at a page starting past the
+// last row, a read of negative length, and (the store lock being dropped
+// for the read) an unrecoverable double unlock.
+func TestRaggedPages(t *testing.T) {
+	const dim = 3
+	for _, c := range []struct{ n, vaults, pages int }{
+		{33, 32, 17}, {100, 32, 25}, {10, 8, 5}, {9, 4, 3}, {5, 4, 3}, {1, 1, 1},
+	} {
+		label := fmt.Sprintf("n=%d vaults=%d", c.n, c.vaults)
+		data := testData(c.n, dim, int64(c.n))
+		s := mustCreate(t, data, dim, c.vaults, Options{Prefetch: true})
+		if s.Vaults() != c.pages {
+			t.Fatalf("%s: %d pages, want %d", label, s.Vaults(), c.pages)
+		}
+		next := 0
+		for v := 0; v < s.Vaults(); v++ {
+			s.Prefetch(v + 1) // past the last page on the last turn: ignored
+			pg, err := s.Acquire(v)
+			if err != nil {
+				t.Fatalf("%s: Acquire(%d): %v", label, v, err)
+			}
+			lo, hi := pg.Rows()
+			if lo != next || hi <= lo || len(pg.Data()) != (hi-lo)*dim {
+				t.Fatalf("%s: page %d is rows [%d,%d) over %d floats, want a non-empty page from %d",
+					label, v, lo, hi, len(pg.Data()), next)
+			}
+			if got := s.PageOf(hi - 1); got != v {
+				t.Fatalf("%s: PageOf(%d) = %d, want %d", label, hi-1, got, v)
+			}
+			if &pg.Row(lo)[0] != &pg.Data()[0] || pg.Row(hi - 1)[dim-1] != data[hi*dim-1] {
+				t.Fatalf("%s: page %d rows do not line up with the data", label, v)
+			}
+			next = hi
+			pg.Release()
+		}
+		if next != c.n {
+			t.Fatalf("%s: pages cover %d rows", label, next)
+		}
+		// Every page the configured count promised beyond those is refused.
+		var pe *PageError
+		for v := s.Vaults(); v <= c.vaults; v++ {
+			if _, err := s.Acquire(v); !errors.As(err, &pe) || pe.Page != v || pe.Pages != s.Vaults() {
+				t.Fatalf("%s: Acquire(%d) = %v, want *PageError", label, v, err)
+			}
+			if _, _, err := s.PageRows(v); !errors.As(err, &pe) {
+				t.Fatalf("%s: PageRows(%d) = %v, want *PageError", label, v, err)
+			}
+		}
+	}
+}
+
+// TestPanicInReadWindowKeepsTheLock pins the deferred re-lock in
+// readVault: a panic while the store lock is dropped for the IO must
+// unwind through Acquire's deferred unlock as an ordinary panic.
+func TestPanicInReadWindowKeepsTheLock(t *testing.T) {
+	s := mustCreate(t, testData(8, 2, 14), 2, 2, Options{})
+	s.SetReadHook(func(int) error { panic("hook blew up") })
+	func() {
+		defer func() {
+			if r := recover(); r != "hook blew up" {
+				t.Fatalf("recovered %v, want the hook's panic", r)
+			}
+		}()
+		s.Acquire(0)
+	}()
+	// The lock is free again: the other page still serves.
+	s.SetReadHook(nil)
+	pg, err := s.Acquire(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg.Release()
+}
+
 func TestVaultsClampToRows(t *testing.T) {
-	// More vaults than rows: writer clamps so every page is non-empty.
+	// More vaults than rows: one row a page, so every page is non-empty.
 	s := mustCreate(t, testData(3, 2, 3), 2, 8, Options{})
 	if s.Vaults() != 3 {
 		t.Fatalf("vaults = %d, want 3 (clamped to row count)", s.Vaults())

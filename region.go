@@ -61,11 +61,6 @@ type Region struct {
 	seed      func() (mutableStore, error) // builds the mutable successor; armed by BuildIndex on Linear regions
 	onCompact func(CompactResult)
 
-	// store is the backing file's page cache of an out-of-core region
-	// (cfg.Storage != nil, Host execution). The tiered engine owns it;
-	// the field feeds TieredStats and is a test seam. After BuildIndex
-	// the full-precision rows live only there — r.data is released.
-	store *tier.Store
 	// device is the simulated module of a Device region, for Device().
 	device *ssamdev.Device
 
@@ -165,7 +160,7 @@ func (r *Region) dropEngine() {
 	if old := r.eng.Swap(nil); old != nil {
 		(*old).close()
 	}
-	r.seed, r.store, r.device = nil, nil, nil
+	r.seed, r.device = nil, nil
 }
 
 // Dims returns the region's vector dimensionality (bits for Hamming).
@@ -460,19 +455,21 @@ func (r *Region) SearchBinaryStatsSpan(q BinaryCode, k int, sp *obs.Span) ([]Res
 }
 
 // SearchBatch answers one query per element of qs. On a Host Linear
-// region the batch is one query-tiled scan: every vault walks its rows
-// once for all the queries, so the dataset is read once per batch, not
-// once per query (a region that has taken writes does the same over
-// one snapshot). The indexed and quantized Host modes fan the batch out
-// across worker goroutines (their structures are read-only at query
-// time); storage-backed regions and Device execution serve it
-// sequentially — the module broadcasts one query at a time, and as the
+// region the batch is one query-tiled scan: every vault — over storage,
+// every page — is walked once for all the queries, so the dataset is
+// read once per batch, not once per query (a region that has taken
+// writes does the same over one snapshot), and a page that cannot be
+// read fails the whole batch: a *BatchError at query 0, no results. The
+// indexed and quantized Host modes fan the batch out across worker
+// goroutines (their structures are read-only at query time); a
+// storage-backed Quantized region and Device execution serve it a query
+// at a time — the module broadcasts one query at a time, and as the
 // paper notes, batching buys little on a device that already saturates
 // its internal bandwidth per query. After a Device batch, LastStats
-// holds the accumulated execution. A mid-batch device failure is
-// returned as a *BatchError naming the failing query; results for
-// queries before it are kept in the returned slice and the stats they
-// accumulated are committed.
+// holds the accumulated execution. A failure of one of those queries is
+// returned as a *BatchError naming it; results for queries before it
+// are kept in the returned slice and the stats they accumulated are
+// committed.
 func (r *Region) SearchBatch(qs [][]float32, k int) ([][]Result, error) {
 	return r.SearchBatchSpan(qs, k, nil)
 }
@@ -526,10 +523,10 @@ type TieredCounters = tier.Counters
 // residency) and whether the region is storage-backed. The counters
 // back the server's /metrics series.
 func (r *Region) TieredStats() (TieredCounters, bool) {
-	if r.store == nil {
-		return TieredCounters{}, false
+	if e, ok := r.engine().(interface{ store() *tier.Store }); ok && e.store() != nil {
+		return e.store().Counters(), true
 	}
-	return r.store.Counters(), true
+	return TieredCounters{}, false
 }
 
 // LastStats returns the simulated device stats of the last Exec,

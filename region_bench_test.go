@@ -82,6 +82,18 @@ func BenchmarkSearchPQ(b *testing.B) {
 // through the tier store (page pins + merge) that ci.sh
 // regression-checks against a 1.2x bar.
 func BenchmarkRegionSearchTiered(b *testing.B) {
+	r, q := benchRegionTiered(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.Search(q, 10); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchRegionTiered is the storage-backed 4096 x 64 region with every
+// page already resident.
+func benchRegionTiered(b *testing.B) (*ssam.Region, []float32) {
 	r, q := benchRegionMode(b, 4096, 64, ssam.Config{
 		Storage: &ssam.Storage{
 			Path:     filepath.Join(b.TempDir(), "bench.tier"),
@@ -91,12 +103,7 @@ func BenchmarkRegionSearchTiered(b *testing.B) {
 	if _, err := r.Search(q, 10); err != nil { // warm the cache
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Search(q, 10); err != nil {
-			b.Fatal(err)
-		}
-	}
+	return r, q
 }
 
 // BenchmarkRegionSearchHostTraced runs the same search under a live
@@ -122,6 +129,22 @@ func BenchmarkRegionSearchHostTraced(b *testing.B) {
 // regression-checks the ratio so the tile cannot rot into 16 passes.
 func BenchmarkRegionSearchBatch16Host(b *testing.B) {
 	r, _ := benchRegion(b, 4096, 64)
+	benchBatch16(b, r)
+}
+
+// BenchmarkRegionSearchBatch16Tiered is the same batch of 16 on the
+// fully-cached storage-backed region of BenchmarkRegionSearchTiered.
+// The in-RAM and the storage-backed scan are one loop over two row
+// sources, so the batch must cost the same multiple of a single scan
+// here as there; ci.sh regression-checks this ratio too, which reads 16
+// when a storage-backed batch runs one whole scan (and pins every page
+// once) per query.
+func BenchmarkRegionSearchBatch16Tiered(b *testing.B) {
+	r, _ := benchRegionTiered(b)
+	benchBatch16(b, r)
+}
+
+func benchBatch16(b *testing.B, r *ssam.Region) {
 	rng := rand.New(rand.NewSource(4))
 	qs := make([][]float32, 16)
 	for j := range qs {

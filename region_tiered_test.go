@@ -1,20 +1,34 @@
 package ssam
 
-// Region-level contract for storage-backed (out-of-core) regions: the
-// tiered engines must answer bit-identically to the in-RAM region on
-// the same dataset at every budget fraction, storage faults must
-// surface as errors rather than wrong neighbors, the write path must
-// refuse storage-backed regions, and the Device storage model must
-// follow the pinned ann_in_ssd formula.
+// Region-level contract for storage-backed (out-of-core) regions: they
+// must answer bit-identically to the in-RAM region on the same dataset
+// at every budget fraction, batch size and ragged page shape, storage
+// faults must surface as errors rather than wrong neighbors, the write
+// path must refuse storage-backed regions, and the Device storage model
+// must follow the pinned ann_in_ssd formula.
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"ssam/internal/dataset"
+	"ssam/internal/obs"
 	"ssam/internal/tier"
 )
+
+// regionStore is the fault-injection seam: the store behind a built
+// storage-backed region, which its engine owns.
+func regionStore(t *testing.T, r *Region) *tier.Store {
+	t.Helper()
+	e, ok := r.engine().(interface{ store() *tier.Store })
+	if !ok || e.store() == nil {
+		t.Fatalf("region engine %T has no store", r.engine())
+	}
+	return e.store()
+}
 
 func tieredTestDataset(t *testing.T) *dataset.Dataset {
 	t.Helper()
@@ -105,6 +119,10 @@ func TestTieredRegionMatchesInRAM(t *testing.T) {
 	}
 }
 
+// TestTieredRegionBatchMatchesInRAM: a storage-backed SearchBatch is
+// the in-RAM SearchBatch and the storage-backed Search of each of its
+// queries, at every batch size around the query tile's widths; and the
+// Linear one is a single walk, pinning each page once for the batch.
 func TestTieredRegionBatchMatchesInRAM(t *testing.T) {
 	ds := tieredTestDataset(t)
 	for _, mode := range []Mode{Linear, Quantized} {
@@ -115,20 +133,112 @@ func TestTieredRegionBatchMatchesInRAM(t *testing.T) {
 			BudgetBytes: int64(ds.N() * ds.Dim() * 4 / 10),
 			Prefetch:    true,
 		}})
-		want, err := ram.SearchBatch(ds.Queries, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := tr.SearchBatch(ds.Queries, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for qi := range want {
-			for i := range want[qi] {
-				if got[qi][i] != want[qi][i] {
-					t.Fatalf("mode=%v batch q=%d result %d: %+v != %+v",
-						mode, qi, i, got[qi][i], want[qi][i])
+		for _, b := range []int{1, 3, 16, 17, len(ds.Queries)} {
+			want, err := ram.SearchBatch(ds.Queries[:b], 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before, _ := tr.TieredStats()
+			got, err := tr.SearchBatch(ds.Queries[:b], 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			after, _ := tr.TieredStats()
+			if pins := after.CacheHits + after.CacheMisses - before.CacheHits - before.CacheMisses; mode == Linear && pins != 4 {
+				t.Fatalf("batch of %d pinned %d pages, want each of the 4 once", b, pins)
+			}
+			for qi := range want {
+				single, err := tr.Search(ds.Queries[qi], 10)
+				if err != nil {
+					t.Fatal(err)
 				}
+				if !slices.Equal(got[qi], want[qi]) || !slices.Equal(got[qi], single) {
+					t.Fatalf("mode=%v B=%d q=%d: batch %+v, in-RAM batch %+v, single %+v",
+						mode, b, qi, got[qi], want[qi], single)
+				}
+			}
+		}
+	}
+}
+
+// TestTieredRegionRaggedPages: row counts the vault count does not
+// divide leave the last configured pages without rows (100 rows at 32
+// vaults are 25 pages of 4). A walk that visited all 32 asked the store
+// for a page of negative length and took the process down; every shape
+// must build and answer exactly like its in-RAM twin, one query and a
+// batch, exact and quantized.
+func TestTieredRegionRaggedPages(t *testing.T) {
+	for _, c := range []struct{ n, vaults int }{{33, 32}, {100, 32}, {10, 8}, {9, 4}, {5, 4}, {1, 1}} {
+		ds := dataset.Generate(dataset.Spec{
+			Name: "ragged", N: c.n, Dim: 8, NumQueries: 5, K: 3, Clusters: 1, ClusterStd: 0.5, Seed: int64(c.n),
+		})
+		for _, mode := range []Mode{Linear, Quantized} {
+			label := fmt.Sprintf("n=%d vaults=%d mode=%v", c.n, c.vaults, mode)
+			ip := IndexParams{Seed: 5, M: 4, Rerank: 4}
+			ram := buildTieredRegion(t, ds, Config{Mode: mode, Vaults: c.vaults, Index: ip})
+			tr := buildTieredRegion(t, ds, Config{Mode: mode, Vaults: c.vaults, Index: ip, Storage: &Storage{
+				Path: filepath.Join(t.TempDir(), "ragged.tier"), BudgetBytes: 64, Prefetch: true,
+			}})
+			wantBatch, err := ram.SearchBatch(ds.Queries, 3)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			gotBatch, err := tr.SearchBatch(ds.Queries, 3)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			for qi, q := range ds.Queries {
+				want, err := ram.Search(q, 3)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				got, err := tr.Search(q, 3)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if !slices.Equal(got, want) || !slices.Equal(gotBatch[qi], wantBatch[qi]) || !slices.Equal(gotBatch[qi], want) {
+					t.Fatalf("%s q=%d: search %+v, batch %+v, in-RAM %+v", label, qi, got, gotBatch[qi], want)
+				}
+			}
+		}
+	}
+}
+
+// TestTieredRegionBatchTrace: a storage-backed batch is one shared scan
+// that reports its work, so a forced trace shows it like an in-RAM one —
+// dist_evals and dims on exec, one "vault" child per page tagged with
+// its rows, the batch's queries and how the page was served: cold on
+// the first batch, cached on the second.
+func TestTieredRegionBatchTrace(t *testing.T) {
+	ds := tieredTestDataset(t)
+	const vaults, b = 4, 4
+	tr := buildTieredRegion(t, ds, Config{Vaults: vaults, Storage: &Storage{
+		Path: filepath.Join(t.TempDir(), "region.tier"),
+	}})
+	tracer := obs.NewTracer(0, 4)
+	for _, warm := range []bool{false, true} {
+		trace := tracer.Trace("searchbatch", true)
+		if _, err := tr.SearchBatchSpan(ds.Queries[:b], 10, trace.Root()); err != nil {
+			t.Fatal(err)
+		}
+		exec := tracer.Finish(trace).Root.Find("exec")
+		if exec == nil {
+			t.Fatal("no exec span recorded")
+		}
+		if exec.Tags["mode"] != "tiered" || exec.Tags["batch"] != b {
+			t.Fatalf("exec tags = %v, want mode=tiered batch=%d", exec.Tags, b)
+		}
+		if exec.Tags["dist_evals"] != b*ds.N() || exec.Tags["dims"] != b*ds.N()*ds.Dim() {
+			t.Fatalf("exec tags = %v, want dist_evals=%d dims=%d", exec.Tags, b*ds.N(), b*ds.N()*ds.Dim())
+		}
+		pages := exec.FindAll("vault")
+		if len(pages) != vaults {
+			t.Fatalf("%d vault spans under exec, want %d", len(pages), vaults)
+		}
+		for v, pg := range pages {
+			if pg.Tags["vault"] != v || pg.Tags["rows"] != ds.N()/vaults || pg.Tags["queries"] != b || pg.Tags["tier_hit"] != warm {
+				t.Fatalf("warm=%v page %d tags = %v, want rows=%d queries=%d tier_hit=%v",
+					warm, v, pg.Tags, ds.N()/vaults, b, warm)
 			}
 		}
 	}
@@ -232,7 +342,8 @@ func TestTieredRegionSurfacesStorageFaults(t *testing.T) {
 		BudgetBytes: 1, // below one page: every scan re-reads the file
 	}})
 	boom := errors.New("dead flash")
-	tr.store.SetReadHook(func(int) error { return boom })
+	store := regionStore(t, tr)
+	store.SetReadHook(func(int) error { return boom })
 	if _, err := tr.Search(ds.Queries[0], 10); !errors.Is(err, boom) {
 		t.Fatalf("Search over faulted storage = %v, want wrapped injected error", err)
 	}
@@ -240,12 +351,14 @@ func TestTieredRegionSurfacesStorageFaults(t *testing.T) {
 	if _, err := tr.Search(ds.Queries[0], 10); !errors.As(err, &re) {
 		t.Fatalf("Search over faulted storage = %v, want *tier.ReadError", err)
 	}
-	// Mid-batch fault: a *BatchError naming query 0.
+	// A fault inside the shared walk fails the whole batch: a *BatchError
+	// at query 0 wrapping the typed read error, and no lists.
 	var be *BatchError
-	if _, err := tr.SearchBatch(ds.Queries[:4], 10); !errors.As(err, &be) || be.Index != 0 {
-		t.Fatalf("SearchBatch over faulted storage = %v, want *BatchError at 0", err)
+	re = nil
+	if out, err := tr.SearchBatch(ds.Queries[:4], 10); !errors.As(err, &be) || be.Index != 0 || !errors.As(err, &re) || out != nil {
+		t.Fatalf("SearchBatch over faulted storage = %v, %v, want no lists and a *BatchError at 0 wrapping *tier.ReadError", out, err)
 	}
-	tr.store.SetReadHook(nil)
+	store.SetReadHook(nil)
 	if _, err := tr.Search(ds.Queries[0], 10); err != nil {
 		t.Fatalf("Search after clearing fault: %v", err)
 	}
