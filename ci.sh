@@ -199,10 +199,10 @@ go test -run='^Fuzz' -count=1 ./internal/server/wire ./internal/vec ./internal/k
 # Coverage floors on the region, the serving stack and the scan
 # kernels: these packages were hardened test-first; don't let coverage
 # rot. Every mode runs through the root package's one engine seam. The
-# scan kernels (knn) and the batcher (small, all of it concurrent) hold
-# a higher bar than the rest.
+# scan kernels (knn), the batcher and the attempt race (hedge) — both
+# small and all of it concurrent — hold a higher bar than the rest.
 for spec in .:80 ./internal/server:80 ./internal/server/batcher:90 \
-            ./internal/cluster:80 ./internal/obs:80 \
+            ./internal/cluster:80 ./internal/hedge:90 ./internal/obs:80 \
             ./internal/knn:90 ./internal/graph:80 ./internal/mutate:80 \
             ./internal/replica:80 ./internal/pq:85 ./internal/tier:80; do
     pkg=${spec%:*}

@@ -22,6 +22,20 @@
 // Shard results carry shard-local row ids; the cluster remaps them to
 // global dataset ids, so exact-mode cluster searches are
 // indistinguishable from a single region over the whole dataset.
+//
+// The attempt race and the lifetime of a loaded shard set are
+// internal/hedge's; this package supplies the policy (hedge the same
+// shard once, never fail over, fixed HedgeAfter).
+//
+// Concurrency: searches are safe against each other and against every
+// other method — a search leases the shard set it starts on and answers
+// from that set alone. LoadFloat32 and Free publish the next set (or
+// none) at once, then wait for the old one's leases — abandoned hedges
+// and timed-out stragglers included — before freeing its regions, so a
+// wedged fault hook must be released before either can return; searches
+// that arrive between a load and its BuildIndex are refused.
+// LoadFloat32, BuildIndex, SetChecks and Free must not run concurrently
+// with each other (a Region is built by one caller at a time).
 package cluster
 
 import (
@@ -35,6 +49,7 @@ import (
 	"time"
 
 	"ssam"
+	"ssam/internal/hedge"
 	"ssam/internal/obs"
 	"ssam/internal/topk"
 )
@@ -156,12 +171,25 @@ type ShardStat struct {
 	AvgLatency time.Duration
 }
 
-// shard is one partition: a private region plus the local-to-global id
-// map and serving counters.
-type shard struct {
-	region *ssam.Region
-	ids    []int // global dataset id per shard-local row
+// part is one shard's share of a loaded dataset. It never changes once
+// published, so a result computed on region is always remapped through
+// the ids it was partitioned with.
+type part struct {
+	region *ssam.Region // nil for an empty shard: skipped by build and search
+	ids    []int        // global dataset id per shard-local row
+}
 
+// shardSet is one generation: what one LoadFloat32 partitioned.
+type shardSet struct {
+	parts []part
+	rows  int
+	built *atomic.Bool // set by BuildIndex; searches refuse the set until then
+}
+
+// shard is one shard position's serving counters. They belong to the
+// position, not the data, so they survive a reload and the series
+// scraped from them stay monotone.
+type shard struct {
 	inFlight atomic.Int64
 	queries  atomic.Uint64
 	failures atomic.Uint64
@@ -170,31 +198,17 @@ type shard struct {
 	latNanos atomic.Int64 // cumulative fan-out latency
 }
 
-func (s *shard) empty() bool { return len(s.ids) == 0 }
-
-// Cluster is a set of SSAM region shards behind one search interface.
-// Like Region, it is not safe for concurrent mutation
-// (LoadFloat32/BuildIndex/Free), but Search and SearchBatch are safe
-// from many goroutines once the index is built.
+// Cluster is a set of SSAM region shards behind one search interface
+// (see the package comment for what may run concurrently with what).
 type Cluster struct {
 	dims   int
 	cfg    ssam.Config
 	opts   Options
 	shards []*shard
-	loaded bool
-	built  bool
-	freed  bool
 
-	// fault, when non-nil, runs before every shard search attempt with
-	// the shard index and attempt number (0 primary, 1 hedge) — the
-	// fault-injection hook: return an error to fail the attempt, block
-	// to simulate a straggler.
-	fault atomic.Pointer[func(shard, attempt int) error]
-
-	// attempts tracks every shard search attempt, including abandoned
-	// hedges and timed-out stragglers, so Free can drain them before
-	// tearing the shard regions down.
-	attempts sync.WaitGroup
+	set   hedge.Cell[shardSet]
+	freed atomic.Bool
+	racer hedge.Racer
 
 	mu        sync.Mutex
 	lastStats Stats
@@ -239,29 +253,23 @@ func (c *Cluster) Options() Options { return c.opts }
 
 // Len returns the number of loaded vectors across all shards.
 func (c *Cluster) Len() int {
-	n := 0
-	for _, s := range c.shards {
-		n += len(s.ids)
+	if gen := c.set.Acquire(); gen != nil {
+		defer gen.Release()
+		return gen.Val.rows
 	}
-	return n
+	return 0
 }
 
 // SetFaultHook installs (or, with nil, removes) the fault-injection
 // hook, called before every shard search attempt with the shard index
 // and the attempt number (0 primary, 1 hedge). Returning an error
 // fails that attempt; blocking simulates a straggler shard.
-func (c *Cluster) SetFaultHook(fn func(shard, attempt int) error) {
-	if fn == nil {
-		c.fault.Store(nil)
-		return
-	}
-	c.fault.Store(&fn)
-}
+func (c *Cluster) SetFaultHook(fn func(shard, attempt int) error) { c.racer.SetFaultHook(fn) }
 
 // LoadFloat32 partitions a flattened row-major dataset across the
 // shards (nmemcpy, N ways). Reloading replaces the whole dataset.
 func (c *Cluster) LoadFloat32(data []float32) error {
-	if c.freed {
+	if c.freed.Load() {
 		return ssam.ErrFreed
 	}
 	if len(data) == 0 || len(data)%c.dims != 0 {
@@ -276,26 +284,40 @@ func (c *Cluster) LoadFloat32(data []float32) error {
 		parts[si] = append(parts[si], row...)
 		ids[si] = append(ids[si], i)
 	}
-	for si, s := range c.shards {
-		if s.region != nil {
-			s.region.Free()
-			s.region = nil
-		}
-		s.ids = ids[si]
-		if len(s.ids) == 0 {
-			continue // empty shard: skipped by build and search
+	next := shardSet{parts: make([]part, len(c.shards)), rows: rows, built: new(atomic.Bool)}
+	for si := range next.parts {
+		if len(ids[si]) == 0 {
+			continue
 		}
 		region, err := ssam.New(c.dims, c.cfg)
-		if err != nil {
-			return err
+		if err == nil {
+			err = region.LoadFloat32(parts[si])
 		}
-		if err := region.LoadFloat32(parts[si]); err != nil {
+		if err != nil {
+			next.free() // the set being replaced is untouched and still serving
 			return fmt.Errorf("cluster: shard %d: %w", si, err)
 		}
-		s.region = region
+		next.parts[si] = part{region: region, ids: ids[si]}
 	}
-	c.loaded, c.built = true, false
+	c.retire(c.set.Swap(&next))
 	return nil
+}
+
+func (s *shardSet) free() {
+	for _, p := range s.parts {
+		if p.region != nil {
+			p.region.Free()
+		}
+	}
+}
+
+// retire frees a replaced shard set once every search that started on
+// it — its abandoned attempts included — has let go of it.
+func (c *Cluster) retire(old *hedge.Gen[shardSet]) {
+	if old != nil {
+		old.Drain()
+		old.Val.free()
+	}
 }
 
 // shardOf maps global row i (with its data) to a shard index.
@@ -317,25 +339,24 @@ func (c *Cluster) shardOf(i int, row []float32) int {
 // ways — on device shards each module lays out and assembles its own
 // kernels).
 func (c *Cluster) BuildIndex() error {
-	if c.freed {
-		return ssam.ErrFreed
+	gen, err := c.lease("BuildIndex before load", false)
+	if err != nil {
+		return err
 	}
-	if !c.loaded {
-		return errors.New("cluster: BuildIndex before load")
-	}
+	defer gen.Release()
 	errs := make([]error, len(c.shards))
 	var wg sync.WaitGroup
-	for si, s := range c.shards {
-		if s.empty() {
+	for si, p := range gen.Val.parts {
+		if p.region == nil {
 			continue
 		}
 		wg.Add(1)
-		go func(si int, s *shard) {
+		go func(si int, p part) {
 			defer wg.Done()
-			if err := s.region.BuildIndex(); err != nil {
+			if err := p.region.BuildIndex(); err != nil {
 				errs[si] = fmt.Errorf("cluster: shard %d: %w", si, err)
 			}
-		}(si, s)
+		}(si, p)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -343,21 +364,26 @@ func (c *Cluster) BuildIndex() error {
 			return err
 		}
 	}
-	c.built = true
+	gen.Val.built.Store(true)
 	return nil
 }
 
 // SetChecks adjusts every shard's accuracy/throughput knob without
 // rebuilding (see Region.SetChecks).
 func (c *Cluster) SetChecks(n int) error {
-	if c.freed {
+	if c.freed.Load() {
 		return ssam.ErrFreed
 	}
-	for si, s := range c.shards {
-		if s.empty() {
+	gen := c.set.Acquire()
+	if gen == nil {
+		return nil
+	}
+	defer gen.Release()
+	for si, p := range gen.Val.parts {
+		if p.region == nil {
 			continue
 		}
-		if err := s.region.SetChecks(n); err != nil {
+		if err := p.region.SetChecks(n); err != nil {
 			return fmt.Errorf("cluster: shard %d: %w", si, err)
 		}
 	}
@@ -376,15 +402,20 @@ func (c *Cluster) Search(q []float32, k int) (Response, error) {
 // "shard" span per attempt and a "merge" child covering the top-k
 // reduction.
 func (c *Cluster) SearchTraced(q []float32, k int, sp *obs.Span) (Response, error) {
+	gen, err := c.lease("Search before BuildIndex", true)
+	if err != nil {
+		return Response{}, err
+	}
+	defer gen.Release()
 	if err := c.checkQuery(len(q), k); err != nil {
 		return Response{}, err
 	}
-	outs, err := scatter(c, sp, func(s *shard, attempt int, asp *obs.Span) ([]ssam.Result, ssam.DeviceStats, error) {
-		res, st, err := s.region.SearchStatsSpan(q, k, asp)
+	outs, err := scatter(c, gen, sp, func(p part, asp *obs.Span) ([]ssam.Result, ssam.DeviceStats, error) {
+		res, st, err := p.region.SearchStatsSpan(q, k, asp)
 		if err != nil {
 			return nil, st, err
 		}
-		return s.remap(res), st, nil
+		return p.remap(res), st, nil
 	})
 	if err != nil {
 		return Response{}, err
@@ -416,9 +447,11 @@ func (c *Cluster) SearchBatch(qs [][]float32, k int) (BatchResponse, error) {
 // SearchBatchTraced is SearchBatch with the same span threading as
 // SearchTraced; the "merge" span covers every query's reduction.
 func (c *Cluster) SearchBatchTraced(qs [][]float32, k int, sp *obs.Span) (BatchResponse, error) {
-	if c.freed {
-		return BatchResponse{}, ssam.ErrFreed
+	gen, err := c.lease("Search before BuildIndex", true)
+	if err != nil {
+		return BatchResponse{}, err
 	}
+	defer gen.Release()
 	if len(qs) == 0 {
 		return BatchResponse{}, errors.New("cluster: empty batch")
 	}
@@ -427,14 +460,14 @@ func (c *Cluster) SearchBatchTraced(qs [][]float32, k int, sp *obs.Span) (BatchR
 			return BatchResponse{}, err
 		}
 	}
-	outs, err := scatter(c, sp, func(s *shard, attempt int, asp *obs.Span) ([][]ssam.Result, ssam.DeviceStats, error) {
-		lists, err := s.region.SearchBatchSpan(qs, k, asp)
-		st := s.region.LastStats()
+	outs, err := scatter(c, gen, sp, func(p part, asp *obs.Span) ([][]ssam.Result, ssam.DeviceStats, error) {
+		lists, err := p.region.SearchBatchSpan(qs, k, asp)
+		st := p.region.LastStats()
 		if err != nil {
 			return nil, st, err
 		}
 		for _, l := range lists {
-			s.remap(l)
+			p.remap(l)
 		}
 		return lists, st, nil
 	})
@@ -463,13 +496,25 @@ func (c *Cluster) SearchBatchTraced(qs [][]float32, k int, sp *obs.Span) (BatchR
 	}, nil
 }
 
+// lease takes the loaded — and, for a search, built — shard set for op,
+// or says why it cannot: the one lease that keeps the set's regions and
+// id tables alive until the caller, and every attempt it launches, is
+// done. Callers must Release.
+func (c *Cluster) lease(op string, built bool) (*hedge.Gen[shardSet], error) {
+	gen := c.set.Acquire()
+	switch {
+	case gen == nil && c.freed.Load():
+		return nil, ssam.ErrFreed
+	case gen == nil:
+		return nil, errors.New("cluster: " + op)
+	case built && !gen.Val.built.Load():
+		gen.Release()
+		return nil, errors.New("cluster: " + op)
+	}
+	return gen, nil
+}
+
 func (c *Cluster) checkQuery(qdims, k int) error {
-	if c.freed {
-		return ssam.ErrFreed
-	}
-	if !c.built {
-		return errors.New("cluster: Search before BuildIndex")
-	}
 	if qdims != c.dims {
 		return fmt.Errorf("cluster: query dim %d, want %d", qdims, c.dims)
 	}
@@ -481,9 +526,9 @@ func (c *Cluster) checkQuery(qdims, k int) error {
 
 // remap rewrites shard-local result ids to global dataset ids, in
 // place (shard search results are freshly allocated).
-func (s *shard) remap(res []ssam.Result) []ssam.Result {
+func (p part) remap(res []ssam.Result) []ssam.Result {
 	for i := range res {
-		res[i].ID = s.ids[res[i].ID]
+		res[i].ID = p.ids[res[i].ID]
 	}
 	return res
 }
@@ -496,28 +541,29 @@ type gather[T any] struct {
 	hedges int
 }
 
-// scatter runs op on every non-empty shard concurrently, applying the
-// deadline/hedge/partial-result policy, and collects the outcomes. It
-// returns an error when failures cannot be degraded away: any failure
-// without AllowPartial, or all shards failing. When sp is non-nil the
-// fan-out is recorded as a "fanout" child span holding one "shard"
-// span per attempt.
-func scatter[T any](c *Cluster, sp *obs.Span, op func(s *shard, attempt int, asp *obs.Span) (T, ssam.DeviceStats, error)) (gather[T], error) {
-	g := gather[T]{vals: make([]T, len(c.shards)), stats: make([]ssam.DeviceStats, len(c.shards))}
-	outs := make([]shardOutcome[T], len(c.shards))
+// scatter runs op on every non-empty shard of gen concurrently,
+// applying the deadline/hedge/partial-result policy, and collects the
+// outcomes. It returns an error when failures cannot be degraded away:
+// any failure without AllowPartial, or all shards failing. When sp is
+// non-nil the fan-out is recorded as a "fanout" child span holding one
+// "shard" span per attempt.
+func scatter[T any](c *Cluster, gen *hedge.Gen[shardSet], sp *obs.Span, op func(p part, asp *obs.Span) (T, ssam.DeviceStats, error)) (gather[T], error) {
+	parts := gen.Val.parts
+	g := gather[T]{vals: make([]T, len(parts)), stats: make([]ssam.DeviceStats, len(parts))}
+	outs := make([]shardOutcome[T], len(parts))
 	var wg sync.WaitGroup
 	active := 0
 	fsp := sp.Start("fanout")
-	for si, s := range c.shards {
-		if s.empty() {
+	for si, p := range parts {
+		if p.region == nil {
 			continue
 		}
 		active++
 		wg.Add(1)
-		go func(si int, s *shard) {
+		go func(si int) {
 			defer wg.Done()
-			outs[si] = runShard(c, si, s, fsp, op)
-		}(si, s)
+			outs[si] = runShard(c, gen, si, fsp, op)
+		}(si)
 	}
 	if active == 0 {
 		fsp.End()
@@ -527,8 +573,8 @@ func scatter[T any](c *Cluster, sp *obs.Span, op func(s *shard, attempt int, asp
 	fsp.End()
 
 	var firstErr error
-	for si, s := range c.shards {
-		if s.empty() {
+	for si, p := range parts {
+		if p.region == nil {
 			continue
 		}
 		out := &outs[si]
@@ -558,12 +604,12 @@ type shardOutcome[T any] struct {
 	hedges int
 }
 
-// runShard executes op against one shard with the hedging and deadline
-// policy: the primary attempt is launched immediately; if it has not
-// answered within HedgeAfter a single hedge attempt is launched and
-// the first success wins (an error only surfaces once no attempt is
-// still outstanding); ShardDeadline bounds the whole fan-out.
-func runShard[T any](c *Cluster, si int, s *shard, fsp *obs.Span, op func(s *shard, attempt int, asp *obs.Span) (T, ssam.DeviceStats, error)) shardOutcome[T] {
+// runShard races op against shard si of gen under the cluster's policy:
+// one hedge to the same shard after HedgeAfter (re-issue to a replica
+// of the shard), never a failover, ShardDeadline over the whole
+// fan-out. The shard's counters are per fan-out, not per attempt.
+func runShard[T any](c *Cluster, gen *hedge.Gen[shardSet], si int, fsp *obs.Span, op func(p part, asp *obs.Span) (T, ssam.DeviceStats, error)) shardOutcome[T] {
+	s := c.shards[si]
 	start := time.Now()
 	s.inFlight.Add(1)
 	defer func() {
@@ -572,78 +618,33 @@ func runShard[T any](c *Cluster, si int, s *shard, fsp *obs.Span, op func(s *sha
 		s.latNanos.Add(int64(time.Since(start)))
 	}()
 
-	type attemptOut struct {
-		val   T
-		stats ssam.DeviceStats
-		err   error
-	}
-	ch := make(chan attemptOut, 2) // buffered: abandoned attempts never leak
-	launch := func(attempt int) {
-		c.attempts.Add(1)
-		// The attempt span is created here (before the goroutine) so its
-		// start covers goroutine scheduling; it ends when the attempt
-		// returns, even if the fan-out has already abandoned it — a
-		// straggler's true duration is exactly what a trace should show.
-		asp := fsp.Start("shard", obs.Tag{Key: "shard", Value: si}, obs.Tag{Key: "attempt", Value: attempt})
-		go func() {
-			defer c.attempts.Done()
-			var out attemptOut
-			if hook := c.fault.Load(); hook != nil {
-				out.err = (*hook)(si, attempt)
+	out, info, err := hedge.Race(&c.racer, gen, hedge.Plan[shardOutcome[T]]{
+		HedgeAfter: c.opts.HedgeAfter,
+		Deadline:   c.opts.ShardDeadline,
+		Begin: func(attempt int, kind string) (int, *obs.Span, func(error)) {
+			switch kind {
+			case hedge.Failover:
+				return -1, nil, nil
+			case hedge.Hedge:
+				s.hedges.Add(1)
 			}
-			if out.err == nil {
-				out.val, out.stats, out.err = op(s, attempt, asp)
-			}
-			if out.err != nil {
-				asp.SetTag("error", out.err.Error())
-			}
-			asp.End()
-			ch <- out
-		}()
+			asp := fsp.Start("shard", obs.Tag{Key: "shard", Value: si}, obs.Tag{Key: "attempt", Value: attempt})
+			return si, asp, func(error) { asp.End() }
+		},
+		Run: func(_, _ int, asp *obs.Span) (o shardOutcome[T], err error) {
+			o.val, o.stats, err = op(gen.Val.parts[si], asp)
+			return o, err
+		},
+	})
+	out.hedges = info.Hedges
+	if out.err = err; err != nil {
+		s.failures.Add(1)
 	}
-	launch(0)
-	outstanding := 1
-
-	var hedgeC, deadC <-chan time.Time
-	if c.opts.HedgeAfter > 0 {
-		ht := time.NewTimer(c.opts.HedgeAfter)
-		defer ht.Stop()
-		hedgeC = ht.C
+	if err == hedge.ErrDeadline {
+		out.err = ErrShardTimeout
+		s.timeouts.Add(1)
 	}
-	if c.opts.ShardDeadline > 0 {
-		dt := time.NewTimer(c.opts.ShardDeadline)
-		defer dt.Stop()
-		deadC = dt.C
-	}
-
-	var out shardOutcome[T]
-	for {
-		select {
-		case a := <-ch:
-			outstanding--
-			if a.err == nil {
-				out.val, out.stats, out.err = a.val, a.stats, nil
-				return out
-			}
-			if outstanding == 0 {
-				out.err = a.err
-				s.failures.Add(1)
-				return out
-			}
-			// A hedge is still in flight; give it the chance to win.
-		case <-hedgeC:
-			hedgeC = nil
-			out.hedges++
-			s.hedges.Add(1)
-			launch(1)
-			outstanding++
-		case <-deadC:
-			out.err = ErrShardTimeout
-			s.failures.Add(1)
-			s.timeouts.Add(1)
-			return out
-		}
-	}
+	return out
 }
 
 // commitStats aggregates per-shard device stats into LastStats.
@@ -682,7 +683,6 @@ func (c *Cluster) ShardStat(si int) ShardStat {
 	s := c.shards[si]
 	st := ShardStat{
 		Shard:    si,
-		Len:      len(s.ids),
 		InFlight: int(s.inFlight.Load()),
 		Queries:  s.queries.Load(),
 		Failures: s.failures.Load(),
@@ -691,6 +691,10 @@ func (c *Cluster) ShardStat(si int) ShardStat {
 	}
 	if st.Queries > 0 {
 		st.AvgLatency = time.Duration(uint64(s.latNanos.Load()) / st.Queries)
+	}
+	if gen := c.set.Acquire(); gen != nil {
+		st.Len = len(gen.Val.parts[si].ids)
+		gen.Release()
 	}
 	return st
 }
@@ -704,18 +708,9 @@ func (c *Cluster) ShardStats() []ShardStat {
 	return out
 }
 
-// Free releases every shard. It first waits for outstanding shard
-// attempts — abandoned hedges and timed-out stragglers included — to
-// return, so a wedged fault hook must be released before Free can
-// complete. Further operations return ssam.ErrFreed.
+// Free releases every shard once the searches in flight are done with
+// them. Further operations return ssam.ErrFreed.
 func (c *Cluster) Free() {
-	c.freed = true
-	c.attempts.Wait()
-	for _, s := range c.shards {
-		if s.region != nil {
-			s.region.Free()
-			s.region = nil
-		}
-		s.ids = nil
-	}
+	c.freed.Store(true)
+	c.retire(c.set.Swap(nil))
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -230,6 +232,41 @@ func TestClusterPartialDegradation(t *testing.T) {
 	}
 }
 
+// handTimers is the cluster's hedge/deadline timer seam in the test's
+// hands: a timer of duration hot is born expired, any other fires only
+// when the test says so, and wall time decides nothing.
+type handTimers struct {
+	hot   time.Duration
+	mu    sync.Mutex
+	armed map[time.Duration][]chan time.Time
+}
+
+func (h *handTimers) install(c *Cluster) {
+	h.armed = make(map[time.Duration][]chan time.Time)
+	c.racer.Timer = func(d time.Duration) (<-chan time.Time, func() bool) {
+		ch := make(chan time.Time, 1)
+		if d == h.hot {
+			ch <- time.Time{}
+		}
+		h.mu.Lock()
+		h.armed[d] = append(h.armed[d], ch)
+		h.mu.Unlock()
+		return ch, func() bool { return true }
+	}
+}
+
+// fire expires every timer of duration d armed so far.
+func (h *handTimers) fire(d time.Duration) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, ch := range h.armed[d] {
+		select {
+		case ch <- time.Time{}:
+		default:
+		}
+	}
+}
+
 // TestClusterShardDeadline wedges one shard past the deadline: partial
 // mode degrades with the shard counted as a timeout.
 func TestClusterShardDeadline(t *testing.T) {
@@ -239,15 +276,28 @@ func TestClusterShardDeadline(t *testing.T) {
 		Shards: shards, AllowPartial: true, ShardDeadline: 20 * time.Millisecond,
 	})
 	defer cl.Free()
+	var timers handTimers
+	timers.install(cl)
 
 	release := make(chan struct{})
 	defer close(release)
+	wedged := make(chan struct{})
 	cl.SetFaultHook(func(shard, attempt int) error {
 		if shard == 2 {
+			close(wedged)
 			<-release
 		}
 		return nil
 	})
+	go func() {
+		// The deadline passes once shard 2 is stuck and the healthy
+		// shards have answered.
+		<-wedged
+		for cl.ShardStat(0).Queries == 0 || cl.ShardStat(1).Queries == 0 {
+			runtime.Gosched()
+		}
+		timers.fire(20 * time.Millisecond)
+	}()
 
 	q := randData(1, dims, 654)
 	start := time.Now()
@@ -279,6 +329,7 @@ func TestClusterHedging(t *testing.T) {
 		Shards: shards, HedgeAfter: 5 * time.Millisecond, ShardDeadline: 10 * time.Second,
 	})
 	defer cl.Free()
+	(&handTimers{hot: 5 * time.Millisecond}).install(cl)
 
 	release := make(chan struct{})
 	defer close(release)
@@ -322,6 +373,7 @@ func TestClusterHedgeOutlivesFailedPrimary(t *testing.T) {
 		Shards: 2, HedgeAfter: 2 * time.Millisecond,
 	})
 	defer cl.Free()
+	(&handTimers{hot: 2 * time.Millisecond}).install(cl)
 
 	hedged := make(chan struct{})
 	cl.SetFaultHook(func(shard, attempt int) error {

@@ -36,6 +36,10 @@
 // bit-identical (the group verifies the per-replica sequence numbers
 // agree and surfaces divergence as an error instead of serving
 // mixed answers).
+//
+// The attempt race and the generation lifetime are internal/hedge's;
+// this package supplies the policy (power-of-two-choices among the
+// untried for hedge and failover alike, the p99-derived delay).
 package replica
 
 import (
@@ -49,6 +53,7 @@ import (
 
 	"ssam"
 	"ssam/internal/cluster"
+	"ssam/internal/hedge"
 	"ssam/internal/obs"
 )
 
@@ -253,31 +258,16 @@ func (s *slot) score() float64 {
 	return float64(s.inFlight.Load()+1) * ew
 }
 
-// generation is one immutable replica set. Queries hold a reference
-// for their whole lifetime (hedged stragglers included); the swapper
-// drops the owner reference and waits for drained before freeing, so
-// no attempt ever touches a freed backend.
-type generation struct {
+// replicaSet is one immutable generation of backends. Queries lease it
+// for their whole lifetime (hedged stragglers included); Swap and Free
+// drain the leases before freeing it.
+type replicaSet struct {
 	id       uint64
 	backends []Backend
-	refs     atomic.Int64
-	drained  chan struct{}
 }
 
-func newGeneration(id uint64, backends []Backend) *generation {
-	g := &generation{id: id, backends: backends, drained: make(chan struct{})}
-	g.refs.Store(1) // owner reference, dropped by the swapper
-	return g
-}
-
-func (g *generation) unref() {
-	if g.refs.Add(-1) == 0 {
-		close(g.drained)
-	}
-}
-
-func (g *generation) free() {
-	for _, b := range g.backends {
+func (rs *replicaSet) free() {
+	for _, b := range rs.backends {
 		b.Free()
 	}
 }
@@ -290,36 +280,27 @@ type Group struct {
 
 	slots []*slot
 
-	mu  sync.RWMutex // guards gen pointer for acquire vs swap
-	gen *generation
+	gen hedge.Cell[replicaSet]
 
 	writerMu sync.Mutex // total order for mutations, swaps, frees
 	swaps    atomic.Uint64
 	freed    atomic.Bool
 
-	// attempts tracks every launched attempt (abandoned hedges and
-	// stragglers included) so Free can wait them out.
-	attempts sync.WaitGroup
+	// racer holds the fault-injection hook and the hedge/deadline timer
+	// seam (tests substitute fake channels).
+	racer hedge.Racer
 
-	// fault, when non-nil, runs before every attempt with the slot
-	// index and attempt number — the fault-injection hook: return an
-	// error to fail the attempt, block to simulate a straggler.
-	fault atomic.Pointer[func(replica, attempt int) error]
-
-	latMu     sync.Mutex
-	lat       [hedgeSamples]int64 // nanos ring of successful attempt latencies
-	latIdx    int
-	latN      int
-	latCount  uint64
-	hedgeCach atomic.Int64 // cached p99-derived hedge delay, nanos
+	latMu    sync.Mutex
+	lat      [hedgeSamples]int64 // nanos ring of successful attempt latencies
+	latIdx   int
+	latN     int
+	latCount uint64
+	p99Delay atomic.Int64 // cached p99-derived hedge delay, nanos
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	// timer is the hedge/deadline timer seam (tests substitute fake
-	// channels); now is the latency clock seam.
-	timer func(d time.Duration) (<-chan time.Time, func() bool)
-	now   func() time.Time
+	now func() time.Time // the latency clock seam
 }
 
 // NewGroup returns an empty group: Options are validated and slots
@@ -335,17 +316,13 @@ func NewGroup(opts Options) (*Group, error) {
 	g := &Group{
 		opts: opts,
 		rng:  rand.New(rand.NewSource(seed)),
-		timer: func(d time.Duration) (<-chan time.Time, func() bool) {
-			t := time.NewTimer(d)
-			return t.C, t.Stop
-		},
-		now: time.Now,
+		now:  time.Now,
 	}
 	g.slots = make([]*slot, opts.Replicas)
 	for i := range g.slots {
 		g.slots[i] = &slot{idx: i}
 	}
-	g.hedgeCach.Store(int64(opts.HedgeMax))
+	g.p99Delay.Store(int64(opts.HedgeMax))
 	return g, nil
 }
 
@@ -357,48 +334,30 @@ func (g *Group) Options() Options { return g.opts }
 
 // Gen returns the serving generation id (0 before the first Swap).
 func (g *Group) Gen() uint64 {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	if g.gen == nil {
+	gen := g.gen.Acquire()
+	if gen == nil {
 		return 0
 	}
-	return g.gen.id
+	defer gen.Release()
+	return gen.Val.id
 }
 
 // Len returns the row count of the serving generation (replica 0's
 // view; replicas are identical by construction).
 func (g *Group) Len() int {
-	gen := g.acquire()
+	gen := g.gen.Acquire()
 	if gen == nil {
 		return 0
 	}
-	defer gen.unref()
-	return gen.backends[0].Len()
+	defer gen.Release()
+	return gen.Val.backends[0].Len()
 }
 
 // SetFaultHook installs (or, with nil, removes) the fault-injection
 // hook, called before every attempt with the replica slot index and
 // attempt sequence number. Returning an error fails that attempt;
 // blocking simulates a straggler replica.
-func (g *Group) SetFaultHook(fn func(replica, attempt int) error) {
-	if fn == nil {
-		g.fault.Store(nil)
-		return
-	}
-	g.fault.Store(&fn)
-}
-
-// acquire takes a reference on the serving generation (nil before the
-// first Swap or after Free). Callers must unref.
-func (g *Group) acquire() *generation {
-	g.mu.RLock()
-	gen := g.gen
-	if gen != nil {
-		gen.refs.Add(1)
-	}
-	g.mu.RUnlock()
-	return gen
-}
+func (g *Group) SetFaultHook(fn func(replica, attempt int) error) { g.racer.SetFaultHook(fn) }
 
 // SwapStats reports one completed Swap.
 type SwapStats struct {
@@ -471,20 +430,12 @@ func (g *Group) Swap(build func(i int) (Backend, error), warm [][]float32, k int
 		}
 	}
 
-	next := newGeneration(g.swaps.Add(1), backends)
-	buildTime := g.now().Sub(start)
-
-	g.mu.Lock()
-	old := g.gen
-	g.gen = next
-	g.mu.Unlock()
-
-	st := SwapStats{Gen: next.id, Replicas: len(backends), Build: buildTime}
-	if old != nil {
+	next := replicaSet{id: g.swaps.Add(1), backends: backends}
+	st := SwapStats{Gen: next.id, Replicas: len(backends), Build: g.now().Sub(start)}
+	if old := g.gen.Swap(&next); old != nil {
 		drainStart := g.now()
-		old.unref()
-		<-old.drained
-		old.free()
+		old.Drain()
+		old.Val.free()
 		st.Drain = g.now().Sub(drainStart)
 	}
 	return st, nil
@@ -499,17 +450,12 @@ func (g *Group) Free() {
 		g.writerMu.Unlock()
 		return
 	}
-	g.mu.Lock()
-	old := g.gen
-	g.gen = nil
-	g.mu.Unlock()
+	old := g.gen.Swap(nil)
 	g.writerMu.Unlock()
 	if old != nil {
-		old.unref()
-		<-old.drained
-		old.free()
+		old.Drain()
+		old.Val.free()
 	}
-	g.attempts.Wait()
 }
 
 // --- routing ---
@@ -568,7 +514,7 @@ func (g *Group) recordLatency(lat time.Duration) {
 	}
 	sort.Slice(sample, func(i, j int) bool { return sample[i] < sample[j] })
 	p99 := sample[min(len(sample)-1, len(sample)*99/100)]
-	g.hedgeCach.Store(int64(g.clampHedge(time.Duration(p99))))
+	g.p99Delay.Store(int64(g.clampHedge(time.Duration(p99))))
 }
 
 func (g *Group) clampHedge(d time.Duration) time.Duration {
@@ -592,139 +538,75 @@ func (g *Group) HedgeDelay() time.Duration {
 	if n < hedgeMinSamples {
 		return g.opts.HedgeMax
 	}
-	return time.Duration(g.hedgeCach.Load())
+	return time.Duration(g.p99Delay.Load())
 }
 
-// routeInfo reports how one query was served.
-type routeInfo struct {
-	replica   int
-	gen       uint64
-	hedges    int
-	failovers int
-}
-
-// route executes op against one replica chosen by power-of-two-
-// choices, hedging to a second replica after the p99-derived delay
-// and failing over to untried replicas on error. The first success
-// wins; the query errors only when every replica has been tried and
-// failed, or the deadline expires. sp (nil for untraced queries)
-// gains a "route" child per attempt, tagged with the slot, the
-// attempt number, and whether it was a hedge or failover.
-func route[T any](g *Group, sp *obs.Span, op func(b Backend, asp *obs.Span) (T, error)) (T, routeInfo, error) {
-	var zero T
-	var info routeInfo
+// route races op across the replicas under the group's policy: every
+// attempt — primary, hedge after the p99-derived delay, failover on
+// error — goes to a power-of-two-choices pick among the replicas this
+// query has not tried, and Options.Deadline bounds the whole. sp (nil
+// for untraced queries) gains a "route" child per attempt, tagged with
+// the slot, the attempt number, and whether it was a hedge or failover.
+// It reports who answered and the generation served from.
+func route[T any](g *Group, sp *obs.Span, op func(b Backend, asp *obs.Span) (T, error)) (val T, info hedge.Info, genID uint64, err error) {
 	if g.freed.Load() {
-		return zero, info, ssam.ErrFreed
+		return val, info, 0, ssam.ErrFreed
 	}
-	gen := g.acquire()
+	gen := g.gen.Acquire()
 	if gen == nil {
-		return zero, info, ErrNoGeneration
+		return val, info, 0, ErrNoGeneration
 	}
-	defer gen.unref()
-	info.gen = gen.id
+	defer gen.Release()
 
-	type attemptOut struct {
-		idx int
-		val T
-		err error
+	plan := hedge.Plan[T]{Deadline: g.opts.Deadline}
+	if g.opts.Hedge && len(g.slots) > 1 {
+		plan.HedgeAfter = g.HedgeDelay()
 	}
-	// Buffered for every possible attempt, so abandoned stragglers
-	// never block on send.
-	ch := make(chan attemptOut, len(g.slots))
 	tried := make([]bool, len(g.slots))
-	attemptSeq := 0
-
-	launch := func(si int, kind string) {
+	plan.Begin = func(seq int, kind string) (int, *obs.Span, func(error)) {
+		si := g.pick(tried)
+		if si < 0 {
+			return -1, nil, nil
+		}
 		tried[si] = true
 		s := g.slots[si]
 		s.inFlight.Add(1)
-		g.attempts.Add(1)
-		gen.refs.Add(1) // the attempt's own reference; held past abandonment
-		seq := attemptSeq
-		attemptSeq++
 		asp := sp.Start("route",
 			obs.Tag{Key: "replica", Value: si},
 			obs.Tag{Key: "attempt", Value: seq},
-			obs.Tag{Key: "gen", Value: gen.id})
-		if kind != "" {
+			obs.Tag{Key: "gen", Value: gen.Val.id})
+		switch kind {
+		case hedge.Hedge:
+			s.hedges.Add(1)
+			asp.SetTag(kind, true)
+		case hedge.Failover:
+			s.failovers.Add(1)
 			asp.SetTag(kind, true)
 		}
 		start := g.now()
-		go func() {
-			defer g.attempts.Done()
-			defer gen.unref()
-			var out attemptOut
-			out.idx = si
-			if hook := g.fault.Load(); hook != nil {
-				out.err = (*hook)(si, seq)
-			}
-			if out.err == nil {
-				out.val, out.err = op(gen.backends[si], asp)
-			}
+		return si, asp, func(err error) {
 			lat := g.now().Sub(start)
 			s.inFlight.Add(-1)
 			s.queries.Add(1)
-			if out.err != nil {
+			if err != nil {
 				s.errors.Add(1)
-				asp.SetTag("error", out.err.Error())
 			} else {
 				s.observe(lat)
 				g.recordLatency(lat)
 			}
 			asp.End()
-			ch <- out
-		}()
-	}
-
-	launch(g.pick(tried), "")
-	outstanding := 1
-
-	var hedgeC, deadC <-chan time.Time
-	if g.opts.Hedge && len(g.slots) > 1 {
-		c, stop := g.timer(g.HedgeDelay())
-		defer stop()
-		hedgeC = c
-	}
-	if g.opts.Deadline > 0 {
-		c, stop := g.timer(g.opts.Deadline)
-		defer stop()
-		deadC = c
-	}
-
-	var lastErr error
-	for {
-		select {
-		case out := <-ch:
-			outstanding--
-			if out.err == nil {
-				info.replica = out.idx
-				return out.val, info, nil
-			}
-			lastErr = out.err
-			if outstanding > 0 {
-				continue // a hedge is still in flight; let it win
-			}
-			next := g.pick(tried)
-			if next < 0 {
-				return zero, info, fmt.Errorf("replica: all %d replicas failed: %w", len(g.slots), lastErr)
-			}
-			info.failovers++
-			g.slots[next].failovers.Add(1)
-			launch(next, "failover")
-			outstanding++
-		case <-hedgeC:
-			hedgeC = nil
-			if next := g.pick(tried); next >= 0 {
-				info.hedges++
-				g.slots[next].hedges.Add(1)
-				launch(next, "hedge")
-				outstanding++
-			}
-		case <-deadC:
-			return zero, info, fmt.Errorf("%w after %v (%d attempts outstanding)",
-				ErrDeadline, g.opts.Deadline, outstanding)
 		}
 	}
+	plan.Run = func(si, _ int, asp *obs.Span) (T, error) { return op(gen.Val.backends[si], asp) }
+
+	val, info, err = hedge.Race(&g.racer, gen, plan)
+	switch {
+	case err == hedge.ErrDeadline:
+		err = fmt.Errorf("%w after %v (%d attempts outstanding)", ErrDeadline, g.opts.Deadline, info.Outstanding)
+	case err != nil:
+		err = fmt.Errorf("replica: all %d replicas failed: %w", len(g.slots), err)
+	}
+	return val, info, gen.Val.id, err
 }
 
 // Response is one replicated search answer.
@@ -753,30 +635,30 @@ type BatchResponse struct {
 // Search answers one query from the replica the router chooses,
 // hedging and failing over per Options.
 func (g *Group) Search(q []float32, k int, sp *obs.Span) (Response, error) {
-	ans, info, err := route(g, sp, func(b Backend, asp *obs.Span) (Answer, error) {
+	ans, info, gen, err := route(g, sp, func(b Backend, asp *obs.Span) (Answer, error) {
 		return b.Search(q, k, asp)
 	})
 	if err != nil {
 		return Response{}, err
 	}
 	return Response{
-		Answer: ans, Replica: info.replica, Gen: info.gen,
-		Hedges: info.hedges, Failovers: info.failovers,
+		Answer: ans, Replica: info.Target, Gen: gen,
+		Hedges: info.Hedges, Failovers: info.Failovers,
 	}, nil
 }
 
 // SearchBatch answers a query batch from one routed replica with the
 // same hedge/failover policy as Search.
 func (g *Group) SearchBatch(qs [][]float32, k int, sp *obs.Span) (BatchResponse, error) {
-	ans, info, err := route(g, sp, func(b Backend, asp *obs.Span) (BatchAnswer, error) {
+	ans, info, gen, err := route(g, sp, func(b Backend, asp *obs.Span) (BatchAnswer, error) {
 		return b.SearchBatch(qs, k, asp)
 	})
 	if err != nil {
 		return BatchResponse{}, err
 	}
 	return BatchResponse{
-		BatchAnswer: ans, Replica: info.replica, Gen: info.gen,
-		Hedges: info.hedges, Failovers: info.failovers,
+		BatchAnswer: ans, Replica: info.Target, Gen: gen,
+		Hedges: info.Hedges, Failovers: info.Failovers,
 	}, nil
 }
 
@@ -793,13 +675,13 @@ func (g *Group) Upsert(id int, v []float32) (uint64, error) {
 	if g.freed.Load() {
 		return 0, ssam.ErrFreed
 	}
-	gen := g.acquire()
+	gen := g.gen.Acquire()
 	if gen == nil {
 		return 0, ErrNoGeneration
 	}
-	defer gen.unref()
+	defer gen.Release()
 	var seq uint64
-	for i, b := range gen.backends {
+	for i, b := range gen.Val.backends {
 		s, err := b.Upsert(id, v)
 		if err != nil {
 			return 0, fmt.Errorf("replica: upsert on replica %d: %w", i, err)
@@ -821,14 +703,14 @@ func (g *Group) Delete(id int) (uint64, bool, error) {
 	if g.freed.Load() {
 		return 0, false, ssam.ErrFreed
 	}
-	gen := g.acquire()
+	gen := g.gen.Acquire()
 	if gen == nil {
 		return 0, false, ErrNoGeneration
 	}
-	defer gen.unref()
+	defer gen.Release()
 	var seq uint64
 	var hit bool
-	for i, b := range gen.backends {
+	for i, b := range gen.Val.backends {
 		s, h, err := b.Delete(id)
 		if err != nil {
 			return 0, false, fmt.Errorf("replica: delete on replica %d: %w", i, err)
@@ -851,13 +733,13 @@ func (g *Group) CompactNow() (ssam.CompactResult, error) {
 	if g.freed.Load() {
 		return ssam.CompactResult{}, ssam.ErrFreed
 	}
-	gen := g.acquire()
+	gen := g.gen.Acquire()
 	if gen == nil {
 		return ssam.CompactResult{}, ErrNoGeneration
 	}
-	defer gen.unref()
+	defer gen.Release()
 	var first ssam.CompactResult
-	for i, b := range gen.backends {
+	for i, b := range gen.Val.backends {
 		res, err := b.Compact()
 		if err != nil {
 			return ssam.CompactResult{}, fmt.Errorf("replica: compact on replica %d: %w", i, err)

@@ -110,7 +110,7 @@ func swapFakes(t *testing.T, g *Group, fakes []*fakeBackend) {
 func immediateHedge(g *Group) {
 	c := make(chan time.Time, 1)
 	c <- time.Time{}
-	g.timer = func(time.Duration) (<-chan time.Time, func() bool) {
+	g.racer.Timer = func(time.Duration) (<-chan time.Time, func() bool) {
 		return c, func() bool { return true }
 	}
 }

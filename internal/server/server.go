@@ -685,6 +685,17 @@ func (e *regionEntry) serving(w http.ResponseWriter) bool {
 	return true
 }
 
+// writeSearchErr answers a search the backend failed. The handlers have
+// already refused everything a client can get wrong (400) or out of
+// order (409), so what is left is the server's fault: 500 — unless the
+// client has gone away, when there is no one to tell.
+func writeSearchErr(w http.ResponseWriter, r *http.Request, err error) {
+	if errors.Is(err, r.Context().Err()) {
+		return
+	}
+	writeErr(w, http.StatusInternalServerError, "%v", err)
+}
+
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	e := s.entry(w, r)
@@ -724,10 +735,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	ans, err := e.be.Search(r.Context(), req.Query, req.K, root)
 	if err != nil {
 		s.tracer.Finish(tr)
-		if errors.Is(err, r.Context().Err()) {
-			return // client went away; nothing useful to write
-		}
-		writeErr(w, http.StatusInternalServerError, "%v", err)
+		writeSearchErr(w, r, err)
 		return
 	}
 	if ans.Degraded {
@@ -764,6 +772,12 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	for i, q := range req.Queries {
+		if len(q) != e.dims {
+			writeErr(w, http.StatusBadRequest, "query %d has dim %d, want %d", i, len(q), e.dims)
+			return
+		}
+	}
 	forced := r.Header.Get(TraceHeader) != ""
 	tr := s.tracer.Trace("searchbatch", forced,
 		obs.Tag{Key: "region", Value: e.name}, obs.Tag{Key: "k", Value: req.K})
@@ -786,7 +800,7 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	bsp.End()
 	if err != nil {
 		s.tracer.Finish(tr)
-		writeErr(w, http.StatusBadRequest, "%v", err)
+		writeSearchErr(w, r, err)
 		return
 	}
 	if ans.Degraded {

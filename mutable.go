@@ -76,7 +76,7 @@ func (r *Region) SetCompactHook(fn func(CompactResult)) {
 // an error on a region that has never been mutated (there is nothing to
 // compact before the first write).
 func (r *Region) CompactNow() (CompactResult, error) {
-	if r.freed {
+	if r.freed.Load() {
 		return CompactResult{}, ErrFreed
 	}
 	ms := r.mutable()
@@ -150,7 +150,7 @@ func (r *Region) migrate() (mutableStore, error) {
 		return ms, nil
 	}
 	switch {
-	case r.freed:
+	case r.freed.Load():
 		return nil, ErrFreed
 	case r.immutable != nil:
 		return nil, r.immutable

@@ -50,7 +50,7 @@ type Region struct {
 	data   []float32    // float datasets
 	codes  []vec.Binary // Hamming datasets
 	loaded bool
-	freed  bool
+	freed  atomic.Bool // Free against concurrent searches: they answer or say ErrFreed
 
 	// eng is the live engine (engine.go): nil until BuildIndex, swapped
 	// for the mutable store by the first write, dropped by a reload or
@@ -178,7 +178,7 @@ func (r *Region) Len() int {
 // LoadFloat32 copies a flattened row-major dataset into the region
 // (nmemcpy). Not valid for Hamming regions.
 func (r *Region) LoadFloat32(data []float32) error {
-	if r.freed {
+	if r.freed.Load() {
 		return ErrFreed
 	}
 	if r.cfg.Metric == Hamming {
@@ -197,7 +197,7 @@ func (r *Region) LoadFloat32(data []float32) error {
 
 // LoadBinary copies bit-packed codes into a Hamming region.
 func (r *Region) LoadBinary(codes []BinaryCode) error {
-	if r.freed {
+	if r.freed.Load() {
 		return ErrFreed
 	}
 	if r.cfg.Metric != Hamming {
@@ -227,7 +227,7 @@ func NewBinaryCode(bits int) BinaryCode { return vec.NewBinary(bits) }
 // one place the region's mode, execution target, metric class and
 // storage pick an engine (the constructor table in engine.go).
 func (r *Region) BuildIndex() error {
-	if r.freed {
+	if r.freed.Load() {
 		return ErrFreed
 	}
 	if !r.loaded {
@@ -264,7 +264,7 @@ func (r *Region) BuildIndex() error {
 // efSearch beam width for Graph regions, and the exact re-rank depth
 // for Quantized regions (all on both execution targets).
 func (r *Region) SetChecks(n int) error {
-	if r.freed {
+	if r.freed.Load() {
 		return ErrFreed
 	}
 	if n <= 0 {
@@ -281,7 +281,7 @@ func (r *Region) SetChecks(n int) error {
 // class to the region: not freed, right metric class, right width.
 func (r *Region) checkFloat(q []float32) error {
 	switch {
-	case r.freed:
+	case r.freed.Load():
 		return ErrFreed
 	case r.cfg.Metric == Hamming:
 		return errors.New("ssam: float query on a Hamming region")
@@ -293,7 +293,7 @@ func (r *Region) checkFloat(q []float32) error {
 
 func (r *Region) checkBinary(q BinaryCode) error {
 	switch {
-	case r.freed:
+	case r.freed.Load():
 		return ErrFreed
 	case r.cfg.Metric != Hamming:
 		return errors.New("ssam: binary query on a non-Hamming region")
@@ -308,7 +308,7 @@ func (r *Region) checkBinary(q BinaryCode) error {
 func (r *Region) ready(op string, k int) (engine, error) {
 	e := r.engine()
 	switch {
-	case r.freed:
+	case r.freed.Load():
 		return nil, ErrFreed
 	case e == nil:
 		return nil, fmt.Errorf("ssam: %s before BuildIndex", op)
@@ -375,7 +375,7 @@ func (r *Region) WriteQueryBinary(q BinaryCode) error {
 
 // Exec runs the staged query for the k nearest neighbors (nexec).
 func (r *Region) Exec(k int) error {
-	if r.freed {
+	if r.freed.Load() {
 		return ErrFreed
 	}
 	if r.staged.f == nil && r.staged.b.Words == nil {
@@ -391,7 +391,7 @@ func (r *Region) Exec(k int) error {
 
 // ReadResult returns the last Exec's neighbors (nread_result).
 func (r *Region) ReadResult() ([]Result, error) {
-	if r.freed {
+	if r.freed.Load() {
 		return nil, ErrFreed
 	}
 	if r.lastRes == nil {
@@ -544,7 +544,7 @@ func (r *Region) Device() *ssamdev.Device { return r.device }
 // Free releases the region (nfree). Further operations return
 // ErrFreed.
 func (r *Region) Free() {
-	r.freed = true
+	r.freed.Store(true)
 	r.dropEngine()
 	r.data, r.codes = nil, nil
 	r.lastRes, r.staged = nil, query{}

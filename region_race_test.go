@@ -1,6 +1,7 @@
 package ssam
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"slices"
@@ -227,5 +228,70 @@ func TestSetChecksRacesSearchQuantized(t *testing.T) {
 			close(stop)
 			flipper.Wait()
 		})
+	}
+}
+
+// TestFreeRacesSearch frees a plain region under Search and SearchBatch
+// callers (the server's DELETE against a /searchbatch, which bypasses
+// the batcher Free waits on): every answer is the quiescent region's,
+// exactly, or ErrFreed.
+func TestFreeRacesSearch(t *testing.T) {
+	ds := raceDataset(t)
+	var want [][]Result
+	for round := 0; round < 10; round++ {
+		r, err := New(ds.Dim(), Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.LoadFloat32(ds.Data); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.BuildIndex(); err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			if want, err = r.SearchBatch(ds.Queries, 5); err != nil {
+				t.Fatal(err)
+			}
+		}
+		started := make(chan struct{}, 4)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				started <- struct{}{}
+				for {
+					var got [][]Result
+					var err error
+					if g%2 == 0 {
+						got, err = r.SearchBatch(ds.Queries, 5)
+					} else {
+						got = make([][]Result, len(ds.Queries))
+						for qi := 0; qi < len(got) && err == nil; qi++ {
+							got[qi], err = r.Search(ds.Queries[qi], 5)
+						}
+					}
+					if errors.Is(err, ErrFreed) {
+						return
+					}
+					if err != nil {
+						t.Errorf("searcher %d: %v", g, err)
+						return
+					}
+					for qi := range got {
+						if !slices.Equal(got[qi], want[qi]) {
+							t.Errorf("searcher %d, query %d: %v, want %v", g, qi, got[qi], want[qi])
+							return
+						}
+					}
+				}
+			}(g)
+		}
+		for g := 0; g < 4; g++ {
+			<-started
+		}
+		r.Free()
+		wg.Wait()
 	}
 }
