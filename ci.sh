@@ -87,6 +87,19 @@ ratio_gate() {
     echo "$label: ${ratio}x (want $op ${limit}x)"
 }
 
+# wait_port PORT: block until 127.0.0.1:PORT accepts a connection (the
+# server smokes start ssam-serve in the background), for at most 10 s;
+# if it never does, the load generator's own connection error is what
+# fails the gate.
+wait_port() {
+    for _ in $(seq 1 100); do
+        if (exec 3<>"/dev/tcp/127.0.0.1/$1") 2>/dev/null; then
+            return 0
+        fi
+        sleep 0.1
+    done
+}
+
 # ADC regression check: the quantized scan must stay meaningfully
 # faster than the float32 scan. Read at -cpu=1 on the growth box with
 # the AVX2 block kernel, quietest of three a side: 2.32x, 2.36x, 2.40x
@@ -146,13 +159,7 @@ go build -o /tmp/ssam-serve-ci ./cmd/ssam-serve
 /tmp/ssam-serve-ci -addr 127.0.0.1:$smoke_port &
 serve_pid=$!
 trap 'kill $serve_pid 2>/dev/null || true' EXIT
-for _ in $(seq 1 100); do
-    if (exec 3<>"/dev/tcp/127.0.0.1/$smoke_port") 2>/dev/null; then
-        exec 3>&- || true
-        break
-    fi
-    sleep 0.1
-done
+wait_port "$smoke_port"
 go run ./cmd/ssam-loadgen -addr "http://127.0.0.1:$smoke_port" -region mutsmoke \
     -n 400 -dims 12 -clusters 4 -k 3 -duration 1s -concurrency 4 \
     -upsert-frac 0.2 -delete-frac 0.1
@@ -171,13 +178,7 @@ replica_port=18742
     -chaos-kill-replica 1 -chaos-after 2s &
 serve_pid=$!
 trap 'kill $serve_pid 2>/dev/null || true' EXIT
-for _ in $(seq 1 100); do
-    if (exec 3<>"/dev/tcp/127.0.0.1/$replica_port") 2>/dev/null; then
-        exec 3>&- || true
-        break
-    fi
-    sleep 0.1
-done
+wait_port "$replica_port"
 go run ./cmd/ssam-loadgen -addr "http://127.0.0.1:$replica_port" \
     -region glove -setup=false -dims 100 -k 5 \
     -duration 4s -concurrency 4 -reload-at 1s -fail-on-degraded

@@ -10,8 +10,8 @@ package server
 // keep (reload instead).
 
 import (
-	"errors"
-	"net/http"
+	"context"
+	"fmt"
 	"time"
 
 	"ssam"
@@ -32,179 +32,101 @@ type mutator interface {
 	Len() int
 }
 
-// mutableRegion snapshots the entry's write-path backend, or writes
-// the rejection: sharded regions are immutable over the wire (409),
-// and mutation before build is a sequencing error (409, same as
-// searching an unbuilt region).
-func (e *regionEntry) mutableRegion(w http.ResponseWriter) (mutator, bool) {
-	m, ok := e.be.(mutator)
-	if !ok {
-		writeErr(w, http.StatusConflict,
-			"region %q is sharded; sharded regions are immutable (reload to change data)", e.name)
-		return nil, false
+// mutableGate refuses a region the write path cannot serve: sharded
+// regions are immutable over the wire, and mutation before build is the
+// same sequencing error as searching an unbuilt region.
+func mutableGate(e *regionEntry) error {
+	if _, ok := e.be.(mutator); !ok {
+		return conflict{fmt.Errorf("region %q is sharded; sharded regions are immutable (reload to change data)", e.name)}
 	}
-	return m, e.serving(w)
+	return builtGate(e)
 }
 
-// mutationCode maps a region mutation error to its status: engine
-// rejections (non-Linear modes) are conflicts with the region's
-// configuration, everything else is a bad request.
-func mutationCode(err error) int {
-	if errors.Is(err, ssam.ErrImmutableEngine) {
-		return http.StatusConflict
-	}
-	return http.StatusBadRequest
-}
+func tagRows(ids []int) obs.Tag { return obs.Tag{Key: "rows", Value: len(ids)} }
 
-func (s *Server) handleUpsert(w http.ResponseWriter, r *http.Request) {
-	e := s.entry(w, r)
-	if e == nil {
-		return
-	}
-	data, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	req, err := wire.DecodeUpsert(data)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// The decoder guarantees uniform dims; one row pins them to the region.
-	if len(req.Vectors[0]) != e.dims {
-		writeErr(w, http.StatusBadRequest, "vector dim %d, want %d", len(req.Vectors[0]), e.dims)
-		return
-	}
-	forced := r.Header.Get(TraceHeader) != ""
-	tr := s.tracer.Trace("upsert", forced,
-		obs.Tag{Key: "region", Value: e.name}, obs.Tag{Key: "rows", Value: len(req.IDs)})
-	root := tr.Root()
+func inlineMutate(resp *wire.MutateResponse, td *obs.TraceData) { resp.Trace = td }
 
-	asp := root.Start("admission")
-	release := s.admit(w)
-	asp.End()
-	if release == nil {
-		s.tracer.Finish(tr)
-		return
-	}
-	defer release()
-	region, ok := e.mutableRegion(w)
-	if !ok {
-		s.tracer.Finish(tr)
-		return
-	}
+// commit applies a write request row by row under one "mutate" span. A
+// request that fails at row i has committed rows 0..i-1, so they are
+// counted before the error is answered: ssam_region_writes_total must
+// not fall behind the store's own counters.
+func commit(e *regionEntry, root *obs.Span, ids []int, apply func(m mutator, i int) (seq uint64, hit bool, err error)) (wire.MutateResponse, error) {
+	m := e.be.(mutator) // mutableGate has checked
 	msp := root.Start("mutate")
-	var seq uint64
-	for i, id := range req.IDs {
-		if seq, err = region.Upsert(id, req.Vectors[i]); err != nil {
-			break
-		}
-	}
-	msp.SetTag("seq", seq)
-	msp.End()
-	if err != nil {
-		s.tracer.Finish(tr)
-		writeErr(w, mutationCode(err), "%v", err)
-		return
-	}
-	e.stats.recordWrites(len(req.IDs))
-	out := wire.MutateResponse{Seq: seq, Applied: len(req.IDs), Len: region.Len()}
-	if td := s.tracer.Finish(tr); forced {
-		out.Trace = td
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	e := s.entry(w, r)
-	if e == nil {
-		return
-	}
-	data, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	req, err := wire.DecodeDelete(data)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	forced := r.Header.Get(TraceHeader) != ""
-	tr := s.tracer.Trace("delete", forced,
-		obs.Tag{Key: "region", Value: e.name}, obs.Tag{Key: "rows", Value: len(req.IDs)})
-	root := tr.Root()
-
-	asp := root.Start("admission")
-	release := s.admit(w)
-	asp.End()
-	if release == nil {
-		s.tracer.Finish(tr)
-		return
-	}
-	defer release()
-	region, ok := e.mutableRegion(w)
-	if !ok {
-		s.tracer.Finish(tr)
-		return
-	}
-	msp := root.Start("mutate")
-	applied := 0
-	var missing []int
-	var seq uint64
-	for _, id := range req.IDs {
+	var out wire.MutateResponse
+	var err error
+	for i, id := range ids {
 		var hit bool
-		if seq, hit, err = region.Delete(id); err != nil {
+		if out.Seq, hit, err = apply(m, i); err != nil {
 			break
 		}
 		if hit {
-			applied++
+			out.Applied++
 		} else {
-			missing = append(missing, id)
+			out.Missing = append(out.Missing, id)
 		}
 	}
-	msp.SetTag("seq", seq)
+	msp.SetTag("seq", out.Seq)
 	msp.End()
-	if err != nil {
-		s.tracer.Finish(tr)
-		writeErr(w, mutationCode(err), "%v", err)
-		return
-	}
-	e.stats.recordWrites(applied)
-	out := wire.MutateResponse{Seq: seq, Applied: applied, Missing: missing, Len: region.Len()}
-	if td := s.tracer.Finish(tr); forced {
-		out.Trace = td
-	}
-	writeJSON(w, http.StatusOK, out)
+	e.stats.recordWrites(out.Applied)
+	out.Len = m.Len()
+	return out, err
 }
 
-func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
-	e := s.entry(w, r)
-	if e == nil {
-		return
-	}
-	release := s.admit(w)
-	if release == nil {
-		return
-	}
-	defer release()
-	region, ok := e.mutableRegion(w)
-	if !ok {
-		return
-	}
-	res, err := region.CompactNow()
-	if err != nil {
-		// Only failure mode: the region has never been mutated (or was
-		// freed under us) — a sequencing conflict, not a bad request.
-		writeErr(w, http.StatusConflict, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, wire.CompactResponse{
-		Seq:             res.Seq,
-		VaultsRewritten: res.VaultsRewritten,
-		Rebalanced:      res.Rebalanced,
-		RowsDropped:     res.RowsDropped,
-		Len:             res.Live,
-	})
+var upsertRoute = route[wire.UpsertRequest, wire.MutateResponse]{
+	trace:  "upsert",
+	tag:    func(req wire.UpsertRequest) obs.Tag { return tagRows(req.IDs) },
+	decode: wire.DecodeUpsert,
+	check: func(e *regionEntry, req wire.UpsertRequest) error {
+		// The decoder guarantees uniform dims; one row pins them to the region.
+		if len(req.Vectors[0]) != e.dims {
+			return fmt.Errorf("vector dim %d, want %d", len(req.Vectors[0]), e.dims)
+		}
+		return nil
+	},
+	gate:     mutableGate,
+	admitted: true,
+	run: func(_ context.Context, e *regionEntry, req wire.UpsertRequest, root *obs.Span, _ time.Time) (wire.MutateResponse, error) {
+		return commit(e, root, req.IDs, func(m mutator, i int) (uint64, bool, error) {
+			seq, err := m.Upsert(req.IDs[i], req.Vectors[i])
+			return seq, true, err
+		})
+	},
+	inline: inlineMutate,
+}
+
+var deleteRoute = route[wire.DeleteRequest, wire.MutateResponse]{
+	trace:    "delete",
+	tag:      func(req wire.DeleteRequest) obs.Tag { return tagRows(req.IDs) },
+	decode:   wire.DecodeDelete,
+	gate:     mutableGate,
+	admitted: true,
+	run: func(_ context.Context, e *regionEntry, req wire.DeleteRequest, root *obs.Span, _ time.Time) (wire.MutateResponse, error) {
+		return commit(e, root, req.IDs, func(m mutator, i int) (uint64, bool, error) { return m.Delete(req.IDs[i]) })
+	},
+	inline: inlineMutate,
+}
+
+// compactRoute is untraced: the compaction hook emits the pass's own
+// trace, with the pass summary, for forced and background passes alike.
+var compactRoute = route[struct{}, wire.CompactResponse]{
+	gate:     mutableGate,
+	admitted: true,
+	run: func(_ context.Context, e *regionEntry, _ struct{}, _ *obs.Span, _ time.Time) (wire.CompactResponse, error) {
+		res, err := e.be.(mutator).CompactNow()
+		if err != nil {
+			// Only failure mode: the region has never been mutated (or was
+			// freed under us) — a sequencing conflict.
+			return wire.CompactResponse{}, conflict{err}
+		}
+		return wire.CompactResponse{
+			Seq:             res.Seq,
+			VaultsRewritten: res.VaultsRewritten,
+			Rebalanced:      res.Rebalanced,
+			RowsDropped:     res.RowsDropped,
+			Len:             res.Live,
+		}, nil
+	},
 }
 
 // installCompactHook makes every layout-changing compaction pass

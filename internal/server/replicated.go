@@ -11,7 +11,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"time"
 
 	"ssam"
@@ -178,7 +177,7 @@ func (b *groupBackend) swap() (replica.SwapStats, error) {
 	}, warm, 1)
 }
 
-// handleReload is POST /regions/{name}/reload: rebuild a replicated
+// reloadRoute is POST /regions/{name}/reload: rebuild a replicated
 // region from its staged dataset as a new generation, cut traffic
 // over atomically, and free the old generation after its in-flight
 // queries drain. Queries keep being answered throughout — by the old
@@ -186,39 +185,34 @@ func (b *groupBackend) swap() (replica.SwapStats, error) {
 // under load drops nothing. Mutations applied since the last load are
 // not in the staged dataset and do not survive a reload (the staged
 // rows are the source of truth the new generation is built from).
-func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	e := s.entry(w, r)
-	if e == nil {
-		return
-	}
-	grp, ok := e.be.(*groupBackend)
-	if !ok {
-		writeErr(w, http.StatusConflict,
-			"region %q is not replicated (create with config.replicas to enable reload)", e.name)
-		return
-	}
-	if !e.serving(w) {
-		return
-	}
-	forced := r.Header.Get(TraceHeader) != ""
-	tr := s.tracer.Trace("reload", forced, obs.Tag{Key: "region", Value: e.name})
-	root := tr.Root()
-	rsp := root.Start("swap")
-	st, err := grp.swap()
-	rsp.SetTag("gen", st.Gen)
-	rsp.End()
-	s.tracer.Finish(tr)
-	if err != nil {
-		writeErr(w, http.StatusConflict, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, wire.ReloadResponse{
-		Gen:      st.Gen,
-		Replicas: st.Replicas,
-		Len:      grp.Len(),
-		BuildMs:  float64(st.Build) / float64(time.Millisecond),
-		DrainMs:  float64(st.Drain) / float64(time.Millisecond),
-	})
+//
+// It is traced but not admitted: a swap is seconds of build work, and
+// the in-flight budget is sized for queries.
+var reloadRoute = route[struct{}, wire.ReloadResponse]{
+	trace: "reload",
+	gate: func(e *regionEntry) error {
+		if _, ok := e.be.(*groupBackend); !ok {
+			return conflict{fmt.Errorf("region %q is not replicated (create with config.replicas to enable reload)", e.name)}
+		}
+		return builtGate(e)
+	},
+	run: func(_ context.Context, e *regionEntry, _ struct{}, root *obs.Span, _ time.Time) (wire.ReloadResponse, error) {
+		grp := e.be.(*groupBackend)
+		rsp := root.Start("swap")
+		st, err := grp.swap()
+		rsp.SetTag("gen", st.Gen)
+		rsp.End()
+		if err != nil {
+			return wire.ReloadResponse{}, conflict{err}
+		}
+		return wire.ReloadResponse{
+			Gen:      st.Gen,
+			Replicas: st.Replicas,
+			Len:      grp.Len(),
+			BuildMs:  float64(st.Build) / float64(time.Millisecond),
+			DrainMs:  float64(st.Drain) / float64(time.Millisecond),
+		}, nil
+	},
 }
 
 // FailReplica injects a fault into one replica slot of a replicated

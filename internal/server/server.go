@@ -41,6 +41,11 @@
 //	GET    /tracez                   recent sampled traces (bounded ring)
 //	GET    /healthz                  liveness
 //
+// The six POST endpoints from search to reload are rows of one table
+// served by one function (serve, below): lookup, strict decode, trace,
+// gate, admission, run, and one error-to-status mapping, in that order
+// for every one of them.
+//
 // Observability (internal/obs) is threaded through the whole search
 // path: requests are head-sampled (Options.TraceSampleEvery) or
 // force-traced via the X-SSAM-Trace header, producing a span tree —
@@ -56,7 +61,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
+	"runtime/debug"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -161,14 +168,15 @@ type answer struct {
 	Failovers    int
 }
 
-// backend is what an entry serves from. Load, Built, Len, Describe and
-// Free are called with the entry's mu held; Build is called without it
-// and takes it for as long as the kind needs (a replica group builds a
+// backend is what an entry serves from. Load, Len, Describe and Free
+// are called with the entry's mu held; Build is called without it and
+// takes it for as long as the kind needs (a replica group builds a
 // whole generation outside the lock, so searches and scrapes keep
-// flowing); Search, SearchBatch and Pending are lock-free. Search opens
-// the request's "batch" stage under sp itself, since whether the
-// micro-batcher is bypassed is the backend's business; SearchBatch runs
-// under the caller's.
+// flowing); Built, Search, SearchBatch and Pending are lock-free —
+// Built is the request gate, and must answer while a build holds the
+// lock. Search opens the request's "batch" stage under sp itself, since
+// whether the micro-batcher is bypassed is the backend's business;
+// SearchBatch runs under the caller's.
 type backend interface {
 	Load(rows []float32) error
 	Build() error
@@ -202,12 +210,16 @@ func (b *regionBackend) Load(rows []float32) error {
 	}
 	// A reload invalidates the built index; stop batching until the
 	// caller rebuilds.
-	b.stopBatcher()
+	b.setBatcher(nil)
 	return nil
 }
 
-func (b *regionBackend) stopBatcher() {
-	if old := b.bat.Swap(nil); old != nil {
+// setBatcher installs next (nil: none) and then closes the batcher it
+// replaces, in that order: the built gate reads bat without the entry's
+// lock, so a rebuild must never show it nil, and the old batcher serves
+// until the new one is in place.
+func (b *regionBackend) setBatcher(next *batcher.Batcher) {
+	if old := b.bat.Swap(next); old != nil {
 		old.Close()
 	}
 }
@@ -218,14 +230,13 @@ func (b *regionBackend) Build() error {
 	if err := b.BuildIndex(); err != nil {
 		return err
 	}
-	b.stopBatcher()
 	// Built Linear regions can take writes; surface compaction passes
 	// in /tracez and the region counters from the moment that becomes
 	// possible (the hook is installed before any write can migrate the
 	// region to its mutable store).
 	b.s.installCompactHook(b.e, b.Region)
 	stats := b.e.stats
-	b.bat.Store(batcher.New(b.SearchBatchSpan, batcher.Options{
+	b.setBatcher(batcher.New(b.SearchBatchSpan, batcher.Options{
 		MaxBatch: b.s.opts.MaxBatch,
 		OnFlush: func(size int, _, queued time.Duration) {
 			stats.recordBatch(size)
@@ -238,14 +249,19 @@ func (b *regionBackend) Build() error {
 func (b *regionBackend) Built() bool { return b.bat.Load() != nil }
 
 func (b *regionBackend) Search(ctx context.Context, q []float32, k int, sp *obs.Span) (answer, error) {
-	bat := b.bat.Load()
-	if bat == nil {
-		return answer{}, errors.New("server: region was reloaded mid-request (rebuild first)")
+	for {
+		bat := b.bat.Load()
+		if bat == nil {
+			return answer{}, errors.New("server: region was reloaded mid-request (rebuild first)")
+		}
+		bsp := sp.Start("batch")
+		res, err := bat.SearchSpan(ctx, q, k, bsp)
+		bsp.End()
+		if errors.Is(err, batcher.ErrClosed) && b.bat.Load() != bat {
+			continue // a rebuild replaced the batcher after it was read: ask the new one
+		}
+		return answer{Results: res}, err
 	}
-	bsp := sp.Start("batch")
-	res, err := bat.SearchSpan(ctx, q, k, bsp)
-	bsp.End()
-	return answer{Results: res}, err
 }
 
 func (b *regionBackend) SearchBatch(qs [][]float32, k int, sp *obs.Span) (answer, error) {
@@ -263,7 +279,7 @@ func (b *regionBackend) Pending() int {
 func (b *regionBackend) Describe(*wire.RegionInfo) {}
 
 func (b *regionBackend) Free() {
-	b.stopBatcher()
+	b.setBatcher(nil)
 	b.Region.Free()
 }
 
@@ -274,14 +290,14 @@ func (b *regionBackend) Free() {
 type clusterBackend struct {
 	*cluster.Cluster
 	e     *regionEntry
-	built bool
+	built atomic.Bool
 }
 
 func (b *clusterBackend) Load(rows []float32) error {
 	if err := b.LoadFloat32(rows); err != nil {
 		return err
 	}
-	b.built = false
+	b.built.Store(false)
 	return nil
 }
 
@@ -291,11 +307,11 @@ func (b *clusterBackend) Build() error {
 	if err := b.BuildIndex(); err != nil {
 		return err
 	}
-	b.built = true
+	b.built.Store(true)
 	return nil
 }
 
-func (b *clusterBackend) Built() bool { return b.built }
+func (b *clusterBackend) Built() bool { return b.built.Load() }
 
 func (b *clusterBackend) Search(_ context.Context, q []float32, k int, sp *obs.Span) (answer, error) {
 	bsp := bypass(sp)
@@ -338,12 +354,12 @@ func New(opts Options) *Server {
 	s.mux.HandleFunc("DELETE /regions/{name}", s.handleFree)
 	s.mux.HandleFunc("POST /regions/{name}/load", s.handleLoad)
 	s.mux.HandleFunc("POST /regions/{name}/build", s.handleBuild)
-	s.mux.HandleFunc("POST /regions/{name}/search", s.handleSearch)
-	s.mux.HandleFunc("POST /regions/{name}/searchbatch", s.handleSearchBatch)
-	s.mux.HandleFunc("POST /regions/{name}/upsert", s.handleUpsert)
-	s.mux.HandleFunc("POST /regions/{name}/delete", s.handleDelete)
-	s.mux.HandleFunc("POST /regions/{name}/compact", s.handleCompact)
-	s.mux.HandleFunc("POST /regions/{name}/reload", s.handleReload)
+	s.mux.HandleFunc("POST /regions/{name}/search", serve(s, searchRoute))
+	s.mux.HandleFunc("POST /regions/{name}/searchbatch", serve(s, searchBatchRoute))
+	s.mux.HandleFunc("POST /regions/{name}/upsert", serve(s, upsertRoute))
+	s.mux.HandleFunc("POST /regions/{name}/delete", serve(s, deleteRoute))
+	s.mux.HandleFunc("POST /regions/{name}/compact", serve(s, compactRoute))
+	s.mux.HandleFunc("POST /regions/{name}/reload", serve(s, reloadRoute))
 	s.mux.HandleFunc("GET /statsz", s.handleStatsz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /tracez", s.handleTracez)
@@ -397,16 +413,21 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, wire.ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// readBody slurps the request body for the strict wire decoders
-// (which reject unknown fields, trailing garbage, and non-finite
-// floats — see internal/server/wire/decode.go).
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+// decodeBody reads the request body through one of the strict wire
+// decoders (which reject unknown fields, trailing garbage, and
+// non-finite floats — see internal/server/wire/decode.go), answering
+// 400 itself when there is nothing to hand back.
+func decodeBody[Req any](w http.ResponseWriter, r *http.Request, decode func([]byte) (Req, error)) (req Req, ok bool) {
 	data, err := io.ReadAll(r.Body)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "reading request body: %v", err)
-		return nil, false
+		return req, false
 	}
-	return data, true
+	if req, err = decode(data); err != nil {
+		writeErr(w, http.StatusBadRequest, "%v", err)
+		return req, false
+	}
+	return req, true
 }
 
 func (s *Server) entry(w http.ResponseWriter, r *http.Request) *regionEntry {
@@ -420,30 +441,30 @@ func (s *Server) entry(w http.ResponseWriter, r *http.Request) *regionEntry {
 	return e
 }
 
-// admit takes an admission token, or sheds the request. The returned
-// release func is nil when the request was shed.
-func (s *Server) admit(w http.ResponseWriter) func() {
+// admit takes an admission token, which the caller gives back, or
+// sheds the request.
+func (s *Server) admit(w http.ResponseWriter) error {
 	if s.draining.Load() {
-		s.shed(w, "server draining")
-		return nil
+		return s.shed(w, "server draining")
 	}
 	select {
 	case s.sem <- struct{}{}:
-		return func() { <-s.sem }
-	default:
-		s.shed(w, "server at capacity (%d in flight)", s.opts.MaxInFlight)
 		return nil
+	default:
+		return s.shed(w, "server at capacity (%d in flight)", s.opts.MaxInFlight)
 	}
 }
 
-func (s *Server) shed(w http.ResponseWriter, format string, args ...any) {
+// shed counts the refusal and sets Retry-After on the response; the
+// overloaded error it returns is what status answers 503 for.
+func (s *Server) shed(w http.ResponseWriter, format string, args ...any) error {
 	s.rejected.Add(1)
 	secs := int(s.opts.RetryAfter / time.Second)
 	if secs < 1 {
 		secs = 1
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	writeErr(w, http.StatusServiceUnavailable, format, args...)
+	return overloaded(fmt.Sprintf(format, args...))
 }
 
 func toShardingOptions(sc *wire.ShardingConfig) (cluster.Options, error) {
@@ -506,13 +527,8 @@ func toNeighbors(res []ssam.Result) []wire.Neighbor {
 // --- handlers ---
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	data, ok := readBody(w, r)
+	req, ok := decodeBody(w, r, wire.DecodeCreateRegion)
 	if !ok {
-		return
-	}
-	req, err := wire.DecodeCreateRegion(data)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	cfg, err := toConfig(req.Config)
@@ -608,13 +624,8 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	if e == nil {
 		return
 	}
-	data, ok := readBody(w, r)
+	req, ok := decodeBody(w, r, wire.DecodeLoad)
 	if !ok {
-		return
-	}
-	req, err := wire.DecodeLoad(data)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	for i, v := range req.Vectors {
@@ -673,157 +684,204 @@ func (s *Server) handleFree(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// serving reports whether the entry has a built index to search; if
-// not it writes the error response.
-func (e *regionEntry) serving(w http.ResponseWriter) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.be.Built() {
-		writeErr(w, http.StatusConflict, "region %q has no built index (POST .../build first)", e.name)
-		return false
-	}
-	return true
+// --- request pipeline ---
+
+// route is one row of the request table: what differs between the
+// endpoints under /regions/{name}/ that do work (DESIGN.md §6).
+type route[Req, Resp any] struct {
+	trace    string                        // root span name; "" leaves the route untraced
+	tag      func(Req) obs.Tag             // the request's own tag, beside region=<name>
+	decode   func([]byte) (Req, error)     // strict wire decoder; nil: the route takes no body
+	check    func(*regionEntry, Req) error // what only the region can refuse: a wrong width
+	gate     func(*regionEntry) error      // why the region cannot take the request now
+	admitted bool                          // run holds one of the server's in-flight tokens
+	run      func(ctx context.Context, e *regionEntry, req Req, root *obs.Span, start time.Time) (Resp, error)
+	inline   func(*Resp, *obs.TraceData) // puts a forced trace in the response; nil: /tracez only
 }
 
-// writeSearchErr answers a search the backend failed. The handlers have
-// already refused everything a client can get wrong (400) or out of
-// order (409), so what is left is the server's fault: 500 — unless the
-// client has gone away, when there is no one to tell.
-func writeSearchErr(w http.ResponseWriter, r *http.Request, err error) {
-	if errors.Is(err, r.Context().Err()) {
-		return
-	}
-	writeErr(w, http.StatusInternalServerError, "%v", err)
-}
-
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	e := s.entry(w, r)
-	if e == nil {
-		return
-	}
-	data, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	req, err := wire.DecodeSearch(data)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if len(req.Query) != e.dims {
-		writeErr(w, http.StatusBadRequest, "query dim %d, want %d", len(req.Query), e.dims)
-		return
-	}
-	forced := r.Header.Get(TraceHeader) != ""
-	tr := s.tracer.Trace("search", forced,
-		obs.Tag{Key: "region", Value: e.name}, obs.Tag{Key: "k", Value: req.K})
-	root := tr.Root()
-
-	asp := root.Start("admission")
-	release := s.admit(w)
-	asp.End()
-	if release == nil {
-		s.tracer.Finish(tr)
-		return
-	}
-	defer release()
-	if !e.serving(w) {
-		s.tracer.Finish(tr)
-		return
-	}
-	ans, err := e.be.Search(r.Context(), req.Query, req.K, root)
-	if err != nil {
-		s.tracer.Finish(tr)
-		writeSearchErr(w, r, err)
-		return
-	}
-	if ans.Degraded {
-		e.stats.recordDegraded()
-	}
-	e.stats.recordQueries(1, time.Since(start))
-	out := wire.SearchResponse{
-		Results:      toNeighbors(ans.Results),
-		Degraded:     ans.Degraded,
-		FailedShards: ans.FailedShards,
-		Hedges:       ans.Hedges,
-		Replica:      ans.Replica,
-		Gen:          ans.Gen,
-		Failovers:    ans.Failovers,
-	}
-	if td := s.tracer.Finish(tr); forced {
-		out.Trace = td
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	e := s.entry(w, r)
-	if e == nil {
-		return
-	}
-	data, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	req, err := wire.DecodeSearchBatch(data)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	for i, q := range req.Queries {
-		if len(q) != e.dims {
-			writeErr(w, http.StatusBadRequest, "query %d has dim %d, want %d", i, len(q), e.dims)
+// serve is the request path, written once: lookup (404) → decode and
+// check (400) → open the trace, whose tags come from the decoded
+// request → gate (409) → admission (503) → run → status(err).
+//
+// The gate is a lock-free read ahead of admission, so a request that is
+// going to be refused never occupies a slot — and a region mid-build,
+// whose Build holds the entry's lock for a whole BuildIndex, cannot sit
+// on the tokens every other region needs. Once the trace is open every
+// exit, a panic included, leaves through the one deferred function: the
+// token goes back, the trace is finished exactly once, and only then is
+// anything written to w, which is why a recovered panic can still answer.
+func serve[Req, Resp any](s *Server, rt route[Req, Resp]) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		e := s.entry(w, r)
+		if e == nil {
 			return
 		}
+		var req Req
+		if rt.decode != nil {
+			var ok bool
+			if req, ok = decodeBody(w, r, rt.decode); !ok {
+				return
+			}
+			if rt.check != nil {
+				if err := rt.check(e, req); err != nil {
+					writeErr(w, http.StatusBadRequest, "%v", err)
+					return
+				}
+			}
+		}
+		forced := r.Header.Get(TraceHeader) != ""
+		var tr *obs.Trace
+		if rt.trace != "" {
+			tags := append(make([]obs.Tag, 0, 2), obs.Tag{Key: "region", Value: e.name})
+			if rt.tag != nil {
+				tags = append(tags, rt.tag(req))
+			}
+			tr = s.tracer.Trace(rt.trace, forced, tags...)
+		}
+		root := tr.Root()
+		var (
+			resp Resp
+			err  error
+			held bool
+		)
+		defer func() {
+			if p := recover(); p != nil {
+				log.Printf("server: panic serving %s: %v\n%s", r.URL.Path, p, debug.Stack())
+				root.SetTag("panic", true)
+				err = fmt.Errorf("panic: %v", p)
+			}
+			if held {
+				<-s.sem
+			}
+			td := s.tracer.Finish(tr)
+			if err != nil {
+				if code := status(r.Context(), err); code != 0 {
+					writeErr(w, code, "%v", err)
+				}
+				return
+			}
+			if forced && rt.inline != nil {
+				rt.inline(&resp, td)
+			}
+			writeJSON(w, http.StatusOK, &resp)
+		}()
+		if err = rt.gate(e); err != nil {
+			return
+		}
+		if rt.admitted {
+			asp := root.Start("admission")
+			err = s.admit(w)
+			asp.End()
+			if err != nil {
+				return
+			}
+			held = true
+		}
+		resp, err = rt.run(r.Context(), e, req, root, start)
 	}
-	forced := r.Header.Get(TraceHeader) != ""
-	tr := s.tracer.Trace("searchbatch", forced,
-		obs.Tag{Key: "region", Value: e.name}, obs.Tag{Key: "k", Value: req.K})
-	root := tr.Root()
+}
 
-	asp := root.Start("admission")
-	release := s.admit(w)
-	asp.End()
-	if release == nil {
-		s.tracer.Finish(tr)
-		return
+// conflict marks an error as a sequencing refusal: the request is well
+// formed, but the region is not in a state, or of a kind, to take it.
+type conflict struct{ error }
+
+// overloaded is the error of a request shed at admission.
+type overloaded string
+
+func (o overloaded) Error() string { return string(o) }
+
+// status is the one table from a pipeline error to its HTTP status. By
+// the time a route runs, everything a client can get wrong has been
+// refused with 400, so what a backend still returns is a conflict with
+// the region's state or configuration, or the server's own fault. 0
+// means write nothing: the client has gone and there is no one to tell.
+func status(ctx context.Context, err error) int {
+	switch {
+	case errors.Is(err, ctx.Err()):
+		return 0
+	case errors.As(err, new(overloaded)):
+		return http.StatusServiceUnavailable
+	case errors.As(err, new(conflict)), errors.Is(err, ssam.ErrImmutableEngine):
+		return http.StatusConflict
 	}
-	defer release()
-	if !e.serving(w) {
-		s.tracer.Finish(tr)
-		return
+	return http.StatusInternalServerError
+}
+
+// builtGate refuses a region with no built index. Built is an atomic
+// read on every backend kind, so the gate never waits for a build.
+func builtGate(e *regionEntry) error {
+	if !e.be.Built() {
+		return conflict{fmt.Errorf("region %q has no built index (POST .../build first)", e.name)}
 	}
-	bsp := root.Start("batch", obs.Tag{Key: "size", Value: len(req.Queries)})
-	ans, err := e.be.SearchBatch(req.Queries, req.K, bsp)
-	bsp.End()
-	if err != nil {
-		s.tracer.Finish(tr)
-		writeSearchErr(w, r, err)
-		return
-	}
-	if ans.Degraded {
-		e.stats.recordDegraded()
-	}
-	resp := wire.SearchBatchResponse{
-		Results:      make([][]wire.Neighbor, len(ans.Batch)),
-		Degraded:     ans.Degraded,
-		FailedShards: ans.FailedShards,
-		Hedges:       ans.Hedges,
-		Replica:      ans.Replica,
-		Gen:          ans.Gen,
-		Failovers:    ans.Failovers,
-	}
-	for i, res := range ans.Batch {
-		resp.Results[i] = toNeighbors(res)
-	}
-	e.stats.recordBatch(len(req.Queries))
-	e.stats.recordQueries(len(req.Queries), time.Since(start))
-	if td := s.tracer.Finish(tr); forced {
-		resp.Trace = td
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return nil
+}
+
+var searchRoute = route[wire.SearchRequest, wire.SearchResponse]{
+	trace:  "search",
+	tag:    func(req wire.SearchRequest) obs.Tag { return obs.Tag{Key: "k", Value: req.K} },
+	decode: wire.DecodeSearch,
+	check: func(e *regionEntry, req wire.SearchRequest) error {
+		if len(req.Query) != e.dims {
+			return fmt.Errorf("query dim %d, want %d", len(req.Query), e.dims)
+		}
+		return nil
+	},
+	gate:     builtGate,
+	admitted: true,
+	run: func(ctx context.Context, e *regionEntry, req wire.SearchRequest, root *obs.Span, start time.Time) (wire.SearchResponse, error) {
+		ans, err := e.be.Search(ctx, req.Query, req.K, root)
+		if err != nil {
+			return wire.SearchResponse{}, err
+		}
+		if ans.Degraded {
+			e.stats.recordDegraded()
+		}
+		e.stats.recordQueries(1, time.Since(start))
+		return wire.SearchResponse{
+			Results: toNeighbors(ans.Results), Degraded: ans.Degraded, FailedShards: ans.FailedShards,
+			Hedges: ans.Hedges, Replica: ans.Replica, Gen: ans.Gen, Failovers: ans.Failovers,
+		}, nil
+	},
+	inline: func(resp *wire.SearchResponse, td *obs.TraceData) { resp.Trace = td },
+}
+
+var searchBatchRoute = route[wire.SearchBatchRequest, wire.SearchBatchResponse]{
+	trace:  "searchbatch",
+	tag:    func(req wire.SearchBatchRequest) obs.Tag { return obs.Tag{Key: "k", Value: req.K} },
+	decode: wire.DecodeSearchBatch,
+	check: func(e *regionEntry, req wire.SearchBatchRequest) error {
+		for i, q := range req.Queries {
+			if len(q) != e.dims {
+				return fmt.Errorf("query %d has dim %d, want %d", i, len(q), e.dims)
+			}
+		}
+		return nil
+	},
+	gate:     builtGate,
+	admitted: true,
+	run: func(_ context.Context, e *regionEntry, req wire.SearchBatchRequest, root *obs.Span, start time.Time) (wire.SearchBatchResponse, error) {
+		bsp := root.Start("batch", obs.Tag{Key: "size", Value: len(req.Queries)})
+		ans, err := e.be.SearchBatch(req.Queries, req.K, bsp)
+		bsp.End()
+		if err != nil {
+			return wire.SearchBatchResponse{}, err
+		}
+		rows := make([][]wire.Neighbor, len(ans.Batch))
+		for i, res := range ans.Batch {
+			rows[i] = toNeighbors(res)
+		}
+		if ans.Degraded {
+			e.stats.recordDegraded()
+		}
+		e.stats.recordBatch(len(req.Queries))
+		e.stats.recordQueries(len(req.Queries), time.Since(start))
+		return wire.SearchBatchResponse{
+			Results: rows, Degraded: ans.Degraded, FailedShards: ans.FailedShards,
+			Hedges: ans.Hedges, Replica: ans.Replica, Gen: ans.Gen, Failovers: ans.Failovers,
+		}, nil
+	},
+	inline: func(resp *wire.SearchBatchResponse, td *obs.TraceData) { resp.Trace = td },
 }
 
 func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
