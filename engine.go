@@ -474,12 +474,15 @@ func (ip IndexParams) graphParams() graph.Params {
 
 // seedFloat and seedBinary are the migrations BuildIndex arms on Linear
 // regions: the first write calls the armed one to build the engine's
-// mutable successor (dev is nil for Host execution).
+// mutable successor (dev is nil for Host execution). The store's seed
+// rows are the region's own, in place: full slice expressions, so no
+// row can be appended into its neighbour.
 func (r *Region) seedFloat(dev *ssamdev.Device) func() (mutableStore, error) {
 	return func() (mutableStore, error) {
-		rows := make([][]float32, len(r.data)/r.dims)
+		d := r.dims
+		rows := make([][]float32, len(r.data)/d)
 		for i := range rows {
-			rows[i] = r.data[i*r.dims : (i+1)*r.dims]
+			rows[i] = r.data[i*d : (i+1)*d : (i+1)*d]
 		}
 		st := mutate.NewFloat(r.dims, r.cfg.Metric.toVec(), mutate.Options{Vaults: r.cfg.Vaults})
 		return newMutable(st, rows, func(q query) []float32 { return q.f }, dev)

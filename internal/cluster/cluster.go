@@ -268,31 +268,39 @@ func (c *Cluster) Len() int {
 func (c *Cluster) SetFaultHook(fn func(shard, attempt int) error) { c.racer.SetFaultHook(fn) }
 
 // LoadFloat32 partitions a flattened row-major dataset across the
-// shards (nmemcpy, N ways). Reloading replaces the whole dataset.
+// shards (nmemcpy, N ways): each shard's rows are copied once, into a
+// slab sized exactly to them that the shard's region adopts, and the
+// caller keeps data. Reloading replaces the whole dataset.
 func (c *Cluster) LoadFloat32(data []float32) error {
 	if c.freed.Load() {
 		return ssam.ErrFreed
 	}
-	if len(data) == 0 || len(data)%c.dims != 0 {
-		return fmt.Errorf("cluster: data length %d not a positive multiple of dims %d", len(data), c.dims)
+	d := c.dims
+	if len(data) == 0 || len(data)%d != 0 {
+		return fmt.Errorf("cluster: data length %d not a positive multiple of dims %d", len(data), d)
 	}
-	rows := len(data) / c.dims
-	parts := make([][]float32, len(c.shards))
+	rows := len(data) / d
+	// Place every row first, so each shard's slab is allocated once, exactly.
 	ids := make([][]int, len(c.shards))
 	for i := 0; i < rows; i++ {
-		row := data[i*c.dims : (i+1)*c.dims]
-		si := c.shardOf(i, row)
-		parts[si] = append(parts[si], row...)
+		si := c.shardOf(i, data[i*d:(i+1)*d])
 		ids[si] = append(ids[si], i)
+	}
+	parts := make([][]float32, len(c.shards))
+	for si, own := range ids {
+		parts[si] = make([]float32, 0, len(own)*d)
+		for _, i := range own {
+			parts[si] = append(parts[si], data[i*d:(i+1)*d]...)
+		}
 	}
 	next := shardSet{parts: make([]part, len(c.shards)), rows: rows, built: new(atomic.Bool)}
 	for si := range next.parts {
 		if len(ids[si]) == 0 {
 			continue
 		}
-		region, err := ssam.New(c.dims, c.cfg)
+		region, err := ssam.New(d, c.cfg)
 		if err == nil {
-			err = region.LoadFloat32(parts[si])
+			err = region.AdoptFloat32(parts[si])
 		}
 		if err != nil {
 			next.free() // the set being replaced is untouched and still serving

@@ -52,7 +52,10 @@ func lifeQueries() [][]float32 {
 // searchUntil runs lifeSearchers goroutines, alternating Search and
 // SearchBatch, until stop closes. Every success must match one of the
 // oracles in full; every error must be one of the two documented
-// refusals. It returns how many searches succeeded.
+// refusals. It returns once the first search has reached the cluster —
+// on one core the searchers would otherwise get no turn before the
+// caller's reloads or teardown end — and wait returns how many
+// searches succeeded.
 func searchUntil(t *testing.T, cl *Cluster, qs [][]float32, stop <-chan struct{}, oracles ...[][]ssam.Result) (wait func() uint64) {
 	t.Helper()
 	var wg sync.WaitGroup
@@ -101,6 +104,9 @@ func searchUntil(t *testing.T, cl *Cluster, qs [][]float32, stop <-chan struct{}
 			}
 		}(g)
 	}
+	for cl.ShardStat(0).Queries == 0 && !t.Failed() {
+		runtime.Gosched()
+	}
 	return func() uint64 { wg.Wait(); return ok.Load() }
 }
 
@@ -142,9 +148,6 @@ func TestFreeUnderSearch(t *testing.T) {
 		cl := buildCluster(t, data, lifeDims, ssam.Config{}, Options{Shards: lifeShards})
 		stop := make(chan struct{})
 		wait := searchUntil(t, cl, qs, stop, want)
-		for cl.ShardStat(0).Queries == 0 && !t.Failed() {
-			runtime.Gosched() // let the searchers get going before the teardown
-		}
 		cl.Free()
 		if _, err := cl.Search(qs[0], lifeK); !errors.Is(err, ssam.ErrFreed) {
 			t.Fatalf("search after Free = %v, want ErrFreed", err)

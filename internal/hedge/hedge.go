@@ -73,9 +73,6 @@ const Primary, Hedge, Failover = "", "hedge", "failover"
 // ErrDeadline is Race's answer when Plan.Deadline expires first.
 var ErrDeadline = fmt.Errorf("hedge: deadline exceeded")
 
-// PanicError is the error of an attempt that panicked.
-type PanicError = par.PanicError
-
 // Racer is what outlives one race: the fault hook and the timer seam.
 type Racer struct {
 	fault atomic.Pointer[func(target, attempt int) error]
@@ -150,7 +147,7 @@ func Race[T, G any](r *Racer, gen *Gen[G], p Plan[T]) (val T, info Info, err err
 				return err
 			})
 			if out.err != nil {
-				if errors.As(out.err, new(*PanicError)) {
+				if errors.As(out.err, new(*par.PanicError)) {
 					asp.SetTag("panic", true)
 				}
 				asp.SetTag("error", out.err.Error())

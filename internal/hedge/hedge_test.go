@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"ssam/internal/obs"
+	"ssam/internal/par"
 )
 
 // Fake durations: the timer seam hands out one hand-fired channel per
@@ -350,9 +351,9 @@ func TestPanicIsTheAttemptsError(t *testing.T) {
 	gen2 := h.cell.Acquire()
 	defer gen2.Release()
 	_, _, err = Race(&h.racer, gen2, h.plan(false, false))
-	var pe *PanicError
+	var pe *par.PanicError
 	if !errors.As(err, &pe) || pe.Value != errA || !strings.Contains(string(pe.Stack), "hedge") {
-		t.Fatalf("err = %v, want a *PanicError carrying the value and a stack", err)
+		t.Fatalf("err = %v, want a *par.PanicError carrying the value and a stack", err)
 	}
 	if !strings.Contains(pe.Error(), "a failed") {
 		t.Fatalf("PanicError message %q does not name the value", pe.Error())

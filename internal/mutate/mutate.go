@@ -139,7 +139,7 @@ type Store[V any] struct {
 	opts  Options
 	dim   int           // for Stats.Dims accounting and error text
 	check func(V) error // row validation (width, finiteness is wire's job)
-	clone func(V) V     // defensive copy on insert
+	clone func(V) V     // defensive copy on upsert (seeded rows are kept as given)
 	// prep readies a query batch for scanning: the function it returns
 	// starts one scan of the batch, retaining the k closest rows offered
 	// for each query. A serial search runs one scan, a vault-parallel
@@ -310,6 +310,12 @@ func newStore[V any](dim int, opts Options, check func(V) error, clone func(V) V
 // only valid on an empty store (no prior Seed or mutation) and does not
 // advance the sequence number: the seed is the dataset the first
 // mutation mutates.
+//
+// The store keeps the rows it is given, not copies: a seeded row is
+// never written in place — a later upsert of its id stores a clone
+// elsewhere and tombstones it, and compaction moves only row headers —
+// so the caller may hand over rows it shares with a read-only engine,
+// and must not write them itself.
 func (s *Store[V]) Seed(ids []int, rows []V) error {
 	if len(ids) != len(rows) {
 		return fmt.Errorf("mutate: %d ids for %d rows", len(ids), len(rows))
@@ -346,7 +352,7 @@ func (s *Store[V]) Seed(ids []int, rows []V) error {
 			if _, dup := s.index[id]; dup {
 				return fmt.Errorf("mutate: duplicate id %d in seed", id)
 			}
-			vs.rows = append(vs.rows, s.clone(rows[i]))
+			vs.rows = append(vs.rows, rows[i])
 			vs.ids = append(vs.ids, id)
 			s.index[id] = loc{v, len(vs.ids) - 1}
 		}

@@ -101,6 +101,57 @@ func TestSeedMatchesEngine(t *testing.T) {
 	}
 }
 
+// TestSeedKeepsRows pins Seed's half of the one-copy contract: the store
+// keeps the seeded rows themselves, not copies, and never writes them —
+// an upsert over a seeded id stores a fresh row, and compaction and a
+// rebalance move only row headers.
+func TestSeedKeepsRows(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	const n, dim = 200, 6
+	slab := flatten(randRows(r, n, dim))
+	rows := make([][]float32, n)
+	for i := range rows {
+		rows[i] = slab[i*dim : (i+1)*dim : (i+1)*dim]
+	}
+	kept := append([]float32(nil), slab...)
+	s := NewFloat(dim, vec.Euclidean, Options{Vaults: 4})
+	if err := s.Seed(seqIDs(n), rows); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{0, n / 2, n - 1} {
+		if got, _ := s.Get(id); &got[0] != &rows[id][0] {
+			t.Fatalf("seeded row %d is a copy, not the caller's row", id)
+		}
+	}
+	// Overwrite vault 0's ids and delete vaults 1 and 2's, then compact:
+	// the three vaults are rewritten, which leaves vault 3 holding most
+	// of the rows, so the same pass rebalances.
+	for id := 0; id < n/4; id++ {
+		if _, err := s.Upsert(id, randRows(r, 1, dim)[0]); err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := s.Get(id); &got[0] == &rows[id][0] {
+			t.Fatalf("upsert of id %d wrote the seeded row in place", id)
+		}
+	}
+	for id := n / 4; id < 3*n/4; id++ {
+		s.Delete(id)
+	}
+	if res := s.CompactOnce(); res.VaultsRewritten == 0 || !res.Rebalanced {
+		t.Fatalf("compaction did not rewrite and rebalance: %+v", res)
+	}
+	for id := 3 * n / 4; id < n; id++ {
+		if got, ok := s.Get(id); !ok || &got[0] != &rows[id][0] {
+			t.Fatalf("after compaction, untouched seeded row %d is not the caller's row", id)
+		}
+	}
+	for i := range slab {
+		if math.Float32bits(slab[i]) != math.Float32bits(kept[i]) {
+			t.Fatalf("seeded slab written at element %d (row %d)", i, i/dim)
+		}
+	}
+}
+
 func TestUpsertDeleteBasics(t *testing.T) {
 	s := NewFloat(2, vec.Euclidean, Options{Vaults: 2})
 	if got := s.Seq(); got != 0 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -190,18 +191,13 @@ func (r *Registry) Histogram(name, help string, labels Labels, bounds []float64)
 // Unregister removes every series whose labels include all of match
 // (e.g. Labels{"region": "glove"} removes a freed region's series
 // across all families). Families left empty disappear from the
-// rendered output.
+// rendered output. A removed series is unreachable from the registry
+// afterwards, so neither is whatever its callback captured.
 func (r *Registry) Unregister(match Labels) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, f := range r.families {
-		kept := f.series[:0]
-		for _, s := range f.series {
-			if !labelsMatch(s.labels, match) {
-				kept = append(kept, s)
-			}
-		}
-		f.series = kept
+		f.series = slices.DeleteFunc(f.series, func(s *series) bool { return labelsMatch(s.labels, match) })
 	}
 }
 

@@ -120,9 +120,10 @@ func (s *Server) newGroupBackend(e *regionEntry, req wire.CreateRegionRequest) (
 	return &groupBackend{Group: group, s: s, e: e}, nil
 }
 
-// buildReplicaBackend constructs one replica's backend from a
-// snapshot of the staged dataset: load, build index, wrap. data is
-// read-only here (several builds read it concurrently during a swap).
+// buildReplicaBackend constructs one replica's backend over the entry's
+// slab: load, build index, wrap. Every replica of a generation adopts
+// the same slab (no slab is written once handed out), or, sharded,
+// partitions it into its own cluster.
 func (s *Server) buildReplicaBackend(e *regionEntry, data []float32) (replica.Backend, error) {
 	if e.cfgWire.Sharding != nil {
 		c, err := cluster.New(e.dims, e.cfg, e.shardOpts)
@@ -143,7 +144,7 @@ func (s *Server) buildReplicaBackend(e *regionEntry, data []float32) (replica.Ba
 	if err != nil {
 		return nil, err
 	}
-	if err := r.LoadFloat32(data); err != nil {
+	if err := r.AdoptFloat32(data); err != nil {
 		r.Free()
 		return nil, err
 	}
@@ -154,16 +155,15 @@ func (s *Server) buildReplicaBackend(e *regionEntry, data []float32) (replica.Ba
 	return replica.WrapRegion(r), nil
 }
 
-// swap runs one generational swap from the entry's staged dataset.
-// The data snapshot is copied under e.mu (handleLoad reuses the staging
-// slice's backing array, so the swap must not share it), but the swap
-// itself — backend builds, warming, cutover, drain — runs outside e.mu
-// so /statsz, searches, and metric scrapes keep flowing while the new
-// generation is under construction.
+// swap runs one generational swap from the entry's staged dataset. The
+// slab is read under e.mu, but the swap itself — backend builds,
+// warming, cutover, drain — runs outside e.mu so /statsz, searches, and
+// metric scrapes keep flowing while the new generation is under
+// construction.
 func (b *groupBackend) swap() (replica.SwapStats, error) {
 	e := b.e
 	e.mu.Lock()
-	data := append([]float32(nil), e.data...)
+	data := e.data
 	e.mu.Unlock()
 
 	// Warm each new replica with a few staged rows as queries.

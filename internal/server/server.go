@@ -152,8 +152,13 @@ type regionEntry struct {
 
 	be backend // fixed at create time
 
-	mu   sync.Mutex // guards load/build/free on the backend and data
-	data []float32  // accumulated rows, so Append loads can restage
+	mu sync.Mutex // guards load/build/free on the backend and data
+	// data is the dataset's one slab: every load builds a fresh one, the
+	// backend adopts it (DESIGN.md, "Who owns the rows"), and nothing
+	// writes it after that. Append loads and replica generations restage
+	// from it. nil once loaded means the rows live only in a
+	// storage-backed region's backing file.
+	data []float32
 }
 
 // answer is a backend's reply to a search: the superset of what the
@@ -171,7 +176,8 @@ type answer struct {
 }
 
 // backend is what an entry serves from. Load, Len, Describe and Free
-// are called with the entry's mu held; Build is called without it and
+// are called with the entry's mu held; Load may keep the rows it is
+// handed without copying them. Build is called without the lock and
 // takes it for as long as the kind needs (a replica group builds a
 // whole generation outside the lock, so searches and scrapes keep
 // flowing); Built, Search, SearchBatch and Pending are lock-free —
@@ -207,7 +213,7 @@ type regionBackend struct {
 }
 
 func (b *regionBackend) Load(rows []float32) error {
-	if err := b.LoadFloat32(rows); err != nil {
+	if err := b.AdoptFloat32(rows); err != nil {
 		return err
 	}
 	// A reload invalidates the built index; stop batching until the
@@ -231,6 +237,11 @@ func (b *regionBackend) Build() error {
 	defer b.e.mu.Unlock()
 	if err := b.BuildIndex(); err != nil {
 		return err
+	}
+	if b.e.cfg.Storage != nil && b.e.cfg.Execution == ssam.Host {
+		// The region let go of the slab for its backing file; so does the
+		// entry, or out of core would still mean in RAM.
+		b.e.data = nil
 	}
 	// Built Linear regions can take writes; surface compaction passes
 	// in /tracez and the region counters from the moment that becomes
@@ -638,16 +649,27 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !req.Append {
-		e.data = e.data[:0]
+	var kept []float32
+	if req.Append {
+		if e.data == nil && e.be.Len() > 0 {
+			writeErr(w, http.StatusConflict, "region %q: rows live in the backing file; reload with append=false", e.name)
+			return
+		}
+		kept = e.data
 	}
+	// Every load stages a fresh slab, sized exactly, for the backend to
+	// adopt: the one it replaces may still be serving, so it is never
+	// written again.
+	data := make([]float32, len(kept), len(kept)+len(req.Vectors)*e.dims)
+	copy(data, kept)
 	for _, v := range req.Vectors {
-		e.data = append(e.data, v...)
+		data = append(data, v...)
 	}
-	if err := e.be.Load(e.data); err != nil {
+	if err := e.be.Load(data); err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	e.data = data
 	writeJSON(w, http.StatusOK, e.info())
 }
 

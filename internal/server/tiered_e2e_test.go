@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -157,6 +158,89 @@ func TestTieredRegionEndToEnd(t *testing.T) {
 	if err := c.Free(ctx, "big"); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestTieredRegionIsOutOfCore: once a storage-backed region is built,
+// its rows live in the backing file alone — the server keeps no staged
+// copy beside the page cache, so the live heap grows by at most the
+// budget plus a tenth of the dataset — and its answers stay bit-exact.
+// With no rows left in RAM to restage from, an append is refused with
+// 409; a full reload and a build serve the new dataset.
+func TestTieredRegionIsOutOfCore(t *testing.T) {
+	const (
+		n, dim, k = 8192, 64, 5
+		budget    = 0.5 // of the dataset: two of the four vault pages
+	)
+	rows, queries := testData(n, 8, dim)
+	ctx := context.Background()
+	oracle := func(rows [][]float32) *ssam.Region {
+		r, err := ssam.New(dim, ssam.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(r.Free)
+		if err := r.LoadFloat32(flatten(rows)); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.BuildIndex(); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	exact := func(c *client.Client, ref *ssam.Region) {
+		t.Helper()
+		for i, q := range queries {
+			served, err := c.Search(ctx, "ooc", q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := ref.Search(q, k)
+			if len(served) != len(want) {
+				t.Fatalf("query %d: served %d results, want %d", i, len(served), len(want))
+			}
+			for j := range want {
+				if served[j].ID != want[j].ID || served[j].Distance != want[j].Dist {
+					t.Fatalf("query %d rank %d: served %+v, want %+v", i, j, served[j], want[j])
+				}
+			}
+		}
+	}
+	full, half := oracle(rows), oracle(rows[:n/2])
+
+	srv := server.New(server.Options{})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+	c := client.New(ts.URL, client.WithTimeout(time.Minute))
+	before := liveHeap()
+	if _, err := c.CreateRegion(ctx, "ooc", dim, wire.RegionConfig{Vaults: 4, Storage: &wire.StorageConfig{
+		Path: filepath.Join(t.TempDir(), "ooc.tier"), BudgetBytes: int64(budget * n * dim * 4),
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Load(ctx, "ooc", rows); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Build(ctx, "ooc"); err != nil {
+		t.Fatal(err)
+	}
+	exact(c, full)
+	if grew := float64(liveHeap()-before) / (n * dim * 4); grew > 0.10+budget {
+		t.Errorf("a storage-backed region at a %.2f budget holds %.3f x its dataset in RAM, want <= %.2f", budget, grew, 0.10+budget)
+	}
+
+	var se *client.StatusError
+	if _, err := c.LoadAppend(ctx, "ooc", rows[:1]); !errors.As(err, &se) || se.Code != http.StatusConflict {
+		t.Fatalf("append to a built storage-backed region = %v, want 409", err)
+	}
+	exact(c, full) // the refused append changed nothing
+
+	if _, err := c.Load(ctx, "ooc", rows[:n/2]); err != nil {
+		t.Fatalf("full reload: %v", err)
+	}
+	if _, err := c.Build(ctx, "ooc"); err != nil {
+		t.Fatalf("build after the reload: %v", err)
+	}
+	exact(c, half)
 }
 
 // TestTieredRegionRaggedPagesOverHTTP: vaults is on the wire, and 100

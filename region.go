@@ -176,8 +176,19 @@ func (r *Region) Len() int {
 }
 
 // LoadFloat32 copies a flattened row-major dataset into the region
-// (nmemcpy). Not valid for Hamming regions.
+// (nmemcpy): the caller keeps data and may change it afterwards. Not
+// valid for Hamming regions.
 func (r *Region) LoadFloat32(data []float32) error {
+	return r.AdoptFloat32(slices.Clone(data))
+}
+
+// AdoptFloat32 is LoadFloat32 without the copy: the region keeps
+// data[:len(data):len(data)] as its dataset, and every engine built over
+// it — the mutable store a first write seeds included — reads those rows
+// in place and never writes them. The caller must never write
+// data[:len(data)] again; appending past its length is harmless. Several
+// regions may adopt the same slab.
+func (r *Region) AdoptFloat32(data []float32) error {
 	if r.freed.Load() {
 		return ErrFreed
 	}
@@ -190,7 +201,7 @@ func (r *Region) LoadFloat32(data []float32) error {
 	// A reload replaces the logical dataset wholesale: the engine (and a
 	// mutable store it may have become) is stale.
 	r.dropEngine()
-	r.data = append([]float32(nil), data...)
+	r.data = data[:len(data):len(data)]
 	r.loaded = true
 	return nil
 }
