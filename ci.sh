@@ -21,6 +21,12 @@ GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./internal/vec
 go test -race ./...
 
+# Fan-out width check: PQ training and encoding split their rows over
+# every core, and the codebooks and codes must be the same bits however
+# many there are. The golden digests and the scalar oracle run at three
+# widths, so output that depends on GOMAXPROCS fails here.
+go test -count=1 -cpu 1,2,4 -run 'Golden|ScalarArgmin' ./internal/pq
+
 # Benchmark smoke: compile and run every benchmark once so a bench
 # that rots (bad setup, panic, API drift) fails the gate, without
 # paying for real measurement iterations.

@@ -160,13 +160,19 @@ func NewPQScan(data []float32, dim int, metric vec.Metric, p PQParams, workers, 
 	default:
 		return nil, fmt.Errorf("knn: pq engine does not support metric %s", metric)
 	}
-	cb, err := pq.Train(encodeData, dim, pq.Params{M: p.M, Sample: p.Sample, Seed: p.Seed})
-	if err != nil {
+	// Training and encoding fan out over every core; a panic in one of
+	// their chunks comes back on this goroutine and is the build's error.
+	var codes []byte
+	if err := par.Safe(func() (err error) {
+		if e.cb, err = pq.Train(encodeData, dim, pq.Params{M: p.M, Sample: p.Sample, Seed: p.Seed}); err != nil {
+			return err
+		}
+		codes = e.cb.Encode(encodeData)
+		return nil
+	}); err != nil {
 		return nil, err
 	}
-	e.cb = cb
-	codes := cb.Encode(encodeData)
-	m := cb.M()
+	m := e.cb.M()
 	chunk := (e.n + e.vaults - 1) / e.vaults
 	e.starts = []int{0}
 	for lo := 0; lo < e.n; lo += chunk {

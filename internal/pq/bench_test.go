@@ -42,6 +42,36 @@ func BenchmarkScan(b *testing.B) {
 	}
 }
 
+// BenchmarkTrain times codebook training at the spine's shape: M = 8,
+// the default sample and iteration bound. ns/row is per sampled row,
+// the rows the k-means assigns each iteration.
+func BenchmarkTrain(b *testing.B) {
+	data := genData(1, benchRows, benchDim)
+	p := Params{M: 8, Seed: 1}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Train(data, benchDim, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/min(DefaultSample, benchRows), "ns/row")
+}
+
+// BenchmarkEncode times coding every row of the spine's shape against
+// an M = 8 codebook. ns/row is per database row.
+func BenchmarkEncode(b *testing.B) {
+	data := genData(1, benchRows, benchDim)
+	cb, err := Train(data[:1024*benchDim], benchDim, Params{M: 8, Sample: 1024, Iterations: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cb.Encode(data)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchRows, "ns/row")
+}
+
 // BenchmarkTable times one query's M×Ks lookup-table build at the
 // spine's width and code size.
 func BenchmarkTable(b *testing.B) {

@@ -15,14 +15,22 @@
 // Codebook training (Train) is deterministic: the training sample, the
 // k-means initialization, and the empty-cluster reseeds are all drawn
 // from one seeded generator, so the same data and Params produce
-// bit-identical codebooks on every run.
+// bit-identical codebooks on every run. The one expensive step, the
+// nearest-centroid assignment shared by training and encoding, runs
+// through vec.Tile's block kernel on every core; everything that
+// depends on more than one row at a time stays serial and in order, so
+// the codebooks and codes are the same bits at any GOMAXPROCS.
 package pq
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
+
+	"ssam/internal/par"
+	"ssam/internal/vec"
 )
 
 // Ks is the number of centroids per subquantizer. It is fixed at 256
@@ -162,7 +170,7 @@ func (cb *Codebook) trainSub(rng *rand.Rand, data []float32, sample []int, j, it
 		copy(cents[c*sub:(c+1)*sub], data[row*cb.dim+lo:row*cb.dim+hi])
 	}
 
-	assign := make([]int, ns)
+	assign, next := make([]int, ns), make([]int, ns)
 	dists := make([]float64, ns)
 	sum := make([]float64, Ks*sub)
 	count := make([]int, Ks)
@@ -170,11 +178,16 @@ func (cb *Codebook) trainSub(rng *rand.Rand, data []float32, sample []int, j, it
 		assign[i] = -1
 	}
 	for it := 0; it < iters; it++ {
+		// Only the assignment fans out; the changed check, the sums in
+		// sample order and the reseeds below stay on this goroutine.
+		nearest(cents, sub, ns, func(i int) []float32 {
+			row := sample[i]
+			return data[row*cb.dim+lo : row*cb.dim+hi]
+		}, func(i, c int, d float64) {
+			next[i], dists[i] = c, d
+		})
 		changed := false
-		for i, row := range sample {
-			v := data[row*cb.dim+lo : row*cb.dim+hi]
-			c, d := nearestCentroid(cents, sub, v)
-			dists[i] = d
+		for i, c := range next {
 			if c != assign[i] {
 				assign[i] = c
 				changed = true
@@ -232,22 +245,85 @@ func (cb *Codebook) trainSub(rng *rand.Rand, data []float32, sample []int, j, it
 	}
 }
 
-// nearestCentroid returns the index of the centroid nearest v under
-// squared L2 (ties to the lowest index) and the distance to it.
-func nearestCentroid(cents []float32, sub int, v []float32) (int, float64) {
-	best, bestD := 0, math.Inf(1)
-	for c := 0; c*sub < len(cents); c++ {
-		cent := cents[c*sub : (c+1)*sub]
-		var acc float64
-		for d := range cent {
-			diff := float64(v[d]) - float64(cent[d])
-			acc += diff * diff
+// chunkRows is how many rows one index of the assignment fan-out
+// scores: a few hundred microseconds of kernel work at the spine's
+// width, so the fan-out's bookkeeping is noise beside it and a core
+// that finishes early finds more chunks to claim.
+const chunkRows = 256
+
+// nearest is the assignment step of training and encoding: for each of
+// the n subvectors row(0) … row(n-1), sub wide, it calls set(i, c, d)
+// with the index c of the nearest of the Ks centroids in cents under
+// squared L2 and the distance d to it.
+//
+// The centroids are the queries of a vec.Tile built here and dropped on
+// return, never kept (it is Ks·sub float64s). Block scores four rows a
+// call — they need not be adjacent — and returns the float64 sum a
+// scalar loop takes, bit for bit; a chunk's last block repeats its last
+// row into the lanes it has no row for. Rows run in chunks of chunkRows
+// on every core, and since a row's answer depends on that row alone,
+// set sees the same (i, c, d) at any GOMAXPROCS; it is called
+// concurrently for distinct i. A panic in a chunk is re-raised on the
+// caller's goroutine as the *par.PanicError the fan-out turned it into.
+func nearest(cents []float32, sub, n int, row func(i int) []float32, set func(i, c int, d float64)) {
+	qs := make([][]float32, Ks)
+	for c := range qs {
+		qs[c] = cents[c*sub : (c+1)*sub]
+	}
+	t := vec.NewTile(vec.Euclidean, qs)
+	chunks := (n + chunkRows - 1) / chunkRows
+	err := par.Each(chunks, runtime.GOMAXPROCS(0), func(k int) error {
+		lanes, out := t.Lanes(), make([]float64, vec.BlockRows*Ks)
+		lo, hi := k*chunkRows, min((k+1)*chunkRows, n)
+		var rows [vec.BlockRows][]float32
+		for i := lo; i < hi; i += vec.BlockRows {
+			for r := range rows {
+				rows[r] = row(min(i+r, hi-1))
+			}
+			t.Block(&rows, lanes, out)
+			best, dist := argmin(out)
+			for r := range min(vec.BlockRows, hi-i) {
+				set(i+r, best[r], dist[r])
+			}
 		}
-		if acc < bestD {
-			best, bestD = c, acc
+		return nil
+	})
+	if err != nil {
+		panic(err)
+	}
+}
+
+// argmin writes out one compare per lane of a Block: this fails to
+// compile unless there are four.
+const _ = uint(vec.BlockRows-4) + uint(4-vec.BlockRows)
+
+// argmin is the package's one argmin. For each lane r of a Block
+// output it returns the index of the least of the Ks distances
+// out[c*BlockRows+r] and that distance. Each lane starts at +Inf and
+// moves only on a strictly smaller value, so ties go to the lowest
+// index and a NaN never wins: a row whose every distance is NaN or +Inf
+// answers centroid 0 at +Inf. The lanes are written out, not looped
+// over, so their minima stay in registers.
+func argmin(out []float64) (best [vec.BlockRows]int, dist [vec.BlockRows]float64) {
+	inf := math.Inf(1)
+	dist = [vec.BlockRows]float64{inf, inf, inf, inf}
+	out = out[:vec.BlockRows*Ks]
+	for c := 0; c < Ks; c++ {
+		o := (*[vec.BlockRows]float64)(out[c*vec.BlockRows:])
+		if o[0] < dist[0] {
+			best[0], dist[0] = c, o[0]
+		}
+		if o[1] < dist[1] {
+			best[1], dist[1] = c, o[1]
+		}
+		if o[2] < dist[2] {
+			best[2], dist[2] = c, o[2]
+		}
+		if o[3] < dist[3] {
+			best[3], dist[3] = c, o[3]
 		}
 	}
-	return best, bestD
+	return best, dist
 }
 
 // M returns the subquantizer count.
@@ -273,22 +349,32 @@ func (cb *Codebook) EncodeVec(v []float32, dst []byte) {
 	if len(v) != cb.dim {
 		panic("pq: dimension mismatch")
 	}
-	for j := 0; j < cb.m; j++ {
-		lo, hi := cb.starts[j], cb.starts[j+1]
-		c, _ := nearestCentroid(cb.cents[Ks*lo:Ks*hi], hi-lo, v[lo:hi])
-		dst[j] = byte(c)
-	}
+	cb.encode(v, dst[:cb.m])
 }
 
 // Encode codes every row of the flattened database, returning n*M
-// row-major code bytes.
+// row-major code bytes. The data must hold whole rows.
 func (cb *Codebook) Encode(data []float32) []byte {
-	n := len(data) / cb.dim
-	codes := make([]byte, n*cb.m)
-	for i := 0; i < n; i++ {
-		cb.EncodeVec(data[i*cb.dim:(i+1)*cb.dim], codes[i*cb.m:(i+1)*cb.m])
+	if len(data)%cb.dim != 0 {
+		panic("pq: dimension mismatch")
 	}
+	codes := make([]byte, len(data)/cb.dim*cb.m)
+	cb.encode(data, codes)
 	return codes
+}
+
+// encode writes the codes of data's rows into codes, one subspace at a
+// time so that only one centroid tile is alive at once.
+func (cb *Codebook) encode(data []float32, codes []byte) {
+	n := len(data) / cb.dim
+	for j := 0; j < cb.m; j++ {
+		lo, hi := cb.starts[j], cb.starts[j+1]
+		nearest(cb.cents[Ks*lo:Ks*hi], hi-lo, n, func(i int) []float32 {
+			return data[i*cb.dim+lo : i*cb.dim+hi]
+		}, func(i, c int, _ float64) {
+			codes[i*cb.m+j] = byte(c)
+		})
+	}
 }
 
 // Decode reconstructs the centroid approximation of an M-byte code

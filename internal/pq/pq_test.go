@@ -1,11 +1,13 @@
 package pq
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"ssam/internal/par"
 	"ssam/internal/vec"
 )
 
@@ -377,6 +379,120 @@ func TestEncodeVecDimMismatchPanics(t *testing.T) {
 		}
 	}()
 	cb.EncodeVec(data[:4], make([]byte, 2))
+}
+
+func TestEncodeDimMismatchPanics(t *testing.T) {
+	data := genData(12, 100, 8)
+	cb, err := Train(data, 8, Params{M: 2, Sample: 64, Iterations: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if msg, _ := recover().(string); msg != "pq: dimension mismatch" {
+			t.Fatalf("Encode of a trailing partial row: recovered %q", msg)
+		}
+	}()
+	cb.Encode(data[:len(data)-3])
+}
+
+// nearestCentroid returns the index of the centroid nearest v under
+// squared L2 (ties to the lowest index) and the distance to it. It is
+// the scalar one-goroutine loop training and encoding ran before they
+// went through vec.Tile, kept unchanged as their oracle.
+func nearestCentroid(cents []float32, sub int, v []float32) (int, float64) {
+	best, bestD := 0, math.Inf(1)
+	for c := 0; c*sub < len(cents); c++ {
+		cent := cents[c*sub : (c+1)*sub]
+		var acc float64
+		for d := range cent {
+			diff := float64(v[d]) - float64(cent[d])
+			acc += diff * diff
+		}
+		if acc < bestD {
+			best, bestD = c, acc
+		}
+	}
+	return best, bestD
+}
+
+// Encode, per-row EncodeVec and the scalar oracle must agree on every
+// code byte at every subspace width from 1 to 17, on codebooks built to
+// break an argmin: duplicated centroids, rows sitting on a centroid,
+// small-integer coordinates where equal distances are common, and NaN
+// and ±Inf in both centroids and rows. The row count leaves a partial
+// block and spills into a second chunk.
+func TestEncodeMatchesScalarArgmin(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	specials := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
+	draw := func(ties bool) float32 {
+		switch {
+		case rng.Intn(40) == 0:
+			return specials[rng.Intn(len(specials))]
+		case ties:
+			return float32(rng.Intn(3))
+		}
+		return float32(rng.NormFloat64())
+	}
+	const m, n = 3, chunkRows + 7
+	for w := 1; w <= 17; w++ {
+		for _, ties := range []bool{false, true} {
+			dim := m * w
+			cb := &Codebook{dim: dim, m: m, starts: subspaceStarts(dim, m), cents: make([]float32, Ks*dim)}
+			for i := range cb.cents {
+				cb.cents[i] = draw(ties)
+			}
+			for j := 0; j < m; j++ {
+				for c := 5; c < Ks; c += 7 { // every seventh centroid repeats an earlier one
+					copy(cb.Centroid(j, c), cb.Centroid(j, c-5))
+				}
+			}
+			data := make([]float32, n*dim)
+			for i := range data {
+				data[i] = draw(ties)
+			}
+			for i := 0; i < n; i += 9 { // every ninth row sits on a centroid
+				for j := 0; j < m; j++ {
+					copy(data[i*dim+cb.starts[j]:], cb.Centroid(j, rng.Intn(Ks)))
+				}
+			}
+
+			codes := cb.Encode(data)
+			code := make([]byte, m)
+			for i := 0; i < n; i++ {
+				v := data[i*dim : (i+1)*dim]
+				cb.EncodeVec(v, code)
+				for j := 0; j < m; j++ {
+					lo, hi := cb.starts[j], cb.starts[j+1]
+					want, _ := nearestCentroid(cb.cents[Ks*lo:Ks*hi], hi-lo, v[lo:hi])
+					if got := codes[i*m+j]; int(got) != want || code[j] != got {
+						t.Fatalf("width %d ties %v row %d sub %d: Encode %d, EncodeVec %d, oracle %d",
+							w, ties, i, j, got, code[j], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// A panic in one chunk of the assignment fan-out must come back on the
+// caller's goroutine as a *par.PanicError, where a recover can take it,
+// and not kill the process from a worker.
+func TestAssignmentPanicReachesCaller(t *testing.T) {
+	const sub, n = 2, 3 * chunkRows
+	cents := make([]float32, Ks*sub)
+	row := make([]float32, sub)
+	err := par.Safe(func() error {
+		nearest(cents, sub, n, func(int) []float32 { return row }, func(i, _ int, _ float64) {
+			if i == 2*chunkRows+5 {
+				panic("boom")
+			}
+		})
+		return nil
+	})
+	var pe *par.PanicError
+	if !errors.As(err, &pe) || pe.Value != "boom" {
+		t.Fatalf("got %v, want the chunk's panic", err)
+	}
 }
 
 // Degenerate data: all rows identical leaves 255 of 256 clusters empty
