@@ -16,6 +16,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -225,6 +226,10 @@ func readErrorBody(r io.Reader) string {
 
 // --- driver calls (Fig. 4 over HTTP) ---
 
+// regionPath is the path of region name's endpoint op ("/load", …; ""
+// for the region itself), the name escaped as the one segment it is.
+func regionPath(name, op string) string { return "/regions/" + url.PathEscape(name) + op }
+
 // CreateRegion allocates a named region on the server (nmalloc+nmode).
 func (c *Client) CreateRegion(ctx context.Context, name string, dims int, cfg wire.RegionConfig) (wire.RegionInfo, error) {
 	var info wire.RegionInfo
@@ -236,7 +241,7 @@ func (c *Client) CreateRegion(ctx context.Context, name string, dims int, cfg wi
 // Load replaces the region's dataset with vectors (nmemcpy).
 func (c *Client) Load(ctx context.Context, name string, vectors [][]float32) (wire.RegionInfo, error) {
 	var info wire.RegionInfo
-	err := c.do(ctx, http.MethodPost, "/regions/"+name+"/load",
+	err := c.do(ctx, http.MethodPost, regionPath(name, "/load"),
 		wire.LoadRequest{Vectors: vectors}, &info, false)
 	return info, err
 }
@@ -244,7 +249,7 @@ func (c *Client) Load(ctx context.Context, name string, vectors [][]float32) (wi
 // LoadAppend streams additional vectors into the region.
 func (c *Client) LoadAppend(ctx context.Context, name string, vectors [][]float32) (wire.RegionInfo, error) {
 	var info wire.RegionInfo
-	err := c.do(ctx, http.MethodPost, "/regions/"+name+"/load",
+	err := c.do(ctx, http.MethodPost, regionPath(name, "/load"),
 		wire.LoadRequest{Vectors: vectors, Append: true}, &info, false)
 	return info, err
 }
@@ -252,7 +257,7 @@ func (c *Client) LoadAppend(ctx context.Context, name string, vectors [][]float3
 // Build constructs the region's index (nbuild_index).
 func (c *Client) Build(ctx context.Context, name string) (wire.RegionInfo, error) {
 	var info wire.RegionInfo
-	err := c.do(ctx, http.MethodPost, "/regions/"+name+"/build", nil, &info, false)
+	err := c.do(ctx, http.MethodPost, regionPath(name, "/build"), nil, &info, false)
 	return info, err
 }
 
@@ -268,7 +273,7 @@ func (c *Client) Search(ctx context.Context, name string, query []float32, k int
 // reports in partial-result mode.
 func (c *Client) SearchFull(ctx context.Context, name string, query []float32, k int) (wire.SearchResponse, error) {
 	var resp wire.SearchResponse
-	err := c.do(ctx, http.MethodPost, "/regions/"+name+"/search",
+	err := c.do(ctx, http.MethodPost, regionPath(name, "/search"),
 		wire.SearchRequest{Query: query, K: k}, &resp, true)
 	return resp, err
 }
@@ -279,7 +284,7 @@ func (c *Client) SearchFull(ctx context.Context, name string, query []float32, k
 // queue/batch/fanout/merge durations from it.
 func (c *Client) SearchTraced(ctx context.Context, name string, query []float32, k int) (wire.SearchResponse, error) {
 	var resp wire.SearchResponse
-	err := c.doHeader(ctx, http.MethodPost, "/regions/"+name+"/search",
+	err := c.doHeader(ctx, http.MethodPost, regionPath(name, "/search"),
 		map[string]string{"X-SSAM-Trace": "1"},
 		wire.SearchRequest{Query: query, K: k}, &resp, true)
 	return resp, err
@@ -295,7 +300,7 @@ func (c *Client) SearchBatch(ctx context.Context, name string, queries [][]float
 // sharded region's degradation signals.
 func (c *Client) SearchBatchFull(ctx context.Context, name string, queries [][]float32, k int) (wire.SearchBatchResponse, error) {
 	var resp wire.SearchBatchResponse
-	err := c.do(ctx, http.MethodPost, "/regions/"+name+"/searchbatch",
+	err := c.do(ctx, http.MethodPost, regionPath(name, "/searchbatch"),
 		wire.SearchBatchRequest{Queries: queries, K: k}, &resp, true)
 	return resp, err
 }
@@ -307,7 +312,7 @@ func (c *Client) SearchBatchFull(ctx context.Context, name string, queries [][]f
 // 503 surfaces immediately as ErrOverloaded for the caller to decide.
 func (c *Client) Upsert(ctx context.Context, name string, ids []int, vectors [][]float32) (wire.MutateResponse, error) {
 	var resp wire.MutateResponse
-	err := c.do(ctx, http.MethodPost, "/regions/"+name+"/upsert",
+	err := c.do(ctx, http.MethodPost, regionPath(name, "/upsert"),
 		wire.UpsertRequest{IDs: ids, Vectors: vectors}, &resp, false)
 	return resp, err
 }
@@ -316,7 +321,7 @@ func (c *Client) Upsert(ctx context.Context, name string, ids []int, vectors [][
 // they come back in MutateResponse.Missing. Not retried on shed load.
 func (c *Client) Delete(ctx context.Context, name string, ids []int) (wire.MutateResponse, error) {
 	var resp wire.MutateResponse
-	err := c.do(ctx, http.MethodPost, "/regions/"+name+"/delete",
+	err := c.do(ctx, http.MethodPost, regionPath(name, "/delete"),
 		wire.DeleteRequest{IDs: ids}, &resp, false)
 	return resp, err
 }
@@ -326,7 +331,7 @@ func (c *Client) Delete(ctx context.Context, name string, ids []int) (wire.Mutat
 // re-decide, not the transport).
 func (c *Client) Compact(ctx context.Context, name string) (wire.CompactResponse, error) {
 	var resp wire.CompactResponse
-	err := c.do(ctx, http.MethodPost, "/regions/"+name+"/compact", nil, &resp, false)
+	err := c.do(ctx, http.MethodPost, regionPath(name, "/compact"), nil, &resp, false)
 	return resp, err
 }
 
@@ -336,13 +341,13 @@ func (c *Client) Compact(ctx context.Context, name string) (wire.CompactResponse
 // heavy and the caller should re-decide, not the transport.
 func (c *Client) Reload(ctx context.Context, name string) (wire.ReloadResponse, error) {
 	var resp wire.ReloadResponse
-	err := c.do(ctx, http.MethodPost, "/regions/"+name+"/reload", nil, &resp, false)
+	err := c.do(ctx, http.MethodPost, regionPath(name, "/reload"), nil, &resp, false)
 	return resp, err
 }
 
 // Free releases the region (nfree).
 func (c *Client) Free(ctx context.Context, name string) error {
-	return c.do(ctx, http.MethodDelete, "/regions/"+name, nil, nil, false)
+	return c.do(ctx, http.MethodDelete, regionPath(name, ""), nil, nil, false)
 }
 
 // Regions lists the server's regions.
@@ -355,7 +360,7 @@ func (c *Client) Regions(ctx context.Context) ([]wire.RegionInfo, error) {
 // Region fetches one region's info.
 func (c *Client) Region(ctx context.Context, name string) (wire.RegionInfo, error) {
 	var info wire.RegionInfo
-	err := c.do(ctx, http.MethodGet, "/regions/"+name, nil, &info, true)
+	err := c.do(ctx, http.MethodGet, regionPath(name, ""), nil, &info, true)
 	return info, err
 }
 

@@ -331,3 +331,37 @@ func TestSearchBackendErrorIs500(t *testing.T) {
 		t.Fatalf("ragged /searchbatch: %v, want 400", err)
 	}
 }
+
+// TestControlLosesRaceWithDelete: a load or build that looked its entry
+// up before a DELETE won answers 404 on every backend kind. The entry is
+// torn down while still registered, which is that race stopped at its
+// worst instant. A load used to answer 400 on a plain region and 200 on
+// a replicated one, whose Load only stages rows.
+func TestControlLosesRaceWithDelete(t *testing.T) {
+	const dims = 4
+	srv := New(Options{})
+	defer srv.Close()
+	load := mustJSON(t, wire.LoadRequest{Vectors: [][]float32{{1, 2, 3, 4}, {4, 3, 2, 1}}})
+	for name, cfg := range map[string]wire.RegionConfig{
+		"plain":      {},
+		"sharded":    {Sharding: &wire.ShardingConfig{Shards: 2}},
+		"replicated": {Replicas: &wire.ReplicasConfig{Replicas: 2}},
+	} {
+		if rec := post(srv, "/regions", mustJSON(t, wire.CreateRegionRequest{Name: name, Dims: dims, Config: cfg})); rec.Code != http.StatusCreated {
+			t.Fatalf("create %s: %d %s", name, rec.Code, rec.Body)
+		}
+		if rec := post(srv, "/regions/"+name+"/load", load); rec.Code != http.StatusOK {
+			t.Fatalf("load %s: %d %s", name, rec.Code, rec.Body)
+		}
+		e, _ := srv.lookup(name)
+		srv.teardown(e)
+		for op, body := range map[string][]byte{"load": load, "build": nil} {
+			if rec := post(srv, "/regions/"+name+"/"+op, body); rec.Code != http.StatusNotFound {
+				t.Errorf("%s of a %s region torn down under it: status %d %s, want 404", op, name, rec.Code, rec.Body)
+			}
+		}
+		srv.mu.Lock()
+		delete(srv.regions, name) // torn down once already
+		srv.mu.Unlock()
+	}
+}

@@ -47,9 +47,9 @@ func (s *Server) registerServerMetrics() {
 // registerRegionMetrics registers the entry's callback-backed region
 // series: queue depth (batcher backlog plus shard in-flight), and for
 // sharded regions one series per shard over the cluster's atomic
-// counters. Called from handleCreate after the dup check, so a
+// counters. Called from createRoute after the dup check, so a
 // rejected duplicate never registers anything; the matching
-// Unregister runs on free and Close.
+// Unregister runs in teardown.
 func (s *Server) registerRegionMetrics(e *regionEntry) {
 	lbl := obs.Labels{"region": e.name}
 	s.registry.GaugeFunc("ssam_region_queue_depth",

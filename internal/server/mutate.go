@@ -86,7 +86,7 @@ var upsertRoute = route[wire.UpsertRequest, wire.MutateResponse]{
 	},
 	gate:     mutableGate,
 	admitted: true,
-	run: func(_ context.Context, e *regionEntry, req wire.UpsertRequest, root *obs.Span, _ time.Time) (wire.MutateResponse, error) {
+	run: func(_ context.Context, _ *Server, e *regionEntry, req wire.UpsertRequest, root *obs.Span, _ time.Time) (wire.MutateResponse, error) {
 		return commit(e, root, req.IDs, func(m mutator, i int) (uint64, bool, error) {
 			seq, err := m.Upsert(req.IDs[i], req.Vectors[i])
 			return seq, true, err
@@ -101,7 +101,7 @@ var deleteRoute = route[wire.DeleteRequest, wire.MutateResponse]{
 	decode:   wire.DecodeDelete,
 	gate:     mutableGate,
 	admitted: true,
-	run: func(_ context.Context, e *regionEntry, req wire.DeleteRequest, root *obs.Span, _ time.Time) (wire.MutateResponse, error) {
+	run: func(_ context.Context, _ *Server, e *regionEntry, req wire.DeleteRequest, root *obs.Span, _ time.Time) (wire.MutateResponse, error) {
 		return commit(e, root, req.IDs, func(m mutator, i int) (uint64, bool, error) { return m.Delete(req.IDs[i]) })
 	},
 	inline: inlineMutate,
@@ -112,7 +112,7 @@ var deleteRoute = route[wire.DeleteRequest, wire.MutateResponse]{
 var compactRoute = route[struct{}, wire.CompactResponse]{
 	gate:     mutableGate,
 	admitted: true,
-	run: func(_ context.Context, e *regionEntry, _ struct{}, _ *obs.Span, _ time.Time) (wire.CompactResponse, error) {
+	run: func(_ context.Context, _ *Server, e *regionEntry, _ struct{}, _ *obs.Span, _ time.Time) (wire.CompactResponse, error) {
 		res, err := e.be.(mutator).CompactNow()
 		if err != nil {
 			// Only failure mode: the region has never been mutated (or was

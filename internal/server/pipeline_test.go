@@ -9,6 +9,7 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -37,12 +38,14 @@ type stubBackend struct {
 	failFrom int                             // writes before err applies
 	search   func(ctx context.Context) error // overrides err on the search path
 	build    func() error                    // Build's body
+	load     error                           // what Load answers
+	rows     int                             // what Len answers
 	writes   atomic.Int64
 }
 
-func (b *stubBackend) Load([]float32) error      { return nil }
+func (b *stubBackend) Load([]float32) error      { return b.load }
 func (b *stubBackend) Built() bool               { return b.built.Load() }
-func (b *stubBackend) Len() int                  { return 0 }
+func (b *stubBackend) Len() int                  { return b.rows }
 func (b *stubBackend) Pending() int              { return 0 }
 func (b *stubBackend) Describe(*wire.RegionInfo) {}
 func (b *stubBackend) Free()                     {}
@@ -87,7 +90,7 @@ func (b *stubBackend) CompactNow() (ssam.CompactResult, error) { return ssam.Com
 // readOnly hides the stub's write path, as the sharded kind has none.
 type readOnly struct{ backend }
 
-// addStub registers a region served by be, the way handleCreate would.
+// addStub registers a region served by be, the way createRoute would.
 func addStub(s *Server, name string, dims int, be backend) *regionEntry {
 	e := &regionEntry{name: name, dims: dims, be: be, stats: newRegionStats(s.registry, name)}
 	s.mu.Lock()
@@ -103,8 +106,8 @@ func builtStub(err error) *stubBackend {
 }
 
 // send drives one forced-trace request into the handler.
-func send(srv *Server, ctx context.Context, path string, body []byte) *httptest.ResponseRecorder {
-	req := httptest.NewRequest("POST", path, bytes.NewReader(body)).WithContext(ctx)
+func send(srv *Server, ctx context.Context, method, path string, body []byte) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(method, path, bytes.NewReader(body)).WithContext(ctx)
 	req.Header.Set(TraceHeader, "1")
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, req)
@@ -115,7 +118,8 @@ func send(srv *Server, ctx context.Context, path string, body []byte) *httptest.
 // can produce and checks the status, the shed accounting, and that the
 // request's forced trace was finished exactly once: /tracez grows by
 // one for a traced route refused after its trace opened (gate,
-// admission, run), and by none before that or on the untraced route.
+// admission, run), and by none before that or on the untraced routes —
+// the control plane's among them, which never hold a token either.
 func TestPipelineConformance(t *testing.T) {
 	const dims = 4
 	vec := []float32{1, 2, 3, 4}
@@ -130,6 +134,9 @@ func TestPipelineConformance(t *testing.T) {
 	addStub(srv, "faulty", dims, builtStub(fault))
 	addStub(srv, "frozen", dims, builtStub(immutable))
 	addStub(srv, "sharded", dims, readOnly{builtStub(nil)})
+	addStub(srv, "stored", dims, &stubBackend{rows: 2}) // loaded, and the entry holds no slab
+	addStub(srv, "loadfault", dims, &stubBackend{load: fault})
+	addStub(srv, "buildfault", dims, &stubBackend{build: func() error { return fault }})
 	gone := builtStub(nil)
 	gone.search = func(ctx context.Context) error { return ctx.Err() }
 	addStub(srv, "gone", dims, gone)
@@ -156,12 +163,24 @@ func TestPipelineConformance(t *testing.T) {
 
 	type routeCase struct {
 		name      string
+		method    string // "" is POST
+		code      int    // success status; 0 is 200
 		good      []byte // a body the route accepts (nil: it takes none)
 		malformed []byte
 		narrow    []byte // right shape, wrong width
 		traced    bool
 		admitted  bool
 		writes    bool
+	}
+	request := func(ctx context.Context, rt routeCase, region string, body []byte) *httptest.ResponseRecorder {
+		method, path := cmp.Or(rt.method, "POST"), "/regions/"+region+"/"+rt.name
+		switch rt.name {
+		case "create":
+			path = "/regions"
+		case "info", "free":
+			path = "/regions/" + region
+		}
+		return send(srv, ctx, method, path, body)
 	}
 	routes := []routeCase{
 		{name: "search", traced: true, admitted: true,
@@ -181,6 +200,16 @@ func TestPipelineConformance(t *testing.T) {
 			malformed: []byte(`{"ids":[]}`)},
 		{name: "compact", admitted: true, writes: true},
 		{name: "reload", traced: true},
+		{name: "create", code: http.StatusCreated,
+			good:      mustJSON(t, wire.CreateRegionRequest{Name: "fresh", Dims: dims}),
+			malformed: []byte(`{"name":"fresh","dims":4,"extra":1}`)},
+		{name: "info", method: "GET"},
+		{name: "load",
+			good:      mustJSON(t, wire.LoadRequest{Vectors: [][]float32{vec}}),
+			malformed: []byte(`{"vectors":[]}`),
+			narrow:    mustJSON(t, wire.LoadRequest{Vectors: [][]float32{vec, short}})},
+		{name: "build"},
+		{name: "free", method: "DELETE", code: http.StatusNoContent}, // last: the way through frees "fresh"
 	}
 
 	type refusal struct {
@@ -195,7 +224,10 @@ func TestPipelineConformance(t *testing.T) {
 	}
 
 	for _, rt := range routes {
-		cases := []refusal{{class: "unknown region", region: "nope", body: rt.good, want: http.StatusNotFound}}
+		var cases []refusal
+		if rt.name != "create" {
+			cases = append(cases, refusal{class: "unknown region", region: "nope", body: rt.good, want: http.StatusNotFound})
+		}
 		if rt.malformed != nil {
 			cases = append(cases, refusal{class: "malformed body", region: "ok", body: rt.malformed, want: http.StatusBadRequest})
 		}
@@ -203,6 +235,19 @@ func TestPipelineConformance(t *testing.T) {
 			cases = append(cases, refusal{class: "wrong width", region: "ok", body: rt.narrow, want: http.StatusBadRequest})
 		}
 		switch {
+		case rt.name == "create":
+			cases = append(cases,
+				refusal{class: "duplicate name", body: mustJSON(t, wire.CreateRegionRequest{Name: "ok", Dims: dims}), want: http.StatusConflict},
+				refusal{class: "bad config", body: mustJSON(t, wire.CreateRegionRequest{Name: "bad", Dims: dims, Config: wire.RegionConfig{Metric: "chebyshev"}}), want: http.StatusBadRequest},
+				refusal{class: "unaddressable name", body: []byte(`{"name":"a/b","dims":4}`), want: http.StatusBadRequest})
+		case rt.name == "load":
+			cases = append(cases,
+				refusal{class: "append onto storage", region: "stored", body: mustJSON(t, wire.LoadRequest{Vectors: [][]float32{vec}, Append: true}), want: http.StatusConflict},
+				refusal{class: "backend fault", region: "loadfault", body: rt.good, want: http.StatusInternalServerError})
+		case rt.name == "build":
+			cases = append(cases, refusal{class: "build refused", region: "buildfault", want: http.StatusConflict})
+		case rt.name == "info", rt.name == "free":
+			// Nothing past the lookup refuses.
 		case rt.name == "reload":
 			cases = append(cases,
 				refusal{class: "unbuilt", region: "coldgroup", want: http.StatusConflict, past: true},
@@ -257,7 +302,7 @@ func TestPipelineConformance(t *testing.T) {
 					}
 				}()
 				traces, rejected := len(srv.tracer.Snapshot()), srv.rejected.Load()
-				rec := send(srv, ctx, "/regions/"+tc.region+"/"+rt.name, tc.body)
+				rec := request(ctx, rt, tc.region, tc.body)
 
 				if tc.want == 0 {
 					if rec.Body.Len() != 0 || rec.Header().Get("Content-Type") != "" {
@@ -293,24 +338,28 @@ func TestPipelineConformance(t *testing.T) {
 		}
 	}
 
-	// And the way through: every route answers 200 on a region that can
-	// take it, with its trace finished once.
+	// And the way through: every route answers its success status on a
+	// region that can take it, with its trace finished once.
 	for _, rt := range routes {
 		region := "ok"
-		if rt.name == "reload" {
+		switch rt.name {
+		case "reload":
 			region = "emptygroup"
 			empty.mu.Lock()
 			empty.data = []float32{1, 2, 3, 4, 4, 3, 2, 1}
 			empty.mu.Unlock()
+		case "free":
+			region = "fresh"
 		}
 		traces := len(srv.tracer.Snapshot())
-		rec := send(srv, context.Background(), "/regions/"+region+"/"+rt.name, rt.good)
+		rec := request(context.Background(), rt, region, rt.good)
 		wantTraces := 0
 		if rt.traced {
 			wantTraces = 1
 		}
-		if got := len(srv.tracer.Snapshot()) - traces; rec.Code != http.StatusOK || got != wantTraces {
-			t.Errorf("%s on a ready region: status %d %s, /tracez grew by %d (want 200, %d)", rt.name, rec.Code, rec.Body, got, wantTraces)
+		want := cmp.Or(rt.code, http.StatusOK)
+		if got := len(srv.tracer.Snapshot()) - traces; rec.Code != want || got != wantTraces {
+			t.Errorf("%s on a ready region: status %d %s, /tracez grew by %d (want %d, %d)", rt.name, rec.Code, rec.Body, got, want, wantTraces)
 		}
 	}
 }
@@ -531,5 +580,43 @@ func TestHandlerPanicIsContained(t *testing.T) {
 	}
 	if err := c.Health(ctx); err != nil {
 		t.Fatalf("healthz after the panic: %v", err)
+	}
+}
+
+// TestControlPanicIsContained: a backend whose Build panics holding the
+// entry's lock costs that request a 500 naming the panic, counted at
+// site="handler", and the lock is released on the way out — the next
+// load of the entry takes it. The control plane used to be outside
+// serve, and the panic escaped ServeHTTP.
+func TestControlPanicIsContained(t *testing.T) {
+	srv := New(Options{})
+	defer srv.Close()
+	bomb := &stubBackend{}
+	e := addStub(srv, "bomb", 2, bomb)
+	bomb.build = func() error {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		panic("build blew up")
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	before := fetchMetrics(t, ts)
+	rec := func() *httptest.ResponseRecorder {
+		defer func() {
+			if p := recover(); p != nil {
+				t.Fatalf("the panic escaped ServeHTTP: %v", p)
+			}
+		}()
+		return post(srv, "/regions/bomb/build", nil)
+	}()
+	var body wire.ErrorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); rec.Code != http.StatusInternalServerError || err != nil || !strings.Contains(body.Error, "panic: build blew up") {
+		t.Fatalf("build of the panicking region: status %d %s, want a 500 naming the panic", rec.Code, rec.Body)
+	}
+	if d := fetchMetrics(t, ts)[handlerPanics] - before[handlerPanics]; d != 1 {
+		t.Errorf("%s moved by %v, want 1", handlerPanics, d)
+	}
+	if rec := post(srv, "/regions/bomb/load", mustJSON(t, wire.LoadRequest{Vectors: [][]float32{{1, 2}}})); rec.Code != http.StatusOK {
+		t.Fatalf("load after the panic: status %d %s", rec.Code, rec.Body)
 	}
 }

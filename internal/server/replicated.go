@@ -196,7 +196,7 @@ var reloadRoute = route[struct{}, wire.ReloadResponse]{
 		}
 		return builtGate(e)
 	},
-	run: func(_ context.Context, e *regionEntry, _ struct{}, root *obs.Span, _ time.Time) (wire.ReloadResponse, error) {
+	run: func(_ context.Context, _ *Server, e *regionEntry, _ struct{}, root *obs.Span, _ time.Time) (wire.ReloadResponse, error) {
 		grp := e.be.(*groupBackend)
 		rsp := root.Start("swap")
 		st, err := grp.swap()
@@ -247,11 +247,9 @@ func (s *Server) HealReplicas(region string) error {
 }
 
 func (s *Server) regionGroup(region string) (*replica.Group, error) {
-	s.mu.RLock()
-	e := s.regions[region]
-	s.mu.RUnlock()
-	if e == nil {
-		return nil, fmt.Errorf("server: no region %q", region)
+	e, err := s.lookup(region)
+	if err != nil {
+		return nil, err
 	}
 	grp, ok := e.be.(*groupBackend)
 	if !ok {

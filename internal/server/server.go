@@ -41,10 +41,11 @@
 //	GET    /tracez                   recent sampled traces (bounded ring)
 //	GET    /healthz                  liveness
 //
-// The six POST endpoints from search to reload are rows of one table
+// Every endpoint that takes a region or a body is a row of one table
 // served by one function (serve, below): lookup, strict decode, trace,
 // gate, admission, run, and one error-to-status mapping, in that order
-// for every one of them.
+// for every one of them. GET /regions, /statsz, /metrics, /tracez and
+// /healthz take neither and cannot fail; they are plain handlers.
 //
 // Observability (internal/obs) is threaded through the whole search
 // path: requests are head-sampled (Options.TraceSampleEvery) or
@@ -56,6 +57,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -138,7 +140,7 @@ type Server struct {
 
 // regionEntry is one named region: its staged dataset and the one
 // backend serving it, whose kind — plain region, sharded cluster, or
-// replica group — is chosen once, at create time (handleCreate).
+// replica group — is chosen once, at create time (createRoute).
 type regionEntry struct {
 	name    string
 	dims    int
@@ -152,13 +154,14 @@ type regionEntry struct {
 
 	be backend // fixed at create time
 
-	mu sync.Mutex // guards load/build/free on the backend and data
+	mu sync.Mutex // guards load/build/free on the backend, data and freed
 	// data is the dataset's one slab: every load builds a fresh one, the
 	// backend adopts it (DESIGN.md, "Who owns the rows"), and nothing
 	// writes it after that. Append loads and replica generations restage
 	// from it. nil once loaded means the rows live only in a
 	// storage-backed region's backing file.
-	data []float32
+	data  []float32
+	freed bool // set by teardown: a load that looked the entry up before it left refuses it
 }
 
 // answer is a backend's reply to a search: the superset of what the
@@ -361,12 +364,12 @@ func New(opts Options) *Server {
 		regions:  make(map[string]*regionEntry),
 	}
 	s.registerServerMetrics()
-	s.mux.HandleFunc("POST /regions", s.handleCreate)
+	s.mux.HandleFunc("POST /regions", serve(s, createRoute))
 	s.mux.HandleFunc("GET /regions", s.handleList)
-	s.mux.HandleFunc("GET /regions/{name}", s.handleInfo)
-	s.mux.HandleFunc("DELETE /regions/{name}", s.handleFree)
-	s.mux.HandleFunc("POST /regions/{name}/load", s.handleLoad)
-	s.mux.HandleFunc("POST /regions/{name}/build", s.handleBuild)
+	s.mux.HandleFunc("GET /regions/{name}", serve(s, infoRoute))
+	s.mux.HandleFunc("DELETE /regions/{name}", serve(s, freeRoute))
+	s.mux.HandleFunc("POST /regions/{name}/load", serve(s, loadRoute))
+	s.mux.HandleFunc("POST /regions/{name}/build", serve(s, buildRoute))
 	s.mux.HandleFunc("POST /regions/{name}/search", serve(s, searchRoute))
 	s.mux.HandleFunc("POST /regions/{name}/searchbatch", serve(s, searchBatchRoute))
 	s.mux.HandleFunc("POST /regions/{name}/upsert", serve(s, upsertRoute))
@@ -407,11 +410,21 @@ func (s *Server) Close() {
 	s.regions = make(map[string]*regionEntry)
 	s.mu.Unlock()
 	for _, e := range entries {
-		s.registry.Unregister(obs.Labels{"region": e.name})
-		e.mu.Lock()
-		e.be.Free()
-		e.mu.Unlock()
+		s.teardown(e)
 	}
+}
+
+// teardown frees an entry that has left the registry, on DELETE and
+// Close alike. The metric series go first: scrape callbacks read the
+// backend's counters, and Unregister synchronizes with any render in
+// progress (both hold the registry lock). Then, under the entry's lock,
+// the entry is marked freed and its backend freed.
+func (s *Server) teardown(e *regionEntry) {
+	s.registry.Unregister(obs.Labels{"region": e.name})
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.freed = true
+	e.be.Free()
 }
 
 // --- helpers ---
@@ -422,36 +435,15 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, wire.ErrorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-// decodeBody reads the request body through one of the strict wire
-// decoders (which reject unknown fields, trailing garbage, and
-// non-finite floats — see internal/server/wire/decode.go), answering
-// 400 itself when there is nothing to hand back.
-func decodeBody[Req any](w http.ResponseWriter, r *http.Request, decode func([]byte) (Req, error)) (req Req, ok bool) {
-	data, err := io.ReadAll(r.Body)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "reading request body: %v", err)
-		return req, false
-	}
-	if req, err = decode(data); err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return req, false
-	}
-	return req, true
-}
-
-func (s *Server) entry(w http.ResponseWriter, r *http.Request) *regionEntry {
-	name := r.PathValue("name")
+// lookup finds the entry a request names.
+func (s *Server) lookup(name string) (*regionEntry, error) {
 	s.mu.RLock()
 	e := s.regions[name]
 	s.mu.RUnlock()
 	if e == nil {
-		writeErr(w, http.StatusNotFound, "no region %q", name)
+		return nil, missing{fmt.Errorf("no region %q", name)}
 	}
-	return e
+	return e, nil
 }
 
 // admit takes an admission token, which the caller gives back, or
@@ -537,40 +529,36 @@ func toNeighbors(res []ssam.Result) []wire.Neighbor {
 	return out
 }
 
-// --- handlers ---
+// --- the control plane: Fig. 4's calls other than the queries ---
 
-func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeBody(w, r, wire.DecodeCreateRegion)
-	if !ok {
-		return
-	}
-	cfg, err := toConfig(req.Config)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	e := &regionEntry{
-		name: req.Name, dims: req.Dims, cfg: cfg, cfgWire: req.Config,
-	}
-	if e.be, err = s.newBackend(e, req); err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s.mu.Lock()
-	if _, dup := s.regions[req.Name]; dup {
-		s.mu.Unlock()
-		e.be.Free()
-		writeErr(w, http.StatusConflict, "region %q already exists", req.Name)
-		return
-	}
-	// Metric series are registered only after the dup check, so a
-	// rejected duplicate never leaves series behind (registering twice
-	// for one name would panic the registry).
-	e.stats = newRegionStats(s.registry, req.Name)
-	s.registerRegionMetrics(e)
-	s.regions[req.Name] = e
-	s.mu.Unlock()
-	writeJSON(w, http.StatusCreated, e.info())
+// createRoute is POST /regions (nmalloc + nmode), the one route with no
+// region to look up. A configuration the engines refuse is a bad request.
+var createRoute = route[wire.CreateRegionRequest, wire.RegionInfo]{
+	decode: wire.DecodeCreateRegion,
+	code:   http.StatusCreated,
+	run: func(_ context.Context, s *Server, _ *regionEntry, req wire.CreateRegionRequest, _ *obs.Span, _ time.Time) (wire.RegionInfo, error) {
+		cfg, err := toConfig(req.Config)
+		e := &regionEntry{name: req.Name, dims: req.Dims, cfg: cfg, cfgWire: req.Config}
+		if err == nil {
+			e.be, err = s.newBackend(e, req)
+		}
+		if err != nil {
+			return wire.RegionInfo{}, badRequest{err}
+		}
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if _, dup := s.regions[req.Name]; dup {
+			e.be.Free()
+			return wire.RegionInfo{}, conflict{fmt.Errorf("region %q already exists", req.Name)}
+		}
+		// Metric series are registered only after the dup check, so a
+		// rejected duplicate never leaves series behind (registering twice
+		// for one name would panic the registry).
+		e.stats = newRegionStats(s.registry, req.Name)
+		s.registerRegionMetrics(e)
+		s.regions[req.Name] = e
+		return e.info(), nil
+	},
 }
 
 // newBackend picks the entry's backend kind from the create request —
@@ -614,157 +602,122 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	s.mu.RUnlock()
 	infos := make([]wire.RegionInfo, 0, len(entries))
 	for _, e := range entries {
-		e.mu.Lock()
-		infos = append(infos, e.info())
-		e.mu.Unlock()
+		infos = append(infos, e.lockedInfo())
 	}
 	writeJSON(w, http.StatusOK, infos)
 }
 
-func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
-	e := s.entry(w, r)
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	info := e.info()
-	e.mu.Unlock()
-	writeJSON(w, http.StatusOK, info)
-}
-
-func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
-	e := s.entry(w, r)
-	if e == nil {
-		return
-	}
-	req, ok := decodeBody(w, r, wire.DecodeLoad)
-	if !ok {
-		return
-	}
-	for i, v := range req.Vectors {
-		if len(v) != e.dims {
-			writeErr(w, http.StatusBadRequest, "vector %d has dim %d, want %d", i, len(v), e.dims)
-			return
-		}
-	}
+// lockedInfo is info read under the entry's lock.
+func (e *regionEntry) lockedInfo() wire.RegionInfo {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var kept []float32
-	if req.Append {
-		if e.data == nil && e.be.Len() > 0 {
-			writeErr(w, http.StatusConflict, "region %q: rows live in the backing file; reload with append=false", e.name)
-			return
+	return e.info()
+}
+
+var infoRoute = route[struct{}, wire.RegionInfo]{
+	run: func(_ context.Context, _ *Server, e *regionEntry, _ struct{}, _ *obs.Span, _ time.Time) (wire.RegionInfo, error) {
+		return e.lockedInfo(), nil
+	},
+}
+
+// loadRoute is POST /regions/{name}/load (nmemcpy). Every load stages a
+// fresh slab, sized exactly, for the backend to adopt: the one it
+// replaces may still be serving, so it is never written again.
+var loadRoute = route[wire.LoadRequest, wire.RegionInfo]{
+	decode: wire.DecodeLoad,
+	check:  func(e *regionEntry, req wire.LoadRequest) error { return widths(e, "vector", req.Vectors) },
+	run: func(_ context.Context, _ *Server, e *regionEntry, req wire.LoadRequest, _ *obs.Span, _ time.Time) (wire.RegionInfo, error) {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		if e.freed {
+			return wire.RegionInfo{}, missing{fmt.Errorf("region %q was deleted", e.name)}
 		}
-		kept = e.data
-	}
-	// Every load stages a fresh slab, sized exactly, for the backend to
-	// adopt: the one it replaces may still be serving, so it is never
-	// written again.
-	data := make([]float32, len(kept), len(kept)+len(req.Vectors)*e.dims)
-	copy(data, kept)
-	for _, v := range req.Vectors {
-		data = append(data, v...)
-	}
-	if err := e.be.Load(data); err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	e.data = data
-	writeJSON(w, http.StatusOK, e.info())
+		var kept []float32
+		if req.Append {
+			if e.data == nil && e.be.Len() > 0 {
+				return wire.RegionInfo{}, conflict{fmt.Errorf("region %q: rows live in the backing file; reload with append=false", e.name)}
+			}
+			kept = e.data
+		}
+		data := make([]float32, len(kept), len(kept)+len(req.Vectors)*e.dims)
+		copy(data, kept)
+		for _, v := range req.Vectors {
+			data = append(data, v...)
+		}
+		if err := e.be.Load(data); err != nil {
+			return wire.RegionInfo{}, err
+		}
+		e.data = data
+		return e.info(), nil
+	},
 }
 
-func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
-	e := s.entry(w, r)
-	if e == nil {
-		return
-	}
-	if err := e.be.Build(); err != nil {
-		writeErr(w, http.StatusConflict, "%v", err)
-		return
-	}
-	e.mu.Lock()
-	info := e.info()
-	e.mu.Unlock()
-	writeJSON(w, http.StatusOK, info)
+// buildRoute is POST /regions/{name}/build (nbuild_index). An index the
+// engine will not build over the loaded rows conflicts with that state.
+var buildRoute = route[struct{}, wire.RegionInfo]{
+	run: func(_ context.Context, _ *Server, e *regionEntry, _ struct{}, _ *obs.Span, _ time.Time) (wire.RegionInfo, error) {
+		if err := e.be.Build(); err != nil {
+			return wire.RegionInfo{}, conflict{err}
+		}
+		return e.lockedInfo(), nil
+	},
 }
 
-func (s *Server) handleFree(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	s.mu.Lock()
-	e := s.regions[name]
-	delete(s.regions, name)
-	s.mu.Unlock()
-	if e == nil {
-		writeErr(w, http.StatusNotFound, "no region %q", name)
-		return
-	}
-	// Drop the metric series before freeing: scrape callbacks read the
-	// backend's counters, and Unregister synchronizes with any render
-	// in progress (both hold the registry lock).
-	s.registry.Unregister(obs.Labels{"region": name})
-	e.mu.Lock()
-	e.be.Free()
-	e.mu.Unlock()
-	w.WriteHeader(http.StatusNoContent)
+// freeRoute is DELETE /regions/{name} (nfree). The entry leaves the
+// registry only if it is still the one looked up: a racing DELETE may
+// have taken it, and a create may have reused the name since.
+var freeRoute = route[struct{}, struct{}]{
+	code: http.StatusNoContent,
+	run: func(_ context.Context, s *Server, e *regionEntry, _ struct{}, _ *obs.Span, _ time.Time) (struct{}, error) {
+		s.mu.Lock()
+		if s.regions[e.name] != e {
+			s.mu.Unlock()
+			return struct{}{}, missing{fmt.Errorf("no region %q", e.name)}
+		}
+		delete(s.regions, e.name)
+		s.mu.Unlock()
+		s.teardown(e)
+		return struct{}{}, nil
+	},
 }
 
 // --- request pipeline ---
 
 // route is one row of the request table: what differs between the
-// endpoints under /regions/{name}/ that do work (DESIGN.md §6).
+// endpoints that take a region or a body (DESIGN.md §6).
 type route[Req, Resp any] struct {
 	trace    string                        // root span name; "" leaves the route untraced
 	tag      func(Req) obs.Tag             // the request's own tag, beside region=<name>
 	decode   func([]byte) (Req, error)     // strict wire decoder; nil: the route takes no body
 	check    func(*regionEntry, Req) error // what only the region can refuse: a wrong width
-	gate     func(*regionEntry) error      // why the region cannot take the request now
+	gate     func(*regionEntry) error      // why the region cannot take the request now; nil: nothing
 	admitted bool                          // run holds one of the server's in-flight tokens
-	run      func(ctx context.Context, e *regionEntry, req Req, root *obs.Span, start time.Time) (Resp, error)
+	code     int                           // success status; 0 is 200
+	run      func(ctx context.Context, s *Server, e *regionEntry, req Req, root *obs.Span, start time.Time) (Resp, error)
 	inline   func(*Resp, *obs.TraceData) // puts a forced trace in the response; nil: /tracez only
 }
 
-// serve is the request path, written once: lookup (404) → decode and
-// check (400) → open the trace, whose tags come from the decoded
-// request → gate (409) → admission (503) → run → status(err).
+// serve is the request path, written once: lookup (404; skipped, with a
+// nil entry, where the pattern names no region) → decode and check
+// (400) → open the trace, whose tags come from the decoded request →
+// gate (409) → admission (503) → run → status(err).
 //
 // The gate is a lock-free read ahead of admission, so a request that is
 // going to be refused never occupies a slot — and a region mid-build,
 // whose Build holds the entry's lock for a whole BuildIndex, cannot sit
-// on the tokens every other region needs. Once the trace is open every
-// exit, a panic included, leaves through the one deferred function: the
-// token goes back, the trace is finished exactly once, and only then is
-// anything written to w, which is why a recovered panic can still answer.
+// on the tokens every other region needs. Every exit, a panic included,
+// leaves through the one deferred function: the token goes back, the
+// trace is finished exactly once, and only then is anything written to
+// w, which is why a recovered panic can still answer.
 func serve[Req, Resp any](s *Server, rt route[Req, Resp]) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		e := s.entry(w, r)
-		if e == nil {
-			return
-		}
-		var req Req
-		if rt.decode != nil {
-			var ok bool
-			if req, ok = decodeBody(w, r, rt.decode); !ok {
-				return
-			}
-			if rt.check != nil {
-				if err := rt.check(e, req); err != nil {
-					writeErr(w, http.StatusBadRequest, "%v", err)
-					return
-				}
-			}
-		}
 		forced := r.Header.Get(TraceHeader) != ""
-		var tr *obs.Trace
-		if rt.trace != "" {
-			tags := append(make([]obs.Tag, 0, 2), obs.Tag{Key: "region", Value: e.name})
-			if rt.tag != nil {
-				tags = append(tags, rt.tag(req))
-			}
-			tr = s.tracer.Trace(rt.trace, forced, tags...)
-		}
-		root := tr.Root()
 		var (
+			e    *regionEntry
+			req  Req
+			tr   *obs.Trace
+			root *obs.Span
 			resp Resp
 			err  error
 			held bool
@@ -788,55 +741,106 @@ func serve[Req, Resp any](s *Server, rt route[Req, Resp]) http.HandlerFunc {
 			td := s.tracer.Finish(tr)
 			if err != nil {
 				if code := status(r.Context(), err); code != 0 {
-					writeErr(w, code, "%v", err)
+					writeJSON(w, code, wire.ErrorResponse{Error: err.Error()})
 				}
 				return
 			}
 			if forced && rt.inline != nil {
 				rt.inline(&resp, td)
 			}
-			writeJSON(w, http.StatusOK, &resp)
+			if rt.code == http.StatusNoContent {
+				w.WriteHeader(rt.code)
+				return
+			}
+			writeJSON(w, cmp.Or(rt.code, http.StatusOK), &resp)
 		}()
-		if err = rt.gate(e); err != nil {
-			return
+		if name := r.PathValue("name"); name != "" {
+			if e, err = s.lookup(name); err != nil {
+				return
+			}
 		}
-		if rt.admitted {
+		if rt.decode != nil {
+			var body []byte
+			if body, err = io.ReadAll(r.Body); err == nil {
+				if req, err = rt.decode(body); err == nil && rt.check != nil {
+					err = rt.check(e, req)
+				}
+			}
+			if err != nil {
+				err = badRequest{err}
+				return
+			}
+		}
+		if rt.trace != "" {
+			tags := append(make([]obs.Tag, 0, 2), obs.Tag{Key: "region", Value: e.name})
+			if rt.tag != nil {
+				tags = append(tags, rt.tag(req))
+			}
+			tr = s.tracer.Trace(rt.trace, forced, tags...)
+			root = tr.Root()
+		}
+		if rt.gate != nil {
+			err = rt.gate(e)
+		}
+		if err == nil && rt.admitted {
 			asp := root.Start("admission")
 			err = s.admit(w)
 			asp.End()
-			if err != nil {
-				return
-			}
-			held = true
+			held = err == nil
 		}
-		resp, err = rt.run(r.Context(), e, req, root, start)
+		if err == nil {
+			resp, err = rt.run(r.Context(), s, e, req, root, start)
+		}
 	}
 }
 
-// conflict marks an error as a sequencing refusal: the request is well
-// formed, but the region is not in a state, or of a kind, to take it.
-type conflict struct{ error }
+// The classes of refusal status reads, beside overloaded.
+type (
+	missing    struct{ error } // no region of that name, or not any more
+	badRequest struct{ error } // the client's to fix: the body, or create's configuration
+	conflict   struct{ error } // well formed, but the region's state or kind refuses it
+)
+
+// Unwrap lets status see the ssam.ErrFreed of a build or compaction
+// that lost a race with DELETE.
+func (c conflict) Unwrap() error { return c.error }
 
 // overloaded is the error of a request shed at admission.
 type overloaded string
 
 func (o overloaded) Error() string { return string(o) }
 
-// status is the one table from a pipeline error to its HTTP status. By
-// the time a route runs, everything a client can get wrong has been
-// refused with 400, so what a backend still returns is a conflict with
-// the region's state or configuration, or the server's own fault. 0
-// means write nothing: the client has gone and there is no one to tell.
+// status is the one table from an error to its HTTP status. Lookup and
+// decode refuse with missing and badRequest, as create refuses a
+// configuration; anything else a route returns is a conflict with the
+// region's state or kind, a region freed under the request, or the
+// server's own fault. 0 means write nothing: the client has gone and
+// there is no one to tell.
 func status(ctx context.Context, err error) int {
 	switch {
 	case errors.Is(err, ctx.Err()):
 		return 0
+	case errors.As(err, new(missing)), errors.Is(err, ssam.ErrFreed):
+		return http.StatusNotFound
+	case errors.As(err, new(badRequest)):
+		return http.StatusBadRequest
 	case errors.As(err, new(overloaded)):
 		return http.StatusServiceUnavailable
 	case errors.As(err, new(conflict)), errors.Is(err, ssam.ErrImmutableEngine):
 		return http.StatusConflict
 	}
 	return http.StatusInternalServerError
+}
+
+// widths refuses the first of a request's vectors whose width is not
+// the region's.
+func widths(e *regionEntry, what string, vs [][]float32) error {
+	for i, v := range vs {
+		if len(v) != e.dims {
+			return fmt.Errorf("%s %d has dim %d, want %d", what, i, len(v), e.dims)
+		}
+	}
+	return nil
 }
 
 // builtGate refuses a region with no built index. Built is an atomic
@@ -860,7 +864,7 @@ var searchRoute = route[wire.SearchRequest, wire.SearchResponse]{
 	},
 	gate:     builtGate,
 	admitted: true,
-	run: func(ctx context.Context, e *regionEntry, req wire.SearchRequest, root *obs.Span, start time.Time) (wire.SearchResponse, error) {
+	run: func(ctx context.Context, _ *Server, e *regionEntry, req wire.SearchRequest, root *obs.Span, start time.Time) (wire.SearchResponse, error) {
 		ans, err := e.be.Search(ctx, req.Query, req.K, root)
 		if err != nil {
 			return wire.SearchResponse{}, err
@@ -878,20 +882,13 @@ var searchRoute = route[wire.SearchRequest, wire.SearchResponse]{
 }
 
 var searchBatchRoute = route[wire.SearchBatchRequest, wire.SearchBatchResponse]{
-	trace:  "searchbatch",
-	tag:    func(req wire.SearchBatchRequest) obs.Tag { return obs.Tag{Key: "k", Value: req.K} },
-	decode: wire.DecodeSearchBatch,
-	check: func(e *regionEntry, req wire.SearchBatchRequest) error {
-		for i, q := range req.Queries {
-			if len(q) != e.dims {
-				return fmt.Errorf("query %d has dim %d, want %d", i, len(q), e.dims)
-			}
-		}
-		return nil
-	},
+	trace:    "searchbatch",
+	tag:      func(req wire.SearchBatchRequest) obs.Tag { return obs.Tag{Key: "k", Value: req.K} },
+	decode:   wire.DecodeSearchBatch,
+	check:    func(e *regionEntry, req wire.SearchBatchRequest) error { return widths(e, "query", req.Queries) },
 	gate:     builtGate,
 	admitted: true,
-	run: func(_ context.Context, e *regionEntry, req wire.SearchBatchRequest, root *obs.Span, start time.Time) (wire.SearchBatchResponse, error) {
+	run: func(_ context.Context, _ *Server, e *regionEntry, req wire.SearchBatchRequest, root *obs.Span, start time.Time) (wire.SearchBatchResponse, error) {
 		bsp := root.Start("batch", obs.Tag{Key: "size", Value: len(req.Queries)})
 		ans, err := e.be.SearchBatch(req.Queries, req.K, bsp)
 		bsp.End()

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 )
 
 // Strict request decoders. The server decodes every request body
@@ -55,6 +56,11 @@ func DecodeCreateRegion(data []byte) (CreateRegionRequest, error) {
 	}
 	if req.Name == "" {
 		return CreateRegionRequest{}, errors.New("wire: region name required")
+	}
+	// Every later call addresses the region as /regions/{name}: a name
+	// that is not one path segment could be created and never reached.
+	if req.Name == "." || req.Name == ".." || strings.Contains(req.Name, "/") {
+		return CreateRegionRequest{}, fmt.Errorf("wire: region name %q is not one path segment", req.Name)
 	}
 	if req.Dims <= 0 {
 		return CreateRegionRequest{}, fmt.Errorf("wire: dims must be positive, got %d", req.Dims)

@@ -77,6 +77,12 @@ func TestCreateRegionStrictness(t *testing.T) {
 		`{"name":"g","dims":8,"config":{"mode":"graph","index":{"ef_serach":64}}}`, // typo'd knob
 		`{"name":"g","dims":8,"config":{"mode":"graph","m":16}}`,                   // knob outside index
 		`{"name":"g","dims":8}trailing`,
+		// A region is addressed as /regions/{name}: its name must be one
+		// path segment (the client escapes anything else).
+		`{"name":".","dims":8}`,
+		`{"name":"..","dims":8}`,
+		`{"name":"a/b","dims":8}`,
+		`{"name":"/","dims":8}`,
 	}
 	for _, body := range cases {
 		if _, err := DecodeCreateRegion([]byte(body)); err == nil {

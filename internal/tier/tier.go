@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -161,7 +162,11 @@ type Store struct {
 // ceil(n/vaults) rows (the same contiguous chunking the vault-parallel
 // scan uses). vaults must be positive and data a positive multiple of
 // dim.
-func WriteFile(path string, data []float32, dim, vaults int) error {
+//
+// The file is written beside path and renamed over it, never rewritten
+// in place: a Store already open on path keeps reading the file it
+// opened, not the rows of whoever wrote the path next.
+func WriteFile(path string, data []float32, dim, vaults int) (err error) {
 	if dim <= 0 || len(data) == 0 || len(data)%dim != 0 {
 		return fmt.Errorf("tier: data length %d not a positive multiple of dim %d", len(data), dim)
 	}
@@ -183,7 +188,26 @@ func WriteFile(path string, data []float32, dim, vaults int) error {
 	for i, v := range data {
 		binary.LittleEndian.PutUint32(buf[headerSize+i*4:], math.Float32bits(v))
 	}
-	return os.WriteFile(path, buf, 0o644)
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(f.Name())
+		}
+	}()
+	if err = f.Chmod(0o644); err != nil {
+		return err
+	}
+	if _, err = f.Write(buf); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
 }
 
 // Open opens a backing file written by WriteFile. The header's vault

@@ -174,6 +174,50 @@ func TestWriteFileValidation(t *testing.T) {
 	}
 }
 
+// TestRewriteKeepsOpenStores: a second WriteFile to the path an open
+// store reads leaves that store reading the file it opened, on every
+// page — rewritten in place, the path handed it the new file's rows —
+// and no temp file is left beside the path, whether the write succeeds
+// or fails.
+func TestRewriteKeepsOpenStores(t *testing.T) {
+	const n, dim, vaults = 40, 3, 4
+	dir := t.TempDir()
+	path := filepath.Join(dir, "tier.dat")
+	first := testData(n, dim, 21)
+	s, err := Create(path, first, dim, vaults, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := WriteFile(path, testData(n, dim, 22), dim, vaults); err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < s.Vaults(); v++ {
+		pg, err := s.Acquire(v)
+		if err != nil {
+			t.Fatalf("Acquire(%d): %v", v, err)
+		}
+		lo, _ := pg.Rows()
+		for i, got := range pg.Data() {
+			if want := first[lo*dim+i]; got != want {
+				t.Fatalf("page %d float %d = %v after the path was rewritten, want the opened file's %v", v, i, got, want)
+			}
+		}
+		pg.Release()
+	}
+	// A directory in the way fails the write at the rename.
+	taken := filepath.Join(dir, "taken")
+	if err := os.Mkdir(taken, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFile(taken, first, dim, vaults); err == nil {
+		t.Fatal("WriteFile over a directory succeeded")
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*.tmp*")); len(left) != 0 {
+		t.Fatalf("temp files left behind: %v", left)
+	}
+}
+
 func TestOpenValidation(t *testing.T) {
 	dir := t.TempDir()
 	good := filepath.Join(dir, "good.dat")

@@ -204,6 +204,42 @@ func TestTieredRegionRaggedPages(t *testing.T) {
 	}
 }
 
+// TestTieredRegionsShareAPath: two storage-backed regions built over
+// different rows on one Storage.Path, a budget below a page so every
+// query reads the file, each answer exactly as a brute-force scan of
+// their own rows — built first or second, Linear or Quantized (re-ranking
+// every row, so exact too). The file used to be rewritten in place, and
+// the region built first then served the second one's rows, without an
+// error.
+func TestTieredRegionsShareAPath(t *testing.T) {
+	const n, dim, k = 256, 8, 3
+	for _, modes := range [][2]Mode{{Linear, Quantized}, {Quantized, Linear}} {
+		path := filepath.Join(t.TempDir(), "shared.tier")
+		var regions, oracles [2]*Region
+		var sets [2]*dataset.Dataset
+		for i, mode := range modes {
+			sets[i] = dataset.Generate(dataset.Spec{
+				Name: "shared", N: n, Dim: dim, NumQueries: 4, K: k, Clusters: 4, ClusterStd: 0.5, Seed: int64(31 + i),
+			})
+			oracles[i] = buildTieredRegion(t, sets[i], Config{})
+			regions[i] = buildTieredRegion(t, sets[i], Config{Mode: mode, Vaults: 4, Index: IndexParams{Seed: 5, M: 4, Rerank: n},
+				Storage: &Storage{Path: path, BudgetBytes: 1}})
+		}
+		for i, r := range regions {
+			for _, q := range append([][]float32{sets[i].Row(5)}, sets[i].Queries...) {
+				want, err := oracles[i].Search(q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, err := r.Search(q, k); err != nil || !slices.Equal(got, want) {
+					t.Fatalf("%v built %s on the shared path: (%+v, %v), want %+v",
+						modes[i], []string{"first", "second"}[i], got, err, want)
+				}
+			}
+		}
+	}
+}
+
 // TestTieredRegionBatchTrace: a storage-backed batch is one shared scan
 // that reports its work, so a forced trace shows it like an in-RAM one —
 // dist_evals and dims on exec, one "vault" child per page tagged with
