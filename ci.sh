@@ -210,8 +210,10 @@ go test -run='^Fuzz' -count=1 ./internal/server/wire ./internal/vec ./internal/k
 # fan-out every serving goroutine runs under (par) — small and all of it
 # concurrent — hold a higher bar than the rest. The client reads 90.8 %
 # with TestRegionNamesNeedingEscapes driving every call against the real
-# server (60.8 % before it); its floor is 5 points under that.
-for spec in .:80 ./internal/server:80 ./internal/server/batcher:90 \
+# server (60.8 % before it); its floor is 5 points under that. The wire
+# decoders, the server's one parser of untrusted bytes, read 93.4 % with
+# the binary load's refusal table; their floor is 5 points under that.
+for spec in .:80 ./internal/server:80 ./internal/server/wire:88 ./internal/server/batcher:90 \
             ./internal/cluster:80 ./internal/hedge:90 ./internal/par:90 ./internal/obs:80 \
             ./internal/knn:90 ./internal/graph:80 ./internal/mutate:80 \
             ./internal/replica:80 ./internal/pq:85 ./internal/tier:80 ./internal/client:85; do

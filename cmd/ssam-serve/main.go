@@ -25,7 +25,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"net/http/httptest"
@@ -221,20 +220,27 @@ func preloadRegion(srv *server.Server, arg, mode string, vaults int, index wire.
 	for i := range rows {
 		rows[i] = ds.Row(i)
 	}
-	if err := roundTrip(srv, "POST", "/regions", wire.CreateRegionRequest{
+	create, err := json.Marshal(wire.CreateRegionRequest{
 		Name: name, Dims: ds.Dim(),
 		Config: wire.RegionConfig{Mode: mode, Vaults: vaults, Index: index, Sharding: sharding, Replicas: replicas, Storage: storage},
-	}); err != nil {
+	})
+	if err != nil {
 		return err
 	}
-	// Load in chunks so a full-scale preload doesn't marshal one giant
-	// JSON body.
+	if err := roundTrip(srv, "POST", "/regions", create); err != nil {
+		return err
+	}
+	// Load in binary chunks, as the client does: a full-scale dataset
+	// (gist is 3.8 GB of rows) is over the server's MaxBodyBytes cap in
+	// one body.
 	const chunk = 50000
 	for lo := 0; lo < len(rows); lo += chunk {
 		hi := min(lo+chunk, len(rows))
-		if err := roundTrip(srv, "POST", "/regions/"+name+"/load", wire.LoadRequest{
-			Vectors: rows[lo:hi], Append: lo > 0,
-		}); err != nil {
+		body, err := wire.EncodeLoad(wire.LoadRequest{Vectors: rows[lo:hi], Append: lo > 0})
+		if err != nil {
+			return err
+		}
+		if err := roundTrip(srv, "POST", "/regions/"+name+"/load", body); err != nil {
 			return err
 		}
 	}
@@ -255,17 +261,9 @@ func regionName(arg string) string {
 
 // roundTrip drives the server's handler in-process with a synthetic
 // request, so preloading exercises the same validation as the wire.
-func roundTrip(srv *server.Server, method, path string, body any) error {
-	var rd io.Reader
-	if body != nil {
-		data, err := json.Marshal(body)
-		if err != nil {
-			return err
-		}
-		rd = bytes.NewReader(data)
-	}
+func roundTrip(srv *server.Server, method, path string, body []byte) error {
 	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest(method, path, rd))
+	srv.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
 	if rec.Code >= 300 {
 		return fmt.Errorf("%s %s: status %d: %s", method, path, rec.Code, strings.TrimSpace(rec.Body.String()))
 	}

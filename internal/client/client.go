@@ -1,10 +1,11 @@
 // Package client is the typed Go client for the SSAM query server
-// (internal/server). It speaks the internal/server/wire JSON format,
-// applies a per-request timeout, and transparently retries shed load:
-// a 503 response carries a Retry-After hint, and search/read calls
-// back off by a jittered fraction of the hint (so a fleet of clients
-// shed together does not retry in lockstep) and retry up to a bounded
-// attempt budget before surfacing ErrOverloaded.
+// (internal/server). It speaks the internal/server/wire JSON format
+// (loads go as wire.EncodeLoad's binary rows), applies a per-request
+// timeout, and transparently retries shed load: a 503 response carries
+// a Retry-After hint, and search/read calls back off by a jittered
+// fraction of the hint (so a fleet of clients shed together does not
+// retry in lockstep) and retry up to a bounded attempt budget before
+// surfacing ErrOverloaded.
 package client
 
 import (
@@ -139,6 +140,12 @@ func (c *Client) doHeader(ctx context.Context, method, path string, hdr map[stri
 			return fmt.Errorf("client: encode request: %w", err)
 		}
 	}
+	return c.send(ctx, method, path, hdr, body, out, retryable)
+}
+
+// send runs the attempts of one request whose body is already encoded;
+// hdr's Content-Type, if any, replaces the JSON default.
+func (c *Client) send(ctx context.Context, method, path string, hdr map[string]string, body []byte, out any, retryable bool) error {
 	attempts := 1
 	if retryable {
 		attempts += c.maxRetries
@@ -240,17 +247,27 @@ func (c *Client) CreateRegion(ctx context.Context, name string, dims int, cfg wi
 
 // Load replaces the region's dataset with vectors (nmemcpy).
 func (c *Client) Load(ctx context.Context, name string, vectors [][]float32) (wire.RegionInfo, error) {
-	var info wire.RegionInfo
-	err := c.do(ctx, http.MethodPost, regionPath(name, "/load"),
-		wire.LoadRequest{Vectors: vectors}, &info, false)
-	return info, err
+	return c.load(ctx, name, wire.LoadRequest{Vectors: vectors})
 }
 
 // LoadAppend streams additional vectors into the region.
 func (c *Client) LoadAppend(ctx context.Context, name string, vectors [][]float32) (wire.RegionInfo, error) {
+	return c.load(ctx, name, wire.LoadRequest{Vectors: vectors, Append: true})
+}
+
+// binaryBody labels a wire.EncodeLoad body.
+var binaryBody = map[string]string{"Content-Type": "application/octet-stream"}
+
+// load sends req as raw float32 rows, not decimal text: the server tells
+// the two apart by the body's magic. Ragged rows and non-finite values
+// fail here, before any request is sent.
+func (c *Client) load(ctx context.Context, name string, req wire.LoadRequest) (wire.RegionInfo, error) {
 	var info wire.RegionInfo
-	err := c.do(ctx, http.MethodPost, regionPath(name, "/load"),
-		wire.LoadRequest{Vectors: vectors, Append: true}, &info, false)
+	body, err := wire.EncodeLoad(req)
+	if err != nil {
+		return info, fmt.Errorf("client: encode request: %w", err)
+	}
+	err = c.send(ctx, http.MethodPost, regionPath(name, "/load"), binaryBody, body, &info, false)
 	return info, err
 }
 

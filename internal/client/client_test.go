@@ -1,11 +1,16 @@
 package client
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -96,6 +101,99 @@ func TestRetryAfterCapped(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("client slept %v; Retry-After cap not applied", elapsed)
+	}
+}
+
+// sentRequest is what a recording server saw of one request.
+type sentRequest struct {
+	method, path, contentType string
+	body                      []byte
+}
+
+// recordRequests answers every request with an empty RegionInfo and
+// returns what the requests carried so far.
+func recordRequests(t *testing.T) (*httptest.Server, func() []sentRequest) {
+	t.Helper()
+	var (
+		mu   sync.Mutex
+		seen []sentRequest
+	)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		mu.Lock()
+		seen = append(seen, sentRequest{r.Method, r.URL.Path, r.Header.Get("Content-Type"), body})
+		mu.Unlock()
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(`{"name":"r","dims":2,"len":0,"built":false,"config":{}}`))
+	}))
+	t.Cleanup(ts.Close)
+	return ts, func() []sentRequest {
+		mu.Lock()
+		defer mu.Unlock()
+		return seen
+	}
+}
+
+// TestLoadSendsBinary: both load calls send the rows as a binary body,
+// labelled as such, with the append flag set only by LoadAppend — and
+// the server's decoder reads back the rows that were sent.
+func TestLoadSendsBinary(t *testing.T) {
+	ts, seen := recordRequests(t)
+	c := New(ts.URL)
+	ctx := context.Background()
+	rows := [][]float32{{1, 2}, {3, -4}, {0.5, 1e-40}}
+	if _, err := c.Load(ctx, "r", rows); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.LoadAppend(ctx, "r", rows[:1]); err != nil {
+		t.Fatal(err)
+	}
+	reqs := seen()
+	if len(reqs) != 2 {
+		t.Fatalf("server saw %d requests, want 2", len(reqs))
+	}
+	sent := [][][]float32{rows, rows[:1]}
+	for i, r := range reqs {
+		if r.method != http.MethodPost || r.path != "/regions/r/load" {
+			t.Errorf("request %d: %s %s, want POST /regions/r/load", i, r.method, r.path)
+		}
+		if r.contentType != "application/octet-stream" {
+			t.Errorf("request %d: Content-Type %q, want application/octet-stream", i, r.contentType)
+		}
+		if !bytes.HasPrefix(r.body, []byte("\x93SV1")) || len(r.body) < 16 {
+			t.Fatalf("request %d: body % x does not open with the binary magic", i, r.body[:min(len(r.body), 16)])
+		}
+		if flags, wantAppend := binary.LittleEndian.Uint32(r.body[12:]), i == 1; (flags&1 != 0) != wantAppend {
+			t.Errorf("request %d: flags %#x, want append bit %v", i, flags, wantAppend)
+		}
+		got, err := wire.DecodeLoad(r.body)
+		if err != nil || !reflect.DeepEqual(got.Vectors, sent[i]) {
+			t.Errorf("request %d decodes to %v, %v; want %v", i, got.Vectors, err, sent[i])
+		}
+	}
+}
+
+// TestLoadRefusesBeforeSending: rows the server would refuse — ragged,
+// or not finite — fail in the client, and nothing goes on the wire.
+func TestLoadRefusesBeforeSending(t *testing.T) {
+	ts, seen := recordRequests(t)
+	c := New(ts.URL)
+	ctx := context.Background()
+	for name, rows := range map[string][][]float32{
+		"ragged":  {{1, 2}, {3}},
+		"NaN":     {{1, float32(math.NaN())}},
+		"+Inf":    {{float32(math.Inf(1)), 2}},
+		"no rows": nil,
+	} {
+		if _, err := c.Load(ctx, "r", rows); err == nil {
+			t.Errorf("Load of %s rows: no error", name)
+		}
+		if _, err := c.LoadAppend(ctx, "r", rows); err == nil {
+			t.Errorf("LoadAppend of %s rows: no error", name)
+		}
+	}
+	if n := len(seen()); n != 0 {
+		t.Fatalf("server saw %d requests, want 0", n)
 	}
 }
 

@@ -62,6 +62,36 @@ func BenchmarkHandleUpsert(b *testing.B) {
 	benchHandler(b, "/regions/bench/upsert", func(_, upsert []byte) []byte { return upsert })
 }
 
+// BenchmarkHandleLoad replaces a region's rows with one spine chunk
+// (5 000 × 128) per iteration, as JSON text and as binary rows. Both
+// report MB/s of float32 payload, so the two read side by side.
+func BenchmarkHandleLoad(b *testing.B) {
+	const rows, dims = 5000, 128
+	srv, vecs := linearServer(b, Options{}, rows, dims)
+	req := wire.LoadRequest{Vectors: vecs}
+	binaryBody, err := wire.EncodeLoad(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, form := range []struct {
+		name string
+		body []byte
+	}{
+		{"json", mustJSON(b, req)},
+		{"binary", binaryBody},
+	} {
+		b.Run(form.name, func(b *testing.B) {
+			b.SetBytes(rows * dims * 4)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if rec := post(srv, "/regions/bench/load", form.body); rec.Code != http.StatusOK {
+					b.Fatalf("status %d: %s", rec.Code, rec.Body)
+				}
+			}
+		})
+	}
+}
+
 // TestHandlerAllocs holds allocations per request at what the
 // per-endpoint handlers cost before the pipeline replaced them (63 and
 // 52, read at that commit with this fixture): a pipeline assembled from

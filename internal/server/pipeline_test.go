@@ -216,12 +216,26 @@ func TestPipelineConformance(t *testing.T) {
 		class  string
 		region string
 		body   []byte
-		want   int  // status; 0: nothing written
-		past   bool // refused after the trace opened
-		shed   bool // 503 with Retry-After, counted
-		full   bool // sent with every admission token taken
-		drain  bool // sent to a draining server
+		want   int   // status; 0: nothing written
+		past   bool  // refused after the trace opened
+		shed   bool  // 503 with Retry-After, counted
+		full   bool  // sent with every admission token taken
+		drain  bool  // sent to a draining server
+		limit  int64 // MaxBodyBytes while it is sent; 0 leaves the default
 	}
+
+	// 51 rows of the region's width are over a 200-byte body cap in either
+	// form, and the binary one is exactly at a cap of its own length.
+	wide := make([][]float32, 51)
+	for i := range wide {
+		wide[i] = vec
+	}
+	wideJSON := mustJSON(t, wire.LoadRequest{Vectors: wide})
+	wideBinary, err := wire.EncodeLoad(wire.LoadRequest{Vectors: wide})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const smallCap = 200
 
 	for _, rt := range routes {
 		var cases []refusal
@@ -243,7 +257,10 @@ func TestPipelineConformance(t *testing.T) {
 		case rt.name == "load":
 			cases = append(cases,
 				refusal{class: "append onto storage", region: "stored", body: mustJSON(t, wire.LoadRequest{Vectors: [][]float32{vec}, Append: true}), want: http.StatusConflict},
-				refusal{class: "backend fault", region: "loadfault", body: rt.good, want: http.StatusInternalServerError})
+				refusal{class: "backend fault", region: "loadfault", body: rt.good, want: http.StatusInternalServerError},
+				refusal{class: "binary one byte short", region: "ok", body: wideBinary[:len(wideBinary)-1], want: http.StatusBadRequest},
+				refusal{class: "JSON over the body cap", region: "ok", body: wideJSON, want: http.StatusRequestEntityTooLarge, limit: smallCap},
+				refusal{class: "binary over the body cap", region: "ok", body: wideBinary, want: http.StatusRequestEntityTooLarge, limit: smallCap})
 		case rt.name == "build":
 			cases = append(cases, refusal{class: "build refused", region: "buildfault", want: http.StatusConflict})
 		case rt.name == "info", rt.name == "free":
@@ -295,7 +312,12 @@ func TestPipelineConformance(t *testing.T) {
 					srv.sem <- struct{}{}
 				}
 				srv.draining.Store(tc.drain)
+				defaultCap := srv.opts.MaxBodyBytes
+				if tc.limit != 0 {
+					srv.opts.MaxBodyBytes = tc.limit
+				}
 				defer func() {
+					srv.opts.MaxBodyBytes = defaultCap
 					srv.draining.Store(false)
 					for i := 0; i < held; i++ {
 						<-srv.sem
@@ -312,6 +334,9 @@ func TestPipelineConformance(t *testing.T) {
 					var body wire.ErrorResponse
 					if err := json.Unmarshal(rec.Body.Bytes(), &body); rec.Code != tc.want || err != nil || body.Error == "" {
 						t.Fatalf("status %d body %q, want %d with a typed error", rec.Code, rec.Body, tc.want)
+					}
+					if limit := fmt.Sprintf("%d-byte", tc.limit); tc.limit != 0 && !strings.Contains(body.Error, limit) {
+						t.Errorf("error %q does not name the %d-byte limit", body.Error, tc.limit)
 					}
 				}
 				wantShed := uint64(0)
@@ -361,6 +386,12 @@ func TestPipelineConformance(t *testing.T) {
 		if got := len(srv.tracer.Snapshot()) - traces; rec.Code != want || got != wantTraces {
 			t.Errorf("%s on a ready region: status %d %s, /tracez grew by %d (want %d, %d)", rt.name, rec.Code, rec.Body, got, want, wantTraces)
 		}
+	}
+	// The binary body refused over the small cap is taken under a cap of
+	// its own length.
+	srv.opts.MaxBodyBytes = int64(len(wideBinary))
+	if rec := post(srv, "/regions/ok/load", wideBinary); rec.Code != http.StatusOK {
+		t.Errorf("binary load at a cap of its own length: status %d %s, want 200", rec.Code, rec.Body)
 	}
 }
 

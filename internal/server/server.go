@@ -94,6 +94,7 @@ type Options struct {
 	// RetryAfter is the hint returned with shed load (default 1s).
 	RetryAfter time.Duration
 	// MaxBodyBytes caps request bodies (default 1 GiB; loads are big).
+	// A body over it answers 413.
 	MaxBodyBytes int64
 	// TraceSampleEvery head-samples one search request in every N for
 	// the /tracez ring (0, the default, disables ambient sampling;
@@ -805,6 +806,18 @@ type (
 // that lost a race with DELETE.
 func (c conflict) Unwrap() error { return c.error }
 
+// Unwrap lets status see a body cut off at Options.MaxBodyBytes.
+func (b badRequest) Unwrap() error { return b.error }
+
+// Error names the cap a body over it ran into, so the client knows to
+// send smaller chunks rather than fix its encoding.
+func (b badRequest) Error() string {
+	if tl := (*http.MaxBytesError)(nil); errors.As(b.error, &tl) {
+		return fmt.Sprintf("request body over the server's %d-byte limit: send it in smaller chunks", tl.Limit)
+	}
+	return b.error.Error()
+}
+
 // overloaded is the error of a request shed at admission.
 type overloaded string
 
@@ -812,16 +825,19 @@ func (o overloaded) Error() string { return string(o) }
 
 // status is the one table from an error to its HTTP status. Lookup and
 // decode refuse with missing and badRequest, as create refuses a
-// configuration; anything else a route returns is a conflict with the
-// region's state or kind, a region freed under the request, or the
-// server's own fault. 0 means write nothing: the client has gone and
-// there is no one to tell.
+// configuration, and a body that ran past Options.MaxBodyBytes is too
+// large rather than malformed; anything else a route returns is a
+// conflict with the region's state or kind, a region freed under the
+// request, or the server's own fault. 0 means write nothing: the client
+// has gone and there is no one to tell.
 func status(ctx context.Context, err error) int {
 	switch {
 	case errors.Is(err, ctx.Err()):
 		return 0
 	case errors.As(err, new(missing)), errors.Is(err, ssam.ErrFreed):
 		return http.StatusNotFound
+	case errors.As(err, new(*http.MaxBytesError)):
+		return http.StatusRequestEntityTooLarge
 	case errors.As(err, new(badRequest)):
 		return http.StatusBadRequest
 	case errors.As(err, new(overloaded)):

@@ -107,8 +107,13 @@ func DecodeCreateRegion(data []byte) (CreateRegionRequest, error) {
 	return req, nil
 }
 
-// DecodeLoad decodes and validates a LoadRequest body.
+// DecodeLoad decodes and validates a LoadRequest body, JSON or the
+// binary form EncodeLoad writes (load.go), told apart by the magic's
+// first byte, which no JSON text begins with.
 func DecodeLoad(data []byte) (LoadRequest, error) {
+	if len(data) > 0 && data[0] == loadMagic[0] {
+		return decodeLoadBinary(data)
+	}
 	var req LoadRequest
 	if err := decodeStrict(data, &req); err != nil {
 		return LoadRequest{}, err

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -12,7 +13,9 @@ import (
 // the decoders reject non-finite floats (encoding/json cannot encode
 // them) and trailing garbage. kind selects the payload family:
 // 'c' create, 'l' load, 's' search, 'b' batch, 'u' upsert, 'd' delete;
-// other bytes exercise every decoder on the same input.
+// other bytes exercise every decoder on the same input. A binary load
+// body the 'l' arm accepts must also be byte for byte what EncodeLoad
+// writes for it.
 func FuzzDecodeRequests(f *testing.F) {
 	seeds := []struct {
 		kind byte
@@ -70,6 +73,7 @@ func FuzzDecodeRequests(f *testing.F) {
 			roundTrip(t, data, DecodeCreateRegion)
 		case 'l':
 			roundTrip(t, data, DecodeLoad)
+			binaryIdentity(t, data)
 		case 's':
 			roundTrip(t, data, DecodeSearch)
 		case 'b':
@@ -87,6 +91,27 @@ func FuzzDecodeRequests(f *testing.F) {
 			roundTrip(t, data, DecodeDelete)
 		}
 	})
+}
+
+// binaryIdentity requires an accepted binary load body to be exactly
+// what EncodeLoad writes for the request it decodes to: the format has
+// one spelling of every request.
+func binaryIdentity(t *testing.T, data []byte) {
+	t.Helper()
+	if len(data) == 0 || data[0] != loadMagic[0] {
+		return
+	}
+	req, err := DecodeLoad(data)
+	if err != nil {
+		return
+	}
+	enc, err := EncodeLoad(req)
+	if err != nil {
+		t.Fatalf("accepted binary body % x but cannot re-encode: %v", data, err)
+	}
+	if !bytes.Equal(enc, data) {
+		t.Fatalf("binary body re-encodes differently:\n  in  % x\n  out % x", data, enc)
+	}
 }
 
 // roundTrip decodes data and, when accepted, requires the value to
