@@ -45,7 +45,7 @@ type work struct {
 
 // tag records the work on the exec span — the one place knn.Stats
 // counters reach the trace (the quantized engine adds adc_kept, the ADC
-// pass's share of PQKept, itself). A call that accounted nothing (a failed query, a fanned-out
+// pass's share of PQKept, and adc_rescan itself). A call that accounted nothing (a failed query, a fanned-out
 // batch, the simulated device) leaves the span bare.
 func (w work) tag(sp *obs.Span) {
 	if sp == nil || w.knn == (knn.Stats{}) {
@@ -208,7 +208,8 @@ func (a *indexEngine) tags() []obs.Tag {
 // pqEngine is the product-quantized scan: vault-parallel like the linear
 // engine (scanned slabs are "vault" children, the exact re-rank a
 // "rerank" child tagged cands; the engine itself tags exec adc_kept, the
-// ADC offers that passed the running bound); long batches fan out
+// rows at or below the bound its pilot set, and adc_rescan when that
+// bound kept too few and the pass ran again); long batches fan out
 // across workers. The codes are always resident; when the full-precision
 // rows sit in a storage cache, which the engine then owns, only the
 // re-rank touches it — one "rerank" child per page, tagged tier_hit —

@@ -26,22 +26,19 @@ type Searcher interface {
 }
 
 // Stats records the work performed by a query, the raw material for
-// the Table I instruction-mix characterization. All counters except
-// PQKept are partition-independent: a vault-parallel scan reports the
-// same DistEvals, Dims, and PQInserts as a serial scan of the same
-// database. PQKept may exceed the serial value under vault parallelism
-// because each vault-local selector bounds against only its own slice.
+// the Table I instruction-mix characterization. A vault-parallel scan
+// reports the same DistEvals, Dims, and PQInserts as a serial scan of
+// the same database. On the float engines PQKept may exceed the serial
+// value under vault parallelism, because each vault-local selector
+// bounds against only its own slice; on the quantized engine's ADC pass
+// every counter is partition-independent, PQKept included.
 type Stats struct {
 	DistEvals int // full distance computations
 	Dims      int // total vector dimensions touched by distance math
 	PQInserts int // candidate offers to the top-k structure
-	// PQKept is the offers that were admitted. On the quantized
-	// engine's ADC pass, which keeps candidates in a reservoir and not
-	// a heap, it is the offers that passed the running bound — every
-	// one until the first R have set a bound, then those ranking before
-	// the R-th best as of the last compaction. That is more than a heap
-	// would admit (its bound tightens on every admission) and, like the
-	// heap's count, a function of the partition alone, not of timing.
+	// PQKept is the offers that were admitted: on the float engines,
+	// those their selectors took in; on the quantized ADC pass, the rows
+	// at or below the pilot's bound (both passes' after a rescan).
 	PQKept int
 	// TableBuilds and CodeEvals account for the product-quantized
 	// engine (pq.go): ADC lookup-table constructions and code-word

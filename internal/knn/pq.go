@@ -48,8 +48,9 @@ type PQParams struct {
 // series.
 type PQCounters struct {
 	TableBuilds uint64 // ADC lookup tables built (one per query)
-	CodeEvals   uint64 // code words scanned
+	CodeEvals   uint64 // code words scanned, a rescan's included
 	RerankEvals uint64 // full-precision re-rank distance computations
+	Rescans     uint64 // ADC passes run again because the pilot's bound kept too few rows
 }
 
 // PQScan is the approximate linear scan over product-quantized codes,
@@ -70,7 +71,7 @@ type PQScan struct {
 	starts      []int        // first row of each slab; len(slabs)+1
 	rerank      atomic.Int64 // read once per search: SetRerank may race a query
 	workers     int
-	counters    struct{ tableBuilds, codeEvals, rerankEvals atomic.Uint64 }
+	counters    struct{ tableBuilds, codeEvals, rerankEvals, rescans atomic.Uint64 }
 }
 
 // PQEngine is a PQScan over resident rows: it cannot fail, so its
@@ -228,6 +229,7 @@ func (e *PQScan) Counters() PQCounters {
 		TableBuilds: e.counters.tableBuilds.Load(),
 		CodeEvals:   e.counters.codeEvals.Load(),
 		RerankEvals: e.counters.rerankEvals.Load(),
+		Rescans:     e.counters.rescans.Load(),
 	}
 }
 
@@ -338,12 +340,12 @@ func (e *PQScan) adcResults(cands []cand) []topk.Result {
 }
 
 // adcCandidates runs the query's table build and ADC scan, returning
-// the R best candidates under (ADC distance, row), R = max(k, rerank),
-// in no particular order. The candidate set depends only on the
-// resident codes, never on where the full-precision rows sit. sp, the
-// caller's exec span, gets one "vault" child per slab scanned in
-// parallel and the adc_kept tag (in a batch, the last query's). The
-// error is a panic in a slab's scan.
+// the R best under (ADC distance, row), R = max(k, rerank) held to n, in
+// no particular order: selected from the rows at or below the pilot's
+// bound, or from every row when fewer than R were. sp, the exec span,
+// gets a "vault" child per slab scanned in parallel and the adc_kept and
+// adc_rescan tags (in a batch, the last query's). The error is a panic
+// in a slab's scan.
 func (e *PQScan) adcCandidates(q []float32, k, rerank int, sp *obs.Span, forceSerial bool) ([]cand, Stats, error) {
 	if k <= 0 {
 		panic("knn: k must be positive")
@@ -354,49 +356,82 @@ func (e *PQScan) adcCandidates(q []float32, k, rerank int, sp *obs.Span, forceSe
 		normalizeInto(qt, q)
 	}
 	lut := e.cb.Table(e.tableMetric, qt, nil)
-	var st Stats
-	st.TableBuilds = 1
-	// Building the table evaluates all M×256 query-to-centroid partial
-	// distances, which together touch Ks full vector widths.
-	st.Dims += pq.Ks * e.dim
+	// The table's M×256 partial distances touch Ks full vector widths.
+	st := Stats{TableBuilds: 1, Dims: pq.Ks * e.dim}
 
-	// One selection at every depth: each scanned range keeps its R
-	// best in a reservoir and hands it over unsorted, and the ranges'
-	// candidates are selected from once more, together.
-	r := max(k, rerank)
-	var parts [][]cand
-	var scanStats Stats
-	if forceSerial || e.vaults == 1 || e.n < e.serialBelow {
-		parts = make([][]cand, 1)
-		parts[0], scanStats = e.scanRange(lut, r, 0, e.n)
-	} else {
-		// The codes are resident whatever the rows are: the slabs fan out.
-		var err error
-		parts, scanStats, err = fanVaults(e.n, e.vaults, 1, false, sp, func(_, lo, hi int, _ *obs.Span) ([]cand, Stats, error) {
-			res, st := e.scanRange(lut, r, lo, hi)
-			return res, st, nil
-		})
-		if err != nil {
-			return nil, Stats{}, err
+	r := min(max(k, rerank), e.n)
+	pass := func(bound cand) ([][]cand, Stats, error) {
+		if forceSerial || e.vaults == 1 || e.n < e.serialBelow {
+			part, partStats := e.scanRange(lut, bound, 0, e.n)
+			return [][]cand{part}, partStats, nil
 		}
+		// The codes are resident whatever the rows are: the slabs fan out.
+		return fanVaults(e.n, e.vaults, 1, false, sp, func(_, lo, hi int, _ *obs.Span) ([]cand, Stats, error) {
+			part, partStats := e.scanRange(lut, bound, lo, hi)
+			return part, partStats, nil
+		})
 	}
-	sp.SetTag("adc_kept", scanStats.PQKept)
-	st.Add(scanStats)
+	parts, scanned, err := pass(e.pilot(lut, r))
+	st.Add(scanned)
+	if err == nil && scanned.PQKept < r {
+		parts, scanned, err = pass(allCands)
+		st.Add(scanned)
+		sp.SetTag("adc_rescan", true)
+		e.counters.rescans.Add(1)
+	}
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	sp.SetTag("adc_kept", st.PQKept)
 	e.counters.tableBuilds.Add(1)
 	e.counters.codeEvals.Add(uint64(st.CodeEvals))
 	return selectCands(r, parts...), st, nil
 }
 
+// pilotRows caps the pilot (DESIGN.md §13): of s = min(pilotRows, n/32)
+// rows i·n/s, the distance at rank λ + 4·√(λ(1−r/n)) + 3, λ = r·s/n, has
+// fewer than r rows under it less than once in 40 000 queries.
+const pilotRows = 512
+
+// pilotShape returns the pilot's size for n rows and the rank that
+// bounds the r best, 0 where that bound would keep nearly every row.
+func pilotShape(n, r int) (s, rank int) {
+	s = min(pilotRows, n/32)
+	p := float64(r) / float64(max(n, 1))
+	lambda := float64(s) * p
+	if rank = int(math.Ceil(lambda + 4*math.Sqrt(lambda*(1-p)) + 3)); rank >= s {
+		rank = 0
+	}
+	return s, rank
+}
+
+// pilot returns the bound for the r best rows, or allCands. Its distances
+// are the scan's own, taken early, and not counted in CodeEvals.
+func (e *PQScan) pilot(lut []float32, r int) cand {
+	s, rank := pilotShape(e.n, r)
+	if rank == 0 {
+		return allCands
+	}
+	var buf [pilotRows]cand
+	code := make([]byte, e.cb.M())
+	for i := range s {
+		row := i * e.n / s
+		v := row / e.starts[1] // the slabs are equal chunks but the last
+		buf[i] = makeCand(pq.ADC(lut, e.slabs[v].Row(row-e.starts[v], code)), uint32(row))
+	}
+	nthElement(buf[:s], rank-1)
+	return buf[rank-1] | math.MaxUint32
+}
+
 // scanRange runs the ADC kernel over global rows [lo, hi), walking the
-// vault slabs that overlap the range, and returns the range's R best
-// candidates plus up to R more it had not yet dropped. A candidate's
-// distance is the float32 table sum in fixed subquantizer order, so it
-// is independent of the partitioning; e.scale (1, or the exact and
-// order-preserving 0.5) is applied only to distances that are
-// returned. Every row is one PQInserts, every row past the running
-// bound one PQKept.
-func (e *PQScan) scanRange(lut []float32, r, lo, hi int) ([]cand, Stats) {
-	res := newReservoir(r, hi-lo)
+// vault slabs that overlap the range, and returns the range's rows at
+// or below bound. A candidate's distance is the float32 table sum in
+// fixed subquantizer order, so it is independent of the partitioning;
+// e.scale (1, or the exact and order-preserving 0.5) is applied only
+// to distances that are returned. Every row is one PQInserts, every
+// row at or below the bound one PQKept.
+func (e *PQScan) scanRange(lut []float32, bound cand, lo, hi int) ([]cand, Stats) {
+	kept := make([]cand, 0, (hi-lo)/16) // at R = n/50 the bound keeps 1/20
 	var st Stats
 	for v, slab := range e.slabs {
 		start := e.starts[v]
@@ -406,13 +441,13 @@ func (e *PQScan) scanRange(lut []float32, r, lo, hi int) ([]cand, Stats) {
 			continue
 		}
 		slab.Scan(lut, l, h, func(base int, dists []float32) {
-			res.offer(start+base, dists)
+			kept = collect(kept, bound, start+base, dists)
 		})
 		st.CodeEvals += h - l
 	}
 	st.PQInserts = st.CodeEvals
-	st.PQKept = res.kept
-	return res.buf, st
+	st.PQKept = len(kept)
+	return kept, st
 }
 
 // RunBatch runs one search per query. Over a store the queries run in

@@ -93,7 +93,8 @@ func TestPQDeterministicAcrossBuilds(t *testing.T) {
 }
 
 // Serial and vault-parallel scans must agree bit-for-bit at every
-// vault count, with and without re-ranking. SetSerialThreshold(0)
+// vault count, with and without re-ranking, in their results and in
+// every work counter (PQKept included). SetSerialThreshold(0)
 // forces the vault path even on this small dataset. The re-rank depths
 // are ADC only, exactly k, a depth every vault list fills, and one that
 // no list of seven or more vaults can (1000 > n/vaults); under
@@ -133,8 +134,15 @@ func TestPQSerialParallelBitEquivalence(t *testing.T) {
 				serial.SetRerank(rerank)
 				par.SetRerank(rerank)
 				for _, q := range ds.Queries {
-					sameResults(t, fmt.Sprintf("%v/M=%d/vaults=%d/rerank=%d", sh.metric, sh.M, vaults, rerank),
-						par.Search(q, k), serial.Search(q, k))
+					tag := fmt.Sprintf("%v/M=%d/vaults=%d/rerank=%d", sh.metric, sh.M, vaults, rerank)
+					got, gst := par.SearchStats(q, k)
+					want, wst := serial.SearchStats(q, k)
+					sameResults(t, tag, got, want)
+					// One bound for every vault, and the vault lists in row
+					// order: the stats do not see the partition either.
+					if gst != wst {
+						t.Fatalf("%s: stats %+v, serial %+v", tag, gst, wst)
+					}
 				}
 			}
 		}

@@ -1,19 +1,11 @@
 package knn
 
-// Candidate selection for the product-quantized ADC pass. The pass
-// wants the R rows with the smallest ADC sums as a set — the re-rank
-// that follows is a pure function of that set — so it does not pay for
-// a heap: a block of sums is compared against a running bound and only
-// the survivors are appended to a buffer of 2R candidates; when the
-// buffer fills, a quickselect keeps the R best and tightens the bound.
-//
-// The retained set is exactly topk.Selector's. Both keep "the R
-// smallest under (distance, id)", a property of the multiset offered
-// and not of the order it arrives in: a compaction drops only
-// candidates with R better ones beside them in the buffer, and the
-// filter drops only candidates that rank after the R-th best seen so
-// far, so neither can lose a member of the final R. That is what keeps
-// serial ≡ vault-parallel ≡ tiered ≡ exact (at R >= n) bit-identical.
+// Candidate selection for the product-quantized ADC pass: each range
+// appends its rows at or below one bound, set by a pilot before the scan
+// (pq.go), and one quickselect over the lists keeps the R best. With R
+// collected that is topk.Selector's set, as a row left out ranks after
+// every row kept; the lists are blind to blocks, ranges, vaults and
+// arrival order, so serial ≡ vault-parallel ≡ tiered ≡ exact (R >= n).
 
 import (
 	"math"
@@ -28,6 +20,9 @@ import (
 // place (past the infinity of their sign) so no comparison is ever
 // inconsistent, and a candidate is 8 bytes where a topk.Result is 16.
 type cand uint64
+
+// allCands is the bound past every candidate, NaNs included.
+const allCands = ^cand(0)
 
 func makeCand(dist float32, row uint32) cand {
 	b := math.Float32bits(dist + 0) // -0 + 0 is +0: the two zeros tie, as they do under ==
@@ -51,79 +46,51 @@ func (c cand) dist() float32 {
 	return math.Float32frombits(b)
 }
 
-// reservoir retains the r best candidates of the blocks offered to it,
-// and up to r more that a compaction has yet to drop.
-type reservoir struct {
-	r     int
-	buf   []cand
-	bound cand    // once bounded, the r-th best candidate so far: admit below it
-	dist  float32 // bound's distance, the filter's first compare
-	// bounded is false until the first compaction: with fewer than r
-	// candidates seen, everything is admitted — a NaN included, which
-	// the float compare below would turn away.
-	bounded bool
-	kept    int // candidates admitted, Stats.PQKept
-}
-
-// newReservoir returns a reservoir for the r best of at most rows
-// candidates. A depth past rows keeps them all and is held to rows, so
-// that no depth a caller can ask for overflows the buffer's size.
-func newReservoir(r, rows int) *reservoir {
-	r = min(r, rows)
-	return &reservoir{r: r, buf: make([]cand, 0, min(2*r, rows))}
-}
-
-// offer considers rows base, base+1, … at distances dists.
-func (s *reservoir) offer(base int, dists []float32) {
+// collect appends to dst the candidates among rows base, base+1, … at
+// distances dists that are at or below bound, and returns it.
+func collect(dst []cand, bound cand, base int, dists []float32) []cand {
+	// All but a few in a hundred rows fail the float compare, which only
+	// turns away rows past the bound: four at a time, on four compares
+	// that predict well, is 40 % less than a branch a row that
+	// mispredicts on every survivor.
+	t := bound.dist()
 	i := 0
-	for ; i < len(dists) && !s.bounded; i++ {
-		s.admit(makeCand(dists[i], uint32(base+i)))
+	for ; i+4 <= len(dists); i += 4 {
+		d := dists[i : i+4 : i+4]
+		if d[0] > t && d[1] > t && d[2] > t && d[3] > t {
+			continue
+		}
+		dst = keep(dst, bound, t, base+i, d)
 	}
-	// The hot loop: all but a few in a hundred fail the float compare.
-	// A survivor of it is then held to the full order, ties included.
-	bd := s.dist
-	for ; i < len(dists); i++ {
-		if d := dists[i]; d <= bd {
-			if c := makeCand(d, uint32(base+i)); c < s.bound {
-				s.admit(c)
-				bd = s.dist
+	return keep(dst, bound, t, base+i, dists[i:])
+}
+
+// keep is collect a row at a time, t bound's distance. A NaN passes the
+// float compare (all do under allCands's NaN) to meet the full order.
+func keep(dst []cand, bound cand, t float32, base int, dists []float32) []cand {
+	for i, d := range dists {
+		if !(d > t) {
+			if c := makeCand(d, uint32(base+i)); c <= bound {
+				dst = append(dst, c)
 			}
 		}
 	}
-}
-
-func (s *reservoir) admit(c cand) {
-	s.buf = append(s.buf, c)
-	s.kept++
-	if len(s.buf) == 2*s.r {
-		s.buf = selectCands(s.r, s.buf)
-		s.bound = s.buf[s.r-1]
-		s.dist = s.bound.dist()
-		s.bounded = true
-	}
+	return dst
 }
 
 // selectCands returns the r smallest candidates of the lists together,
-// all of them when there are no more than r, in no particular order
-// save that the largest comes last when any were dropped. One list is
-// selected in place; several are gathered into a new one first.
+// all of them when there are no more than r, in no particular order.
+// One list is selected in place; several are gathered first.
 func selectCands(r int, lists ...[]cand) []cand {
 	all := lists[0]
 	if len(lists) > 1 {
-		total := 0
-		for _, l := range lists {
-			total += len(l)
-		}
-		all = make([]cand, 0, total)
-		for _, l := range lists {
-			all = append(all, l...)
-		}
+		all = slices.Concat(lists...)
 	}
-	if len(all) <= r {
-		return all
+	if len(all) > r {
+		nthElement(all, r-1)
+		all = all[:r]
 	}
-	nthElement(all, r-1)
-	return all[:r]
+	return all
 }
 
 // nthElement rearranges a so that a[k] is the element a sort would put

@@ -8,7 +8,7 @@ package knn
 // runs the scan kernel into a vault-local topk.Selector per query of
 // the call, and the vault-local lists are reduced with
 // topk.MergeSorted. (The quantized engine keeps and reduces candidates
-// its own way, reservoir.go, to the same sets.)
+// its own way, reservoir.go, to the same sets under one shared bound.)
 //
 // The result is bit-for-bit identical to a serial scan — ids, order,
 // and distances — because both sides follow one total order (ascending
@@ -79,8 +79,8 @@ func ResolveVaults(v int) int {
 // further, so a sampled trace shows per-vault skew. The returned Stats
 // sum the per-vault accounting; because every row is scanned by exactly
 // one vault, DistEvals, Dims and PQInserts are identical to a serial
-// scan's (PQKept may exceed it — vault-local selection bounds against
-// fewer competitors).
+// scan's (a selector's PQKept may exceed it, bounding against fewer
+// competitors; the quantized pass's one bound keeps it equal).
 func fanVaults[T any](n, vaults, queries int, inOrder bool, sp *obs.Span,
 	scan func(v, lo, hi int, vsp *obs.Span) (T, Stats, error)) ([]T, Stats, error) {
 	chunk := (n + vaults - 1) / vaults

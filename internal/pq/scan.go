@@ -125,7 +125,8 @@ func (c *Codes) Bytes() int { return len(c.buf) }
 
 // Row gathers row i's M code bytes out of the blocked layout into dst
 // (len >= M), returning dst. It is the layout's inverse, used by tests
-// and by exact re-rank debugging; the hot path never un-transposes.
+// and by the quantized scan's pilot, which reads a few hundred strided
+// rows before a scan; the scan itself never un-transposes.
 func (c *Codes) Row(i int, dst []byte) []byte {
 	blo := i - i%BlockRows
 	rows := min(BlockRows, c.n-blo)

@@ -107,6 +107,9 @@ func (s *Server) registerRegionMetrics(e *regionEntry) {
 			s.registry.CounterFunc("ssam_pq_rerank_evals_total",
 				"ADC candidates re-scored at full precision, per region.", lbl,
 				func() uint64 { return qst().RerankEvals })
+			s.registry.CounterFunc("ssam_pq_rescans_total",
+				"ADC passes run twice because the pilot's bound kept too few rows, per region.", lbl,
+				func() uint64 { return qst().Rescans })
 		}
 		if e.cfg.Storage != nil {
 			// Storage-backed regions: page-cache counters. All zeros until

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -105,7 +106,9 @@ func TestQuantizedRegionEndToEnd(t *testing.T) {
 	}
 
 	// /statsz carries the quantized work-counter block: one table per
-	// query served, n code evals per query, Rerank re-scores per query.
+	// query served, n code evals per query, Rerank re-scores per query,
+	// and no rescan (the pilot's bound kept enough rows every time: a
+	// rescan would add n code evals of its own).
 	const queriesServed = nq + 8
 	st, err := c.Stats(ctx)
 	if err != nil {
@@ -127,8 +130,12 @@ func TestQuantizedRegionEndToEnd(t *testing.T) {
 	if want := uint64(queriesServed * cfg.Index.Rerank); rs.Quantized.RerankEvals != want {
 		t.Errorf("RerankEvals = %d, want %d", rs.Quantized.RerankEvals, want)
 	}
+	if rs.Quantized.Rescans != 0 {
+		t.Errorf("Rescans = %d, want 0", rs.Quantized.Rescans)
+	}
 
-	// /metrics exposes the same counters as ssam_pq_* series.
+	// /metrics exposes the same counters as ssam_pq_* series, at the
+	// same values.
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -139,13 +146,14 @@ func TestQuantizedRegionEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := string(body)
-	for _, series := range []string{
-		`ssam_pq_table_builds_total{region="pq"}`,
-		`ssam_pq_code_evals_total{region="pq"}`,
-		`ssam_pq_rerank_evals_total{region="pq"}`,
+	for series, want := range map[string]uint64{
+		`ssam_pq_table_builds_total{region="pq"}`: rs.Quantized.TableBuilds,
+		`ssam_pq_code_evals_total{region="pq"}`:   rs.Quantized.CodeEvals,
+		`ssam_pq_rerank_evals_total{region="pq"}`: rs.Quantized.RerankEvals,
+		`ssam_pq_rescans_total{region="pq"}`:      rs.Quantized.Rescans,
 	} {
-		if !strings.Contains(text, series) {
-			t.Errorf("/metrics missing %s", series)
+		if line := fmt.Sprintf("%s %d\n", series, want); !strings.Contains(text, line) {
+			t.Errorf("/metrics missing %q", line)
 		}
 	}
 

@@ -974,6 +974,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 					TableBuilds: qst.TableBuilds,
 					CodeEvals:   qst.CodeEvals,
 					RerankEvals: qst.RerankEvals,
+					Rescans:     qst.Rescans,
 				}
 			}
 			if tst, ok := b.TieredStats(); ok {

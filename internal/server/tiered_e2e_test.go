@@ -395,8 +395,8 @@ func TestTieredQuantizedCountersEndToEnd(t *testing.T) {
 	if qst == nil {
 		t.Fatal("statsz quantized block missing for a storage-backed quantized region")
 	}
-	if qst.TableBuilds != nq || qst.CodeEvals != nq*n || qst.RerankEvals != nq*32 {
-		t.Errorf("quantized block = %+v, want %d table builds, %d code evals, %d rerank evals",
+	if qst.TableBuilds != nq || qst.CodeEvals != nq*n || qst.RerankEvals != nq*32 || qst.Rescans != 0 {
+		t.Errorf("quantized block = %+v, want %d table builds, %d code evals, %d rerank evals, no rescan",
 			qst, nq, nq*n, nq*32)
 	}
 
@@ -413,6 +413,7 @@ func TestTieredQuantizedCountersEndToEnd(t *testing.T) {
 		`ssam_pq_table_builds_total{region="bigpq"}`: "8",
 		`ssam_pq_code_evals_total{region="bigpq"}`:   "4800",
 		`ssam_pq_rerank_evals_total{region="bigpq"}`: "256",
+		`ssam_pq_rescans_total{region="bigpq"}`:      "0",
 	} {
 		if line := series + " " + want + "\n"; !strings.Contains(string(body), line) {
 			t.Errorf("/metrics missing %q", line)

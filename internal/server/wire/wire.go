@@ -309,6 +309,7 @@ type QuantizedStats struct {
 	TableBuilds uint64 `json:"table_builds"` // ADC lookup tables built (one per query)
 	CodeEvals   uint64 `json:"code_evals"`   // 8-bit code rows scored through the tables
 	RerankEvals uint64 `json:"rerank_evals"` // candidates re-scored at full precision
+	Rescans     uint64 `json:"rescans"`      // ADC passes run twice: the pilot's bound kept too few rows
 }
 
 // ReplicationStats is the replica-group block of a region's stats.
