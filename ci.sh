@@ -30,6 +30,13 @@ go test -count=1 -cpu 1,2,4 -run 'Golden|ScalarArgmin' ./internal/pq
 # in results and in every work counter, and a database laid out so the
 # pilot misses answering like brute force, in RAM and over a store.
 go test -count=1 -cpu 1,2,4 -run 'PQSerialParallelBitEquivalence|PQPilotMissRescans' ./internal/knn
+# The same for the distribution layers, where a single query is a batch
+# of one: which branch that batch takes below them depends on the core
+# count (par.Each's limit, the quantized RunBatch's workers), so their
+# equivalence to one region and the batch's own device stats are held
+# at three widths.
+go test -count=1 -cpu 1,2,4 -run 'Equivalence|StatsAreTheBatchsOwn' ./internal/cluster
+go test -count=1 -cpu 1,2,4 -run 'BitIdentical|Equivalence' ./internal/replica
 
 # Benchmark smoke: compile and run every benchmark once so a bench
 # that rots (bad setup, panic, API drift) fails the gate, without

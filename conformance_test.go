@@ -169,6 +169,7 @@ func conform(t *testing.T, r *Region, cfg Config, mutate bool) {
 	// Direct ≡ staged ≡ batch, and a traced query reports its work.
 	var direct [][]Result
 	var distEvals, dims int // summed over the single queries
+	var devSum DeviceStats
 	for i := 0; i < 3; i++ {
 		var res, staged []Result
 		var st DeviceStats
@@ -202,6 +203,23 @@ func conform(t *testing.T, r *Region, cfg Config, mutate bool) {
 		if (cfg.Execution == Device) != (st.Cycles > 0) {
 			t.Fatalf("DeviceStats.Cycles = %d under %v execution", st.Cycles, cfg.Execution)
 		}
+		devSum.add(st)
+		if !binary {
+			// A batch of one is the single query: the same device stats,
+			// and the same exec tags but its size.
+			tr := tracer.Trace("batch", true)
+			if _, one, err := r.SearchBatchSpan(fqs[i:i+1], confK, tr.Root()); err != nil || one != st {
+				t.Fatalf("batch of one: stats %+v, err %v; want %+v", one, err, st)
+			}
+			bexec := tracer.Finish(tr).Root.Find("exec")
+			if bexec.Tags["batch"] != 1 {
+				t.Fatalf("batch-of-one exec span tags %v, want batch=1", bexec.Tags)
+			}
+			delete(bexec.Tags, "batch")
+			if !reflect.DeepEqual(bexec.Tags, exec.Tags) {
+				t.Fatalf("batch-of-one exec span tags %v, want the single query's %v", bexec.Tags, exec.Tags)
+			}
+		}
 
 		if binary {
 			err = r.WriteQueryBinary(bqs[i])
@@ -228,7 +246,7 @@ func conform(t *testing.T, r *Region, cfg Config, mutate bool) {
 	if !binary {
 		tracer := obs.NewTracer(0, 1)
 		tr := tracer.Trace("batch", true)
-		got, err := r.SearchBatchSpan(fqs, confK, tr.Root())
+		got, st, err := r.SearchBatchSpan(fqs, confK, tr.Root())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,14 +257,17 @@ func conform(t *testing.T, r *Region, cfg Config, mutate bool) {
 		if exec == nil || exec.Tags["batch"] != len(fqs) {
 			t.Fatalf("batch exec span = %+v, want batch=%d", exec, len(fqs))
 		}
-		if cfg.Mode == Linear && cfg.Storage == nil && (cfg.Execution == Host || mutated) {
-			// The query-tiled scans (the exact engine and the store it
-			// migrates to) account the batch: exactly the work of its
-			// queries run one at a time.
+		// Every engine accounts the batch as exactly the work of its
+		// queries run one at a time, whether it scans for all of them at
+		// once or fans them out.
+		if cfg.Execution == Host || mutated {
 			if exec.Tags["dist_evals"] != distEvals || exec.Tags["dims"] != dims {
 				t.Fatalf("batch exec span work tags: dist_evals=%v dims=%v, want %d and %d",
 					exec.Tags["dist_evals"], exec.Tags["dims"], distEvals, dims)
 			}
+		}
+		if st != devSum {
+			t.Fatalf("batch DeviceStats = %+v, want the sum of its queries' %+v", st, devSum)
 		}
 	} else if _, err := r.SearchBatch([][]float32{make([]float32, r.Dims())}, confK); err == nil {
 		t.Fatal("float batch on a Hamming region accepted")

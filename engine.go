@@ -34,8 +34,9 @@ type query struct {
 }
 
 // work is what one engine call did, summed over a batch: host work
-// counters (the engines that fan a batch out per query do not report
-// theirs), and the simulated execution for Device regions.
+// counters, and the simulated execution for Device regions. A batch
+// accounts exactly the work of its queries run one at a time, whether
+// the engine scans for all of them at once or fans them out.
 type work struct {
 	knn     knn.Stats
 	dev     DeviceStats
@@ -45,8 +46,8 @@ type work struct {
 
 // tag records the work on the exec span — the one place knn.Stats
 // counters reach the trace (the quantized engine adds adc_kept, the ADC
-// pass's share of PQKept, and adc_rescan itself). A call that accounted nothing (a failed query, a fanned-out
-// batch, the simulated device) leaves the span bare.
+// pass's share of PQKept, and adc_rescan itself). A call that accounted
+// nothing (a failed query, the simulated device) leaves the span bare.
 func (w work) tag(sp *obs.Span) {
 	if sp == nil || w.knn == (knn.Stats{}) {
 		return
@@ -179,20 +180,31 @@ func (a *indexEngine) search(q query, k int, exec *obs.Span) ([]Result, work, er
 }
 
 // searchBatch fans the queries out, at most workers (<= 0: GOMAXPROCS)
-// at a time; a query that panics fails the whole batch, at query 0.
-func (a *indexEngine) searchBatch(qs [][]float32, k int, _ *obs.Span) ([][]Result, work, int, error) {
+// at a time, summing their work; a query that panics fails the whole
+// batch, at query 0. A batch of one traverses under exec as search does;
+// a longer batch records no traversal spans, which would interleave.
+func (a *indexEngine) searchBatch(qs [][]float32, k int, exec *obs.Span) ([][]Result, work, int, error) {
 	workers := a.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	if len(qs) > 1 {
+		exec = nil
+	}
 	out := make([][]Result, len(qs))
+	var mu sync.Mutex
+	var w work
 	if err := par.Each(len(qs), workers, func(i int) error {
-		out[i], _ = a.find(qs[i], k, nil)
+		res, st := a.find(qs[i], k, exec)
+		out[i] = res
+		mu.Lock()
+		w.knn.Add(st)
+		mu.Unlock()
 		return nil
 	}); err != nil {
 		return out, work{}, 0, err
 	}
-	return out, work{}, -1, nil
+	return out, w, -1, nil
 }
 
 func (a *indexEngine) setKnob(n int) error { a.knob(n); return nil }
@@ -224,8 +236,8 @@ func (a pqEngine) search(q query, k int, exec *obs.Span) ([]Result, work, error)
 }
 
 func (a pqEngine) searchBatch(qs [][]float32, k int, exec *obs.Span) ([][]Result, work, int, error) {
-	out, failedAt, err := a.e.RunBatch(qs, k, exec)
-	return out, work{}, failedAt, err
+	out, st, failedAt, err := a.e.RunBatch(qs, k, exec)
+	return out, work{knn: st}, failedAt, err
 }
 
 func (a pqEngine) setKnob(n int) error                 { a.e.SetRerank(n); return nil }

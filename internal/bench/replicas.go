@@ -140,7 +140,8 @@ func ReplicaSweep(o Options) (ReplicaTrajectory, error) {
 							})
 						})
 					}
-					resp, err := g.Search(qs[int(i)%len(qs)], spec.K, nil)
+					qi := int(i) % len(qs)
+					resp, err := g.Search(qs[qi:qi+1], spec.K, nil)
 					if err != nil {
 						errCount.Add(1)
 						continue

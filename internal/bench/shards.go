@@ -43,12 +43,13 @@ func ShardSweep(o Options) ([]ShardRow, error) {
 		}
 		var secs float64
 		var pus int
-		for _, q := range qs {
-			if _, err := cl.Search(q, ds.Spec.K); err != nil {
+		for i := range qs {
+			resp, err := cl.Search(qs[i:i+1], ds.Spec.K, nil)
+			if err != nil {
 				cl.Free()
 				return nil, err
 			}
-			st := cl.LastStats()
+			st := resp.Stats
 			secs += st.Combined.Seconds
 			pus = st.Combined.ProcessingUnits
 		}

@@ -44,7 +44,6 @@ import (
 	"hash/fnv"
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -113,35 +112,29 @@ type Options struct {
 	AllowPartial bool
 }
 
-// Response is one scatter-gather answer.
+// Response is one scatter-gather answer to a query batch. Degradation
+// is batch-scoped: a failed shard is missing from every query's merge.
 type Response struct {
-	// Results is the global top-k, ids in dataset (not shard) space.
-	Results []ssam.Result
+	// Results is the global top-k per query, ids in dataset (not shard)
+	// space.
+	Results [][]ssam.Result
 	// Degraded reports that FailedShards were excluded from the merge
 	// (only possible with Options.AllowPartial).
 	Degraded bool
 	// FailedShards lists the shard indexes that errored or timed out,
 	// ascending.
 	FailedShards []int
-	// Hedges counts hedged re-issues this query triggered.
+	// Hedges counts hedged re-issues this batch triggered.
 	Hedges int
+	// Stats is this batch's simulated device execution across shards.
+	Stats Stats
 }
 
-// BatchResponse is Response for a query batch: degradation is
-// batch-scoped because a failed shard is missing from every query's
-// merge.
-type BatchResponse struct {
-	Results      [][]ssam.Result
-	Degraded     bool
-	FailedShards []int
-	Hedges       int
-}
-
-// Stats aggregates the simulated device execution of the last search
-// across shards: shards run in parallel, so the cluster's latency is
-// the slowest shard's, while instruction, traffic, and PU counts sum —
-// the one struct from which the paper's throughput-vs-modules scaling
-// story is reproduced.
+// Stats aggregates the simulated device execution of one search across
+// shards: shards run in parallel, so the cluster's latency is the
+// slowest shard's, while instruction, traffic, and PU counts sum — the
+// one struct from which the paper's throughput-vs-modules scaling story
+// is reproduced.
 type Stats struct {
 	// PerShard holds each shard's DeviceStats (zero for host shards
 	// and for shards excluded from a degraded query).
@@ -210,9 +203,6 @@ type Cluster struct {
 	set   hedge.Cell[shardSet]
 	freed atomic.Bool
 	racer hedge.Racer
-
-	mu        sync.Mutex
-	lastStats Stats
 }
 
 // New allocates a cluster of opts.Shards regions, each configured with
@@ -390,79 +380,29 @@ func (c *Cluster) SetChecks(n int) error {
 	return nil
 }
 
-// Search fans one query out to every shard and merges the per-shard
-// top-k into the global top-k (ascending distance, ties by ascending
-// id). See Options for the deadline/hedging/partial-result semantics.
-func (c *Cluster) Search(q []float32, k int) (Response, error) {
-	return c.SearchTraced(q, k, nil)
-}
-
-// SearchTraced is Search for a request carrying a sampled trace: sp
-// (nil for untraced queries) gains a "fanout" child holding one
-// "shard" span per attempt and a "merge" child covering the top-k
-// reduction.
-func (c *Cluster) SearchTraced(q []float32, k int, sp *obs.Span) (Response, error) {
+// Search fans a query batch out to every shard (one
+// Region.SearchBatchSpan per shard) and merges each query's per-shard
+// top-k into its global top-k (ascending distance, ties by ascending
+// id); a single query is a batch of one. See Options for the
+// deadline/hedging/partial-result semantics. sp (nil for untraced
+// batches) gains a "fanout" child holding one "shard" span per attempt
+// and a "merge" child covering every query's reduction.
+func (c *Cluster) Search(qs [][]float32, k int, sp *obs.Span) (Response, error) {
 	gen, err := c.lease("Search before BuildIndex", true)
 	if err != nil {
 		return Response{}, err
-	}
-	defer gen.Release()
-	if err := c.checkQuery(len(q), k); err != nil {
-		return Response{}, err
-	}
-	outs, err := scatter(c, gen, sp, func(p part, asp *obs.Span) ([]ssam.Result, ssam.DeviceStats, error) {
-		res, st, err := p.region.SearchStatsSpan(q, k, asp)
-		if err != nil {
-			return nil, st, err
-		}
-		return p.remap(res), st, nil
-	})
-	if err != nil {
-		return Response{}, err
-	}
-	lists := make([][]ssam.Result, 0, len(outs.vals))
-	for _, l := range outs.vals {
-		lists = append(lists, l)
-	}
-	c.commitStats(outs.stats)
-	msp := sp.Start("merge", obs.Tag{Key: "lists", Value: len(lists)})
-	merged := topk.MergeSorted(k, lists...)
-	msp.End()
-	return Response{
-		Results:      merged,
-		Degraded:     len(outs.failed) > 0,
-		FailedShards: outs.failed,
-		Hedges:       outs.hedges,
-	}, nil
-}
-
-// SearchBatch fans a whole batch out to every shard (one
-// Region.SearchBatch per shard) and merges per query. A shard that
-// fails or misses its deadline is missing from every query of the
-// batch, so degradation is batch-scoped.
-func (c *Cluster) SearchBatch(qs [][]float32, k int) (BatchResponse, error) {
-	return c.SearchBatchTraced(qs, k, nil)
-}
-
-// SearchBatchTraced is SearchBatch with the same span threading as
-// SearchTraced; the "merge" span covers every query's reduction.
-func (c *Cluster) SearchBatchTraced(qs [][]float32, k int, sp *obs.Span) (BatchResponse, error) {
-	gen, err := c.lease("Search before BuildIndex", true)
-	if err != nil {
-		return BatchResponse{}, err
 	}
 	defer gen.Release()
 	if len(qs) == 0 {
-		return BatchResponse{}, errors.New("cluster: empty batch")
+		return Response{}, errors.New("cluster: empty batch")
 	}
 	for _, q := range qs {
 		if err := c.checkQuery(len(q), k); err != nil {
-			return BatchResponse{}, err
+			return Response{}, err
 		}
 	}
 	outs, err := scatter(c, gen, sp, func(p part, asp *obs.Span) ([][]ssam.Result, ssam.DeviceStats, error) {
-		lists, err := p.region.SearchBatchSpan(qs, k, asp)
-		st := p.region.LastStats()
+		lists, st, err := p.region.SearchBatchSpan(qs, k, asp)
 		if err != nil {
 			return nil, st, err
 		}
@@ -472,7 +412,7 @@ func (c *Cluster) SearchBatchTraced(qs [][]float32, k int, sp *obs.Span) (BatchR
 		return lists, st, nil
 	})
 	if err != nil {
-		return BatchResponse{}, err
+		return Response{}, err
 	}
 	msp := sp.Start("merge", obs.Tag{Key: "queries", Value: len(qs)})
 	merged := make([][]ssam.Result, len(qs))
@@ -487,12 +427,12 @@ func (c *Cluster) SearchBatchTraced(qs [][]float32, k int, sp *obs.Span) (BatchR
 		merged[qi] = topk.MergeSorted(k, perQuery...)
 	}
 	msp.End()
-	c.commitStats(outs.stats)
-	return BatchResponse{
+	return Response{
 		Results:      merged,
 		Degraded:     len(outs.failed) > 0,
 		FailedShards: outs.failed,
 		Hedges:       outs.hedges,
+		Stats:        combine(outs.stats),
 	}, nil
 }
 
@@ -526,11 +466,10 @@ func (c *Cluster) checkQuery(qdims, k int) error {
 
 // remap rewrites shard-local result ids to global dataset ids, in
 // place (shard search results are freshly allocated).
-func (p part) remap(res []ssam.Result) []ssam.Result {
+func (p part) remap(res []ssam.Result) {
 	for i := range res {
 		res[i].ID = p.ids[res[i].ID]
 	}
-	return res
 }
 
 // gather is the outcome of one scatter across all shards.
@@ -643,8 +582,8 @@ func runShard[T any](c *Cluster, gen *hedge.Gen[shardSet], si int, fsp *obs.Span
 	return out
 }
 
-// commitStats aggregates per-shard device stats into LastStats.
-func (c *Cluster) commitStats(perShard []ssam.DeviceStats) {
+// combine aggregates per-shard device stats.
+func combine(perShard []ssam.DeviceStats) Stats {
 	st := Stats{PerShard: perShard}
 	for _, s := range perShard {
 		if s.Cycles > st.Combined.Cycles {
@@ -658,18 +597,6 @@ func (c *Cluster) commitStats(perShard []ssam.DeviceStats) {
 		st.Combined.DRAMBytesRead += s.DRAMBytesRead
 		st.Combined.ProcessingUnits += s.ProcessingUnits
 	}
-	c.mu.Lock()
-	c.lastStats = st
-	c.mu.Unlock()
-}
-
-// LastStats returns the aggregated device stats of the last Search or
-// SearchBatch (all zero for Host execution).
-func (c *Cluster) LastStats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := c.lastStats
-	st.PerShard = append([]ssam.DeviceStats(nil), st.PerShard...)
 	return st
 }
 

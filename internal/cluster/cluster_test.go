@@ -80,14 +80,14 @@ func TestClusterRegionEquivalence(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						resp, err := cl.Search(q, k)
+						resp, err := cl.Search(one(q), k, nil)
 						if err != nil {
 							t.Fatalf("%v/%v x%d k=%d: %v", metric, part, shards, k, err)
 						}
 						if resp.Degraded || len(resp.FailedShards) > 0 {
 							t.Fatalf("%v/%v x%d k=%d: unexpected degradation %+v", metric, part, shards, k, resp)
 						}
-						assertSameResults(t, fmt.Sprintf("%v/%v x%d k=%d q%d", metric, part, shards, k, qi), resp.Results, want)
+						assertSameResults(t, fmt.Sprintf("%v/%v x%d k=%d q%d", metric, part, shards, k, qi), resp.Results[0], want)
 					}
 				}
 				cl.Free()
@@ -114,13 +114,16 @@ func TestClusterEquivalenceEmptyShards(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := cl.Search(q, k)
+		resp, err := cl.Search(one(q), k, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameResults(t, fmt.Sprintf("empty-shards k=%d", k), resp.Results, want)
+		assertSameResults(t, fmt.Sprintf("empty-shards k=%d", k), resp.Results[0], want)
 	}
 }
+
+// one is a single query as the batch of one the cluster searches.
+func one(q []float32) [][]float32 { return [][]float32{q} }
 
 func assertSameResults(t *testing.T, label string, got, want []ssam.Result) {
 	t.Helper()
@@ -147,7 +150,7 @@ func TestClusterBatchEquivalence(t *testing.T) {
 	for i := range qs {
 		qs[i] = randData(1, dims, int64(500+i))
 	}
-	batch, err := cl.SearchBatch(qs, k)
+	batch, err := cl.Search(qs, k, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,11 +158,11 @@ func TestClusterBatchEquivalence(t *testing.T) {
 		t.Fatalf("unexpected degradation: %+v", batch)
 	}
 	for i, q := range qs {
-		single, err := cl.Search(q, k)
+		single, err := cl.Search(one(q), k, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameResults(t, fmt.Sprintf("batch query %d", i), batch.Results[i], single.Results)
+		assertSameResults(t, fmt.Sprintf("batch query %d", i), batch.Results[i], single.Results[0])
 	}
 }
 
@@ -193,7 +196,7 @@ func TestClusterPartialDegradation(t *testing.T) {
 	defer ref.Free()
 
 	q := randData(1, dims, 321)
-	resp, err := cl.Search(q, k)
+	resp, err := cl.Search(one(q), k, nil)
 	if err != nil {
 		t.Fatalf("partial-mode search failed outright: %v", err)
 	}
@@ -210,7 +213,7 @@ func TestClusterPartialDegradation(t *testing.T) {
 	for i := range want {
 		want[i].ID = survivingIDs[want[i].ID]
 	}
-	assertSameResults(t, "degraded merge", resp.Results, want)
+	assertSameResults(t, "degraded merge", resp.Results[0], want)
 
 	// Without AllowPartial the same failure must fail the query.
 	strict := buildCluster(t, data, dims, ssam.Config{}, Options{Shards: shards})
@@ -221,13 +224,13 @@ func TestClusterPartialDegradation(t *testing.T) {
 		}
 		return nil
 	})
-	if _, err := strict.Search(q, k); err == nil {
+	if _, err := strict.Search(one(q), k, nil); err == nil {
 		t.Fatal("strict cluster returned success with a dead shard")
 	}
 
 	// All shards dead is an error even in partial mode.
 	cl.SetFaultHook(func(int, int) error { return errors.New("total outage") })
-	if _, err := cl.Search(q, k); err == nil {
+	if _, err := cl.Search(one(q), k, nil); err == nil {
 		t.Fatal("partial cluster returned success with every shard dead")
 	}
 }
@@ -301,7 +304,7 @@ func TestClusterShardDeadline(t *testing.T) {
 
 	q := randData(1, dims, 654)
 	start := time.Now()
-	resp, err := cl.Search(q, k)
+	resp, err := cl.Search(one(q), k, nil)
 	if err != nil {
 		t.Fatalf("deadline search: %v", err)
 	}
@@ -311,7 +314,7 @@ func TestClusterShardDeadline(t *testing.T) {
 	if !resp.Degraded || len(resp.FailedShards) != 1 || resp.FailedShards[0] != 2 {
 		t.Fatalf("expected shard 2 timed out, got %+v", resp)
 	}
-	if len(resp.Results) == 0 {
+	if len(resp.Results[0]) == 0 {
 		t.Fatal("degraded response carries no results")
 	}
 	st := cl.ShardStats()[2]
@@ -341,7 +344,7 @@ func TestClusterHedging(t *testing.T) {
 	})
 
 	q := randData(1, dims, 987)
-	resp, err := cl.Search(q, k)
+	resp, err := cl.Search(one(q), k, nil)
 	if err != nil {
 		t.Fatalf("hedged search: %v", err)
 	}
@@ -361,7 +364,7 @@ func TestClusterHedging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameResults(t, "hedged", resp.Results, ref)
+	assertSameResults(t, "hedged", resp.Results[0], ref)
 }
 
 // TestClusterHedgeOutlivesFailedPrimary: when the primary attempt
@@ -388,11 +391,11 @@ func TestClusterHedgeOutlivesFailedPrimary(t *testing.T) {
 		return nil
 	})
 
-	resp, err := cl.Search(randData(1, dims, 55), k)
+	resp, err := cl.Search(one(randData(1, dims, 55)), k, nil)
 	if err != nil {
 		t.Fatalf("search: %v", err)
 	}
-	if resp.Degraded || len(resp.Results) == 0 {
+	if resp.Degraded || len(resp.Results[0]) == 0 {
 		t.Fatalf("hedge success did not rescue the shard: %+v", resp)
 	}
 }
@@ -408,10 +411,11 @@ func TestClusterDeviceStatsAggregation(t *testing.T) {
 	defer cl.Free()
 
 	q := randData(1, dims, 61)
-	if _, err := cl.Search(q, k); err != nil {
+	resp, err := cl.Search(one(q), k, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := cl.LastStats()
+	st := resp.Stats
 	if len(st.PerShard) != shards {
 		t.Fatalf("PerShard has %d entries, want %d", len(st.PerShard), shards)
 	}
@@ -448,11 +452,54 @@ func TestClusterDeviceStatsAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := cl.Search(q, k)
+	resp, err = cl.Search(one(q), k, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameResults(t, "device equivalence", resp.Results, want)
+	assertSameResults(t, "device equivalence", resp.Results[0], want)
+}
+
+// TestClusterStatsAreTheBatchsOwn races batches of one and of eight on
+// one Device shard, two callers each: every response must carry exactly
+// the device stats a lone region reports for the same batch, never the
+// other batch's (a shard region is shared, and its LastStats is whoever
+// wrote last).
+func TestClusterStatsAreTheBatchsOwn(t *testing.T) {
+	const dims, n, k, rounds = 4, 16, 3, 50
+	data := randData(n, dims, 37)
+	cfg := ssam.Config{Execution: ssam.Device}
+	cl := buildCluster(t, data, dims, cfg, Options{Shards: 1})
+	defer cl.Free()
+	region := buildRegion(t, data, dims, cfg)
+	defer region.Free()
+
+	var wg sync.WaitGroup
+	for _, size := range []int{1, 8, 1, 8} {
+		qs := make([][]float32, size)
+		for i := range qs {
+			qs[i] = randData(1, dims, int64(size*100+i))
+		}
+		_, want, err := region.SearchBatchSpan(qs, k, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range rounds {
+				resp, err := cl.Search(qs, k, nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := resp.Stats.PerShard[0]; got != want || resp.Stats.Combined != want {
+					t.Errorf("batch of %d: stats %+v (combined %+v), want %+v", size, got, resp.Stats.Combined, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestClusterValidation(t *testing.T) {
@@ -469,7 +516,7 @@ func TestClusterValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Search([]float32{1, 2, 3, 4}, 1); err == nil {
+	if _, err := c.Search(one([]float32{1, 2, 3, 4}), 1, nil); err == nil {
 		t.Fatal("Search before load/build succeeded")
 	}
 	if err := c.LoadFloat32([]float32{1, 2, 3}); err == nil {
@@ -497,10 +544,11 @@ func BenchmarkClusterSearch(b *testing.B) {
 			if err := c.BuildIndex(); err != nil {
 				b.Fatal(err)
 			}
-			q := randData(1, dims, 43)
+			qs := one(randData(1, dims, 43))
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := c.Search(q, k); err != nil {
+				if _, err := c.Search(qs, k, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

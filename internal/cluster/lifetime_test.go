@@ -49,9 +49,9 @@ func lifeQueries() [][]float32 {
 	return qs
 }
 
-// searchUntil runs lifeSearchers goroutines, alternating Search and
-// SearchBatch, until stop closes. Every success must match one of the
-// oracles in full; every error must be one of the two documented
+// searchUntil runs lifeSearchers goroutines, alternating single-query
+// and whole-set batches, until stop closes. Every success must match one
+// of the oracles in full; every error must be one of the two documented
 // refusals. It returns once the first search has reached the cluster —
 // on one core the searchers would otherwise get no turn before the
 // caller's reloads or teardown end — and wait returns how many
@@ -79,18 +79,15 @@ func searchUntil(t *testing.T, cl *Cluster, qs [][]float32, stop <-chan struct{}
 					return
 				default:
 				}
-				qi := rng.Intn(len(qs))
-				var err error
+				// A query at a time, and now and then the whole set as one batch.
+				lo := rng.Intn(len(qs))
+				hi := lo + 1
 				if i%4 == 3 {
-					var resp BatchResponse
-					if resp, err = cl.SearchBatch(qs[qi:qi+1], lifeK); err == nil {
-						err = check(qi, resp.Results[0])
-					}
-				} else {
-					var resp Response
-					if resp, err = cl.Search(qs[qi], lifeK); err == nil {
-						err = check(qi, resp.Results)
-					}
+					lo, hi = 0, len(qs)
+				}
+				resp, err := cl.Search(qs[lo:hi], lifeK, nil)
+				for j := 0; err == nil && j < len(resp.Results); j++ {
+					err = check(lo+j, resp.Results[j])
 				}
 				switch {
 				case err == nil:
@@ -149,7 +146,7 @@ func TestFreeUnderSearch(t *testing.T) {
 		stop := make(chan struct{})
 		wait := searchUntil(t, cl, qs, stop, want)
 		cl.Free()
-		if _, err := cl.Search(qs[0], lifeK); !errors.Is(err, ssam.ErrFreed) {
+		if _, err := cl.Search(qs[:1], lifeK, nil); !errors.Is(err, ssam.ErrFreed) {
 			t.Fatalf("search after Free = %v, want ErrFreed", err)
 		}
 		close(stop)

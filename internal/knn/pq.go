@@ -14,6 +14,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"ssam/internal/obs"
@@ -450,35 +451,43 @@ func (e *PQScan) scanRange(lut []float32, bound cand, lo, hi int) ([]cand, Stats
 	return kept, st
 }
 
-// RunBatch runs one search per query. Over a store the queries run in
-// turn, each with its vault-parallel ADC scan: pages are a shared,
-// budgeted resource, and sequential re-ranks reuse the hot ones instead
-// of thrashing them. Over resident rows a single query, or fewer
-// queries than workers, also run in turn so a short batch still uses
-// the machine; longer batches fan out across workers with serial scans,
-// which keeps total parallelism at the worker count instead of workers
-// × vaults. Queries that take the vault-parallel path record "vault"
-// child spans of sp (nil-safe). On error, results before failedAt are
-// valid and failedAt names the query that failed (-1 on success).
-func (e *PQScan) RunBatch(qs [][]float32, k int, sp *obs.Span) (out [][]topk.Result, failedAt int, err error) {
+// RunBatch runs one search per query and sums their work. Over a store
+// the queries run in turn, each with its vault-parallel ADC scan: pages
+// are a shared, budgeted resource, and sequential re-ranks reuse the hot
+// ones instead of thrashing them. Over resident rows a single query, or
+// fewer queries than workers, also run in turn so a short batch still
+// uses the machine; longer batches fan out across workers with serial
+// scans, which keeps total parallelism at the worker count instead of
+// workers × vaults. Queries that run in turn record their spans under sp
+// (nil-safe) as Run does. On error, results before failedAt are valid
+// and failedAt names the query that failed (-1 on success).
+func (e *PQScan) RunBatch(qs [][]float32, k int, sp *obs.Span) ([][]topk.Result, Stats, int, error) {
 	for i, q := range qs {
 		if err := checkDim(q, e.dim); err != nil {
-			return nil, i, err
+			return nil, Stats{}, i, err
 		}
 	}
 	limit, serial := 1, false // in turn
-	if e.src.pages() == nil && !(e.vaults > 1 && (len(qs) == 1 || len(qs) < e.workers)) {
+	if e.src.pages() == nil && len(qs) > 1 && !(e.vaults > 1 && len(qs) < e.workers) {
 		limit, serial, sp = e.workers, true, nil
 	}
-	out = make([][]topk.Result, len(qs))
-	if err = par.Each(len(qs), limit, func(i int) (err error) {
-		out[i], _, err = e.search(qs[i], k, sp, serial)
+	out := make([][]topk.Result, len(qs))
+	var sum struct { // the one variable the workers share
+		sync.Mutex
+		Stats
+	}
+	if err := par.Each(len(qs), limit, func(i int) (err error) {
+		var st Stats
+		out[i], st, err = e.search(qs[i], k, sp, serial)
+		sum.Lock()
+		sum.Add(st)
+		sum.Unlock()
 		return err
 	}); err != nil {
 		// Every query before the failed one has its (non-nil) answer.
-		return out, slices.IndexFunc(out, func(r []topk.Result) bool { return r == nil }), err
+		return out, sum.Stats, slices.IndexFunc(out, func(r []topk.Result) bool { return r == nil }), err
 	}
-	return out, -1, nil
+	return out, sum.Stats, -1, nil
 }
 
 // Row returns full-precision database vector i.
@@ -501,7 +510,7 @@ func (e *PQEngine) SearchStats(q []float32, k int) ([]topk.Result, Stats) {
 
 // SearchBatch runs one Search per query (RunBatch).
 func (e *PQEngine) SearchBatch(qs [][]float32, k int) [][]topk.Result {
-	out, _, err := e.RunBatch(qs, k, nil)
+	out, _, _, err := e.RunBatch(qs, k, nil)
 	if err != nil {
 		panic(err) // as in SearchStats
 	}

@@ -244,11 +244,18 @@ func TestPQBatchMatchesSingle(t *testing.T) {
 	}
 	e.SetSerialThreshold(0)
 	want := make([][]topk.Result, len(ds.Queries))
+	var sum Stats
 	for i, q := range ds.Queries {
-		want[i] = e.Search(q, k)
+		var st Stats
+		want[i], st = e.SearchStats(q, k)
+		sum.Add(st)
 	}
-	// Long batch: cross-query fan-out with serial scans.
-	got := e.SearchBatch(ds.Queries, k)
+	// Long batch: cross-query fan-out with serial scans, accounting the
+	// work of its queries run one at a time.
+	got, st, _, err := e.RunBatch(ds.Queries, k, nil)
+	if err != nil || st != sum {
+		t.Fatalf("fanout: stats %+v, err %v; want the queries' sum %+v", st, err, sum)
+	}
 	for i := range want {
 		sameResults(t, "fanout", got[i], want[i])
 	}

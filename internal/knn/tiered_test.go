@@ -255,7 +255,7 @@ func TestTieredSearchSurfacesReadErrors(t *testing.T) {
 		}
 		return nil
 	})
-	pout, failedAt, err := peng.RunBatch([][]float32{q, q, q}, 3, nil)
+	pout, _, failedAt, err := peng.RunBatch([][]float32{q, q, q}, 3, nil)
 	if !errors.As(err, &re) || failedAt != 1 {
 		t.Fatalf("pq batch: failedAt=%d err=%v, want *tier.ReadError at 1", failedAt, err)
 	}
@@ -307,7 +307,7 @@ func TestTieredQueryDimMismatch(t *testing.T) {
 	if _, _, err := peng.Run(make([]float32, 4), 3, nil); err == nil {
 		t.Fatal("tiered pq search accepted a mis-sized query")
 	}
-	if _, failedAt, err := peng.RunBatch([][]float32{data[:8], make([]float32, 4)}, 3, nil); err == nil || failedAt != 1 {
+	if _, _, failedAt, err := peng.RunBatch([][]float32{data[:8], make([]float32, 4)}, 3, nil); err == nil || failedAt != 1 {
 		t.Fatalf("tiered pq batch with a mis-sized query: failedAt=%d err=%v, want an error at 1", failedAt, err)
 	}
 }
@@ -502,7 +502,7 @@ func TestTieredAccessors(t *testing.T) {
 		pe.M() != 4 || pe.Rerank() != 9 || pe.Store() != pst {
 		t.Fatalf("pq accessors: n=%d dim=%d vaults=%d m=%d rerank=%d", pe.N(), pe.Dim(), pe.Vaults(), pe.M(), pe.Rerank())
 	}
-	batch, failedAt, err := pe.RunBatch([][]float32{qs[:dim], qs[dim:]}, 3, nil)
+	batch, _, failedAt, err := pe.RunBatch([][]float32{qs[:dim], qs[dim:]}, 3, nil)
 	if err != nil || failedAt != -1 {
 		t.Fatalf("RunBatch: failedAt=%d err=%v", failedAt, err)
 	}

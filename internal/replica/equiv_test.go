@@ -45,10 +45,12 @@ func buildRegion(t *testing.T, dims int, cfg ssam.Config, data []float32) *ssam.
 	return r
 }
 
-// TestReplicatedBitIdenticalToSingle is the property pinned by the
-// issue: across metrics x k, a 3-replica group answers every query
-// bit-identically to the single-replica backend, with and without one
-// replica killed.
+// TestReplicatedBitIdenticalToSingle is the layer's property: across
+// metrics x k, exact and quantized, a 3-replica group answers every
+// query bit-identically to the single-replica backend, with and without
+// one replica killed. The group searches a query as a batch of one and
+// the reference region searches it alone, which on the quantized scan
+// are different branches at some core counts.
 func TestReplicatedBitIdenticalToSingle(t *testing.T) {
 	const (
 		rows     = 240
@@ -68,65 +70,69 @@ func TestReplicatedBitIdenticalToSingle(t *testing.T) {
 	}
 
 	for _, metric := range []ssam.Metric{ssam.Euclidean, ssam.Manhattan, ssam.Cosine} {
-		for _, k := range []int{1, 5, 17} {
-			cfg := ssam.Config{Metric: metric}
-			ref := buildRegion(t, dims, cfg, data)
+		for _, cfg := range []ssam.Config{
+			{Metric: metric},
+			{Metric: metric, Mode: ssam.Quantized, Index: ssam.IndexParams{M: 4, Rerank: 16, Seed: 1}},
+		} {
+			for _, k := range []int{1, 5, 17} {
+				ref := buildRegion(t, dims, cfg, data)
 
-			g, err := replica.NewGroup(replica.Options{Replicas: replicas, Hedge: true, Seed: 0x5eed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, err = g.Swap(func(int) (replica.Backend, error) {
-				return replica.WrapRegion(buildRegion(t, dims, cfg, data)), nil
-			}, qs[:2], k)
-			if err != nil {
-				t.Fatalf("swap: %v", err)
-			}
-
-			check := func(phase string) {
-				for qi, q := range qs {
-					want, _, err := ref.SearchStatsSpan(q, k, nil)
-					if err != nil {
-						t.Fatalf("reference search: %v", err)
-					}
-					got, err := g.Search(q, k, nil)
-					if err != nil {
-						t.Fatalf("%s metric=%v k=%d query %d: %v", phase, metric, k, qi, err)
-					}
-					if got.Degraded || len(got.FailedShards) != 0 {
-						t.Fatalf("%s metric=%v k=%d query %d degraded: %+v", phase, metric, k, qi, got)
-					}
-					if !reflect.DeepEqual(got.Results, want) {
-						t.Fatalf("%s metric=%v k=%d query %d (replica %d):\n got %v\nwant %v",
-							phase, metric, k, qi, got.Replica, got.Results, want)
-					}
-				}
-				// Batches route whole to one replica; same property.
-				wantBatch := make([][]ssam.Result, len(qs))
-				for i, q := range qs {
-					wantBatch[i], _, _ = ref.SearchStatsSpan(q, k, nil)
-				}
-				gotBatch, err := g.SearchBatch(qs, k, nil)
+				g, err := replica.NewGroup(replica.Options{Replicas: replicas, Hedge: true, Seed: 0x5eed})
 				if err != nil {
-					t.Fatalf("%s batch: %v", phase, err)
+					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(gotBatch.Results, wantBatch) {
-					t.Fatalf("%s batch diverged from reference", phase)
+				_, err = g.Swap(func(int) (replica.Backend, error) {
+					return replica.WrapRegion(buildRegion(t, dims, cfg, data)), nil
+				}, qs[:2], k)
+				if err != nil {
+					t.Fatalf("swap: %v", err)
 				}
+
+				check := func(phase string) {
+					for qi, q := range qs {
+						want, _, err := ref.SearchStatsSpan(q, k, nil)
+						if err != nil {
+							t.Fatalf("reference search: %v", err)
+						}
+						got, err := g.Search(qs[qi:qi+1], k, nil)
+						if err != nil {
+							t.Fatalf("%s mode=%v metric=%v k=%d query %d: %v", phase, cfg.Mode, metric, k, qi, err)
+						}
+						if got.Degraded || len(got.FailedShards) != 0 {
+							t.Fatalf("%s mode=%v metric=%v k=%d query %d degraded: %+v", phase, cfg.Mode, metric, k, qi, got)
+						}
+						if !reflect.DeepEqual(got.Results[0], want) {
+							t.Fatalf("%s mode=%v metric=%v k=%d query %d (replica %d):\n got %v\nwant %v",
+								phase, cfg.Mode, metric, k, qi, got.Replica, got.Results[0], want)
+						}
+					}
+					// Batches route whole to one replica; same property.
+					wantBatch := make([][]ssam.Result, len(qs))
+					for i, q := range qs {
+						wantBatch[i], _, _ = ref.SearchStatsSpan(q, k, nil)
+					}
+					gotBatch, err := g.Search(qs, k, nil)
+					if err != nil {
+						t.Fatalf("%s batch: %v", phase, err)
+					}
+					if !reflect.DeepEqual(gotBatch.Results, wantBatch) {
+						t.Fatalf("%s batch diverged from reference", phase)
+					}
+				}
+
+				check("healthy")
+				// Kill replica 0: failover must keep answers identical.
+				g.SetFaultHook(func(rep, _ int) error {
+					if rep == 0 {
+						return errors.New("injected kill")
+					}
+					return nil
+				})
+				check("one-replica-killed")
+
+				g.Free()
+				ref.Free()
 			}
-
-			check("healthy")
-			// Kill replica 0: failover must keep answers identical.
-			g.SetFaultHook(func(rep, _ int) error {
-				if rep == 0 {
-					return errors.New("injected kill")
-				}
-				return nil
-			})
-			check("one-replica-killed")
-
-			g.Free()
-			ref.Free()
 		}
 	}
 }
@@ -209,13 +215,13 @@ func TestReplicatedMutationsBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reference search: %v", err)
 		}
-		got, err := g.Search(q, k, nil)
+		got, err := g.Search([][]float32{q}, k, nil)
 		if err != nil {
 			t.Fatalf("group search: %v", err)
 		}
-		if !reflect.DeepEqual(got.Results, want) {
+		if !reflect.DeepEqual(got.Results[0], want) {
 			t.Fatalf("post-mutation query %d diverged (replica %d):\n got %v\nwant %v",
-				i, got.Replica, got.Results, want)
+				i, got.Replica, got.Results[0], want)
 		}
 	}
 	if g.Len() != ref.Len() {
@@ -274,12 +280,12 @@ func TestClusterBackendEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reference search: %v", err)
 		}
-		got, err := g.Search(q, k, nil)
+		got, err := g.Search([][]float32{q}, k, nil)
 		if err != nil {
 			t.Fatalf("group search: %v", err)
 		}
-		if !reflect.DeepEqual(got.Results, want) {
-			t.Fatalf("query %d diverged:\n got %v\nwant %v", i, got.Results, want)
+		if !reflect.DeepEqual(got.Results[0], want) {
+			t.Fatalf("query %d diverged:\n got %v\nwant %v", i, got.Results[0], want)
 		}
 	}
 

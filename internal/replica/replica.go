@@ -66,10 +66,11 @@ var ErrNoGeneration = errors.New("replica: no generation built (Swap first)")
 // attempt answering.
 var ErrDeadline = errors.New("replica: query deadline exceeded")
 
-// Answer is one backend's search result, carrying through the
-// degradation signals a sharded backend may report.
+// Answer is one backend's answer to a query batch, carrying through
+// the degradation signals a sharded backend may report.
 type Answer struct {
-	Results []ssam.Result
+	// Results holds one top-k list per query of the batch.
+	Results [][]ssam.Result
 	// Degraded and FailedShards pass through a cluster backend's
 	// partial-result signals (always zero for region backends).
 	Degraded     bool
@@ -78,21 +79,13 @@ type Answer struct {
 	ShardHedges int
 }
 
-// BatchAnswer is Answer for a query batch.
-type BatchAnswer struct {
-	Results      [][]ssam.Result
-	Degraded     bool
-	FailedShards []int
-	ShardHedges  int
-}
-
 // Backend is one replica's serving interface. Region and cluster
 // adapters are provided (WrapRegion, WrapCluster); tests substitute
-// fakes. Search methods must be safe for concurrent use; mutations
-// are serialized by the group's writer mutex.
+// fakes. Search answers a query batch (a single query is a batch of
+// one) and must be safe for concurrent use; mutations are serialized by
+// the group's writer mutex.
 type Backend interface {
-	Search(q []float32, k int, sp *obs.Span) (Answer, error)
-	SearchBatch(qs [][]float32, k int, sp *obs.Span) (BatchAnswer, error)
+	Search(qs [][]float32, k int, sp *obs.Span) (Answer, error)
 	Upsert(id int, v []float32) (uint64, error)
 	Delete(id int) (seq uint64, ok bool, err error)
 	Compact() (ssam.CompactResult, error)
@@ -106,14 +99,9 @@ type regionBackend struct{ r *ssam.Region }
 // WrapRegion adapts a built region into a group backend.
 func WrapRegion(r *ssam.Region) Backend { return regionBackend{r} }
 
-func (b regionBackend) Search(q []float32, k int, sp *obs.Span) (Answer, error) {
-	res, _, err := b.r.SearchStatsSpan(q, k, sp)
+func (b regionBackend) Search(qs [][]float32, k int, sp *obs.Span) (Answer, error) {
+	res, _, err := b.r.SearchBatchSpan(qs, k, sp)
 	return Answer{Results: res}, err
-}
-
-func (b regionBackend) SearchBatch(qs [][]float32, k int, sp *obs.Span) (BatchAnswer, error) {
-	res, err := b.r.SearchBatchSpan(qs, k, sp)
-	return BatchAnswer{Results: res}, err
 }
 
 func (b regionBackend) Upsert(id int, v []float32) (uint64, error) { return b.r.Upsert(id, v) }
@@ -131,23 +119,12 @@ type clusterBackend struct{ c *cluster.Cluster }
 // backend, giving replicated-and-sharded regions.
 func WrapCluster(c *cluster.Cluster) Backend { return clusterBackend{c} }
 
-func (b clusterBackend) Search(q []float32, k int, sp *obs.Span) (Answer, error) {
-	resp, err := b.c.SearchTraced(q, k, sp)
+func (b clusterBackend) Search(qs [][]float32, k int, sp *obs.Span) (Answer, error) {
+	resp, err := b.c.Search(qs, k, sp)
 	if err != nil {
 		return Answer{}, err
 	}
 	return Answer{
-		Results: resp.Results, Degraded: resp.Degraded,
-		FailedShards: resp.FailedShards, ShardHedges: resp.Hedges,
-	}, nil
-}
-
-func (b clusterBackend) SearchBatch(qs [][]float32, k int, sp *obs.Span) (BatchAnswer, error) {
-	resp, err := b.c.SearchBatchTraced(qs, k, sp)
-	if err != nil {
-		return BatchAnswer{}, err
-	}
-	return BatchAnswer{
 		Results: resp.Results, Degraded: resp.Degraded,
 		FailedShards: resp.FailedShards, ShardHedges: resp.Hedges,
 	}, nil
@@ -417,8 +394,8 @@ func (g *Group) Swap(build func(i int) (Backend, error), warm [][]float32, k int
 		k = 1
 	}
 	for i, b := range backends {
-		for _, q := range warm {
-			if _, err := b.Search(q, k, nil); err != nil {
+		for qi := range warm {
+			if _, err := b.Search(warm[qi:qi+1], k, nil); err != nil {
 				abort()
 				return SwapStats{}, fmt.Errorf("replica: warming replica %d: %w", i, err)
 			}
@@ -536,24 +513,38 @@ func (g *Group) HedgeDelay() time.Duration {
 	return time.Duration(g.p99Delay.Load())
 }
 
-// route races op across the replicas under the group's policy: every
-// attempt — primary, hedge after the p99-derived delay, failover on
-// error — goes to a power-of-two-choices pick among the replicas this
-// query has not tried, and Options.Deadline bounds the whole. sp (nil
-// for untraced queries) gains a "route" child per attempt, tagged with
-// the slot, the attempt number, and whether it was a hedge or failover.
-// It reports who answered and the generation served from.
-func route[T any](g *Group, sp *obs.Span, op func(b Backend, asp *obs.Span) (T, error)) (val T, info hedge.Info, genID uint64, err error) {
+// Response is one replicated answer to a query batch (the whole batch
+// is routed to one replica).
+type Response struct {
+	Answer
+	// Replica is the slot that answered; Gen the generation it served
+	// from.
+	Replica int
+	Gen     uint64
+	// Hedges counts replica-level hedge attempts this batch launched;
+	// Failovers counts re-issues after replica errors.
+	Hedges    int
+	Failovers int
+}
+
+// Search answers a query batch (a single query is a batch of one) from
+// one replica, raced under the group's policy: every attempt — primary,
+// hedge after the p99-derived delay, failover on error — goes to a
+// power-of-two-choices pick among the replicas this batch has not
+// tried, and Options.Deadline bounds the whole. sp (nil for untraced
+// batches) gains a "route" child per attempt, tagged with the slot, the
+// attempt number, and whether it was a hedge or failover.
+func (g *Group) Search(qs [][]float32, k int, sp *obs.Span) (Response, error) {
 	if g.freed.Load() {
-		return val, info, 0, ssam.ErrFreed
+		return Response{}, ssam.ErrFreed
 	}
 	gen := g.gen.Acquire()
 	if gen == nil {
-		return val, info, 0, ErrNoGeneration
+		return Response{}, ErrNoGeneration
 	}
 	defer gen.Release()
 
-	plan := hedge.Plan[T]{Deadline: g.opts.Deadline}
+	plan := hedge.Plan[Answer]{Deadline: g.opts.Deadline}
 	if g.opts.Hedge && len(g.slots) > 1 {
 		plan.HedgeAfter = g.HedgeDelay()
 	}
@@ -592,67 +583,17 @@ func route[T any](g *Group, sp *obs.Span, op func(b Backend, asp *obs.Span) (T, 
 			asp.End()
 		}
 	}
-	plan.Run = func(si, _ int, asp *obs.Span) (T, error) { return op(gen.Val.backends[si], asp) }
+	plan.Run = func(si, _ int, asp *obs.Span) (Answer, error) { return gen.Val.backends[si].Search(qs, k, asp) }
 
-	val, info, err = hedge.Race(&g.racer, gen, plan)
+	ans, info, err := hedge.Race(&g.racer, gen, plan)
 	switch {
 	case err == hedge.ErrDeadline:
-		err = fmt.Errorf("%w after %v (%d attempts outstanding)", ErrDeadline, g.opts.Deadline, info.Outstanding)
+		return Response{}, fmt.Errorf("%w after %v (%d attempts outstanding)", ErrDeadline, g.opts.Deadline, info.Outstanding)
 	case err != nil:
-		err = fmt.Errorf("replica: all %d replicas failed: %w", len(g.slots), err)
-	}
-	return val, info, gen.Val.id, err
-}
-
-// Response is one replicated search answer.
-type Response struct {
-	Answer
-	// Replica is the slot that answered; Gen the generation it served
-	// from.
-	Replica int
-	Gen     uint64
-	// Hedges counts replica-level hedge attempts this query launched;
-	// Failovers counts re-issues after replica errors.
-	Hedges    int
-	Failovers int
-}
-
-// BatchResponse is Response for a query batch (the whole batch is
-// routed to one replica).
-type BatchResponse struct {
-	BatchAnswer
-	Replica   int
-	Gen       uint64
-	Hedges    int
-	Failovers int
-}
-
-// Search answers one query from the replica the router chooses,
-// hedging and failing over per Options.
-func (g *Group) Search(q []float32, k int, sp *obs.Span) (Response, error) {
-	ans, info, gen, err := route(g, sp, func(b Backend, asp *obs.Span) (Answer, error) {
-		return b.Search(q, k, asp)
-	})
-	if err != nil {
-		return Response{}, err
+		return Response{}, fmt.Errorf("replica: all %d replicas failed: %w", len(g.slots), err)
 	}
 	return Response{
-		Answer: ans, Replica: info.Target, Gen: gen,
-		Hedges: info.Hedges, Failovers: info.Failovers,
-	}, nil
-}
-
-// SearchBatch answers a query batch from one routed replica with the
-// same hedge/failover policy as Search.
-func (g *Group) SearchBatch(qs [][]float32, k int, sp *obs.Span) (BatchResponse, error) {
-	ans, info, gen, err := route(g, sp, func(b Backend, asp *obs.Span) (BatchAnswer, error) {
-		return b.SearchBatch(qs, k, asp)
-	})
-	if err != nil {
-		return BatchResponse{}, err
-	}
-	return BatchResponse{
-		BatchAnswer: ans, Replica: info.Target, Gen: gen,
+		Answer: ans, Replica: info.Target, Gen: gen.Val.id,
 		Hedges: info.Hedges, Failovers: info.Failovers,
 	}, nil
 }

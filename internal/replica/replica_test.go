@@ -25,7 +25,7 @@ import (
 // seqStep (1 unless a test injects divergence).
 type fakeBackend struct {
 	id       int
-	searchFn func(q []float32, k int) (Answer, error)
+	searchFn func(qs [][]float32, k int) (Answer, error)
 
 	freed atomic.Bool
 
@@ -37,27 +37,20 @@ type fakeBackend struct {
 	deletes []int
 }
 
-func (f *fakeBackend) answer() Answer {
-	return Answer{Results: []ssam.Result{{ID: f.id, Dist: float64(f.id)}}}
+// answer is one result list per query, each naming the fake.
+func (f *fakeBackend) answer(queries int) Answer {
+	out := Answer{Results: make([][]ssam.Result, queries)}
+	for i := range out.Results {
+		out.Results[i] = []ssam.Result{{ID: f.id, Dist: float64(f.id)}}
+	}
+	return out
 }
 
-func (f *fakeBackend) Search(q []float32, k int, _ *obs.Span) (Answer, error) {
+func (f *fakeBackend) Search(qs [][]float32, k int, _ *obs.Span) (Answer, error) {
 	if f.searchFn != nil {
-		return f.searchFn(q, k)
+		return f.searchFn(qs, k)
 	}
-	return f.answer(), nil
-}
-
-func (f *fakeBackend) SearchBatch(qs [][]float32, k int, _ *obs.Span) (BatchAnswer, error) {
-	out := BatchAnswer{Results: make([][]ssam.Result, len(qs))}
-	for i := range qs {
-		a, err := f.Search(qs[i], k, nil)
-		if err != nil {
-			return BatchAnswer{}, err
-		}
-		out.Results[i] = a.Results
-	}
-	return out, nil
+	return f.answer(len(qs)), nil
 }
 
 func (f *fakeBackend) step() uint64 {
@@ -146,7 +139,7 @@ func TestLifecycleErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Before the first Swap nothing serves.
-	if _, err := g.Search([]float32{1}, 1, nil); !errors.Is(err, ErrNoGeneration) {
+	if _, err := g.Search([][]float32{{1}}, 1, nil); !errors.Is(err, ErrNoGeneration) {
 		t.Fatalf("search before swap: %v", err)
 	}
 	if _, err := g.Upsert(1, []float32{1}); !errors.Is(err, ErrNoGeneration) {
@@ -169,7 +162,7 @@ func TestLifecycleErrors(t *testing.T) {
 			t.Fatalf("replica %d not freed", f.id)
 		}
 	}
-	if _, err := g.Search([]float32{1}, 1, nil); !errors.Is(err, ssam.ErrFreed) {
+	if _, err := g.Search([][]float32{{1}}, 1, nil); !errors.Is(err, ssam.ErrFreed) {
 		t.Fatalf("search after free: %v", err)
 	}
 	if _, err := g.Upsert(1, []float32{1}); !errors.Is(err, ssam.ErrFreed) {
@@ -306,18 +299,18 @@ func TestSearchAndBatchRouting(t *testing.T) {
 	fakes := newFakes(2)
 	swapFakes(t, g, fakes)
 
-	resp, err := g.Search([]float32{1}, 1, nil)
+	resp, err := g.Search([][]float32{{1}}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Gen != 1 || resp.Hedges != 0 || resp.Failovers != 0 {
 		t.Fatalf("response %+v", resp)
 	}
-	if len(resp.Results) != 1 || resp.Results[0].ID != resp.Replica {
+	if len(resp.Results) != 1 || resp.Results[0][0].ID != resp.Replica {
 		t.Fatalf("answer %v did not come from reported replica %d", resp.Results, resp.Replica)
 	}
 
-	br, err := g.SearchBatch([][]float32{{1}, {2}, {3}}, 1, nil)
+	br, err := g.Search([][]float32{{1}, {2}, {3}}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +354,7 @@ func TestFailoverOnError(t *testing.T) {
 		return nil
 	})
 
-	resp, err := g.Search([]float32{1}, 1, nil)
+	resp, err := g.Search([][]float32{{1}}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +370,7 @@ func TestFailoverOnError(t *testing.T) {
 
 	// Clearing the hook restores slot 0.
 	g.SetFaultHook(nil)
-	if _, err := g.Search([]float32{1}, 1, nil); err != nil {
+	if _, err := g.Search([][]float32{{1}}, 1, nil); err != nil {
 		t.Fatalf("after heal: %v", err)
 	}
 }
@@ -392,7 +385,7 @@ func TestAllReplicasFailed(t *testing.T) {
 	injected := errors.New("injected total outage")
 	g.SetFaultHook(func(int, int) error { return injected })
 
-	_, err = g.Search([]float32{1}, 1, nil)
+	_, err = g.Search([][]float32{{1}}, 1, nil)
 	if !errors.Is(err, injected) {
 		t.Fatalf("error %v does not wrap the replica failure", err)
 	}
@@ -415,16 +408,16 @@ func TestHedgeFiresAndWins(t *testing.T) {
 	}
 	release := make(chan struct{})
 	fakes := newFakes(2)
-	fakes[0].searchFn = func([]float32, int) (Answer, error) {
+	fakes[0].searchFn = func([][]float32, int) (Answer, error) {
 		<-release
-		return fakes[0].answer(), nil
+		return fakes[0].answer(1), nil
 	}
 	swapFakes(t, g, fakes)
 	g.slots[0].ewmaNanos.Store(1_000) // slot 0 is always the primary
 	g.slots[1].ewmaNanos.Store(1_000_000_000)
 	immediateHedge(g)
 
-	resp, err := g.Search([]float32{1}, 1, nil)
+	resp, err := g.Search([][]float32{{1}}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,14 +444,14 @@ func TestErrorWaitsForOutstandingHedge(t *testing.T) {
 	hedgeStarted := make(chan struct{})
 	hedgeGo := make(chan struct{})
 	fakes := newFakes(2)
-	fakes[0].searchFn = func([]float32, int) (Answer, error) {
+	fakes[0].searchFn = func([][]float32, int) (Answer, error) {
 		<-primaryGo
 		return Answer{}, errors.New("primary failed")
 	}
-	fakes[1].searchFn = func([]float32, int) (Answer, error) {
+	fakes[1].searchFn = func([][]float32, int) (Answer, error) {
 		close(hedgeStarted)
 		<-hedgeGo
-		return fakes[1].answer(), nil
+		return fakes[1].answer(1), nil
 	}
 	swapFakes(t, g, fakes)
 	g.slots[0].ewmaNanos.Store(1_000)
@@ -471,7 +464,7 @@ func TestErrorWaitsForOutstandingHedge(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		resp, err := g.Search([]float32{1}, 1, nil)
+		resp, err := g.Search([][]float32{{1}}, 1, nil)
 		done <- result{resp, err}
 	}()
 	<-hedgeStarted   // hedge is in flight
@@ -495,14 +488,14 @@ func TestDeadline(t *testing.T) {
 	release := make(chan struct{})
 	fakes := newFakes(2)
 	for _, f := range fakes {
-		f.searchFn = func([]float32, int) (Answer, error) {
+		f.searchFn = func([][]float32, int) (Answer, error) {
 			<-release
 			return Answer{}, nil
 		}
 	}
 	swapFakes(t, g, fakes)
 
-	_, err = g.Search([]float32{1}, 1, nil)
+	_, err = g.Search([][]float32{{1}}, 1, nil)
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("error %v, want ErrDeadline", err)
 	}
@@ -527,10 +520,10 @@ func TestSwapDrainsOldGeneration(t *testing.T) {
 	oldFakes := newFakes(2)
 	for i := range oldFakes {
 		f := oldFakes[i]
-		f.searchFn = func([]float32, int) (Answer, error) {
+		f.searchFn = func([][]float32, int) (Answer, error) {
 			started <- struct{}{}
 			<-release
-			return f.answer(), nil
+			return f.answer(1), nil
 		}
 	}
 	swapFakes(t, g, oldFakes)
@@ -541,7 +534,7 @@ func TestSwapDrainsOldGeneration(t *testing.T) {
 	}
 	inFlight := make(chan result, 1)
 	go func() {
-		resp, err := g.Search([]float32{1}, 1, nil)
+		resp, err := g.Search([][]float32{{1}}, 1, nil)
 		inFlight <- result{resp, err}
 	}()
 	<-started // the old generation now has a live query
@@ -567,11 +560,11 @@ func TestSwapDrainsOldGeneration(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	resp, err := g.Search([]float32{2}, 1, nil)
+	resp, err := g.Search([][]float32{{2}}, 1, nil)
 	if err != nil {
 		t.Fatalf("search during drain: %v", err)
 	}
-	if resp.Gen != 2 || resp.Results[0].ID < 100 {
+	if resp.Gen != 2 || resp.Results[0][0].ID < 100 {
 		t.Fatalf("query during drain served gen %d result %v, want new generation", resp.Gen, resp.Results)
 	}
 
@@ -596,7 +589,7 @@ func TestSwapDrainsOldGeneration(t *testing.T) {
 	if r.err != nil {
 		t.Fatalf("in-flight query dropped across swap: %v", r.err)
 	}
-	if r.resp.Gen != 1 || r.resp.Results[0].ID >= 100 {
+	if r.resp.Gen != 1 || r.resp.Results[0][0].ID >= 100 {
 		t.Fatalf("in-flight query answered by gen %d result %v, want its own old generation", r.resp.Gen, r.resp.Results)
 	}
 	for _, f := range oldFakes {
@@ -641,7 +634,7 @@ func TestSwapAbortLeavesOldServing(t *testing.T) {
 	// Warm error.
 	warmFail := newFakes(2)
 	for _, f := range warmFail {
-		f.searchFn = func([]float32, int) (Answer, error) {
+		f.searchFn = func([][]float32, int) (Answer, error) {
 			return Answer{}, errors.New("warm exploded")
 		}
 	}
@@ -657,7 +650,7 @@ func TestSwapAbortLeavesOldServing(t *testing.T) {
 	}
 
 	// The old generation never noticed.
-	if resp, err := g.Search([]float32{1}, 1, nil); err != nil || resp.Gen != 1 {
+	if resp, err := g.Search([][]float32{{1}}, 1, nil); err != nil || resp.Gen != 1 {
 		t.Fatalf("old generation disturbed: %v %+v", err, resp)
 	}
 	if g.Stats().Swaps != 1 {
@@ -756,7 +749,7 @@ func TestConcurrentSearchDuringSwaps(t *testing.T) {
 					return
 				default:
 				}
-				resp, err := g.Search([]float32{1}, 1, nil)
+				resp, err := g.Search([][]float32{{1}}, 1, nil)
 				if err != nil {
 					select {
 					case errs <- err:

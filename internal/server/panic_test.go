@@ -51,7 +51,8 @@ func TestBatchPanicIsThatBatchs500(t *testing.T) {
 			mu.Unlock()
 			panic("batch blew up")
 		}
-		return be.SearchBatchSpan(qs, k, sp)
+		res, _, err := be.SearchBatchSpan(qs, k, sp)
+		return res, err
 	}, batcher.Options{}))
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

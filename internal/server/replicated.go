@@ -49,18 +49,16 @@ func (b *groupBackend) Build() error {
 
 func (b *groupBackend) Built() bool { return b.Gen() > 0 }
 
+// Search answers /search as a one-query batch under the bypass stage.
 func (b *groupBackend) Search(_ context.Context, q []float32, k int, sp *obs.Span) (answer, error) {
 	bsp := bypass(sp)
-	resp, err := b.Group.Search(q, k, bsp)
+	ans, err := b.SearchBatch([][]float32{q}, k, bsp)
 	bsp.End()
-	return answer{
-		Results: resp.Results, Degraded: resp.Degraded, FailedShards: resp.FailedShards,
-		Hedges: resp.Hedges + resp.ShardHedges, Replica: &resp.Replica, Gen: resp.Gen, Failovers: resp.Failovers,
-	}, err
+	return ans.single(), err
 }
 
 func (b *groupBackend) SearchBatch(qs [][]float32, k int, sp *obs.Span) (answer, error) {
-	resp, err := b.Group.SearchBatch(qs, k, sp)
+	resp, err := b.Group.Search(qs, k, sp)
 	return answer{
 		Batch: resp.Results, Degraded: resp.Degraded, FailedShards: resp.FailedShards,
 		Hedges: resp.Hedges + resp.ShardHedges, Replica: &resp.Replica, Gen: resp.Gen, Failovers: resp.Failovers,

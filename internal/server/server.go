@@ -179,6 +179,15 @@ type answer struct {
 	Failovers    int
 }
 
+// single is a one-query batch's answer as Search reports it.
+func (a answer) single() answer {
+	if len(a.Batch) == 1 {
+		a.Results = a.Batch[0]
+	}
+	a.Batch = nil
+	return a
+}
+
 // backend is what an entry serves from. Load, Len, Describe and Free
 // are called with the entry's mu held; Load may keep the rows it is
 // handed without copying them. Build is called without the lock and
@@ -253,7 +262,10 @@ func (b *regionBackend) Build() error {
 	// region to its mutable store).
 	b.s.installCompactHook(b.e, b.Region)
 	stats := b.e.stats
-	b.setBatcher(batcher.New(b.SearchBatchSpan, batcher.Options{
+	b.setBatcher(batcher.New(func(qs [][]float32, k int, sp *obs.Span) ([][]ssam.Result, error) {
+		res, _, err := b.SearchBatchSpan(qs, k, sp)
+		return res, err
+	}, batcher.Options{
 		MaxBatch: b.s.opts.MaxBatch,
 		OnFlush: func(size int, _, queued time.Duration) {
 			stats.recordBatch(size)
@@ -282,7 +294,7 @@ func (b *regionBackend) Search(ctx context.Context, q []float32, k int, sp *obs.
 }
 
 func (b *regionBackend) SearchBatch(qs [][]float32, k int, sp *obs.Span) (answer, error) {
-	res, err := b.SearchBatchSpan(qs, k, sp)
+	res, _, err := b.SearchBatchSpan(qs, k, sp)
 	return answer{Batch: res}, err
 }
 
@@ -330,15 +342,16 @@ func (b *clusterBackend) Build() error {
 
 func (b *clusterBackend) Built() bool { return b.built.Load() }
 
+// Search answers /search as a one-query batch under the bypass stage.
 func (b *clusterBackend) Search(_ context.Context, q []float32, k int, sp *obs.Span) (answer, error) {
 	bsp := bypass(sp)
-	resp, err := b.SearchTraced(q, k, bsp)
+	ans, err := b.SearchBatch([][]float32{q}, k, bsp)
 	bsp.End()
-	return answer{Results: resp.Results, Degraded: resp.Degraded, FailedShards: resp.FailedShards, Hedges: resp.Hedges}, err
+	return ans.single(), err
 }
 
 func (b *clusterBackend) SearchBatch(qs [][]float32, k int, sp *obs.Span) (answer, error) {
-	resp, err := b.SearchBatchTraced(qs, k, sp)
+	resp, err := b.Cluster.Search(qs, k, sp)
 	return answer{Batch: resp.Results, Degraded: resp.Degraded, FailedShards: resp.FailedShards, Hedges: resp.Hedges}, err
 }
 

@@ -431,8 +431,10 @@ func (r *Region) Search(q []float32, k int) ([]Result, error) {
 // SearchStats is Search returning the query's simulated device stats
 // alongside the results (zero DeviceStats for Host execution). Unlike
 // Search followed by LastStats it cannot interleave with a concurrent
-// query's stats, which the sharded cluster layer relies on when many
-// scatter-gather queries share one shard region.
+// query's stats: LastStats is last-writer-wins across every caller of
+// the region, so a caller that shares it — a cluster shard serves many
+// scatter-gather batches at once — reads the stats a call returns, as
+// SearchBatchSpan returns a batch's.
 func (r *Region) SearchStats(q []float32, k int) ([]Result, DeviceStats, error) {
 	return r.SearchStatsSpan(q, k, nil)
 }
@@ -489,20 +491,24 @@ func (r *Region) SearchBinaryStatsSpan(q BinaryCode, k int, sp *obs.Span) ([]Res
 // are kept in the returned slice and the stats they accumulated are
 // committed.
 func (r *Region) SearchBatch(qs [][]float32, k int) ([][]Result, error) {
-	return r.SearchBatchSpan(qs, k, nil)
+	out, _, err := r.SearchBatchSpan(qs, k, nil)
+	return out, err
 }
 
-// SearchBatchSpan is SearchBatch recording the engine execution as an
-// "exec" child of sp, tagged with the execution mode and batch size.
-// A nil span is the untraced fast path.
-func (r *Region) SearchBatchSpan(qs [][]float32, k int, sp *obs.Span) ([][]Result, error) {
+// SearchBatchSpan is SearchBatch returning the batch's simulated device
+// stats — the sum of its queries', zero for Host execution — with the
+// same atomicity as SearchStats, and recording the engine execution as
+// an "exec" child of sp, tagged with the execution mode, the batch size
+// and the host work summed over the batch. A nil span is the untraced
+// fast path.
+func (r *Region) SearchBatchSpan(qs [][]float32, k int, sp *obs.Span) ([][]Result, DeviceStats, error) {
 	e, k, err := r.ready("SearchBatch", k)
 	if err != nil {
-		return nil, err
+		return nil, DeviceStats{}, err
 	}
 	for _, q := range qs {
 		if err := r.checkFloat(q); err != nil {
-			return nil, err
+			return nil, DeviceStats{}, err
 		}
 	}
 	esp := openExec(sp, e, obs.Tag{Key: "batch", Value: len(qs)})
@@ -511,9 +517,9 @@ func (r *Region) SearchBatchSpan(qs [][]float32, k int, sp *obs.Span) ([][]Resul
 	if err != nil {
 		// Keep what the batch computed so far: results for queries before
 		// failedAt stand, and the stats they accumulated are committed.
-		return out, &BatchError{Index: failedAt, Err: err}
+		return out, w.dev, &BatchError{Index: failedAt, Err: err}
 	}
-	return out, nil
+	return out, w.dev, nil
 }
 
 // QuantizedCounters is a point-in-time view of a quantized region's

@@ -254,7 +254,7 @@ func TestTieredRegionBatchTrace(t *testing.T) {
 	tracer := obs.NewTracer(0, 4)
 	for _, warm := range []bool{false, true} {
 		trace := tracer.Trace("searchbatch", true)
-		if _, err := tr.SearchBatchSpan(ds.Queries[:b], 10, trace.Root()); err != nil {
+		if _, _, err := tr.SearchBatchSpan(ds.Queries[:b], 10, trace.Root()); err != nil {
 			t.Fatal(err)
 		}
 		exec := tracer.Finish(trace).Root.Find("exec")
