@@ -10,7 +10,9 @@ import (
 // TestDeviceSearchBatchPartialFailure pins the mid-batch error
 // contract: a device batch that fails at query i returns a *BatchError
 // carrying i, keeps the results already computed for queries before i,
-// and commits the stats those queries accumulated.
+// and returns the stats those queries accumulated. A single query is a
+// batch of one through the same seam, and fails with the engine's own
+// error, not a *BatchError.
 func TestDeviceSearchBatchPartialFailure(t *testing.T) {
 	const dims, n = 8, 64
 	rng := rand.New(rand.NewSource(7))
@@ -39,7 +41,7 @@ func TestDeviceSearchBatchPartialFailure(t *testing.T) {
 		return nil
 	}
 
-	out, err := r.SearchBatch(qs, 3)
+	out, st, err := r.SearchBatchSpan(qs, 3, nil)
 	var be *BatchError
 	if !errors.As(err, &be) {
 		t.Fatalf("SearchBatch error = %v, want *BatchError", err)
@@ -63,18 +65,29 @@ func TestDeviceSearchBatchPartialFailure(t *testing.T) {
 			t.Fatalf("query %d ran despite the batch failing at %d", i, failAt)
 		}
 	}
-	st := r.LastStats()
 	if st.Cycles == 0 || st.Instructions == 0 {
-		t.Fatalf("stats for the completed prefix not committed: %+v", st)
+		t.Fatalf("stats for the completed prefix not returned: %+v", st)
 	}
 
 	// The same batch without the fault must finish and accumulate more
 	// cycles than the failed prefix did.
 	r.batchFault = nil
-	if _, err := r.SearchBatch(qs, 3); err != nil {
+	_, full, err := r.SearchBatchSpan(qs, 3, nil)
+	if err != nil {
 		t.Fatalf("clean batch: %v", err)
 	}
-	if full := r.LastStats(); full.Cycles <= st.Cycles {
+	if full.Cycles <= st.Cycles {
 		t.Fatalf("full batch cycles %d not greater than failed prefix's %d", full.Cycles, st.Cycles)
+	}
+
+	// A single query failing at 0 returns the injected error itself.
+	r.batchFault = func(i int) error {
+		if i == 0 {
+			return boom
+		}
+		return nil
+	}
+	if res, err := r.Search(qs[0], 3); err != boom || res != nil {
+		t.Fatalf("Search = %v, %v; want nil, the injected error", res, err)
 	}
 }

@@ -66,24 +66,21 @@ func TestSearchBatchDevice(t *testing.T) {
 	ds := batchDataset(t)
 	r := buildRegion(t, ds, ssam.Config{Execution: ssam.Device, VectorLength: 4})
 	defer r.Free()
-	batch, err := r.SearchBatch(ds.Queries[:4], 3)
+	batch, st, err := r.SearchBatchSpan(ds.Queries[:4], 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(batch) != 4 {
 		t.Fatalf("batch size %d", len(batch))
 	}
-	st := r.LastStats()
 	if st.Cycles == 0 || st.Seconds <= 0 {
 		t.Fatalf("no accumulated stats: %+v", st)
 	}
 	// Sequential service: batch cost is ~4x a single query.
-	single, err := r.Search(ds.Queries[0], 3)
+	_, one, err := r.SearchStats(ds.Queries[0], 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = single
-	one := r.LastStats()
 	if st.Seconds < 3*one.Seconds {
 		t.Fatalf("batch of 4 (%vs) should cost ~4 single queries (%vs each)", st.Seconds, one.Seconds)
 	}

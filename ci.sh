@@ -37,6 +37,11 @@ go test -count=1 -cpu 1,2,4 -run 'PQSerialParallelBitEquivalence|PQPilotMissResc
 # at three widths.
 go test -count=1 -cpu 1,2,4 -run 'Equivalence|StatsAreTheBatchsOwn' ./internal/cluster
 go test -count=1 -cpu 1,2,4 -run 'BitIdentical|Equivalence' ./internal/replica
+# The same inside the region, where every engine takes a single query as
+# a batch of one: the quantized RunBatch and the indexes' par.Each pick
+# their branch for it by core count, so every mode's answers, stats and
+# exec tags through Search, Exec and SearchBatch are held at three widths.
+go test -count=1 -cpu 1,2,4 -run TestEngineConformance .
 
 # Benchmark smoke: compile and run every benchmark once so a bench
 # that rots (bad setup, panic, API drift) fails the gate, without

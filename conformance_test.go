@@ -238,8 +238,8 @@ func conform(t *testing.T, r *Region, cfg Config, mutate bool) {
 		if !reflect.DeepEqual(staged, res) {
 			t.Fatalf("staged API diverged from Search:\n%v\n%v", staged, res)
 		}
-		if last := r.LastStats(); (cfg.Execution == Device) != (last.Cycles > 0) {
-			t.Fatalf("LastStats.Cycles = %d under %v execution", last.Cycles, cfg.Execution)
+		if last := r.LastStats(); last != st {
+			t.Fatalf("LastStats after Exec = %+v, want the query's %+v", last, st)
 		}
 		direct = append(direct, res)
 	}

@@ -40,11 +40,11 @@ func TestDeviceIndexedModes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := r.Search(q, 5)
+			got, st, err := r.SearchStats(q, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cycles += r.LastStats().Cycles
+			cycles += st.Cycles
 			in := map[int]bool{}
 			for _, w := range want {
 				in[w.ID] = true
@@ -73,19 +73,19 @@ func TestDeviceIndexSetChecks(t *testing.T) {
 		Index: ssam.IndexParams{Checks: 2},
 	})
 	defer r.Free()
-	if _, err := r.Search(ds.Queries[0], 5); err != nil {
+	_, low, err := r.SearchStats(ds.Queries[0], 5)
+	if err != nil {
 		t.Fatal(err)
 	}
-	low := r.LastStats().Cycles
 	if err := r.SetChecks(200); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Search(ds.Queries[0], 5); err != nil {
+	_, high, err := r.SearchStats(ds.Queries[0], 5)
+	if err != nil {
 		t.Fatal(err)
 	}
-	high := r.LastStats().Cycles
-	if high <= low {
-		t.Fatalf("SetChecks did not increase device work: %d -> %d", low, high)
+	if high.Cycles <= low.Cycles {
+		t.Fatalf("SetChecks did not increase device work: %d -> %d", low.Cycles, high.Cycles)
 	}
 }
 

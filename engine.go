@@ -27,10 +27,22 @@ import (
 	"ssam/internal/vec"
 )
 
-// query is one search input: f on float regions, b on Hamming regions.
+// query is one search call's input, a batch of one or more queries: f
+// on float regions, b on Hamming regions.
 type query struct {
-	f []float32
-	b vec.Binary
+	f [][]float32
+	b []vec.Binary
+}
+
+// len is the batch size.
+func (q query) len() int { return len(q.f) + len(q.b) }
+
+// at is the batch's query i, as a batch of one.
+func (q query) at(i int) query {
+	if q.b != nil {
+		return query{b: q.b[i : i+1]}
+	}
+	return query{f: q.f[i : i+1]}
 }
 
 // work is what one engine call did, summed over a batch: host work
@@ -64,14 +76,14 @@ func (w work) tag(sp *obs.Span) {
 	}
 }
 
-// engine is a built region's search structure. search and searchBatch
-// record their children (vault, rerank, descend, base) under exec, the
-// span Region opened with tags(); a nil exec is the untraced fast path.
-// searchBatch reports the failing query's index alongside an error, with
-// the results and work of the queries before it.
+// engine is a built region's search structure. search answers a batch
+// — a single query is a batch of one — recording its children (vault,
+// rerank, descend, base) under exec, the span Region opened with tags();
+// a nil exec is the untraced fast path. It reports the failing query's
+// index alongside an error, with the results and work of the queries
+// before it.
 type engine interface {
-	search(q query, k int, exec *obs.Span) ([]Result, work, error)
-	searchBatch(qs [][]float32, k int, exec *obs.Span) (out [][]Result, w work, failedAt int, err error)
+	search(q query, k int, exec *obs.Span) (out [][]Result, w work, failedAt int, err error)
 	setKnob(n int) error
 	len() int
 	tags() []obs.Tag
@@ -108,16 +120,8 @@ type linearEngine struct {
 	e *knn.ExactScan
 }
 
-func (a linearEngine) search(q query, k int, exec *obs.Span) ([]Result, work, error) {
-	out, w, _, err := a.searchBatch([][]float32{q.f}, k, exec)
-	if err != nil {
-		return nil, w, err
-	}
-	return out[0], w, nil
-}
-
-func (a linearEngine) searchBatch(qs [][]float32, k int, exec *obs.Span) ([][]Result, work, int, error) {
-	out, st, err := a.e.Run(qs, k, exec)
+func (a linearEngine) search(q query, k int, exec *obs.Span) ([][]Result, work, int, error) {
+	out, st, err := a.e.Run(q.f, k, exec)
 	if err != nil {
 		return nil, work{}, 0, err
 	}
@@ -143,15 +147,16 @@ type hammingEngine struct {
 	e *knn.HammingEngine
 }
 
-func (a hammingEngine) search(q query, k int, exec *obs.Span) ([]Result, work, error) {
-	res, st := a.e.SearchStatsSpan(q.b, k, exec)
-	return res, work{knn: st}, nil
-}
-
-// searchBatch is unreachable: batches are float queries, which Region
-// refuses on a Hamming region before asking the engine.
-func (hammingEngine) searchBatch([][]float32, int, *obs.Span) ([][]Result, work, int, error) {
-	return nil, work{}, 0, errors.New("ssam: float query on a Hamming region")
+// search scans once per query: Region asks for Hamming batches of one.
+func (a hammingEngine) search(q query, k int, exec *obs.Span) ([][]Result, work, int, error) {
+	out := make([][]Result, len(q.b))
+	var w work
+	for i, b := range q.b {
+		var st knn.Stats
+		out[i], st = a.e.SearchStatsSpan(b, k, exec)
+		w.knn.Add(st)
+	}
+	return out, w, -1, nil
 }
 
 func (a hammingEngine) len() int { return a.e.N() }
@@ -174,28 +179,24 @@ type indexEngine struct {
 	workers int
 }
 
-func (a *indexEngine) search(q query, k int, exec *obs.Span) ([]Result, work, error) {
-	res, st := a.find(q.f, k, exec)
-	return res, work{knn: st}, nil
-}
-
-// searchBatch fans the queries out, at most workers (<= 0: GOMAXPROCS)
-// at a time, summing their work; a query that panics fails the whole
-// batch, at query 0. A batch of one traverses under exec as search does;
-// a longer batch records no traversal spans, which would interleave.
-func (a *indexEngine) searchBatch(qs [][]float32, k int, exec *obs.Span) ([][]Result, work, int, error) {
+// search fans the queries out, at most workers (<= 0: GOMAXPROCS) at a
+// time, summing their work; a query that panics fails the whole batch,
+// at query 0. A batch of one traverses under exec on the caller's
+// goroutine; a longer batch records no traversal spans, which would
+// interleave.
+func (a *indexEngine) search(q query, k int, exec *obs.Span) ([][]Result, work, int, error) {
 	workers := a.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if len(qs) > 1 {
+	if len(q.f) > 1 {
 		exec = nil
 	}
-	out := make([][]Result, len(qs))
+	out := make([][]Result, len(q.f))
 	var mu sync.Mutex
 	var w work
-	if err := par.Each(len(qs), workers, func(i int) error {
-		res, st := a.find(qs[i], k, exec)
+	if err := par.Each(len(q.f), workers, func(i int) error {
+		res, st := a.find(q.f[i], k, exec)
 		out[i] = res
 		mu.Lock()
 		w.knn.Add(st)
@@ -230,13 +231,8 @@ type pqEngine struct {
 	e *knn.PQScan
 }
 
-func (a pqEngine) search(q query, k int, exec *obs.Span) ([]Result, work, error) {
-	res, st, err := a.e.Run(q.f, k, exec)
-	return res, work{knn: st}, err
-}
-
-func (a pqEngine) searchBatch(qs [][]float32, k int, exec *obs.Span) ([][]Result, work, int, error) {
-	out, st, failedAt, err := a.e.RunBatch(qs, k, exec)
+func (a pqEngine) search(q query, k int, exec *obs.Span) ([][]Result, work, int, error) {
+	out, st, failedAt, err := a.e.RunBatch(q.f, k, exec)
 	return out, work{knn: st}, failedAt, err
 }
 
@@ -260,7 +256,7 @@ func (a pqEngine) tags() []obs.Tag {
 }
 
 // deviceEngine is the simulated SSAM module. The cycle simulator is
-// stateful, so queries serialize on mu — taken inside search, after
+// stateful, so batches serialize on mu — taken inside search, after
 // Region opened the exec span, so a trace shows the queueing. run is the
 // on-device engine picked at build: the linear scan or one of the
 // on-device indexes.
@@ -271,44 +267,34 @@ type deviceEngine struct {
 	run   deviceRun
 	knob  func(n int)              // nil: nothing to retarget
 	pq    func() QuantizedCounters // nil unless the on-device index is quantized
-	fault *func(i int) error       // Region.batchFault, the mid-batch failure seam
+	fault *func(i int) error       // Region.batchFault, the per-query failure seam
 }
 
-// deviceRun is one query on the module; floats adapts the float-only
-// on-device indexes.
+// deviceRun is one query — a batch of one — on the module; floats adapts
+// the float-only on-device indexes.
 type deviceRun func(q query, k int) ([]Result, ssamdev.QueryStats, error)
 
 func floats(search func([]float32, int) ([]Result, ssamdev.QueryStats, error)) deviceRun {
-	return func(q query, k int) ([]Result, ssamdev.QueryStats, error) { return search(q.f, k) }
+	return func(q query, k int) ([]Result, ssamdev.QueryStats, error) { return search(q.f[0], k) }
 }
 
-func (d *deviceEngine) search(q query, k int, _ *obs.Span) ([]Result, work, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	res, st, err := d.run(q, k)
-	if err != nil {
-		return nil, work{}, err
-	}
-	return res, work{dev: toDeviceStats(st)}, nil
-}
-
-// searchBatch serves the batch one query at a time, holding the module
+// search serves the batch one query at a time, holding the module
 // throughout: it broadcasts one query at a time, and as the paper notes,
 // batching buys little on a device that already saturates its internal
 // bandwidth per query.
-func (d *deviceEngine) searchBatch(qs [][]float32, k int, _ *obs.Span) ([][]Result, work, int, error) {
+func (d *deviceEngine) search(q query, k int, _ *obs.Span) ([][]Result, work, int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([][]Result, len(qs))
+	out := make([][]Result, q.len())
 	var agg work
-	for i, q := range qs {
+	for i := range out {
 		var err error
 		if fault := *d.fault; fault != nil {
 			err = fault(i)
 		}
 		var st ssamdev.QueryStats
 		if err == nil {
-			out[i], st, err = d.run(query{f: q}, k)
+			out[i], st, err = d.run(q.at(i), k)
 		}
 		if err != nil {
 			return out, agg, i, err
@@ -349,7 +335,7 @@ func (d *deviceEngine) tags() []obs.Tag {
 type mutableEngine[V any] struct {
 	noKnob
 	*mutate.Store[V]
-	pick func(query) V
+	pick func(query) []V
 	dev  *ssamdev.Device // nil for Host execution
 }
 
@@ -368,7 +354,7 @@ type mutableStore interface {
 // newMutable seeds a store with rows under ids 0..n-1 — exactly the
 // engine's rows, so a query racing the swap answers the same either way
 // — and starts its compactor.
-func newMutable[V any](st *mutate.Store[V], rows []V, pick func(query) V, dev *ssamdev.Device) (mutableStore, error) {
+func newMutable[V any](st *mutate.Store[V], rows []V, pick func(query) []V, dev *ssamdev.Device) (mutableStore, error) {
 	ids := make([]int, len(rows))
 	for i := range ids {
 		ids[i] = i
@@ -387,26 +373,18 @@ func (m *mutableEngine[V]) price(rows int) DeviceStats {
 	return toDeviceStats(m.dev.ApproxLinearStats(rows))
 }
 
-func (m *mutableEngine[V]) search(q query, k int, exec *obs.Span) ([]Result, work, error) {
-	res, st := m.SearchStatsSpan(m.pick(q), k, exec)
-	// st.DistEvals is exactly the live rows the device would scan.
-	return res, work{knn: st, dev: m.price(st.DistEvals), mutable: true, live: st.DistEvals}, nil
-}
-
-// searchBatch answers the whole batch against one snapshot generation —
+// search answers the whole batch against one snapshot generation —
 // batch-level consistency under concurrent writes.
-func (m *mutableEngine[V]) searchBatch(qs [][]float32, k int, exec *obs.Span) ([][]Result, work, int, error) {
-	vs := make([]V, len(qs))
-	for i, q := range qs {
-		vs[i] = m.pick(query{f: q})
-	}
+func (m *mutableEngine[V]) search(q query, k int, exec *obs.Span) ([][]Result, work, int, error) {
+	vs := m.pick(q)
 	out, st := m.SearchBatch(vs, k, exec)
 	w := work{knn: st, mutable: true}
-	if len(qs) > 0 {
-		// Every query of the batch scanned the generation's live rows.
-		w.live = st.DistEvals / len(qs)
+	if len(vs) > 0 {
+		// Every query of the batch scanned the generation's live rows:
+		// st.DistEvals over the batch is exactly what the device would scan.
+		w.live = st.DistEvals / len(vs)
 		per := m.price(w.live)
-		for range qs {
+		for range vs {
 			w.dev.add(per)
 		}
 	}
@@ -498,14 +476,14 @@ func (r *Region) seedFloat(dev *ssamdev.Device) func() (mutableStore, error) {
 			rows[i] = r.data[i*d : (i+1)*d : (i+1)*d]
 		}
 		st := mutate.NewFloat(r.dims, r.cfg.Metric.toVec(), mutate.Options{Vaults: r.cfg.Vaults})
-		return newMutable(st, rows, func(q query) []float32 { return q.f }, dev)
+		return newMutable(st, rows, func(q query) [][]float32 { return q.f }, dev)
 	}
 }
 
 func (r *Region) seedBinary(dev *ssamdev.Device) func() (mutableStore, error) {
 	return func() (mutableStore, error) {
 		st := mutate.NewBinary(r.dims, mutate.Options{Vaults: r.cfg.Vaults})
-		return newMutable(st, r.codes, func(q query) vec.Binary { return q.b }, dev)
+		return newMutable(st, r.codes, func(q query) []vec.Binary { return q.b }, dev)
 	}
 }
 
@@ -547,7 +525,7 @@ func (r *Region) newHostEngine() (engine, error) {
 			return linearEngine{e: knn.NewExactScan(st, metric)}, nil
 		}
 		r.seed = r.seedFloat(nil)
-		return linearEngine{e: &knn.NewEngineVaults(r.data, r.dims, metric, cfg.Workers, cfg.Vaults).ExactScan}, nil
+		return linearEngine{e: &knn.NewEngine(r.data, r.dims, metric, cfg.Vaults).ExactScan}, nil
 	case KDTree:
 		p := kdtree.DefaultParams()
 		p.NumTrees, p.LeafSize = or(ip.Trees, p.NumTrees), or(ip.LeafSize, p.LeafSize)
@@ -645,7 +623,7 @@ func (r *Region) newDeviceEngine() (engine, error) {
 	case Linear:
 		if cfg.Metric == Hamming {
 			r.seed = r.seedBinary(dev)
-			d.run = func(q query, k int) ([]Result, ssamdev.QueryStats, error) { return dev.SearchBinary(q.b, k) }
+			d.run = func(q query, k int) ([]Result, ssamdev.QueryStats, error) { return dev.SearchBinary(q.b[0], k) }
 		} else {
 			r.seed = r.seedFloat(dev)
 			d.run = floats(dev.Search)
@@ -696,7 +674,7 @@ func (r *Region) newDeviceEngine() (engine, error) {
 		// re-rank knob); the device model prices the §IV bandwidth story
 		// — ADC tables resident in each vault's scratchpad, code bytes
 		// streamed from vault DRAM.
-		e, err := knn.NewPQEngineVaults(r.data, r.dims, cfg.Metric.toVec(), ip.pqParams(), cfg.Workers, cfg.Vaults)
+		e, err := knn.NewPQScan(r.data, r.dims, cfg.Metric.toVec(), ip.pqParams(), cfg.Workers, cfg.Vaults, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -44,11 +44,11 @@ func corrupt(rng *rand.Rand, c vec.Binary, flipFrac float64) vec.Binary {
 
 // hiddenLayer computes the binarized hidden activation of x on the
 // SSAM device: every weight row's Hamming distance in one query, then
-// sign(bits - 2*distance).
-func hiddenLayer(region *ssam.Region, x vec.Binary) (vec.Binary, error) {
-	res, err := region.SearchBinary(x, hiddenBits)
+// sign(bits - 2*distance). It also returns the query's simulated cycles.
+func hiddenLayer(region *ssam.Region, x vec.Binary) (vec.Binary, uint64, error) {
+	res, st, err := region.SearchBinaryStats(x, hiddenBits)
 	if err != nil {
-		return vec.Binary{}, err
+		return vec.Binary{}, 0, err
 	}
 	h := vec.NewBinary(hiddenBits)
 	for _, r := range res {
@@ -58,7 +58,7 @@ func hiddenLayer(region *ssam.Region, x vec.Binary) (vec.Binary, error) {
 			h.Set(r.ID, true)
 		}
 	}
-	return h, nil
+	return h, st.Cycles, nil
 }
 
 func main() {
@@ -90,7 +90,7 @@ func main() {
 	protoHidden := make([]vec.Binary, classes)
 	for c := range prototypes {
 		prototypes[c] = randomCode(rng, inputBits)
-		h, err := hiddenLayer(region, prototypes[c])
+		h, _, err := hiddenLayer(region, prototypes[c])
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -103,11 +103,11 @@ func main() {
 	for c := 0; c < classes; c++ {
 		for s := 0; s < perClass; s++ {
 			x := corrupt(rng, prototypes[c], 0.12)
-			h, err := hiddenLayer(region, x)
+			h, cyc, err := hiddenLayer(region, x)
 			if err != nil {
 				log.Fatal(err)
 			}
-			cycles += region.LastStats().Cycles
+			cycles += cyc
 			best, bestD := -1, 1<<30
 			for cls, ph := range protoHidden {
 				if d := vec.Hamming(h, ph); d < bestD {

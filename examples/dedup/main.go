@@ -82,11 +82,11 @@ func main() {
 	found, correct := 0, 0
 	var totalCycles uint64
 	for i := 2400; i < 2500; i++ { // audit a window of the corpus
-		res, err := region.SearchBinary(docs[i].Code, 2)
+		res, st, err := region.SearchBinaryStats(docs[i].Code, 2)
 		if err != nil {
 			log.Fatal(err)
 		}
-		totalCycles += region.LastStats().Cycles
+		totalCycles += st.Cycles
 		for _, r := range res {
 			if r.ID == i {
 				continue

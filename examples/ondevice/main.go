@@ -66,11 +66,10 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			got, err := r.Search(q, 10)
+			got, st, err := r.SearchStats(q, 10)
 			if err != nil {
 				log.Fatal(err)
 			}
-			st := r.LastStats()
 			cycles += st.Cycles
 			pus = st.ProcessingUnits
 			in := map[int]bool{}

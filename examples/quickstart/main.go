@@ -56,7 +56,7 @@ func main() {
 	if err := dev.BuildIndex(); err != nil {
 		log.Fatal(err)
 	}
-	devRes, err := dev.Search(query, 6)
+	devRes, st, err := dev.SearchStats(query, 6)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,7 +65,6 @@ func main() {
 		fmt.Printf("  id=%-6d dist=%.0f (device fixed-point units)\n", r.ID, r.Dist)
 	}
 
-	st := dev.LastStats()
 	fmt.Printf("\ndevice execution: %d PUs, %d cycles, %.3f ms @1GHz, %.0f queries/s\n",
 		st.ProcessingUnits, st.Cycles, st.Seconds*1e3, st.Throughput())
 

@@ -167,7 +167,7 @@ func DeviceAssistedBuild(o Options) ([]DevBuildRow, error) {
 	ds := getDataset(dataset.GloVeSpec(o.Scale))
 	qs := clampQueries(ds.Queries, o.Queries)
 	k := ds.Spec.K
-	gt := knn.GroundTruth(ds.Data, ds.Dim(), qs, k, 0)
+	gt := knn.GroundTruth(ds.Data, ds.Dim(), qs, k)
 
 	evalRecall := func(f *kdtree.Forest) float64 {
 		f.Checks = 512
@@ -245,7 +245,7 @@ func DeviceIndexSweep(o Options) ([]DevIndexRow, error) {
 		ds := getDataset(spec)
 		qs := clampQueries(ds.Queries, o.Queries)
 		k := spec.K
-		gt := knn.GroundTruth(ds.Data, ds.Dim(), qs, k, 0)
+		gt := knn.GroundTruth(ds.Data, ds.Dim(), qs, k)
 		dev, err := ssamdev.NewFloat(ssamdev.DefaultConfig(o.VectorLength), ds.Data, ds.Dim(), vec.Euclidean)
 		if err != nil {
 			return nil, err
@@ -337,7 +337,7 @@ func DeviceLSHSweep(o Options) ([]DevLSHRow, error) {
 	ds := getDataset(spec)
 	qs := clampQueries(ds.Queries, o.Queries)
 	k := spec.K
-	gt := knn.GroundTruth(ds.Data, ds.Dim(), qs, k, 0)
+	gt := knn.GroundTruth(ds.Data, ds.Dim(), qs, k)
 	dev, err := ssamdev.NewFloat(ssamdev.DefaultConfig(o.VectorLength), ds.Data, ds.Dim(), vec.Euclidean)
 	if err != nil {
 		return nil, err

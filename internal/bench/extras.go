@@ -101,7 +101,7 @@ func FixedPoint(o Options) []FixedRow {
 	for _, spec := range dataset.AllSpecs(o.Scale) {
 		ds := getDataset(spec)
 		qs := clampQueries(ds.Queries, o.Queries)
-		gt := knn.GroundTruth(ds.Data, ds.Dim(), qs, spec.K, 0)
+		gt := knn.GroundTruth(ds.Data, ds.Dim(), qs, spec.K)
 		fx := knn.NewFixedEngine(ds.ToFixed(), ds.Dim(), vec.Euclidean, 0)
 		var recall float64
 		for i, q := range qs {

@@ -54,7 +54,7 @@ func figureCurves(o Options, withSSAM bool) ([]CurvePoint, error) {
 		ds := getDataset(spec)
 		k := spec.K
 		qs := clampQueries(ds.Queries, o.Queries)
-		gt := knn.GroundTruth(ds.Data, ds.Dim(), qs, k, 0)
+		gt := knn.GroundTruth(ds.Data, ds.Dim(), qs, k)
 
 		var dev *ssamdev.Device
 		if withSSAM {

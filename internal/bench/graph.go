@@ -111,7 +111,7 @@ func GraphSweep(o Options) (GraphTrajectory, error) {
 		Dim:        ds.Dim(),
 		K:          k,
 	}
-	gt := knn.GroundTruth(ds.Data, ds.Dim(), qs, k, 0)
+	gt := knn.GroundTruth(ds.Data, ds.Dim(), qs, k)
 
 	// Exact baseline.
 	lin := knn.NewEngine(ds.Data, ds.Dim(), vec.Euclidean, 1)

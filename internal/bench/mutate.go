@@ -97,7 +97,7 @@ func MutateSweep(o Options) (MutateTrajectory, error) {
 		s.StartCompactor(10 * time.Millisecond)
 		rng := rand.New(rand.NewSource(0x1107))
 		// Warm-up read so first-touch costs stay out of the loop.
-		s.Search(qs[0], spec.K)
+		s.SearchBatch(qs[:1], spec.K, nil)
 		reads, writes := 0, 0
 		start := time.Now()
 		for i := 0; i < ops; i++ {
@@ -112,7 +112,7 @@ func MutateSweep(o Options) (MutateTrajectory, error) {
 				}
 				writes++
 			} else {
-				s.Search(qs[reads%len(qs)], spec.K)
+				s.SearchBatch([][]float32{qs[reads%len(qs)]}, spec.K, nil)
 				reads++
 			}
 		}

@@ -18,6 +18,7 @@ import (
 
 	"ssam/internal/dataset"
 	"ssam/internal/knn"
+	"ssam/internal/topk"
 	"ssam/internal/vec"
 )
 
@@ -102,7 +103,7 @@ func PQSweep(o Options) (PQTrajectory, error) {
 		K:          k,
 		FloatBytes: ds.N() * ds.Dim() * 4,
 	}
-	gt := knn.GroundTruth(ds.Data, ds.Dim(), qs, k, 0)
+	gt := knn.GroundTruth(ds.Data, ds.Dim(), qs, k)
 
 	// Exact baseline: the serial float32 scan the speedups are against.
 	lin := knn.NewEngine(ds.Data, ds.Dim(), vec.Euclidean, 1)
@@ -113,10 +114,17 @@ func PQSweep(o Options) (PQTrajectory, error) {
 			continue
 		}
 		start := time.Now()
-		e, err := knn.NewPQEngine(ds.Data, ds.Dim(), vec.Euclidean,
-			knn.PQParams{M: m, Seed: 0x9 /* PR 9 */}, 1)
+		e, err := knn.NewPQScan(ds.Data, ds.Dim(), vec.Euclidean,
+			knn.PQParams{M: m, Seed: 0x9}, 1, 1, nil)
 		if err != nil {
 			return out, err
+		}
+		search := func(q []float32) []topk.Result {
+			res, _, _, err := e.RunBatch([][]float32{q}, k, nil)
+			if err != nil {
+				panic(err) // resident rows: a query of the wrong width
+			}
+			return res[0]
 		}
 		build := time.Since(start).Seconds()
 		e.SetSerialThreshold(0)
@@ -127,9 +135,9 @@ func PQSweep(o Options) (PQTrajectory, error) {
 			e.SetRerank(rr)
 			recall := 0.0
 			for i, q := range qs {
-				recall += dataset.Recall(gt[i], e.Search(q, k))
+				recall += dataset.Recall(gt[i], search(q))
 			}
-			qps := measureQPS(qs, func(q []float32) { e.Search(q, k) })
+			qps := measureQPS(qs, func(q []float32) { search(q) })
 			out.Rows = append(out.Rows, PQSweepRow{
 				M:            m,
 				Rerank:       rr,

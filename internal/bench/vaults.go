@@ -71,7 +71,7 @@ func VaultSweep(o Options) (VaultTrajectory, error) {
 		}
 		var base float64
 		for _, v := range vaultCounts {
-			e := knn.NewEngineVaults(ds.Data, ds.Dim(), vec.Euclidean, 1, v)
+			e := knn.NewEngine(ds.Data, ds.Dim(), vec.Euclidean, v)
 			e.SetSerialThreshold(0)
 			// One warm-up pass per engine so page faults and scheduler
 			// ramp-up don't land in the measured loop.

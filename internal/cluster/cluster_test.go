@@ -462,8 +462,8 @@ func TestClusterDeviceStatsAggregation(t *testing.T) {
 // TestClusterStatsAreTheBatchsOwn races batches of one and of eight on
 // one Device shard, two callers each: every response must carry exactly
 // the device stats a lone region reports for the same batch, never the
-// other batch's (a shard region is shared, and its LastStats is whoever
-// wrote last).
+// other batch's (a shard region is shared, so only the stats its search
+// returns are the batch's own).
 func TestClusterStatsAreTheBatchsOwn(t *testing.T) {
 	const dims, n, k, rounds = 4, 16, 3, 50
 	data := randData(n, dims, 37)

@@ -88,7 +88,7 @@ func TestDegreeBounds(t *testing.T) {
 // a 10k synthetic set against the linear-scan oracle.
 func TestRecall(t *testing.T) {
 	ds := dataset.Generate(testSpec(10000, 32, 50))
-	gt := knn.GroundTruth(ds.Data, ds.Dim(), ds.Queries, 10, 0)
+	gt := knn.GroundTruth(ds.Data, ds.Dim(), ds.Queries, 10)
 	g := Build(ds.Data, ds.Dim(), Params{M: 12, EfConstruction: 64, Seed: 1})
 	sum := 0.0
 	var st Stats

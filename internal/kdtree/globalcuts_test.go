@@ -22,7 +22,7 @@ func TestGlobalCutDims(t *testing.T) {
 	p.GlobalCutDims = dims
 	f := Build(ds.Data, ds.Dim(), p)
 	f.Checks = 1024
-	gt := knn.GroundTruth(ds.Data, ds.Dim(), ds.Queries, 5, 1)
+	gt := knn.GroundTruth(ds.Data, ds.Dim(), ds.Queries, 5)
 	var recall float64
 	for i, q := range ds.Queries {
 		recall += dataset.Recall(gt[i], f.Search(q, 5))
@@ -39,7 +39,7 @@ func TestGlobalCutDimsSubset(t *testing.T) {
 	p.GlobalCutDims = []int{0, 3, 7, 11} // a plausible top-variance list
 	f := Build(ds.Data, ds.Dim(), p)
 	f.Checks = ds.N()
-	gt := knn.GroundTruth(ds.Data, ds.Dim(), ds.Queries[:10], 5, 1)
+	gt := knn.GroundTruth(ds.Data, ds.Dim(), ds.Queries[:10], 5)
 	var recall float64
 	for i, q := range ds.Queries[:10] {
 		recall += dataset.Recall(gt[i], f.Search(q, 5))

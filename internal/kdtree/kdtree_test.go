@@ -18,7 +18,7 @@ func TestBuildAndExhaustiveSearch(t *testing.T) {
 	ds := testDataset()
 	f := Build(ds.Data, ds.Dim(), DefaultParams())
 	f.Checks = ds.N() // allow scanning everything
-	gt := knn.GroundTruth(ds.Data, ds.Dim(), ds.Queries, 5, 1)
+	gt := knn.GroundTruth(ds.Data, ds.Dim(), ds.Queries, 5)
 	var recall float64
 	for i, q := range ds.Queries {
 		recall += dataset.Recall(gt[i], f.Search(q, 5))
@@ -32,7 +32,7 @@ func TestBuildAndExhaustiveSearch(t *testing.T) {
 func TestAccuracyThroughputTradeoff(t *testing.T) {
 	ds := testDataset()
 	f := Build(ds.Data, ds.Dim(), DefaultParams())
-	gt := knn.GroundTruth(ds.Data, ds.Dim(), ds.Queries, 5, 1)
+	gt := knn.GroundTruth(ds.Data, ds.Dim(), ds.Queries, 5)
 
 	recallAt := func(checks int) (recall float64, evals int) {
 		f.Checks = checks
@@ -140,7 +140,7 @@ func TestBuildPanicsOnRaggedData(t *testing.T) {
 
 func TestMultipleTreesImproveRecall(t *testing.T) {
 	ds := testDataset()
-	gt := knn.GroundTruth(ds.Data, ds.Dim(), ds.Queries, 5, 1)
+	gt := knn.GroundTruth(ds.Data, ds.Dim(), ds.Queries, 5)
 	meanRecall := func(trees, checks int) float64 {
 		p := DefaultParams()
 		p.NumTrees = trees

@@ -18,7 +18,7 @@ func TestExhaustiveSearchRecall(t *testing.T) {
 	ds := testDataset()
 	tr := Build(ds.Data, ds.Dim(), DefaultParams())
 	tr.Checks = ds.N()
-	gt := knn.GroundTruth(ds.Data, ds.Dim(), ds.Queries, 5, 1)
+	gt := knn.GroundTruth(ds.Data, ds.Dim(), ds.Queries, 5)
 	var recall float64
 	for i, q := range ds.Queries {
 		recall += dataset.Recall(gt[i], tr.Search(q, 5))
@@ -75,7 +75,7 @@ func TestLeavesPartitionDataset(t *testing.T) {
 func TestAccuracyThroughputTradeoff(t *testing.T) {
 	ds := testDataset()
 	tr := Build(ds.Data, ds.Dim(), DefaultParams())
-	gt := knn.GroundTruth(ds.Data, ds.Dim(), ds.Queries, 5, 1)
+	gt := knn.GroundTruth(ds.Data, ds.Dim(), ds.Queries, 5)
 	recallAt := func(checks int) (float64, int) {
 		tr.Checks = checks
 		var recall float64

@@ -9,7 +9,6 @@ package knn
 
 import (
 	"fmt"
-	"runtime"
 
 	"ssam/internal/obs"
 	"ssam/internal/tier"
@@ -175,33 +174,18 @@ func checkDim(q []float32, dim int) error {
 // Engine is an exact linear-scan kNN engine over resident float32
 // vectors: an ExactScan that cannot fail, so its searches return no
 // error.
-type Engine struct {
-	ExactScan
-	data []float32
-}
+type Engine struct{ ExactScan }
 
 // NewEngine creates a linear engine over a flattened row-major
-// database. workers <= 0 selects GOMAXPROCS. The vault count follows
-// workers (capped at MaxVaults); use NewEngineVaults to set it
-// independently.
-func NewEngine(data []float32, dim int, metric vec.Metric, workers int) *Engine {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return NewEngineVaults(data, dim, metric, workers, min(workers, MaxVaults))
-}
-
-// NewEngineVaults is NewEngine with an explicit vault count: the
-// database is split into vaults contiguous slices scanned concurrently
+// database, split into vaults contiguous slices scanned concurrently
 // (vaults <= 0 selects DefaultVaults, values above MaxVaults clamp to
-// it). The vaults are the engine's only parallelism — a batch walks
-// them once for all its queries — so the workers argument, kept for
-// the constructor pair's callers, is unused.
-func NewEngineVaults(data []float32, dim int, metric vec.Metric, _, vaults int) *Engine {
+// it). The vaults are the engine's only parallelism: a batch walks them
+// once for all its queries.
+func NewEngine(data []float32, dim int, metric vec.Metric, vaults int) *Engine {
 	if dim <= 0 || len(data)%dim != 0 {
 		panic("knn: data length not a multiple of dim")
 	}
-	return &Engine{data: data, ExactScan: ExactScan{corpus{
+	return &Engine{ExactScan{corpus{
 		src:         slab{data, dim},
 		dim:         dim,
 		n:           len(data) / dim,
@@ -211,9 +195,6 @@ func NewEngineVaults(data []float32, dim int, metric vec.Metric, _, vaults int) 
 	}}}
 }
 
-// Row returns database vector i.
-func (e *Engine) Row(i int) []float32 { return e.data[i*e.dim : (i+1)*e.dim] }
-
 // Search scans the whole database for the k nearest neighbors of q,
 // partitioning the scan across the engine's vaults.
 func (e *Engine) Search(q []float32, k int) []topk.Result {
@@ -221,32 +202,27 @@ func (e *Engine) Search(q []float32, k int) []topk.Result {
 	return res
 }
 
-// SearchStats is Search plus work accounting.
+// SearchStats is Search plus work accounting: a batch of one (Run).
+// Results are bit-identical to a serial scan at any vault count: ids,
+// order, and distances.
 func (e *Engine) SearchStats(q []float32, k int) ([]topk.Result, Stats) {
-	return e.SearchStatsSpan(q, k, nil)
-}
-
-// SearchStatsSpan is SearchStats recording one "vault" child span of sp
-// per scanned slice (sp may be nil). Results are bit-identical to a
-// serial scan at any vault count: ids, order, and distances. A single
-// query is a batch of one.
-func (e *Engine) SearchStatsSpan(q []float32, k int, sp *obs.Span) ([]topk.Result, Stats) {
-	out, st := e.SearchBatchSpan([][]float32{q}, k, sp)
+	out, st := e.mustRun([][]float32{q}, k)
 	return out[0], st
 }
 
 // SearchBatch answers every query of qs in one query-tiled scan (Run):
 // out[i] is exactly Search(qs[i], k).
 func (e *Engine) SearchBatch(qs [][]float32, k int) [][]topk.Result {
-	out, _ := e.SearchBatchSpan(qs, k, nil)
+	out, _ := e.mustRun(qs, k)
 	return out
 }
 
-// SearchBatchSpan is SearchBatch plus work accounting and Run's spans.
-func (e *Engine) SearchBatchSpan(qs [][]float32, k int, sp *obs.Span) ([][]topk.Result, Stats) {
-	out, st, err := e.Run(qs, k, sp)
+// mustRun is Run over resident rows, whose only error is a query of the
+// wrong width: the caller's bug.
+func (e *Engine) mustRun(qs [][]float32, k int) ([][]topk.Result, Stats) {
+	out, st, err := e.Run(qs, k, nil)
 	if err != nil {
-		panic(err) // resident rows always read: this is a query of the wrong width, the caller's bug
+		panic(err)
 	}
 	return out, st
 }

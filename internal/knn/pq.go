@@ -57,12 +57,12 @@ type PQCounters struct {
 // PQScan is the approximate linear scan over product-quantized codes,
 // with optional exact re-ranking. The packed codes are always resident;
 // the full-precision rows the re-rank reads sit wherever the row source
-// says (rows.go). Over resident rows it is PQEngine's core and cannot
-// fail; with the rows in a tier store (NewPQScan) every call can return
-// the store's error, which is why Run and RunBatch are the only ways to
-// search one. Vault-parallel within a query, and results merged under
-// the (distance, id) total order so serial and vault-parallel scans are
-// bit-identical.
+// says (rows.go). RunBatch is its one search: a single query is a batch
+// of one. Over resident rows its only error is a query of the wrong
+// width or a panic; with the rows in a tier store every call can also
+// return the store's. Vault-parallel within a query, and results merged
+// under the (distance, id) total order so serial and vault-parallel
+// scans are bit-identical.
 type PQScan struct {
 	corpus                 // the full-precision rows (re-rank)
 	tableMetric vec.Metric // metric the ADC tables are built under
@@ -73,32 +73,6 @@ type PQScan struct {
 	rerank      atomic.Int64 // read once per search: SetRerank may race a query
 	workers     int
 	counters    struct{ tableBuilds, codeEvals, rerankEvals, rescans atomic.Uint64 }
-}
-
-// PQEngine is a PQScan over resident rows: it cannot fail, so its
-// searches return no error. A batch fans out across workers (the ADC
-// scan has no query tile yet).
-type PQEngine struct {
-	*PQScan
-	data []float32
-}
-
-// NewPQEngine trains a codebook over data and encodes it, with the
-// vault count following workers as NewEngine does.
-func NewPQEngine(data []float32, dim int, metric vec.Metric, p PQParams, workers int) (*PQEngine, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return NewPQEngineVaults(data, dim, metric, p, workers, min(workers, MaxVaults))
-}
-
-// NewPQEngineVaults is NewPQEngine with an explicit vault count.
-func NewPQEngineVaults(data []float32, dim int, metric vec.Metric, p PQParams, workers, vaults int) (*PQEngine, error) {
-	s, err := NewPQScan(data, dim, metric, p, workers, vaults, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &PQEngine{s, data}, nil
 }
 
 // NewPQScan trains a codebook over data and encodes it. The code bytes
@@ -234,23 +208,16 @@ func (e *PQScan) Counters() PQCounters {
 	}
 }
 
-// Run returns the k approximate nearest neighbors of q: the ADC scan
-// over the resident codes (one "vault" child span of sp per slab
-// scanned in parallel; sp may be nil), then the exact re-rank of its
-// best candidates (rerankRows). Results are bit-identical at any vault
-// count and wherever the rows sit. The error is a query of the wrong
-// width or a page the store could not serve; an ADC-only search (depth
-// 0) reads no rows.
-func (e *PQScan) Run(q []float32, k int, sp *obs.Span) ([]topk.Result, Stats, error) {
-	if err := checkDim(q, e.dim); err != nil {
-		return nil, Stats{}, err
-	}
-	return e.search(q, k, sp, false)
-}
-
-func (e *PQScan) search(q []float32, k int, sp *obs.Span, forceSerial bool) ([]topk.Result, Stats, error) {
+// search returns the k approximate nearest neighbors of q, a batch of
+// one: the ADC scan over the resident codes (one "vault" child span of
+// sp per slab scanned in parallel unless forceSerial; sp may be nil),
+// then the exact re-rank of its best candidates (rerankRows), whose
+// tile holds q itself. Results are bit-identical at any vault count and
+// wherever the rows sit. The error is a page the store could not serve;
+// an ADC-only search (depth 0) reads no rows.
+func (e *PQScan) search(q [][]float32, k int, sp *obs.Span, forceSerial bool) ([]topk.Result, Stats, error) {
 	rerank := e.Rerank()
-	cands, st, err := e.adcCandidates(q, k, rerank, sp, forceSerial)
+	cands, st, err := e.adcCandidates(q[0], k, rerank, sp, forceSerial)
 	if err != nil {
 		return nil, st, err
 	}
@@ -279,7 +246,7 @@ func (e *PQScan) search(q []float32, k int, sp *obs.Span, forceSerial bool) ([]t
 // pinned once and the next one with candidates prefetched meanwhile.
 // Each partition visited is a "rerank" child span of sp tagged cands
 // (and, over a store, vault and tier_hit).
-func (e *PQScan) rerankRows(q []float32, k int, cands []cand, sp *obs.Span) ([]topk.Result, Stats, error) {
+func (e *PQScan) rerankRows(q [][]float32, k int, cands []cand, sp *obs.Span) ([]topk.Result, Stats, error) {
 	store := e.src.pages()
 	groups := [][]cand{cands}
 	if store != nil {
@@ -289,7 +256,7 @@ func (e *PQScan) rerankRows(q []float32, k int, cands []cand, sp *obs.Span) ([]t
 			groups[v] = append(groups[v], c)
 		}
 	}
-	ts := NewTileScan(vec.NewTile(e.metric, [][]float32{q}), k)
+	ts := NewTileScan(vec.NewTile(e.metric, q), k)
 	rerank := func(v int, group []cand) error {
 		rsp := sp.Start("rerank", obs.Tag{Key: "cands", Value: len(group)})
 		defer rsp.End()
@@ -459,8 +426,9 @@ func (e *PQScan) scanRange(lut []float32, bound cand, lo, hi int) ([]cand, Stats
 // uses the machine; longer batches fan out across workers with serial
 // scans, which keeps total parallelism at the worker count instead of
 // workers × vaults. Queries that run in turn record their spans under sp
-// (nil-safe) as Run does. On error, results before failedAt are valid
-// and failedAt names the query that failed (-1 on success).
+// (nil-safe). On error — a query of the wrong width, a page the store
+// could not serve, a panic — results before failedAt are valid and
+// failedAt names the query that failed (-1 on success).
 func (e *PQScan) RunBatch(qs [][]float32, k int, sp *obs.Span) ([][]topk.Result, Stats, int, error) {
 	for i, q := range qs {
 		if err := checkDim(q, e.dim); err != nil {
@@ -478,7 +446,7 @@ func (e *PQScan) RunBatch(qs [][]float32, k int, sp *obs.Span) ([][]topk.Result,
 	}
 	if err := par.Each(len(qs), limit, func(i int) (err error) {
 		var st Stats
-		out[i], st, err = e.search(qs[i], k, sp, serial)
+		out[i], st, err = e.search(qs[i:i+1], k, sp, serial)
 		sum.Lock()
 		sum.Add(st)
 		sum.Unlock()
@@ -488,31 +456,4 @@ func (e *PQScan) RunBatch(qs [][]float32, k int, sp *obs.Span) ([][]topk.Result,
 		return out, sum.Stats, slices.IndexFunc(out, func(r []topk.Result) bool { return r == nil }), err
 	}
 	return out, sum.Stats, -1, nil
-}
-
-// Row returns full-precision database vector i.
-func (e *PQEngine) Row(i int) []float32 { return e.data[i*e.dim : (i+1)*e.dim] }
-
-// Search returns the k approximate nearest neighbors of q.
-func (e *PQEngine) Search(q []float32, k int) []topk.Result {
-	res, _ := e.SearchStats(q, k)
-	return res
-}
-
-// SearchStats is Search plus work accounting.
-func (e *PQEngine) SearchStats(q []float32, k int) ([]topk.Result, Stats) {
-	res, st, err := e.Run(q, k, nil)
-	if err != nil {
-		panic(err) // resident rows always read: this is a query of the wrong width, the caller's bug
-	}
-	return res, st
-}
-
-// SearchBatch runs one Search per query (RunBatch).
-func (e *PQEngine) SearchBatch(qs [][]float32, k int) [][]topk.Result {
-	out, _, _, err := e.RunBatch(qs, k, nil)
-	if err != nil {
-		panic(err) // as in SearchStats
-	}
-	return out
 }

@@ -11,7 +11,7 @@ import (
 // benchPQ caches BenchmarkPQSearch's engines by vault count: training
 // and encoding 50 000 rows takes seconds, and the testing package calls
 // a benchmark several times per -cpu value while it settles b.N.
-var benchPQ = map[int]*PQEngine{}
+var benchPQ = map[int]*PQScan{}
 
 var benchPQData *dataset.Dataset
 
@@ -32,7 +32,7 @@ func BenchmarkPQSearch(b *testing.B) {
 	e := benchPQ[vaults]
 	if e == nil {
 		var err error
-		e, err = NewPQEngineVaults(ds.Data, 128, vec.Euclidean, PQParams{M: 8, Sample: 2048, Rerank: 1000, Seed: 1}, 0, vaults)
+		e, err = NewPQScan(ds.Data, 128, vec.Euclidean, PQParams{M: 8, Sample: 2048, Rerank: 1000, Seed: 1}, 0, vaults, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -41,6 +41,8 @@ func BenchmarkPQSearch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Search(ds.Queries[i%len(ds.Queries)], 10)
+		if _, _, _, err := e.RunBatch(ds.Queries[i%len(ds.Queries):][:1], 10, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -79,7 +79,7 @@ func TestPQPilotMissRescans(t *testing.T) {
 	p := PQParams{M: 4, Sample: 1024, Seed: 5}
 	var premise bool
 	for _, vaults := range []int{1, 2, 3, 32} {
-		ram, err := NewPQEngineVaults(data, dim, vec.Euclidean, p, 1, vaults)
+		ram, err := NewPQScan(data, dim, vec.Euclidean, p, 1, vaults, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestPQPilotMissRescans(t *testing.T) {
 		engines := []struct {
 			name string
 			e    *PQScan
-		}{{"ram", ram.PQScan}, {"tiered", tiered}}
+		}{{"ram", ram}, {"tiered", tiered}}
 		for _, rerank := range []int{0, k, 50, 1000, n - 1, n, n + 5} {
 			for _, eng := range engines {
 				e := eng.e
@@ -121,11 +121,11 @@ func TestPQPilotMissRescans(t *testing.T) {
 				before := e.Counters()
 				tracer := obs.NewTracer(0, 4)
 				tr := tracer.Trace("search", true)
-				got, st, err := e.Run(q, k, tr.Root())
+				got, st, _, err := e.RunBatch([][]float32{q}, k, tr.Root())
 				if err != nil {
 					t.Fatalf("%s: %v", tag, err)
 				}
-				sameResults(t, tag, got, want)
+				sameResults(t, tag, got[0], want)
 				after := e.Counters()
 				if d := after.Rescans - before.Rescans; d != wantRescans {
 					t.Fatalf("%s: %d rescans, want %d", tag, d, wantRescans)

@@ -8,6 +8,7 @@ package knn
 // where re-ranking the whole database IS the exact scan.
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"slices"
@@ -15,6 +16,7 @@ import (
 	"testing"
 
 	"ssam/internal/dataset"
+	"ssam/internal/par"
 	"ssam/internal/topk"
 	"ssam/internal/vec"
 )
@@ -24,6 +26,22 @@ func pqClustered(n, dim, queries int, seed int64) *dataset.Dataset {
 		Name: "pqtest", N: n, Dim: dim, NumQueries: queries, K: 10,
 		Clusters: 16, ClusterStd: 0.25, Seed: seed,
 	})
+}
+
+// pqSearch runs q as a batch of one, failing the test on an error.
+func pqSearch(tb testing.TB, e *PQScan, q []float32, k int) []topk.Result {
+	res, _ := pqSearchStats(tb, e, q, k)
+	return res
+}
+
+// pqSearchStats is pqSearch plus the query's work accounting.
+func pqSearchStats(tb testing.TB, e *PQScan, q []float32, k int) ([]topk.Result, Stats) {
+	tb.Helper()
+	res, st, err := pqRunOne(e, q, k)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res, st
 }
 
 func sameResults(t *testing.T, tag string, got, want []topk.Result) {
@@ -52,13 +70,13 @@ func TestPQRerankAtLeastNEqualsExact(t *testing.T) {
 	for _, m := range []vec.Metric{vec.Euclidean, vec.Manhattan, vec.Cosine} {
 		exact := NewEngine(ds.Data, dim, m, 1)
 		for _, rerank := range []int{n, n + 100} {
-			e, err := NewPQEngineVaults(ds.Data, dim, m, PQParams{M: 4, Sample: 256, Rerank: rerank, Seed: 3}, 1, 2)
+			e, err := NewPQScan(ds.Data, dim, m, PQParams{M: 4, Sample: 256, Rerank: rerank, Seed: 3}, 1, 2, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, k := range []int{1, 7, n, n + 5} {
 				for qi, q := range ds.Queries {
-					got := e.Search(q, k)
+					got := pqSearch(t, e, q, k)
 					want := exact.Search(q, k)
 					sameResults(t, m.String(), got, want)
 					_ = qi
@@ -73,11 +91,11 @@ func TestPQRerankAtLeastNEqualsExact(t *testing.T) {
 func TestPQDeterministicAcrossBuilds(t *testing.T) {
 	ds := pqClustered(800, 12, 6, 42)
 	p := PQParams{M: 3, Sample: 400, Rerank: 20, Seed: 99}
-	a, err := NewPQEngineVaults(ds.Data, 12, vec.Euclidean, p, 2, 4)
+	a, err := NewPQScan(ds.Data, 12, vec.Euclidean, p, 2, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewPQEngineVaults(ds.Data, 12, vec.Euclidean, p, 2, 4)
+	b, err := NewPQScan(ds.Data, 12, vec.Euclidean, p, 2, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +106,7 @@ func TestPQDeterministicAcrossBuilds(t *testing.T) {
 		t.Fatal("same seed produced different code slabs")
 	}
 	for _, q := range ds.Queries {
-		sameResults(t, "rebuild", a.Search(q, 10), b.Search(q, 10))
+		sameResults(t, "rebuild", pqSearch(t, a, q, 10), pqSearch(t, b, q, 10))
 	}
 }
 
@@ -117,12 +135,12 @@ func TestPQSerialParallelBitEquivalence(t *testing.T) {
 	}
 	for _, sh := range shapes {
 		p := PQParams{M: sh.M, Sample: 512, Seed: 7}
-		serial, err := NewPQEngineVaults(ds.Data, dim, sh.metric, p, 1, 1)
+		serial, err := NewPQScan(ds.Data, dim, sh.metric, p, 1, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, vaults := range sh.vaults {
-			par, err := NewPQEngineVaults(ds.Data, dim, sh.metric, p, 1, vaults)
+			par, err := NewPQScan(ds.Data, dim, sh.metric, p, 1, vaults, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,8 +153,8 @@ func TestPQSerialParallelBitEquivalence(t *testing.T) {
 				par.SetRerank(rerank)
 				for _, q := range ds.Queries {
 					tag := fmt.Sprintf("%v/M=%d/vaults=%d/rerank=%d", sh.metric, sh.M, vaults, rerank)
-					got, gst := par.SearchStats(q, k)
-					want, wst := serial.SearchStats(q, k)
+					got, gst := pqSearchStats(t, par, q, k)
+					want, wst := pqSearchStats(t, serial, q, k)
 					sameResults(t, tag, got, want)
 					// One bound for every vault, and the vault lists in row
 					// order: the stats do not see the partition either.
@@ -161,7 +179,7 @@ func TestPQRecallAcrossMetricsMK(t *testing.T) {
 		for _, M := range []int{2, 4, 8, 5} { // 5 exercises uneven subspace widths
 			// One training per (metric, M); SetRerank sweeps the
 			// accuracy knob over the same codebook.
-			e, err := NewPQEngineVaults(ds.Data, dim, m, PQParams{M: M, Sample: 1024, Seed: 11}, 1, 1)
+			e, err := NewPQScan(ds.Data, dim, m, PQParams{M: M, Sample: 1024, Seed: 11}, 1, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,11 +188,11 @@ func TestPQRecallAcrossMetricsMK(t *testing.T) {
 				for _, q := range ds.Queries {
 					want := exact.Search(q, k)
 					e.SetRerank(0)
-					adcSum += dataset.Recall(want, e.Search(q, k))
+					adcSum += dataset.Recall(want, pqSearch(t, e, q, k))
 					e.SetRerank(4 * k)
-					midSum += dataset.Recall(want, e.Search(q, k))
+					midSum += dataset.Recall(want, pqSearch(t, e, q, k))
 					e.SetRerank(100)
-					deepSum += dataset.Recall(want, e.Search(q, k))
+					deepSum += dataset.Recall(want, pqSearch(t, e, q, k))
 				}
 				nq := float64(len(ds.Queries))
 				adcRecall, midRecall, deepRecall := adcSum/nq, midSum/nq, deepSum/nq
@@ -205,12 +223,12 @@ func TestPQRecallAcrossMetricsMK(t *testing.T) {
 func TestPQStatsAccounting(t *testing.T) {
 	const n, dim, k, rerank = 500, 8, 5, 40
 	data := testData(n, dim, 45)
-	e, err := NewPQEngineVaults(data, dim, vec.Euclidean, PQParams{M: 4, Sample: 256, Rerank: rerank, Seed: 1}, 1, 1)
+	e, err := NewPQScan(data, dim, vec.Euclidean, PQParams{M: 4, Sample: 256, Rerank: rerank, Seed: 1}, 1, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := testData(1, dim, 46)
-	_, st := e.SearchStats(q, k)
+	_, st := pqSearchStats(t, e, q, k)
 	if st.TableBuilds != 1 {
 		t.Errorf("TableBuilds = %d, want 1", st.TableBuilds)
 	}
@@ -228,7 +246,7 @@ func TestPQStatsAccounting(t *testing.T) {
 		t.Errorf("PQInserts = %d, want %d", st.PQInserts, n+rerank)
 	}
 	// Cumulative counters across a second query.
-	e.Search(q, k)
+	pqSearch(t, e, q, k)
 	c := e.Counters()
 	if c.TableBuilds != 2 || c.CodeEvals != 2*n || c.RerankEvals != 2*rerank {
 		t.Errorf("Counters = %+v", c)
@@ -238,16 +256,16 @@ func TestPQStatsAccounting(t *testing.T) {
 func TestPQBatchMatchesSingle(t *testing.T) {
 	const n, dim, k = 2600, 12, 8
 	ds := pqClustered(n, dim, 12, 47)
-	e, err := NewPQEngineVaults(ds.Data, dim, vec.Euclidean, PQParams{M: 4, Sample: 512, Rerank: 30, Seed: 5}, 2, 4)
+	e, err := NewPQScan(ds.Data, dim, vec.Euclidean, PQParams{M: 4, Sample: 512, Rerank: 30, Seed: 5}, 2, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.SetSerialThreshold(0)
 	want := make([][]topk.Result, len(ds.Queries))
 	var sum Stats
-	for i, q := range ds.Queries {
+	for i, q := range ds.Queries { // a batch of one: the vault-parallel path
 		var st Stats
-		want[i], st = e.SearchStats(q, k)
+		want[i], st = pqSearchStats(t, e, q, k)
 		sum.Add(st)
 	}
 	// Long batch: cross-query fan-out with serial scans, accounting the
@@ -259,9 +277,6 @@ func TestPQBatchMatchesSingle(t *testing.T) {
 	for i := range want {
 		sameResults(t, "fanout", got[i], want[i])
 	}
-	// Short batch: vault-parallel path.
-	got = e.SearchBatch(ds.Queries[:1], k)
-	sameResults(t, "vault-path", got[0], want[0])
 }
 
 func TestPQEngineErrors(t *testing.T) {
@@ -282,7 +297,7 @@ func TestPQEngineErrors(t *testing.T) {
 		{"negative rerank", data, 8, vec.Euclidean, PQParams{Rerank: -1}},
 	}
 	for _, c := range cases {
-		if _, err := NewPQEngine(c.data, c.dim, c.metric, c.p, 1); err == nil {
+		if _, err := NewPQScan(c.data, c.dim, c.metric, c.p, 1, 1, nil); err == nil {
 			t.Errorf("%s: accepted invalid config", c.name)
 		}
 	}
@@ -291,7 +306,7 @@ func TestPQEngineErrors(t *testing.T) {
 func TestPQAccessorsAndSetRerank(t *testing.T) {
 	const n, dim = 300, 8
 	data := testData(n, dim, 49)
-	e, err := NewPQEngine(data, dim, vec.Euclidean, PQParams{M: 2, Sample: 128, Seed: 2}, 2)
+	e, err := NewPQScan(data, dim, vec.Euclidean, PQParams{M: 2, Sample: 128, Seed: 2}, 2, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,11 +319,6 @@ func TestPQAccessorsAndSetRerank(t *testing.T) {
 	if e.Codebook() == nil {
 		t.Fatal("nil codebook")
 	}
-	for i := 0; i < n; i++ {
-		if &e.Row(i)[0] != &data[i*dim] {
-			t.Fatal("Row is not a view of the retained vectors")
-		}
-	}
 	if e.Rerank() != 0 {
 		t.Fatalf("Rerank = %d", e.Rerank())
 	}
@@ -320,29 +330,26 @@ func TestPQAccessorsAndSetRerank(t *testing.T) {
 	e.SetRerank(n)
 	exact := NewEngine(data, dim, vec.Euclidean, 1)
 	q := testData(1, dim, 50)
-	sameResults(t, "set-rerank-exact", e.Search(q, 7), exact.Search(q, 7))
+	sameResults(t, "set-rerank-exact", pqSearch(t, e, q, 7), exact.Search(q, 7))
 }
 
 func TestPQKEdgeCases(t *testing.T) {
 	data := testData(50, 6, 51)
-	e, err := NewPQEngine(data, 6, vec.Euclidean, PQParams{M: 3, Sample: 50, Seed: 1}, 1)
+	e, err := NewPQScan(data, 6, vec.Euclidean, PQParams{M: 3, Sample: 50, Seed: 1}, 1, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := testData(1, 6, 52)
-	if got := e.Search(q, 100); len(got) != 50 {
+	if got := pqSearch(t, e, q, 100); len(got) != 50 {
 		t.Fatalf("k>n returned %d results, want 50", len(got))
 	}
-	// k <= 0 panics, same as the exact engines (the region layer
-	// rejects it before any engine sees it).
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("k=0 did not panic")
-			}
-		}()
-		e.Search(q, 0)
-	}()
+	// k <= 0 panics in the ADC pass, which the batch returns as the
+	// query's error (the region layer rejects it before any engine sees
+	// it).
+	var pe *par.PanicError
+	if _, _, at, err := e.RunBatch([][]float32{q}, 0, nil); !errors.As(err, &pe) || at != 0 {
+		t.Fatalf("k=0: failedAt %d, err %v; want query 0's panic", at, err)
+	}
 }
 
 // SetRerank beside running searches: every answer must be one of the
@@ -355,7 +362,7 @@ func TestPQSetRerankRacesSearch(t *testing.T) {
 	ds := pqClustered(n, dim, 16, 53)
 	depths := []int{0, 32, n}
 	p := PQParams{M: 4, Sample: 256, Seed: 9}
-	ram, err := NewPQEngineVaults(ds.Data, dim, vec.Euclidean, p, 1, 3)
+	ram, err := NewPQScan(ds.Data, dim, vec.Euclidean, p, 1, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,24 +372,20 @@ func TestPQSetRerankRacesSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	tiered.SetSerialThreshold(0)
-	engines := []struct {
-		name      string
-		setRerank func(int)
-		search    func(q []float32) ([]topk.Result, error)
-	}{
-		{"ram", ram.SetRerank, func(q []float32) ([]topk.Result, error) { return ram.Search(q, k), nil }},
-		{"tiered", tiered.SetRerank, func(q []float32) ([]topk.Result, error) {
-			res, _, err := tiered.Run(q, k, nil)
-			return res, err
-		}},
-	}
-	for _, e := range engines {
-		t.Run(e.name, func(t *testing.T) {
+	for name, e := range map[string]*PQScan{"ram": ram, "tiered": tiered} {
+		search := func(q []float32) ([]topk.Result, error) {
+			out, _, _, err := e.RunBatch([][]float32{q}, k, nil)
+			if err != nil {
+				return nil, err
+			}
+			return out[0], nil
+		}
+		t.Run(name, func(t *testing.T) {
 			want := make([][][]topk.Result, len(depths)) // [depth][query]
 			for d, depth := range depths {
-				e.setRerank(depth)
+				e.SetRerank(depth)
 				for _, q := range ds.Queries {
-					res, err := e.search(q)
+					res, err := search(q)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -399,7 +402,7 @@ func TestPQSetRerankRacesSearch(t *testing.T) {
 					case <-stop:
 						return
 					default:
-						e.setRerank(depths[i%len(depths)])
+						e.SetRerank(depths[i%len(depths)])
 					}
 				}
 			}()
@@ -409,7 +412,7 @@ func TestPQSetRerankRacesSearch(t *testing.T) {
 					defer searchers.Done()
 					for round := 0; round < 6; round++ {
 						for qi, q := range ds.Queries {
-							got, err := e.search(q)
+							got, err := search(q)
 							if err != nil {
 								t.Error(err)
 								return

@@ -45,12 +45,19 @@ func TestRecallConformance(t *testing.T) {
 	dim := ds.Dim()
 
 	// The single shared oracle every engine is scored against.
-	oracle := knn.GroundTruth(ds.Data, dim, ds.Queries, k, 0)
+	oracle := knn.GroundTruth(ds.Data, dim, ds.Queries, k)
 
-	pqEng, err := knn.NewPQEngine(ds.Data, dim, vec.Euclidean,
-		knn.PQParams{M: 8, Rerank: 120, Seed: 5}, 1)
+	pqScan, err := knn.NewPQScan(ds.Data, dim, vec.Euclidean,
+		knn.PQParams{M: 8, Rerank: 120, Seed: 5}, 1, 1, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	pqSearch := func(q []float32, k int) []topk.Result {
+		out, _, _, err := pqScan.RunBatch([][]float32{q}, k, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out[0]
 	}
 
 	forest := kdtree.Build(ds.Data, dim, kdtree.DefaultParams())
@@ -67,7 +74,7 @@ func TestRecallConformance(t *testing.T) {
 		{"kmeans/checks=400", 0.85, tree.Search},
 		{"lsh/tables=8,probes=16", 0.60, mplsh.Search},
 		{"graph/ef=96", 0.95, hnsw.Search},
-		{"pq/m=8,rerank=120", 0.90, pqEng.Search},
+		{"pq/m=8,rerank=120", 0.90, pqSearch},
 	}
 
 	for _, tc := range cases {
@@ -99,7 +106,7 @@ func TestRecallConformanceOracleIsExact(t *testing.T) {
 		Name: "oracle", N: 700, Dim: 24, NumQueries: 12, K: 8,
 		Clusters: 8, ClusterStd: 0.3, Seed: 0x0a1e,
 	})
-	oracle := knn.GroundTruth(ds.Data, ds.Dim(), ds.Queries, ds.Spec.K, 0)
+	oracle := knn.GroundTruth(ds.Data, ds.Dim(), ds.Queries, ds.Spec.K)
 	lin := knn.NewEngine(ds.Data, ds.Dim(), vec.Euclidean, 1)
 	for i, q := range ds.Queries {
 		want := lin.Search(q, ds.Spec.K)

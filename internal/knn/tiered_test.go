@@ -73,6 +73,15 @@ func runOne(s *ExactScan, q []float32, k int) ([]topk.Result, Stats, error) {
 	return out[0], st, nil
 }
 
+// pqRunOne is a batch of one over a quantized scan.
+func pqRunOne(e *PQScan, q []float32, k int) ([]topk.Result, Stats, error) {
+	out, st, _, err := e.RunBatch([][]float32{q}, k, nil)
+	if err != nil {
+		return nil, st, err
+	}
+	return out[0], st, nil
+}
+
 // tieredBatchSizes straddle the query tile's register widths (4, 2, 1).
 var tieredBatchSizes = []int{1, 3, 16, 17}
 
@@ -87,7 +96,7 @@ func TestTieredFloatEquivalence(t *testing.T) {
 		}
 		for _, metric := range []vec.Metric{vec.Euclidean, vec.Manhattan, vec.Cosine} {
 			for _, vaults := range []int{1, 3, 8} {
-				base := NewEngineVaults(data, dim, metric, 1, vaults)
+				base := NewEngine(data, dim, metric, vaults)
 				base.SetSerialThreshold(0)
 				for _, frac := range tieredBudgetFractions {
 					st := tieredStore(t, data, dim, vaults, frac, true)
@@ -96,7 +105,7 @@ func TestTieredFloatEquivalence(t *testing.T) {
 						label := fmt.Sprintf("%s/%v/vaults=%d/frac=%v/k=%d", kind, metric, vaults, frac, k)
 						single := make([][]topk.Result, queries)
 						for qi, q := range qs {
-							want, _ := base.SearchStatsSpan(q, k, nil)
+							want, _ := base.SearchStats(q, k)
 							got, _, err := runOne(eng, q, k)
 							if err != nil {
 								t.Fatalf("%s/q=%d: %v", label, qi, err)
@@ -108,7 +117,7 @@ func TestTieredFloatEquivalence(t *testing.T) {
 						// its queries alone and as the resident batch, with
 						// every page pinned once, not once per query.
 						for _, b := range tieredBatchSizes {
-							want, wst := base.SearchBatchSpan(qs[:b], k, nil)
+							want, wst, _ := base.Run(qs[:b], k, nil)
 							before := st.Counters()
 							got, gst, err := eng.Run(qs[:b], k, nil)
 							if err != nil {
@@ -140,7 +149,7 @@ func TestTieredPQEquivalence(t *testing.T) {
 			for _, vaults := range []int{1, 3} {
 				for _, rerank := range []int{0, 7, n} {
 					p := PQParams{M: 4, Rerank: rerank, Seed: 10}
-					base, err := NewPQEngineVaults(data, dim, metric, p, 1, vaults)
+					base, err := NewPQScan(data, dim, metric, p, 1, vaults, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -155,8 +164,8 @@ func TestTieredPQEquivalence(t *testing.T) {
 						for _, k := range []int{1, 5} {
 							for qi := 0; qi < queries; qi++ {
 								q := qs[qi*dim : (qi+1)*dim]
-								want, _ := base.SearchStats(q, k)
-								got, _, err := eng.Run(q, k, nil)
+								want := pqSearch(t, base, q, k)
+								got, _, err := pqRunOne(eng, q, k)
 								label := fmt.Sprintf("%s/%v/vaults=%d/rerank=%d/frac=%v/k=%d/q=%d",
 									kind, metric, vaults, rerank, frac, k, qi)
 								if err != nil {
@@ -237,13 +246,13 @@ func TestTieredSearchSurfacesReadErrors(t *testing.T) {
 	// Under this budget every pin is a read; count what one query takes.
 	reads := 0
 	stp.SetReadHook(func(int) error { reads++; return nil })
-	first, _, err := peng.Run(q, 3, nil)
+	first, _, err := pqRunOne(peng, q, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	perQuery := reads
 	stp.SetReadHook(func(v int) error { return boom })
-	if _, _, err := peng.Run(q, 3, nil); !errors.As(err, &re) {
+	if _, _, err := pqRunOne(peng, q, 3); !errors.As(err, &re) {
 		t.Fatalf("pq tiered search error = %v, want *tier.ReadError", err)
 	}
 	// PQ batches run a query at a time: failedAt names the one that hit
@@ -263,7 +272,7 @@ func TestTieredSearchSurfacesReadErrors(t *testing.T) {
 	// ADC-only config never reads the store: the same fault is invisible.
 	stp.SetReadHook(func(v int) error { return boom })
 	peng.SetRerank(0)
-	if _, _, err := peng.Run(q, 3, nil); err != nil {
+	if _, _, err := pqRunOne(peng, q, 3); err != nil {
 		t.Fatalf("ADC-only tiered search hit the store: %v", err)
 	}
 }
@@ -304,7 +313,7 @@ func TestTieredQueryDimMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := peng.Run(make([]float32, 4), 3, nil); err == nil {
+	if _, _, err := pqRunOne(peng, make([]float32, 4), 3); err == nil {
 		t.Fatal("tiered pq search accepted a mis-sized query")
 	}
 	if _, _, failedAt, err := peng.RunBatch([][]float32{data[:8], make([]float32, 4)}, 3, nil); err == nil || failedAt != 1 {
@@ -327,7 +336,7 @@ func TestTieredConcurrentEvictionSoak(t *testing.T) {
 			page[i] = nan
 		}
 	})
-	base := NewEngineVaults(data, dim, vec.Euclidean, 1, vaults)
+	base := NewEngine(data, dim, vec.Euclidean, vaults)
 	base.SetSerialThreshold(0)
 	eng := NewExactScan(st, vec.Euclidean)
 
@@ -335,7 +344,7 @@ func TestTieredConcurrentEvictionSoak(t *testing.T) {
 	qs := tieredDataset("smooth", goroutines, dim, 42)
 	want := make([][]topk.Result, goroutines)
 	for g := 0; g < goroutines; g++ {
-		want[g], _ = base.SearchStatsSpan(qs[g*dim:(g+1)*dim], k, nil)
+		want[g], _ = base.SearchStats(qs[g*dim:(g+1)*dim], k)
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)
@@ -406,7 +415,7 @@ func TestTieredBlockNeverOutlivesItsPage(t *testing.T) {
 	}
 	for _, prefetch := range []bool{false, true} {
 		for _, metric := range []vec.Metric{vec.Euclidean, vec.Manhattan, vec.Cosine} {
-			base := NewEngineVaults(data, dim, metric, 1, vaults)
+			base := NewEngine(data, dim, metric, vaults)
 			base.SetSerialThreshold(0)
 			st := poisoned(prefetch)
 			eng := NewExactScan(st, metric)
@@ -425,7 +434,7 @@ func TestTieredBlockNeverOutlivesItsPage(t *testing.T) {
 			}
 			// The same ragged page tails under a batch of five: one tile of
 			// four queries and one of one share each buffered block.
-			want, wst := base.SearchBatchSpan(batch, k, nil)
+			want, wst, _ := base.Run(batch, k, nil)
 			got, gst, err := eng.Run(batch, k, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -439,7 +448,7 @@ func TestTieredBlockNeverOutlivesItsPage(t *testing.T) {
 			}
 			for _, rerank := range []int{n, 37} {
 				p := PQParams{M: 4, Rerank: rerank, Seed: 10}
-				pbase, err := NewPQEngineVaults(data, dim, metric, p, 1, vaults)
+				pbase, err := NewPQScan(data, dim, metric, p, 1, vaults, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -449,8 +458,8 @@ func TestTieredBlockNeverOutlivesItsPage(t *testing.T) {
 				}
 				for qi := 0; qi*dim < len(qs); qi++ {
 					q := qs[qi*dim : (qi+1)*dim]
-					want, wst := pbase.SearchStats(q, k)
-					got, gst, err := peng.Run(q, k, nil)
+					want, wst := pqSearchStats(t, pbase, q, k)
+					got, gst, err := pqRunOne(peng, q, k)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -507,7 +516,7 @@ func TestTieredAccessors(t *testing.T) {
 		t.Fatalf("RunBatch: failedAt=%d err=%v", failedAt, err)
 	}
 	for i := range batch {
-		want, _, err := pe.Run(qs[i*dim:(i+1)*dim], 3, nil)
+		want, _, err := pqRunOne(pe, qs[i*dim:(i+1)*dim], 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -519,7 +528,7 @@ func TestTieredAccessors(t *testing.T) {
 	if err := pe.Store().Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := pe.Run(qs[:dim], 3, nil); !errors.Is(err, tier.ErrClosed) {
+	if _, _, err := pqRunOne(pe, qs[:dim], 3); !errors.Is(err, tier.ErrClosed) {
 		t.Fatalf("pq search after Close = %v, want tier.ErrClosed", err)
 	}
 }

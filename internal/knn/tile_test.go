@@ -32,7 +32,7 @@ func TestEngineBatchEqualsSearch(t *testing.T) {
 			data := tieHeavyFloats(rng, n, dim)
 			for _, vaults := range []int{1, 2, 3, 32} {
 				for _, forceVaults := range []bool{true, false} {
-					e := NewEngineVaults(data, dim, metric, 0, vaults)
+					e := NewEngine(data, dim, metric, vaults)
 					if forceVaults {
 						e.SetSerialThreshold(0)
 					}
@@ -48,7 +48,7 @@ func TestEngineBatchEqualsSearch(t *testing.T) {
 					}
 					for _, b := range []int{1, 2, 3, 4, 5, 15, 16, 17, 33} {
 						label := fmt.Sprintf("%v n=%d vaults=%d force=%v B=%d", metric, n, vaults, forceVaults, b)
-						got, st := e.SearchBatchSpan(qs[:b], k, nil)
+						got, st, _ := e.Run(qs[:b], k, nil)
 						if !reflect.DeepEqual(got, want[:b]) {
 							t.Fatalf("%s: batch diverged from Search:\ngot  %v\nwant %v", label, got, want[:b])
 						}
@@ -67,7 +67,7 @@ func TestEngineBatchEqualsSearch(t *testing.T) {
 			}
 		}
 	}
-	if out, st := NewEngine(nil, dim, vec.Euclidean, 1).SearchBatchSpan(nil, k, nil); len(out) != 0 || st != (Stats{}) {
+	if out, st, err := NewEngine(nil, dim, vec.Euclidean, 1).Run(nil, k, nil); err != nil || len(out) != 0 || st != (Stats{}) {
 		t.Fatalf("empty batch = %v, %+v", out, st)
 	}
 }
@@ -78,7 +78,7 @@ func TestEngineBatchEqualsSearch(t *testing.T) {
 func TestEngineBatchVaultSpans(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	const n, dim, vaults, b = 40, 4, 4, 6
-	e := NewEngineVaults(tieHeavyFloats(rng, n, dim), dim, vec.Euclidean, 1, vaults)
+	e := NewEngine(tieHeavyFloats(rng, n, dim), dim, vec.Euclidean, vaults)
 	e.SetSerialThreshold(0)
 	qs := make([][]float32, b)
 	for i := range qs {
@@ -86,7 +86,7 @@ func TestEngineBatchVaultSpans(t *testing.T) {
 	}
 	tracer := obs.NewTracer(0, 4)
 	tr := tracer.Trace("batch", true)
-	e.SearchBatchSpan(qs, 5, tr.Root())
+	e.Run(qs, 5, tr.Root())
 	spans := tracer.Finish(tr).Root.FindAll("vault")
 	rows := 0
 	for _, sp := range spans {

@@ -31,7 +31,7 @@ func BenchmarkSearchVaults(b *testing.B) {
 	}
 	for _, vaults := range []int{1, 4, 32} {
 		b.Run(fmt.Sprintf("%d", vaults), func(b *testing.B) {
-			e := NewEngineVaults(data, dim, vec.Euclidean, 1, vaults)
+			e := NewEngine(data, dim, vec.Euclidean, vaults)
 			e.SetSerialThreshold(0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -76,11 +76,11 @@ func TestEngineVaultsMatchSerial(t *testing.T) {
 		data := tieHeavyFloats(rng, n, dim)
 		q := tieHeavyFloats(rng, 1, dim)
 		for _, m := range metrics {
-			serial := NewEngineVaults(data, dim, m, 1, 1)
+			serial := NewEngine(data, dim, m, 1)
 			for _, k := range tieKValues(n) {
 				want, wantSt := serial.SearchStats(q, k)
 				for _, v := range vaultCountsUnderTest {
-					e := NewEngineVaults(data, dim, m, 1, v)
+					e := NewEngine(data, dim, m, v)
 					e.SetSerialThreshold(0)
 					got, gotSt := e.SearchStats(q, k)
 					label := fmt.Sprintf("metric=%v n=%d dim=%d k=%d vaults=%d", m, n, dim, k, v)
@@ -183,21 +183,19 @@ func TestEngineVaultBatchMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	const n, dim, k = 48, 4, 7
 	data := tieHeavyFloats(rng, n, dim)
-	serial := NewEngineVaults(data, dim, vec.Euclidean, 1, 1)
+	serial := NewEngine(data, dim, vec.Euclidean, 1)
 	for _, batchLen := range []int{1, 2, 5, 9} {
 		qs := make([][]float32, batchLen)
 		for i := range qs {
 			qs[i] = tieHeavyFloats(rng, 1, dim)
 		}
 		want := serial.SearchBatch(qs, k)
-		for _, workers := range []int{1, 4} {
-			for _, v := range []int{1, 3, 8} {
-				e := NewEngineVaults(data, dim, vec.Euclidean, workers, v)
-				e.SetSerialThreshold(0)
-				got := e.SearchBatch(qs, k)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("batch=%d workers=%d vaults=%d:\ngot  %v\nwant %v", batchLen, workers, v, got, want)
-				}
+		for _, v := range []int{1, 3, 8} {
+			e := NewEngine(data, dim, vec.Euclidean, v)
+			e.SetSerialThreshold(0)
+			got := e.SearchBatch(qs, k)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("batch=%d vaults=%d:\ngot  %v\nwant %v", batchLen, v, got, want)
 			}
 		}
 	}
@@ -208,11 +206,11 @@ func TestEngineVaultBatchMatchesSerial(t *testing.T) {
 func TestEngineVaultSpans(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	const n, dim, vaults = 37, 4, 8
-	e := NewEngineVaults(tieHeavyFloats(rng, n, dim), dim, vec.Euclidean, 1, vaults)
+	e := NewEngine(tieHeavyFloats(rng, n, dim), dim, vec.Euclidean, vaults)
 	e.SetSerialThreshold(0)
 	tracer := obs.NewTracer(0, 4)
 	tr := tracer.Trace("vaults", true)
-	e.SearchStatsSpan(tieHeavyFloats(rng, 1, dim), 5, tr.Root())
+	e.Run([][]float32{tieHeavyFloats(rng, 1, dim)}, 5, tr.Root())
 	data := tracer.Finish(tr)
 	spans := data.Root.FindAll("vault")
 	if len(spans) != vaults {
@@ -239,8 +237,8 @@ func TestEngineVaultsConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	const n, dim, k, goroutines, iters = 64, 6, 9, 8, 25
 	data := tieHeavyFloats(rng, n, dim)
-	serial := NewEngineVaults(data, dim, vec.Euclidean, 1, 1)
-	e := NewEngineVaults(data, dim, vec.Euclidean, 1, 8)
+	serial := NewEngine(data, dim, vec.Euclidean, 1)
+	e := NewEngine(data, dim, vec.Euclidean, 8)
 	e.SetSerialThreshold(0)
 
 	queries := make([][]float32, goroutines)

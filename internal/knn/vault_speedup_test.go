@@ -56,12 +56,12 @@ func TestVaultSpeedupMultiCore(t *testing.T) {
 		queries[i] = q
 	}
 
-	serial := NewEngineVaults(data, dim, vec.Euclidean, 1, 1)
+	serial := NewEngine(data, dim, vec.Euclidean, 1)
 	vaults := procs
 	if vaults > MaxVaults {
 		vaults = MaxVaults
 	}
-	parallel := NewEngineVaults(data, dim, vec.Euclidean, 1, vaults)
+	parallel := NewEngine(data, dim, vec.Euclidean, vaults)
 	parallel.SetSerialThreshold(0)
 
 	measure := func(e *Engine) float64 {

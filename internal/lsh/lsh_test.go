@@ -95,7 +95,7 @@ func TestBuildBucketsPartition(t *testing.T) {
 func TestRecallImprovesWithProbes(t *testing.T) {
 	ds := testDataset()
 	x := Build(ds.Data, ds.Dim(), DefaultParams())
-	gt := knn.GroundTruth(ds.Data, ds.Dim(), ds.Queries, 5, 1)
+	gt := knn.GroundTruth(ds.Data, ds.Dim(), ds.Queries, 5)
 	recallAt := func(probes int) (float64, int) {
 		x.Probes = probes
 		var recall float64

@@ -170,7 +170,7 @@ func TestSearchBatchOneSnapshot(t *testing.T) {
 				got, st := s.SearchBatch(qs, k, nil)
 				var serial knn.Stats
 				for j, q := range qs {
-					want, qst := s.SearchStats(q, k)
+					want, qst := searchStats(s, q, k)
 					if !reflect.DeepEqual(got[j], want) {
 						t.Fatalf("%v quiesced query %d: batch %v, Search %v", metric, j, got[j], want)
 					}

@@ -306,7 +306,7 @@ func newStore[V any](dim int, opts Options, check func(V) error, clone func(V) V
 // Seed bulk-loads rows with the given external ids as generation 0,
 // partitioned into contiguous vault chunks exactly like the immutable
 // engines — a seeded store answers queries bit-identically to
-// knn.NewEngineVaults over the same data when ids are 0..n-1. Seed is
+// knn.NewEngine over the same data when ids are 0..n-1. Seed is
 // only valid on an empty store (no prior Seed or mutation) and does not
 // advance the sequence number: the seed is the dataset the first
 // mutation mutates.
@@ -510,36 +510,16 @@ func (s *Store[V]) Survivors() (ids []int, rows []V) {
 	return ids, rows
 }
 
-// Search returns the k nearest live rows to q, closest first, ids being
-// the external ids given to Upsert/Seed. The scan runs against one
-// snapshot generation end to end.
-func (s *Store[V]) Search(q V, k int) []topk.Result {
-	res, _ := s.SearchStatsSpan(q, k, nil)
-	return res
-}
-
-// SearchStats is Search plus work accounting; Stats.Seq carries the
-// generation scanned.
-func (s *Store[V]) SearchStats(q V, k int) ([]topk.Result, knn.Stats) {
-	return s.SearchStatsSpan(q, k, nil)
-}
-
-// SearchStatsSpan is SearchStats recording one "vault" child span of sp
-// per scanned partition (sp may be nil). Results are bit-identical to a
-// serial scan of the same generation at any vault count: the total
-// order is (distance, external id), independent of physical layout. A
-// single query is a batch of one.
-func (s *Store[V]) SearchStatsSpan(q V, k int, sp *obs.Span) ([]topk.Result, knn.Stats) {
-	out, st := s.SearchBatch([]V{q}, k, sp)
-	return out[0], st
-}
-
-// SearchBatch answers one query per element of qs, all against a single
-// snapshot generation (batch-level consistency), in one query-tiled
-// scan: each vault walks its live rows once, scoring every row against
-// the whole batch into one vault-local selector per query, and records
-// one "vault" child span of sp (nil-safe). out[i] is exactly what Search
-// returns for qs[i] on that generation. The Stats sum over the batch —
+// SearchBatch is the store's one search — a single query is a batch of
+// one. It answers one query per element of qs with the k nearest live
+// rows, closest first, ids being the external ids given to Upsert/Seed,
+// all against a single snapshot generation (batch-level consistency),
+// in one query-tiled scan: each vault walks its live rows once, scoring
+// every row against the whole batch into one vault-local selector per
+// query, and records one "vault" child span of sp (nil-safe). out[i] is
+// bit-identical to a serial scan of that generation for qs[i] alone at
+// any vault count: the total order is (distance, external id),
+// independent of physical layout. The Stats sum over the batch —
 // DistEvals, Dims and PQInserts are len(qs) times one query's — and Seq
 // is the generation scanned. A k past the generation's live rows is
 // answered as that many, so no selector is sized by k alone. A panic in

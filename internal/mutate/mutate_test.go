@@ -52,6 +52,18 @@ func tieRows(r *rand.Rand, n, dim int) [][]float32 {
 	return rows
 }
 
+// search runs q as a batch of one: the store's one search.
+func search[V any](s *Store[V], q V, k int) []topk.Result {
+	res, _ := searchStats(s, q, k)
+	return res
+}
+
+// searchStats is search plus the query's work accounting.
+func searchStats[V any](s *Store[V], q V, k int) ([]topk.Result, knn.Stats) {
+	out, st := s.SearchBatch([]V{q}, k, nil)
+	return out[0], st
+}
+
 func seqIDs(n int) []int {
 	ids := make([]int, n)
 	for i := range ids {
@@ -81,11 +93,11 @@ func TestSeedMatchesEngine(t *testing.T) {
 			if err := s.Seed(seqIDs(n), rows); err != nil {
 				t.Fatalf("Seed: %v", err)
 			}
-			eng := knn.NewEngineVaults(flatten(rows), dim, metric, 2, vaults)
+			eng := knn.NewEngine(flatten(rows), dim, metric, vaults)
 			eng.SetSerialThreshold(0)
 			for _, k := range []int{1, 7, n, n + 5} {
 				q := rows[r.Intn(n)]
-				got, st := s.SearchStats(q, k)
+				got, st := searchStats(s, q, k)
 				want, engSt := eng.SearchStats(q, k)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("metric=%v vaults=%d k=%d: store %v != engine %v", metric, vaults, k, got, want)
@@ -197,7 +209,7 @@ func TestUpsertDeleteBasics(t *testing.T) {
 		t.Fatalf("after delete len=%d dead=%d, want 1/2", s.Len(), s.Dead())
 	}
 
-	res, st := s.SearchStats([]float32{5, 5}, 10)
+	res, st := searchStats(s, []float32{5, 5}, 10)
 	if len(res) != 1 || res[0].ID != 10 || res[0].Dist != 0 {
 		t.Fatalf("search = %v", res)
 	}
@@ -328,7 +340,7 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 		qs := randRows(r, nq, dim)
 		got, _ := s.SearchBatch(qs, 5, nil)
 		for i, q := range qs {
-			want := s.Search(q, 5)
+			want := search(s, q, 5)
 			if !reflect.DeepEqual(got[i], want) {
 				t.Fatalf("nq=%d query %d: %v != %v", nq, i, got[i], want)
 			}
@@ -356,7 +368,7 @@ func TestCompactReclaimsTombstones(t *testing.T) {
 	seqBefore := s.Seq()
 	ids, survivors := s.Survivors()
 	q := rows[1]
-	before := s.Search(q, 17)
+	before := search(s, q, 17)
 
 	var hook CompactResult
 	s.OnCompact = func(r CompactResult) { hook = r }
@@ -373,7 +385,7 @@ func TestCompactReclaimsTombstones(t *testing.T) {
 	if s.Seq() != seqBefore {
 		t.Fatalf("compaction moved seq %d -> %d", seqBefore, s.Seq())
 	}
-	after := s.Search(q, 17)
+	after := search(s, q, 17)
 	if !reflect.DeepEqual(before, after) {
 		t.Fatalf("results changed across compaction:\n%v\n%v", before, after)
 	}
@@ -408,7 +420,7 @@ func TestCompactRebalancesSkew(t *testing.T) {
 		s.Delete(i)
 	}
 	q := rows[0]
-	before := s.Search(q, 9)
+	before := search(s, q, 9)
 	res := s.CompactOnce()
 	if !res.Rebalanced {
 		t.Fatalf("expected a rebalance: %+v", res)
@@ -427,7 +439,7 @@ func TestCompactRebalancesSkew(t *testing.T) {
 			t.Fatalf("vault %d holds %d rows after rebalance", v, got)
 		}
 	}
-	after := s.Search(q, 9)
+	after := search(s, q, 9)
 	if !reflect.DeepEqual(before, after) {
 		t.Fatalf("rebalance changed results:\n%v\n%v", before, after)
 	}
@@ -502,7 +514,7 @@ func TestCompactHookPanicSkipsThePass(t *testing.T) {
 	if _, err := s.Upsert(100, []float32{1, 1}); err != nil {
 		t.Fatalf("upsert after the panics: %v", err)
 	}
-	if got := s.Search([]float32{1, 1}, 1); len(got) != 1 || got[0].ID != 100 {
+	if got := search(s, []float32{1, 1}, 1); len(got) != 1 || got[0].ID != 100 {
 		t.Fatalf("search after the panics = %v, want the upserted row", got)
 	}
 }
@@ -516,14 +528,14 @@ func TestFixedAndBinaryStores(t *testing.T) {
 	if _, err := f.Upsert(2, []int32{vec.ToFixed(3), 0}); err != nil {
 		t.Fatal(err)
 	}
-	res := f.Search([]int32{vec.ToFixed(1), 0}, 1)
+	res := search(f, []int32{vec.ToFixed(1), 0}, 1)
 	if len(res) != 1 || res[0].ID != 1 || res[0].Dist != 0 {
 		t.Fatalf("fixed search = %v", res)
 	}
 	fm := NewFixed(2, vec.Manhattan, Options{Vaults: 1})
 	a, b := []int32{vec.ToFixed(1), 0}, []int32{vec.ToFixed(3), 0}
 	fm.Upsert(1, b)
-	got := fm.Search(a, 1)
+	got := search(fm, a, 1)
 	if want := float64(vec.L1Fixed(a, b)); got[0].Dist != want {
 		t.Fatalf("fixed manhattan dist = %v, want %v", got[0].Dist, want)
 	}
@@ -536,7 +548,7 @@ func TestFixedAndBinaryStores(t *testing.T) {
 	bs.Upsert(5, zero)
 	bs.Upsert(3, zero) // identical code, smaller id
 	bs.Upsert(9, one)
-	res = bs.Search(zero, 3)
+	res = search(bs, zero, 3)
 	if len(res) != 3 || res[0].ID != 3 || res[1].ID != 5 || res[2].ID != 9 {
 		t.Fatalf("binary search order = %v", res)
 	}
@@ -550,10 +562,10 @@ func TestAccessorsAndKZero(t *testing.T) {
 	if s.Vaults() != 2 || s.Dim() != 4 {
 		t.Fatalf("Vaults=%d Dim=%d", s.Vaults(), s.Dim())
 	}
-	if res := s.Search(make([]float32, 4), 0); res != nil {
+	if res := search(s, make([]float32, 4), 0); res != nil {
 		t.Fatalf("k=0 returned %v", res)
 	}
-	if res := s.Search(make([]float32, 4), 3); len(res) != 0 {
+	if res := search(s, make([]float32, 4), 3); len(res) != 0 {
 		t.Fatalf("empty store returned %v", res)
 	}
 }

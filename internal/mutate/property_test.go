@@ -86,7 +86,7 @@ func TestMutationEquivalenceFloat(t *testing.T) {
 							continue
 						}
 						q := newRow()
-						got, st := s.SearchStats(q, k)
+						got, st := searchStats(s, q, k)
 						want := oracleFloat(metric, ids, rows, q, k)
 						if !reflect.DeepEqual(got, want) {
 							t.Fatalf("step %d k=%d: store\n%v\noracle\n%v", step, k, got, want)
@@ -143,7 +143,7 @@ func TestMutationEquivalenceFixedBinary(t *testing.T) {
 			continue
 		}
 		q := []int32{int32(r.Intn(5)) << 16, 0, int32(r.Intn(5)) << 16}
-		got := f.Search(q, 7)
+		got := search(f, q, 7)
 		sel := topk.New(7)
 		for id, row := range fModel {
 			sel.Push(id, float64(vec.SquaredL2Fixed(q, row)))
@@ -181,7 +181,7 @@ func TestMutationEquivalenceFixedBinary(t *testing.T) {
 			continue
 		}
 		q := randCode()
-		got := b.Search(q, 7)
+		got := search(b, q, 7)
 		sel := topk.New(7)
 		for id, code := range bModel {
 			sel.Push(id, float64(vec.Hamming(q, code)))
@@ -271,7 +271,7 @@ func TestSearchDuringCompactionSoak(t *testing.T) {
 					q[j] = float32(r.Intn(3))
 				}
 				k := 1 + r.Intn(20)
-				res, st := s.SearchStats(q, k)
+				res, st := searchStats(s, q, k)
 				if st.Seq < lastSeq {
 					t.Errorf("searcher %d: seq went backwards %d -> %d", g, lastSeq, st.Seq)
 					return
@@ -303,7 +303,7 @@ func TestSearchDuringCompactionSoak(t *testing.T) {
 	// Quiesced store still agrees with its own survivors oracle.
 	ids2, rows2 := s.Survivors()
 	q := make([]float32, dim)
-	got := s.Search(q, 33)
+	got := search(s, q, 33)
 	want := oracleFloat(vec.Euclidean, ids2, rows2, q, 33)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("post-soak divergence:\n%v\n%v", got, want)

@@ -20,7 +20,7 @@ func TestKMTreeExhaustiveRecall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gt := knn.GroundTruth(ds.Data, ds.Dim(), ds.Queries, 5, 1)
+	gt := knn.GroundTruth(ds.Data, ds.Dim(), ds.Queries, 5)
 	var recall float64
 	for i, q := range ds.Queries {
 		res, st, err := ti.Search(q, 5, ds.N())
@@ -50,7 +50,7 @@ func TestKMTreeBudgetTradeoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gt := knn.GroundTruth(ds.Data, ds.Dim(), ds.Queries, 5, 1)
+	gt := knn.GroundTruth(ds.Data, ds.Dim(), ds.Queries, 5)
 	eval := func(checks int) (float64, uint64) {
 		var recall float64
 		var cycles uint64

@@ -54,7 +54,7 @@ func TestLSHIndexRecallClustered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gt := knn.GroundTruth(ds.Data, ds.Dim(), ds.Queries, 5, 1)
+	gt := knn.GroundTruth(ds.Data, ds.Dim(), ds.Queries, 5)
 	var hits, total int
 	var scanned, n uint64
 	for i, q := range ds.Queries {
@@ -154,7 +154,7 @@ func TestMultiProbeImprovesRecall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gt := knn.GroundTruth(ds.Data, ds.Dim(), ds.Queries, 5, 1)
+	gt := knn.GroundTruth(ds.Data, ds.Dim(), ds.Queries, 5)
 	recallOf := func() (float64, uint64) {
 		var hits, total int
 		var scanned uint64

@@ -23,18 +23,14 @@ import (
 // only the reported QueryStats differ.
 type PQIndex struct {
 	dev       *Device
-	e         *knn.PQEngine
+	e         *knn.PQScan
 	vaultRows []int // database rows laid out in each device vault
 }
-
-// Engine returns the attached host-built engine (the Rerank knob lives
-// there, shared by both execution targets).
-func (pi *PQIndex) Engine() *knn.PQEngine { return pi.e }
 
 // AttachPQIndex attaches a host-built product-quantized engine to the
 // device. The device must be a float module over the same database
 // shape and metric.
-func (d *Device) AttachPQIndex(e *knn.PQEngine) (*PQIndex, error) {
+func (d *Device) AttachPQIndex(e *knn.PQScan) (*PQIndex, error) {
 	if d.origBits != 0 {
 		return nil, fmt.Errorf("ssamdev: pq index requires a float device")
 	}
@@ -69,8 +65,11 @@ func (pi *PQIndex) Search(q []float32, k int) ([]topk.Result, QueryStats, error)
 	if k <= 0 {
 		return nil, QueryStats{}, fmt.Errorf("ssamdev: k must be positive")
 	}
-	res, st := pi.e.SearchStats(q, k)
-	return res, pi.model(st), nil
+	out, st, _, err := pi.e.RunBatch([][]float32{q}, k, nil)
+	if err != nil {
+		return nil, QueryStats{}, err
+	}
+	return out[0], pi.model(st), nil
 }
 
 // model converts the host engine's work accounting into device

@@ -17,10 +17,10 @@ func pqTestData(t *testing.T) *dataset.Dataset {
 	})
 }
 
-func pqTestEngine(t *testing.T, ds *dataset.Dataset, rerank int) *knn.PQEngine {
+func pqTestEngine(t *testing.T, ds *dataset.Dataset, rerank int) *knn.PQScan {
 	t.Helper()
-	e, err := knn.NewPQEngine(ds.Data, ds.Dim(), vec.Euclidean,
-		knn.PQParams{M: 4, Sample: 1024, Rerank: rerank, Seed: 3}, 1)
+	e, err := knn.NewPQScan(ds.Data, ds.Dim(), vec.Euclidean,
+		knn.PQParams{M: 4, Sample: 1024, Rerank: rerank, Seed: 3}, 1, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,17 +34,13 @@ func TestAttachPQIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := pqTestEngine(t, ds, 32)
-	pi, err := dev.AttachPQIndex(e)
-	if err != nil {
+	if _, err := dev.AttachPQIndex(e); err != nil {
 		t.Fatal(err)
-	}
-	if pi.Engine() != e {
-		t.Fatal("Engine() does not return the attached engine")
 	}
 
 	// Shape mismatch: an engine over a different database is refused.
-	other, err := knn.NewPQEngine(ds.Data[:ds.Dim()*300], ds.Dim(), vec.Euclidean,
-		knn.PQParams{M: 4, Sample: 256, Seed: 3}, 1)
+	other, err := knn.NewPQScan(ds.Data[:ds.Dim()*300], ds.Dim(), vec.Euclidean,
+		knn.PQParams{M: 4, Sample: 256, Seed: 3}, 1, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +87,11 @@ func TestPQDeviceResultsAndModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range ds.Queries {
-		hres, hst := e.SearchStats(q, 10)
+		hout, hst, _, err := e.RunBatch([][]float32{q}, 10, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hres := hout[0]
 		dres, dst, err := pi.Search(q, 10)
 		if err != nil {
 			t.Fatal(err)

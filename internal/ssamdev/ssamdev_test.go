@@ -22,7 +22,7 @@ func TestDeviceMatchesHostEuclidean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gt := knn.GroundTruth(ds.Data, ds.Dim(), ds.Queries, 8, 1)
+	gt := knn.GroundTruth(ds.Data, ds.Dim(), ds.Queries, 8)
 	var recall float64
 	for i, q := range ds.Queries {
 		res, st, err := dev.Search(q, 8)
@@ -171,7 +171,7 @@ func TestLargeKChainsQueues(t *testing.T) {
 	if len(res) != 40 {
 		t.Fatalf("got %d results, want 40", len(res))
 	}
-	gt := knn.GroundTruth(ds.Data, ds.Dim(), ds.Queries[:1], 40, 1)
+	gt := knn.GroundTruth(ds.Data, ds.Dim(), ds.Queries[:1], 40)
 	if r := dataset.Recall(gt[0], res); r < 0.85 {
 		t.Fatalf("k=40 recall = %v", r)
 	}

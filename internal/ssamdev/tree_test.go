@@ -18,7 +18,7 @@ func TestTreeIndexExhaustiveRecall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gt := knn.GroundTruth(ds.Data, ds.Dim(), ds.Queries, 5, 1)
+	gt := knn.GroundTruth(ds.Data, ds.Dim(), ds.Queries, 5)
 	// Budget large enough to scan every PU's whole subtree: exact.
 	var recall float64
 	for i, q := range ds.Queries {
@@ -47,7 +47,7 @@ func TestTreeIndexBudgetTradeoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gt := knn.GroundTruth(ds.Data, ds.Dim(), ds.Queries, 5, 1)
+	gt := knn.GroundTruth(ds.Data, ds.Dim(), ds.Queries, 5)
 
 	eval := func(checks int) (recall float64, cycles uint64) {
 		for i, q := range ds.Queries {

@@ -321,8 +321,15 @@ func TestDeviceRegionMutation(t *testing.T) {
 	if devSt.Cycles == 0 || devSt.DRAMBytesRead == 0 || devSt.ProcessingUnits == 0 {
 		t.Fatalf("analytic device stats empty: %+v", devSt)
 	}
+	// The staged Exec of the same query publishes the same stats.
+	if err := r.WriteQuery(q); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Exec(8); err != nil {
+		t.Fatal(err)
+	}
 	if got := r.LastStats(); got != devSt {
-		t.Fatalf("LastStats %+v != returned %+v", got, devSt)
+		t.Fatalf("LastStats %+v after Exec != SearchStats's %+v", got, devSt)
 	}
 
 	// Deleting rows shrinks the analytic scan cost.
@@ -338,14 +345,13 @@ func TestDeviceRegionMutation(t *testing.T) {
 	}
 
 	// Batch on the device path aggregates per-query analytic stats.
-	out, err := r.SearchBatch(ds.Queries[:3], 8)
+	out, agg, err := r.SearchBatchSpan(ds.Queries[:3], 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != 3 {
 		t.Fatalf("batch returned %d result sets", len(out))
 	}
-	agg := r.LastStats()
 	if agg.Cycles == 0 || agg.ProcessingUnits == 0 {
 		t.Fatalf("batch analytic stats empty: %+v", agg)
 	}

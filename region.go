@@ -64,14 +64,15 @@ type Region struct {
 	// device is the simulated module of a Device region, for Device().
 	device *ssamdev.Device
 
-	// mu guards lastStats, which Search updates concurrently.
-	mu        sync.Mutex
-	lastStats DeviceStats
+	// The staged WriteQuery/Exec/ReadResult sequence's state: one
+	// caller's, so unguarded.
 	staged    query
 	lastRes   []Result
+	lastStats DeviceStats
 
-	// batchFault, when non-nil, runs before each device-mode batch
-	// query (test seam for mid-batch failure injection).
+	// batchFault, when non-nil, runs before each device-mode query of a
+	// batch — a single query is a batch of one (test seam for failure
+	// injection).
 	batchFault func(i int) error
 }
 
@@ -336,41 +337,35 @@ func (r *Region) ready(op string, k int) (engine, int, error) {
 	return e, k, nil
 }
 
-// openExec starts the "exec" child of sp describing e. A nil sp is the
-// untraced fast path: no tags are built.
-func openExec(sp *obs.Span, e engine, extra ...obs.Tag) *obs.Span {
-	if sp == nil {
-		return nil
+// exec is the one engine call every search makes, under an "exec" child
+// of sp describing e (plus extra) and tagged with the work it did. A nil
+// sp is the untraced fast path: no tags are built. The span covers any
+// wait inside the engine — on the simulated device concurrent batches
+// serialize, and that queueing is exactly what a trace should show.
+func exec(e engine, q query, k int, sp *obs.Span, extra ...obs.Tag) ([][]Result, DeviceStats, int, error) {
+	var esp *obs.Span
+	if sp != nil {
+		esp = sp.Start("exec", append(e.tags(), extra...)...)
 	}
-	return sp.Start("exec", append(e.tags(), extra...)...)
-}
-
-// finish closes the exec span over an engine call, tagging the work it
-// did, and publishes the call's device stats as LastStats.
-func (r *Region) finish(esp *obs.Span, w work) {
+	out, w, failedAt, err := e.search(q, k, esp)
 	w.tag(esp)
 	esp.End()
-	r.mu.Lock()
-	r.lastStats = w.dev
-	r.mu.Unlock()
+	return out, w.dev, failedAt, err
 }
 
-// run is the one single-query path, behind Search, SearchBinary and
-// Exec alike. The exec span covers any wait inside the engine — on the
-// simulated device concurrent queries serialize, and that queueing is
-// exactly what a trace should show.
-func (r *Region) run(op string, q query, k int, sp *obs.Span) ([]Result, DeviceStats, error) {
+// one runs a single query — Search, SearchBinary and Exec alike — as a
+// batch of one, the path SearchBatchSpan takes, and returns the engine's
+// own error rather than a *BatchError.
+func (r *Region) one(op string, q query, k int, sp *obs.Span) ([]Result, DeviceStats, error) {
 	e, k, err := r.ready(op, k)
 	if err != nil {
 		return nil, DeviceStats{}, err
 	}
-	esp := openExec(sp, e)
-	res, w, err := e.search(q, k, esp)
-	r.finish(esp, w)
+	out, dev, _, err := exec(e, q, k, sp)
 	if err != nil {
 		return nil, DeviceStats{}, err
 	}
-	return res, w.dev, nil
+	return out[0], dev, nil
 }
 
 // WriteQuery stages a float query (nwrite_query).
@@ -378,7 +373,7 @@ func (r *Region) WriteQuery(q []float32) error {
 	if err := r.checkFloat(q); err != nil {
 		return err
 	}
-	r.staged = query{f: append(r.staged.f[:0], q...)}
+	r.staged = query{f: [][]float32{slices.Clone(q)}}
 	return nil
 }
 
@@ -387,7 +382,7 @@ func (r *Region) WriteQueryBinary(q BinaryCode) error {
 	if err := r.checkBinary(q); err != nil {
 		return err
 	}
-	r.staged = query{b: q}
+	r.staged = query{b: []vec.Binary{q}}
 	return nil
 }
 
@@ -396,14 +391,14 @@ func (r *Region) Exec(k int) error {
 	if r.freed.Load() {
 		return ErrFreed
 	}
-	if r.staged.f == nil && r.staged.b.Words == nil {
+	if r.staged.len() == 0 {
 		return errors.New("ssam: Exec before WriteQuery")
 	}
-	res, _, err := r.run("Exec", r.staged, k, nil)
+	res, dev, err := r.one("Exec", r.staged, k, nil)
 	if err != nil {
 		return err
 	}
-	r.lastRes = res
+	r.lastRes, r.lastStats = res, dev
 	return nil
 }
 
@@ -421,20 +416,16 @@ func (r *Region) ReadResult() ([]Result, error) {
 // Search answers one query for the k nearest neighbors. Unlike the
 // staged WriteQuery/Exec/ReadResult sequence it keeps no per-region
 // query state, so it is safe to call from many goroutines once the
-// index is built; Device execution serializes on the simulated module
-// and updates LastStats per query.
+// index is built; Device execution serializes on the simulated module.
 func (r *Region) Search(q []float32, k int) ([]Result, error) {
 	res, _, err := r.SearchStats(q, k)
 	return res, err
 }
 
 // SearchStats is Search returning the query's simulated device stats
-// alongside the results (zero DeviceStats for Host execution). Unlike
-// Search followed by LastStats it cannot interleave with a concurrent
-// query's stats: LastStats is last-writer-wins across every caller of
-// the region, so a caller that shares it — a cluster shard serves many
-// scatter-gather batches at once — reads the stats a call returns, as
-// SearchBatchSpan returns a batch's.
+// alongside the results (zero DeviceStats for Host execution): every
+// search returns its own stats, as SearchBatchSpan returns a batch's,
+// and none publishes them region-wide.
 func (r *Region) SearchStats(q []float32, k int) ([]Result, DeviceStats, error) {
 	return r.SearchStatsSpan(q, k, nil)
 }
@@ -447,7 +438,7 @@ func (r *Region) SearchStatsSpan(q []float32, k int, sp *obs.Span) ([]Result, De
 	if err := r.checkFloat(q); err != nil {
 		return nil, DeviceStats{}, err
 	}
-	return r.run("Search", query{f: q}, k, sp)
+	return r.one("Search", query{f: [][]float32{q}}, k, sp)
 }
 
 // SearchBinary is Search for Hamming regions.
@@ -471,7 +462,7 @@ func (r *Region) SearchBinaryStatsSpan(q BinaryCode, k int, sp *obs.Span) ([]Res
 	if err := r.checkBinary(q); err != nil {
 		return nil, DeviceStats{}, err
 	}
-	return r.run("SearchBinary", query{b: q}, k, sp)
+	return r.one("SearchBinary", query{b: []vec.Binary{q}}, k, sp)
 }
 
 // SearchBatch answers one query per element of qs. On a Host Linear
@@ -485,11 +476,10 @@ func (r *Region) SearchBinaryStatsSpan(q BinaryCode, k int, sp *obs.Span) ([]Res
 // storage-backed Quantized region and Device execution serve it a query
 // at a time — the module broadcasts one query at a time, and as the
 // paper notes, batching buys little on a device that already saturates
-// its internal bandwidth per query. After a Device batch, LastStats
-// holds the accumulated execution. A failure of one of those queries is
+// its internal bandwidth per query. A failure of one of those queries is
 // returned as a *BatchError naming it; results for queries before it
-// are kept in the returned slice and the stats they accumulated are
-// committed.
+// are kept in the returned slice, and the stats they accumulated are
+// returned by SearchBatchSpan.
 func (r *Region) SearchBatch(qs [][]float32, k int) ([][]Result, error) {
 	out, _, err := r.SearchBatchSpan(qs, k, nil)
 	return out, err
@@ -511,15 +501,13 @@ func (r *Region) SearchBatchSpan(qs [][]float32, k int, sp *obs.Span) ([][]Resul
 			return nil, DeviceStats{}, err
 		}
 	}
-	esp := openExec(sp, e, obs.Tag{Key: "batch", Value: len(qs)})
-	out, w, failedAt, err := e.searchBatch(qs, k, esp)
-	r.finish(esp, w)
+	out, dev, failedAt, err := exec(e, query{f: qs}, k, sp, obs.Tag{Key: "batch", Value: len(qs)})
 	if err != nil {
 		// Keep what the batch computed so far: results for queries before
-		// failedAt stand, and the stats they accumulated are committed.
-		return out, w.dev, &BatchError{Index: failedAt, Err: err}
+		// failedAt stand, with the stats they accumulated.
+		return out, dev, &BatchError{Index: failedAt, Err: err}
 	}
-	return out, w.dev, nil
+	return out, dev, nil
 }
 
 // QuantizedCounters is a point-in-time view of a quantized region's
@@ -553,13 +541,11 @@ func (r *Region) TieredStats() (TieredCounters, bool) {
 	return TieredCounters{}, false
 }
 
-// LastStats returns the simulated device stats of the last Exec,
-// Search or SearchBatch (zero for Host execution).
-func (r *Region) LastStats() DeviceStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.lastStats
-}
+// LastStats returns the simulated device stats of the last successful
+// Exec (zero for Host execution) — the staged sequence's, like
+// ReadResult. Search, SearchBinary and SearchBatch publish nothing here:
+// their Stats variants return each call's own.
+func (r *Region) LastStats() DeviceStats { return r.lastStats }
 
 // Device exposes the underlying simulated module (nil for Host
 // execution) for benchmarking and model queries.

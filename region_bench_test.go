@@ -45,9 +45,9 @@ func benchRegionMode(b *testing.B, rows, dims int, cfg ssam.Config) (*ssam.Regio
 	return r, q
 }
 
-// BenchmarkRegionSearchHost is the untraced fast path: a nil span
-// threads through SearchStatsSpan, so the obs hooks cost one nil
-// check each.
+// BenchmarkRegionSearchHost is the untraced fast path: a single query
+// is a batch of one, and a nil span threads through it, so the obs
+// hooks cost one nil check each.
 func BenchmarkRegionSearchHost(b *testing.B) {
 	r, q := benchRegion(b, 4096, 64)
 	b.ResetTimer()

@@ -115,9 +115,6 @@ func TestGraphDeviceMatchesHost(t *testing.T) {
 			t.Fatalf("query %d: throughput %v", i, dst.Throughput())
 		}
 	}
-	if st := dev.LastStats(); st.Cycles == 0 {
-		t.Fatal("LastStats empty after device graph search")
-	}
 }
 
 // TestGraphSetChecks verifies the EfSearch knob: SetChecks retunes a

@@ -77,9 +77,6 @@ func TestQuantizedDeviceMatchesHost(t *testing.T) {
 			t.Fatalf("query %d: throughput %v", i, dst.Throughput())
 		}
 	}
-	if st := dev.LastStats(); st.Cycles == 0 {
-		t.Fatal("LastStats empty after device quantized search")
-	}
 }
 
 // TestQuantizedSetChecks verifies the accuracy knob: SetChecks

@@ -74,8 +74,8 @@ func TestConcurrentSearchAllModes(t *testing.T) {
 }
 
 // TestConcurrentSearchDevice checks that Device execution, which
-// shares a stateful cycle simulator, serializes concurrent Search and
-// LastStats calls safely.
+// shares a stateful cycle simulator, serializes concurrent searches
+// safely, each returning its own stats.
 func TestConcurrentSearchDevice(t *testing.T) {
 	ds := raceDataset(t)
 	r, err := New(ds.Dim(), Config{Execution: Device, VectorLength: 4})
@@ -96,11 +96,12 @@ func TestConcurrentSearchDevice(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				if _, err := r.Search(ds.Queries[i], 3); err != nil {
+				_, st, err := r.SearchStats(ds.Queries[i], 3)
+				if err != nil {
 					errs <- err
 					return
 				}
-				if st := r.LastStats(); st.Cycles == 0 {
+				if st.Cycles == 0 {
 					errs <- fmt.Errorf("empty device stats after Search")
 					return
 				}

@@ -131,14 +131,13 @@ func TestDeviceExecution(t *testing.T) {
 	if err := r.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.Search(ds.Row(42), 5)
+	res, st, err := r.SearchStats(ds.Row(42), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res[0].ID != 42 {
 		t.Fatalf("device self query = %+v", res[0])
 	}
-	st := r.LastStats()
 	if st.Cycles == 0 || st.Throughput() <= 0 || st.ProcessingUnits <= 0 {
 		t.Fatalf("device stats empty: %+v", st)
 	}

@@ -383,13 +383,15 @@ func TestTieredRegionSurfacesStorageFaults(t *testing.T) {
 	if _, err := tr.Search(ds.Queries[0], 10); !errors.Is(err, boom) {
 		t.Fatalf("Search over faulted storage = %v, want wrapped injected error", err)
 	}
+	// A single query is a batch of one, but its error is the engine's
+	// own, not a *BatchError.
 	var re *tier.ReadError
-	if _, err := tr.Search(ds.Queries[0], 10); !errors.As(err, &re) {
-		t.Fatalf("Search over faulted storage = %v, want *tier.ReadError", err)
+	var be *BatchError
+	if _, err := tr.Search(ds.Queries[0], 10); !errors.As(err, &re) || errors.As(err, &be) {
+		t.Fatalf("Search over faulted storage = %v, want *tier.ReadError and no *BatchError", err)
 	}
 	// A fault inside the shared walk fails the whole batch: a *BatchError
 	// at query 0 wrapping the typed read error, and no lists.
-	var be *BatchError
 	re = nil
 	if out, err := tr.SearchBatch(ds.Queries[:4], 10); !errors.As(err, &be) || be.Index != 0 || !errors.As(err, &re) || out != nil {
 		t.Fatalf("SearchBatch over faulted storage = %v, %v, want no lists and a *BatchError at 0 wrapping *tier.ReadError", out, err)

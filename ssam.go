@@ -15,11 +15,11 @@
 // model).
 //
 //	region, err := ssam.New(dims, ssam.Config{Mode: ssam.Linear, Execution: ssam.Device})
-//	err = region.LoadFloat32(dataset)          // nmemcpy
-//	err = region.BuildIndex()                  // nbuild_index
-//	results, err := region.Search(query, k)    // nwrite_query + nexec + nread_result
-//	stats := region.LastStats()                // simulated device timing
-//	region.Free()                              // nfree
+//	err = region.LoadFloat32(dataset)                   // nmemcpy
+//	err = region.BuildIndex()                           // nbuild_index
+//	results, stats, err := region.SearchStats(query, k) // nwrite_query + nexec + nread_result,
+//	                                                    // stats the simulated device timing
+//	region.Free()                                       // nfree
 package ssam
 
 import (
