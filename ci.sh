@@ -42,6 +42,11 @@ go test -count=1 -cpu 1,2,4 -run 'BitIdentical|Equivalence' ./internal/replica
 # their branch for it by core count, so every mode's answers, stats and
 # exec tags through Search, Exec and SearchBatch are held at three widths.
 go test -count=1 -cpu 1,2,4 -run TestEngineConformance .
+# The same for the micro-batcher, whose runner count is GOMAXPROCS: how
+# many runners exist, execute at once and park between batches depends
+# on the width, so its whole suite — group commit, drain on Close, the
+# parked runners' exit — runs at three.
+go test -count=1 -cpu 1,2,4 ./internal/server/batcher
 
 # Benchmark smoke: compile and run every benchmark once so a bench
 # that rots (bad setup, panic, API drift) fails the gate, without

@@ -407,8 +407,9 @@ func issueWrite(ctx context.Context, c *client.Client, region string, mix writeM
 
 // observeTrace harvests per-stage durations from one sampled span
 // tree: the admission wait off the root, then the batch span's direct
-// children — queue/exec on the micro-batched path, fanout/merge on
-// the sharded bypass.
+// children — queue/exec when a batch of one rides the micro-batcher,
+// exec alone when a longer batch bypasses it, fanout/merge on a
+// sharded region.
 func (col *collector) observeTrace(td *obs.TraceData) {
 	if td.Root == nil {
 		return

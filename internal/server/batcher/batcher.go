@@ -2,15 +2,16 @@
 // region batch searches by group commit, the serving-layer analogue of
 // the paper's host broadcasting queries to the vaults as they arrive:
 // batches come from load, never from a clock. At most P batches execute
-// at once, P being GOMAXPROCS when the Batcher was made. A query that
-// arrives while fewer than P are executing leaves at once, as a batch of
-// one unless others arrived in the same instant; otherwise it waits in
-// one FIFO queue, and the moment any batch returns, the head of the
-// queue and every queued query sharing its k (up to MaxBatch) leave
-// together as the next batch. A batch is homogeneous in k because one
-// Region.SearchBatch call answers it, which on the exact scan reads the
-// dataset once for the whole batch (on the indexes it fans out across
-// the host cores, on the simulated device it amortizes query broadcast).
+// at once, one on each of up to P runners that live until Close, P being
+// GOMAXPROCS when the Batcher was made. A query that arrives while a
+// runner is free leaves at once, as a batch of one unless others arrived
+// in the same instant; otherwise it waits in one FIFO queue, and the
+// moment any batch returns, the head of the queue and every queued query
+// sharing its k (up to MaxBatch) leave together as the next batch. A
+// batch is homogeneous in k because one Region.SearchBatch call answers
+// it, which on the exact scan reads the dataset once for the whole batch
+// (on the indexes it fans out across the host cores, on the simulated
+// device it amortizes query broadcast).
 package batcher
 
 import (
@@ -20,6 +21,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ssam"
@@ -54,14 +56,14 @@ const defaultMaxBatch = 64
 type Batcher struct {
 	search   SearchFunc
 	maxBatch int
-	slots    int // P: batches that may execute at once
+	slots    int // P: runners, and so batches that may execute at once
 	onFlush  func(int, time.Duration, time.Duration)
-	runFn    func() // b.run, bound once so that starting a runner allocates nothing
 
 	mu      sync.Mutex
-	queue   []request // FIFO; a runner takes from its head
-	running int       // runner goroutines, at most slots, one batch each
-	pending int       // queries admitted but not yet answered
+	wake    sync.Cond    // on mu: where a runner parks while the queue is empty
+	queue   []request    // FIFO; a runner takes from its head
+	started int          // runner goroutines, at most slots, each alive until Close
+	pending atomic.Int64 // queries admitted but not yet answered
 	closed  bool
 	runners sync.WaitGroup
 }
@@ -78,8 +80,9 @@ type request struct {
 	batch, queue, exec *obs.Span
 }
 
+// outcome is a query's row of its batch's results, or the batch's error.
 type outcome struct {
-	res []ssam.Result
+	res [][]ssam.Result
 	err error
 }
 
@@ -89,7 +92,7 @@ func New(search SearchFunc, opts Options) *Batcher {
 		opts.MaxBatch = defaultMaxBatch
 	}
 	b := &Batcher{search: search, maxBatch: opts.MaxBatch, slots: runtime.GOMAXPROCS(0), onFlush: opts.OnFlush}
-	b.runFn = b.run
+	b.wake.L = &b.mu
 	return b
 }
 
@@ -98,14 +101,18 @@ func New(search SearchFunc, opts Options) *Batcher {
 // is taken is never executed; once taken it runs with the batch and the
 // result is discarded. Safe for concurrent use.
 func (b *Batcher) Search(ctx context.Context, q []float32, k int) ([]ssam.Result, error) {
-	return b.SearchSpan(ctx, q, k, nil)
+	res, err := b.SearchSpan(ctx, q, k, nil)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
 }
 
-// SearchSpan is Search for a request carrying a sampled trace: sp (the
-// request's "batch" span, nil for untraced requests) gains a "queue"
-// child covering enqueue → batch taken and an "exec" child covering the
-// shared batch execution, tagged with the batch size.
-func (b *Batcher) SearchSpan(ctx context.Context, q []float32, k int, sp *obs.Span) ([]ssam.Result, error) {
+// SearchSpan is Search answered as a batch of one, its row of the batch's
+// results: sp (the request's "batch" span, nil for untraced requests)
+// gains a "queue" child covering enqueue → batch taken and an "exec"
+// child covering the shared batch execution, tagged with the batch size.
+func (b *Batcher) SearchSpan(ctx context.Context, q []float32, k int, sp *obs.Span) ([][]ssam.Result, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("batcher: k must be positive, got %d", k)
 	}
@@ -122,13 +129,15 @@ func (b *Batcher) SearchSpan(ctx context.Context, q []float32, k int, sp *obs.Sp
 	b.queue = append(b.queue, request{
 		q: q, k: k, ctx: ctx, ch: ch, enq: time.Now(), batch: sp, queue: sp.Start("queue"),
 	})
-	b.pending++
-	if b.running < b.slots {
-		// A runner of its own, not this goroutine: Search must be free
-		// to return on ctx.Done while the batch executes.
-		b.running++
+	b.pending.Add(1)
+	// A runner, not this goroutine, executes the batch, so that Search can
+	// return on ctx.Done; with every runner busy, the first free takes it.
+	if b.started < b.slots {
+		b.started++
 		b.runners.Add(1)
-		go b.runFn()
+		go b.run()
+	} else {
+		b.wake.Signal()
 	}
 	b.mu.Unlock()
 
@@ -140,28 +149,26 @@ func (b *Batcher) SearchSpan(ctx context.Context, q []float32, k int, sp *obs.Sp
 		b.mu.Lock()
 		if i := slices.IndexFunc(b.queue, func(r request) bool { return r.ch == ch }); i >= 0 {
 			b.queue = slices.Delete(b.queue, i, i+1)
-			b.pending--
+			b.pending.Add(-1)
 		}
 		b.mu.Unlock()
 		return nil, ctx.Err()
 	}
 }
 
-// take removes the calling runner's next batch from the queue: the
-// oldest request and every one sharing its k, up to maxBatch, in arrival
-// order. Requests whose ctx has ended are dropped unexecuted (their
-// Search is returning ctx.Err). With nothing to take, the runner gives
-// up its slot. The caller holds b.mu.
-func (b *Batcher) take() []request {
-	var bt []request
+// take moves the next batch from the queue into bt: the oldest request
+// and every one sharing its k, up to maxBatch, in arrival order.
+// Requests whose ctx has ended are dropped unexecuted (their Search is
+// returning ctx.Err). An empty bt means there was nothing to take. The
+// caller holds b.mu.
+func (b *Batcher) take(bt []request) []request {
+	bt = bt[:0]
 	keep := b.queue[:0]
 	for _, r := range b.queue {
 		switch {
 		case r.ctx.Err() != nil:
-			b.pending--
-		case bt == nil:
-			bt = append(make([]request, 0, min(len(b.queue), b.maxBatch)), r)
-		case r.k == bt[0].k && len(bt) < b.maxBatch:
+			b.pending.Add(-1)
+		case len(bt) == 0 || r.k == bt[0].k && len(bt) < b.maxBatch:
 			bt = append(bt, r)
 		default:
 			keep = append(keep, r)
@@ -169,30 +176,36 @@ func (b *Batcher) take() []request {
 	}
 	clear(b.queue[len(keep):]) // drop the references the moved requests held
 	b.queue = keep
-	if bt == nil {
-		b.running--
-	}
 	return bt
 }
 
 // run is one runner: it takes a batch, executes it, fans the results
 // (or the shared error) out to every waiter, and keeps going with what
-// queued up meanwhile; it exits when the queue is empty.
+// queued up meanwhile, in a batch and query list of its own that it
+// reuses. With the queue empty it parks, and exits once it is closed.
 func (b *Batcher) run() {
 	defer b.runners.Done()
+	var bt []request
+	var queries [][]float32
 	b.mu.Lock()
-	bt := b.take()
-	b.mu.Unlock()
-	for bt != nil {
+	for {
+		if bt = b.take(bt); len(bt) == 0 {
+			if b.closed {
+				break
+			}
+			b.wake.Wait()
+			continue
+		}
+		b.mu.Unlock()
 		start := time.Now()
-		queries := make([][]float32, len(bt))
+		queries = queries[:0]
 		// The engine's sub-stage spans attach under the first traced
 		// request's exec span — the batch runs once, so the work is
 		// recorded once rather than duplicated into every sampled trace.
 		var execSp *obs.Span
 		for i := range bt {
 			r := &bt[i]
-			queries[i] = r.q
+			queries = append(queries, r.q)
 			if r.batch != nil {
 				r.queue.End()
 				r.exec = r.batch.Start("exec", obs.Tag{Key: "batch_size", Value: len(bt)})
@@ -215,11 +228,7 @@ func (b *Batcher) run() {
 		if err == nil && len(results) != len(bt) {
 			err = fmt.Errorf("batcher: search returned %d results for %d queries", len(results), len(bt))
 		}
-
-		b.mu.Lock()
-		b.pending -= len(bt)
-		next := b.take()
-		b.mu.Unlock()
+		b.pending.Add(-int64(len(bt)))
 		if b.onFlush != nil {
 			// The queue is FIFO, so the head waited longest.
 			b.onFlush(len(bt), elapsed, start.Sub(bt[0].enq))
@@ -228,27 +237,28 @@ func (b *Batcher) run() {
 			if err != nil {
 				bt[i].ch <- outcome{err: err}
 			} else {
-				bt[i].ch <- outcome{res: results[i]}
+				bt[i].ch <- outcome{res: results[i : i+1 : i+1]}
 			}
 		}
-		bt = next
+		// What the scratch still points at is the callers' now.
+		clear(bt)
+		clear(queries)
+		b.mu.Lock()
 	}
+	b.mu.Unlock()
 }
 
 // Pending returns the number of queries admitted but not yet answered
 // (the batcher's queue depth).
-func (b *Batcher) Pending() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.pending
-}
+func (b *Batcher) Pending() int { return int(b.pending.Load()) }
 
 // Close stops admission — subsequent Search calls fail with ErrClosed —
-// and returns after every query admitted before it has been delivered:
-// the runners drain the queue without further prompting.
+// and returns after every query admitted before it has been delivered
+// and every runner has exited: the runners drain the queue, then leave.
 func (b *Batcher) Close() {
 	b.mu.Lock()
 	b.closed = true
+	b.wake.Broadcast()
 	b.mu.Unlock()
 	b.runners.Wait()
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -323,6 +324,45 @@ func TestCloseDrains(t *testing.T) {
 	b.Close() // idempotent
 }
 
+// TestParkedRunnersCloseAtOnce: runners outlive their batches. Once P
+// have run they stay, parked while the queue is empty; later queries
+// wake them rather than start more, and Close on a batcher whose
+// runners are all parked returns at once and leaves none behind.
+func TestParkedRunnersCloseAtOnce(t *testing.T) {
+	goroutines := runtime.NumGoroutine()
+	b, e, holders := occupy(t, Options{})
+	close(e.gate)
+	for i, ch := range holders {
+		if err := <-ch; err != nil {
+			t.Fatalf("holder %d: %v", i, err)
+		}
+	}
+	for id := 0; id < 20; id++ {
+		if res, err := b.Search(context.Background(), query(id), 1); err != nil || res[0].ID != id {
+			t.Fatalf("Search(%d) = %v, %v", id, res, err)
+		}
+	}
+	b.mu.Lock()
+	started := b.started
+	b.mu.Unlock()
+	if started != b.slots {
+		t.Fatalf("%d runners started for %d + 20 queries, want P = %d", started, b.slots, b.slots)
+	}
+	time.Sleep(10 * time.Millisecond) // the last runner back in its park
+
+	closed := make(chan struct{})
+	go func() {
+		b.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(time.Second):
+		t.Fatal("Close did not return with every runner parked")
+	}
+	waitFor(t, "the runners to exit", func() bool { return runtime.NumGoroutine() <= goroutines })
+}
+
 // TestContextCancellation: a context that ends before the query's
 // batch is taken keeps the query from ever executing; one that ends
 // while the batch executes returns at once and costs the rest of the
@@ -380,7 +420,7 @@ func TestCancelledHeadIsSkipped(t *testing.T) {
 	// leave it: no goroutine of its own to withdraw it.
 	b.mu.Lock()
 	b.queue = append(b.queue, request{q: query(200), k: 7, ctx: ctx, ch: make(chan outcome, 1)})
-	b.pending++
+	b.pending.Add(1)
 	b.mu.Unlock()
 	done = append(done, submit(t, b, context.Background(), 201, 2))
 	cancel()

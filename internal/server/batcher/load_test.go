@@ -99,7 +99,8 @@ func noop() SearchFunc {
 }
 
 // TestSearchSoloAllocs pins what the idle path may allocate per query:
-// the reply channel, the batch, its query list and the runner.
+// the reply channel, which is two allocations (its header and its
+// buffer). The runner, its batch and its query list outlive the query.
 func TestSearchSoloAllocs(t *testing.T) {
 	b := New(noop(), Options{})
 	defer b.Close()
@@ -108,8 +109,8 @@ func TestSearchSoloAllocs(t *testing.T) {
 		if _, err := b.Search(ctx, q, 10); err != nil {
 			t.Fatal(err)
 		}
-	}); got > 4 {
-		t.Fatalf("a solo Search allocates %.0f times, want <= 4", got)
+	}); got > 2 {
+		t.Fatalf("a solo Search allocates %.0f times, want <= 2", got)
 	}
 }
 

@@ -32,19 +32,22 @@ func mustJSON(tb testing.TB, v any) []byte {
 	return data
 }
 
-// handlerFixture is a built 64 x 16 linear region "bench" and the two
-// request bodies the handler benchmarks replay.
-func handlerFixture(tb testing.TB) (srv *Server, search, upsert []byte) {
+// handlerFixture is a built 64 x 16 linear region "bench" and the
+// request bodies the handler benchmarks replay, by path: one query, a
+// batch of 16 and a one-row upsert.
+func handlerFixture(tb testing.TB) (*Server, map[string][]byte) {
 	tb.Helper()
 	srv, vecs := linearServer(tb, Options{}, 64, 16)
-	search = mustJSON(tb, wire.SearchRequest{Query: vecs[3], K: 10})
-	upsert = mustJSON(tb, wire.UpsertRequest{IDs: []int{7}, Vectors: vecs[9:10]})
-	return srv, search, upsert
+	return srv, map[string][]byte{
+		"/regions/bench/search":      mustJSON(tb, wire.SearchRequest{Query: vecs[3], K: 10}),
+		"/regions/bench/searchbatch": mustJSON(tb, wire.SearchBatchRequest{Queries: vecs[16:32], K: 10}),
+		"/regions/bench/upsert":      mustJSON(tb, wire.UpsertRequest{IDs: []int{7}, Vectors: vecs[9:10]}),
+	}
 }
 
-func benchHandler(b *testing.B, path string, pick func(search, upsert []byte) []byte) {
-	srv, search, upsert := handlerFixture(b)
-	body := pick(search, upsert)
+func benchHandler(b *testing.B, path string) {
+	srv, bodies := handlerFixture(b)
+	body := bodies[path]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -54,13 +57,11 @@ func benchHandler(b *testing.B, path string, pick func(search, upsert []byte) []
 	}
 }
 
-func BenchmarkHandleSearch(b *testing.B) {
-	benchHandler(b, "/regions/bench/search", func(search, _ []byte) []byte { return search })
-}
+func BenchmarkHandleSearch(b *testing.B) { benchHandler(b, "/regions/bench/search") }
 
-func BenchmarkHandleUpsert(b *testing.B) {
-	benchHandler(b, "/regions/bench/upsert", func(_, upsert []byte) []byte { return upsert })
-}
+func BenchmarkHandleSearchBatch(b *testing.B) { benchHandler(b, "/regions/bench/searchbatch") }
+
+func BenchmarkHandleUpsert(b *testing.B) { benchHandler(b, "/regions/bench/upsert") }
 
 // BenchmarkHandleLoad replaces a region's rows with one spine chunk
 // (5 000 × 128) per iteration, as JSON text and as binary rows. Both
@@ -92,26 +93,30 @@ func BenchmarkHandleLoad(b *testing.B) {
 	}
 }
 
-// TestHandlerAllocs holds allocations per request at what the
-// per-endpoint handlers cost before the pipeline replaced them (63 and
-// 52, read at that commit with this fixture): a pipeline assembled from
-// func values and type parameters can box a value per stage without
-// anyone noticing.
+// TestHandlerAllocs holds allocations per request: a pipeline assembled
+// from func values and type parameters can box a value per stage, and a
+// search arm shared by two routes a value per query, without anyone
+// noticing. /upsert is held at what the per-endpoint handlers cost
+// before the pipeline replaced them (52, read at that commit with this
+// fixture). /search is held at 61, its reading once a lone query became
+// a batch of one on the micro-batcher's long-lived runners (62 before).
+// /searchbatch, 16 queries, is held at 238, its reading before the two
+// search routes shared one arm.
 func TestHandlerAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates on its own account")
 	}
-	srv, search, upsert := handlerFixture(t)
+	srv, bodies := handlerFixture(t)
 	for _, tc := range []struct {
 		path string
-		body []byte
 		max  float64
 	}{
-		{"/regions/bench/search", search, 63},
-		{"/regions/bench/upsert", upsert, 52},
+		{"/regions/bench/search", 61},
+		{"/regions/bench/searchbatch", 238},
+		{"/regions/bench/upsert", 52},
 	} {
 		got := testing.AllocsPerRun(200, func() {
-			if rec := post(srv, tc.path, tc.body); rec.Code != http.StatusOK {
+			if rec := post(srv, tc.path, bodies[tc.path]); rec.Code != http.StatusOK {
 				t.Errorf("%s: status %d: %s", tc.path, rec.Code, rec.Body)
 			}
 		})

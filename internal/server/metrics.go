@@ -73,7 +73,6 @@ func (s *Server) registerRegionMetrics(e *regionEntry) {
 			"Current p99-derived replica hedge delay.", lbl,
 			func() float64 { return grp.HedgeDelay().Seconds() })
 		for ri := 0; ri < grp.Replicas(); ri++ {
-			ri := ri
 			rlbl := obs.Labels{"region": e.name, "replica": strconv.Itoa(ri)}
 			s.registry.GaugeFunc("ssam_replica_inflight", "Attempts currently executing per replica.", rlbl,
 				func() float64 { return float64(grp.Stat(ri).InFlight) })
@@ -166,7 +165,6 @@ func (s *Server) registerRegionMetrics(e *regionEntry) {
 		// atomic counters.
 		cl := grp
 		for si := 0; si < cl.Shards(); si++ {
-			si := si
 			slbl := obs.Labels{"region": e.name, "shard": strconv.Itoa(si)}
 			s.registry.CounterFunc("ssam_shard_queries_total", "Fan-outs served per shard (failed included).", slbl,
 				func() uint64 { return cl.ShardStat(si).Queries })

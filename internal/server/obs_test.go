@@ -114,6 +114,36 @@ func fetchMetrics(t *testing.T, ts *httptest.Server) map[string]float64 {
 	return parsePrometheus(t, string(body))
 }
 
+// checkBatchesCounted drives n /search requests and one 3-query
+// /searchbatch at region and checks that the region counted every batch
+// its backend executed: n of one, then the one of three.
+func checkBatchesCounted(t *testing.T, srv *Server, c *client.Client, region string, vecs [][]float32) {
+	t.Helper()
+	const n = 4
+	ctx := context.Background()
+	for i := 0; i < n; i++ {
+		if _, err := c.Search(ctx, region, vecs[i], 2); err != nil {
+			t.Fatalf("search %d: %v", i, err)
+		}
+	}
+	if _, err := c.SearchBatch(ctx, region, vecs[:3], 2); err != nil {
+		t.Fatalf("searchbatch: %v", err)
+	}
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	samples := parsePrometheus(t, rec.Body.String())
+	lbl := `{region="` + region + `"}`
+	if got := samples["ssam_region_batches_total"+lbl]; got != n+1 {
+		t.Errorf("ssam_region_batches_total = %v, want %d", got, n+1)
+	}
+	if got := samples[`ssam_region_batch_size_bucket{region="`+region+`",le="1"}`]; got != n {
+		t.Errorf("batch_size le=1 bucket = %v, want %d", got, n)
+	}
+	if got := samples["ssam_region_queries_total"+lbl]; got != n+3 {
+		t.Errorf("ssam_region_queries_total = %v, want %d", got, n+3)
+	}
+}
+
 // TestMetricsEndpoint drives known traffic at an unsharded region and
 // asserts the /metrics exposition parses and its counters match the
 // traffic exactly.

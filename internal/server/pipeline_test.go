@@ -60,15 +60,12 @@ func (b *stubBackend) Build() error {
 	return nil
 }
 
-func (b *stubBackend) Search(ctx context.Context, _ []float32, _ int, _ *obs.Span) (answer, error) {
+func (b *stubBackend) Search(ctx context.Context, qs [][]float32, _ int, _ *obs.Span) (answer, error) {
+	err := b.err
 	if b.search != nil {
-		return answer{}, b.search(ctx)
+		err = b.search(ctx)
 	}
-	return answer{}, b.err
-}
-
-func (b *stubBackend) SearchBatch(qs [][]float32, _ int, _ *obs.Span) (answer, error) {
-	return answer{Batch: make([][]ssam.Result, len(qs))}, b.err
+	return answer{Results: make([][]ssam.Result, len(qs))}, err
 }
 
 func (b *stubBackend) write() (uint64, error) {
@@ -286,7 +283,7 @@ func TestPipelineConformance(t *testing.T) {
 				refusal{class: "unbuilt", region: "cold", body: rt.good, want: http.StatusConflict, past: true},
 				refusal{class: "backend fault", region: "faulty", body: rt.good, want: http.StatusInternalServerError, past: true})
 		}
-		if rt.name == "search" { // the only route whose backend is handed the request context
+		if rt.name == "search" || rt.name == "searchbatch" { // the routes whose backend is handed the request context
 			cases = append(cases, refusal{class: "client gone", region: "gone", body: rt.good, past: true})
 		}
 		if rt.admitted {

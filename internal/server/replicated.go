@@ -25,8 +25,8 @@ import (
 const warmQueries = 4
 
 // groupBackend is the replicated kind: a replica.Group routes each
-// query to one of N interchangeable copies (hedging to a second), so
-// queries bypass the micro-batcher; writes fan out through the group
+// batch to one of N interchangeable copies (hedging to a second), so
+// batches bypass the micro-batcher; writes fan out through the group
 // (it is a mutator). The group pointer is fixed for the entry's
 // lifetime; generations swap inside it.
 type groupBackend struct {
@@ -49,18 +49,13 @@ func (b *groupBackend) Build() error {
 
 func (b *groupBackend) Built() bool { return b.Gen() > 0 }
 
-// Search answers /search as a one-query batch under the bypass stage.
-func (b *groupBackend) Search(_ context.Context, q []float32, k int, sp *obs.Span) (answer, error) {
-	bsp := bypass(sp)
-	ans, err := b.SearchBatch([][]float32{q}, k, bsp)
-	bsp.End()
-	return ans.single(), err
-}
-
-func (b *groupBackend) SearchBatch(qs [][]float32, k int, sp *obs.Span) (answer, error) {
+// Search tags the batch span a bypass: the routing is the parallelism.
+func (b *groupBackend) Search(_ context.Context, qs [][]float32, k int, sp *obs.Span) (answer, error) {
+	sp.SetTag("bypass", true)
+	b.e.stats.recordBatch(len(qs))
 	resp, err := b.Group.Search(qs, k, sp)
 	return answer{
-		Batch: resp.Results, Degraded: resp.Degraded, FailedShards: resp.FailedShards,
+		Results: resp.Results, Degraded: resp.Degraded, FailedShards: resp.FailedShards,
 		Hedges: resp.Hedges + resp.ShardHedges, Replica: &resp.Replica, Gen: resp.Gen, Failovers: resp.Failovers,
 	}, err
 }

@@ -62,6 +62,15 @@ func replicatedFixture(t *testing.T, name string, cfg wire.RegionConfig, rows, d
 	return srv, ts, c, vecs
 }
 
+// TestReplicatedBatchesCounted: a replicated /search executes a batch
+// of one on the group, and the region counts it as /searchbatch's is.
+func TestReplicatedBatchesCounted(t *testing.T) {
+	srv, _, c, vecs := replicatedFixture(t, "rb", wire.RegionConfig{
+		Replicas: &wire.ReplicasConfig{Replicas: 2},
+	}, 60, 4)
+	checkBatchesCounted(t, srv, c, "rb", vecs)
+}
+
 // referenceRegion builds a plain single region over the same rows for
 // bit-identical comparison.
 func referenceRegion(t *testing.T, vecs [][]float32, dims int) *ssam.Region {

@@ -1,18 +1,18 @@
 // Package server puts SSAM regions behind a socket: an HTTP/JSON
 // query service on the stdlib mux that manages a registry of named
-// regions, coalesces concurrent single-query requests into region
-// batch searches (internal/server/batcher), sheds load with 503 +
-// Retry-After once a bounded in-flight budget is exhausted, and
-// exposes serving metrics at /statsz.
+// regions, serves every search as a batch and coalesces concurrent lone
+// queries into region batch searches (internal/server/batcher), sheds
+// load with 503 + Retry-After once a bounded in-flight budget is
+// exhausted, and exposes serving metrics at /statsz.
 //
 // A region created with config.sharding is the sharded kind: the
 // dataset is partitioned across N internal/cluster shards (each its
 // own simulated module) and every query is scatter-gathered with a
 // global top-k merge, per-shard deadlines, optional hedging, and —
 // in partial-result mode — degraded responses that carry the failed
-// shard list instead of an error. Sharded regions bypass the
-// micro-batcher (the fan-out itself is the parallelism) and report
-// per-shard depth and latency in /statsz.
+// shard list instead of an error. Sharded regions send every batch, a
+// lone query included, past the micro-batcher (the fan-out is the
+// parallelism) and report per-shard depth and latency in /statsz.
 //
 // A region created with config.replicas is the replicated kind: N
 // interchangeable copies of the backend (each its own region, or its
@@ -28,8 +28,8 @@
 //	POST   /regions                  nmalloc + nmode (create named region)
 //	POST   /regions/{name}/load      nmemcpy
 //	POST   /regions/{name}/build     nbuild_index
-//	POST   /regions/{name}/search    nwrite_query + nexec + nread_result (micro-batched)
-//	POST   /regions/{name}/searchbatch  explicit batch, bypasses the batcher
+//	POST   /regions/{name}/search    nwrite_query + nexec + nread_result: a batch of one (micro-batched)
+//	POST   /regions/{name}/searchbatch  explicit batch; two or more queries bypass the batcher
 //	POST   /regions/{name}/upsert    insert/replace rows by id (Linear regions)
 //	POST   /regions/{name}/delete    tombstone rows by id
 //	POST   /regions/{name}/compact   one synchronous compaction pass
@@ -44,8 +44,9 @@
 // Every endpoint that takes a region or a body is a row of one table
 // served by one function (serve, below): lookup, strict decode, trace,
 // gate, admission, run, and one error-to-status mapping, in that order
-// for every one of them. GET /regions, /statsz, /metrics, /tracez and
-// /healthz take neither and cannot fail; they are plain handlers.
+// for every one of them; the two search routes share one run body too.
+// GET /regions, /statsz, /metrics, /tracez and /healthz take neither and
+// cannot fail; they are plain handlers.
 //
 // Observability (internal/obs) is threaded through the whole search
 // path: requests are head-sampled (Options.TraceSampleEvery) or
@@ -166,11 +167,9 @@ type regionEntry struct {
 }
 
 // answer is a backend's reply to a search: the superset of what the
-// kinds report, as it goes on the wire. Search fills Results,
-// SearchBatch fills Batch.
+// kinds report, as it goes on the wire, with one result row per query.
 type answer struct {
-	Results      []ssam.Result
-	Batch        [][]ssam.Result
+	Results      [][]ssam.Result
 	Degraded     bool
 	FailedShards []int
 	Hedges       int // shard-level plus replica-level re-issues
@@ -179,42 +178,24 @@ type answer struct {
 	Failovers    int
 }
 
-// single is a one-query batch's answer as Search reports it.
-func (a answer) single() answer {
-	if len(a.Batch) == 1 {
-		a.Results = a.Batch[0]
-	}
-	a.Batch = nil
-	return a
-}
-
 // backend is what an entry serves from. Load, Len, Describe and Free
 // are called with the entry's mu held; Load may keep the rows it is
 // handed without copying them. Build is called without the lock and
 // takes it for as long as the kind needs (a replica group builds a
 // whole generation outside the lock, so searches and scrapes keep
-// flowing); Built, Search, SearchBatch and Pending are lock-free —
-// Built is the request gate, and must answer while a build holds the
-// lock. Search opens the request's "batch" stage under sp itself, since
-// whether the micro-batcher is bypassed is the backend's business;
-// SearchBatch runs under the caller's.
+// flowing); Built, Search and Pending are lock-free — Built is the
+// request gate, and must answer while a build holds the lock. Search
+// runs a batch (a single query is a batch of one) under the request's
+// "batch" span; how, and counting the batches it runs, is the kind's.
 type backend interface {
 	Load(rows []float32) error
 	Build() error
 	Built() bool
-	Search(ctx context.Context, q []float32, k int, sp *obs.Span) (answer, error)
-	SearchBatch(qs [][]float32, k int, sp *obs.Span) (answer, error)
+	Search(ctx context.Context, qs [][]float32, k int, sp *obs.Span) (answer, error)
 	Len() int
 	Pending() int // queries queued or in flight inside the backend
 	Describe(info *wire.RegionInfo)
 	Free()
-}
-
-// bypass opens the "batch" stage of a query that skips the
-// micro-batcher: the fan-out (sharded) or the routing (replicated) is
-// the parallelism, so the stage is a size-1 bypass holding those spans.
-func bypass(sp *obs.Span) *obs.Span {
-	return sp.Start("batch", obs.Tag{Key: "bypass", Value: true}, obs.Tag{Key: "size", Value: 1})
 }
 
 // regionBackend is the plain kind: one region behind a micro-batcher.
@@ -261,15 +242,14 @@ func (b *regionBackend) Build() error {
 	// possible (the hook is installed before any write can migrate the
 	// region to its mutable store).
 	b.s.installCompactHook(b.e, b.Region)
-	stats := b.e.stats
 	b.setBatcher(batcher.New(func(qs [][]float32, k int, sp *obs.Span) ([][]ssam.Result, error) {
 		res, _, err := b.SearchBatchSpan(qs, k, sp)
 		return res, err
 	}, batcher.Options{
 		MaxBatch: b.s.opts.MaxBatch,
 		OnFlush: func(size int, _, queued time.Duration) {
-			stats.recordBatch(size)
-			stats.queueWait.Observe(queued.Seconds())
+			b.e.stats.recordBatch(size)
+			b.e.stats.queueWait.Observe(queued.Seconds())
 		},
 	}))
 	return nil
@@ -277,25 +257,25 @@ func (b *regionBackend) Build() error {
 
 func (b *regionBackend) Built() bool { return b.bat.Load() != nil }
 
-func (b *regionBackend) Search(ctx context.Context, q []float32, k int, sp *obs.Span) (answer, error) {
+// Search sends a lone query to the micro-batcher for company; a longer
+// batch has company already and runs on the region directly.
+func (b *regionBackend) Search(ctx context.Context, qs [][]float32, k int, sp *obs.Span) (answer, error) {
+	if len(qs) != 1 {
+		b.e.stats.recordBatch(len(qs))
+		res, _, err := b.SearchBatchSpan(qs, k, sp)
+		return answer{Results: res}, err
+	}
 	for {
 		bat := b.bat.Load()
 		if bat == nil {
 			return answer{}, errors.New("server: region was reloaded mid-request (rebuild first)")
 		}
-		bsp := sp.Start("batch")
-		res, err := bat.SearchSpan(ctx, q, k, bsp)
-		bsp.End()
+		res, err := bat.SearchSpan(ctx, qs[0], k, sp)
 		if errors.Is(err, batcher.ErrClosed) && b.bat.Load() != bat {
 			continue // a rebuild replaced the batcher after it was read: ask the new one
 		}
 		return answer{Results: res}, err
 	}
-}
-
-func (b *regionBackend) SearchBatch(qs [][]float32, k int, sp *obs.Span) (answer, error) {
-	res, _, err := b.SearchBatchSpan(qs, k, sp)
-	return answer{Batch: res}, err
 }
 
 func (b *regionBackend) Pending() int {
@@ -312,7 +292,7 @@ func (b *regionBackend) Free() {
 	b.Region.Free()
 }
 
-// clusterBackend is the sharded kind: every query scatter-gathers
+// clusterBackend is the sharded kind: every batch scatter-gathers
 // across the cluster's shards, so the micro-batcher stays out of the
 // way. It has no write path (not a mutator): the partitioner bakes row
 // placement at load time.
@@ -342,17 +322,12 @@ func (b *clusterBackend) Build() error {
 
 func (b *clusterBackend) Built() bool { return b.built.Load() }
 
-// Search answers /search as a one-query batch under the bypass stage.
-func (b *clusterBackend) Search(_ context.Context, q []float32, k int, sp *obs.Span) (answer, error) {
-	bsp := bypass(sp)
-	ans, err := b.SearchBatch([][]float32{q}, k, bsp)
-	bsp.End()
-	return ans.single(), err
-}
-
-func (b *clusterBackend) SearchBatch(qs [][]float32, k int, sp *obs.Span) (answer, error) {
+// Search tags the batch span a bypass: the fan-out is the parallelism.
+func (b *clusterBackend) Search(_ context.Context, qs [][]float32, k int, sp *obs.Span) (answer, error) {
+	sp.SetTag("bypass", true)
+	b.e.stats.recordBatch(len(qs))
 	resp, err := b.Cluster.Search(qs, k, sp)
-	return answer{Batch: resp.Results, Degraded: resp.Degraded, FailedShards: resp.FailedShards, Hedges: resp.Hedges}, err
+	return answer{Results: resp.Results, Degraded: resp.Degraded, FailedShards: resp.FailedShards, Hedges: resp.Hedges}, err
 }
 
 func (b *clusterBackend) Pending() int {
@@ -894,16 +869,12 @@ var searchRoute = route[wire.SearchRequest, wire.SearchResponse]{
 	gate:     builtGate,
 	admitted: true,
 	run: func(ctx context.Context, _ *Server, e *regionEntry, req wire.SearchRequest, root *obs.Span, start time.Time) (wire.SearchResponse, error) {
-		ans, err := e.be.Search(ctx, req.Query, req.K, root)
+		ans, err := search(ctx, e, [][]float32{req.Query}, req.K, root, start)
 		if err != nil {
 			return wire.SearchResponse{}, err
 		}
-		if ans.Degraded {
-			e.stats.recordDegraded()
-		}
-		e.stats.recordQueries(1, time.Since(start))
 		return wire.SearchResponse{
-			Results: toNeighbors(ans.Results), Degraded: ans.Degraded, FailedShards: ans.FailedShards,
+			Results: toNeighbors(ans.Results[0]), Degraded: ans.Degraded, FailedShards: ans.FailedShards,
 			Hedges: ans.Hedges, Replica: ans.Replica, Gen: ans.Gen, Failovers: ans.Failovers,
 		}, nil
 	},
@@ -917,28 +888,39 @@ var searchBatchRoute = route[wire.SearchBatchRequest, wire.SearchBatchResponse]{
 	check:    func(e *regionEntry, req wire.SearchBatchRequest) error { return widths(e, "query", req.Queries) },
 	gate:     builtGate,
 	admitted: true,
-	run: func(_ context.Context, _ *Server, e *regionEntry, req wire.SearchBatchRequest, root *obs.Span, start time.Time) (wire.SearchBatchResponse, error) {
-		bsp := root.Start("batch", obs.Tag{Key: "size", Value: len(req.Queries)})
-		ans, err := e.be.SearchBatch(req.Queries, req.K, bsp)
-		bsp.End()
+	run: func(ctx context.Context, _ *Server, e *regionEntry, req wire.SearchBatchRequest, root *obs.Span, start time.Time) (wire.SearchBatchResponse, error) {
+		ans, err := search(ctx, e, req.Queries, req.K, root, start)
 		if err != nil {
 			return wire.SearchBatchResponse{}, err
 		}
-		rows := make([][]wire.Neighbor, len(ans.Batch))
-		for i, res := range ans.Batch {
+		rows := make([][]wire.Neighbor, len(ans.Results))
+		for i, res := range ans.Results {
 			rows[i] = toNeighbors(res)
 		}
-		if ans.Degraded {
-			e.stats.recordDegraded()
-		}
-		e.stats.recordBatch(len(req.Queries))
-		e.stats.recordQueries(len(req.Queries), time.Since(start))
 		return wire.SearchBatchResponse{
 			Results: rows, Degraded: ans.Degraded, FailedShards: ans.FailedShards,
 			Hedges: ans.Hedges, Replica: ans.Replica, Gen: ans.Gen, Failovers: ans.Failovers,
 		}, nil
 	},
 	inline: func(resp *wire.SearchBatchResponse, td *obs.TraceData) { resp.Trace = td },
+}
+
+// search is the run body both search routes share, each converting its
+// answer to its own wire shape: the batch runs under a "batch" span
+// tagged with its size.
+func search(ctx context.Context, e *regionEntry, qs [][]float32, k int, root *obs.Span, start time.Time) (answer, error) {
+	bsp := root.Start("batch")
+	bsp.SetTag("size", len(qs))
+	ans, err := e.be.Search(ctx, qs, k, bsp)
+	bsp.End()
+	if err != nil {
+		return answer{}, err
+	}
+	if ans.Degraded {
+		e.stats.degraded.Inc()
+	}
+	e.stats.recordQueries(len(qs), time.Since(start))
+	return ans, nil
 }
 
 func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {

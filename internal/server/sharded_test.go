@@ -64,6 +64,14 @@ func shardedFixtureOpts(t *testing.T, opts Options, shards int, allowPartial boo
 	return srv, c, vecs, cleanup
 }
 
+// TestShardedBatchesCounted: a sharded /search executes a batch of one
+// on the cluster, and the region counts it as /searchbatch's is.
+func TestShardedBatchesCounted(t *testing.T) {
+	srv, c, vecs, cleanup := shardedFixture(t, 3, false, 60, 6)
+	defer cleanup()
+	checkBatchesCounted(t, srv, c, "shardy", vecs)
+}
+
 // faultShard injects a permanent failure into one shard of the named
 // sharded region.
 func faultShard(t *testing.T, srv *Server, name string, dead int) {

@@ -76,9 +76,9 @@ func newRegionStats(reg *obs.Registry, region string) *regionStats {
 	}
 }
 
-// recordQueries accounts n served queries sharing one observed
-// request latency (n == 1 for the micro-batched single-query path; n
-// == batch size for explicit batch requests).
+// recordQueries accounts the n queries of one served search request,
+// sharing its observed latency (n == 1 for /search); the batches that
+// served them are the backend's to count (recordBatch).
 func (s *regionStats) recordQueries(n int, lat time.Duration) {
 	s.queries.Add(uint64(n))
 	s.latency.Observe(lat.Seconds())
@@ -97,11 +97,6 @@ func (s *regionStats) recordQueries(n int, lat time.Duration) {
 		s.latN++
 	}
 	s.mu.Unlock()
-}
-
-// recordDegraded accounts one partial-result (degraded) response.
-func (s *regionStats) recordDegraded() {
-	s.degraded.Inc()
 }
 
 // recordWrites accounts n committed mutations (upserted rows or hit

@@ -134,8 +134,8 @@ type RegionInfo struct {
 	Config   RegionConfig `json:"config"`
 }
 
-// SearchRequest is one query (nwrite_query + nexec); it rides the
-// server's micro-batcher.
+// SearchRequest is one query (nwrite_query + nexec); on a plain region
+// it rides the server's micro-batcher as a batch of one.
 type SearchRequest struct {
 	Query []float32 `json:"query"`
 	K     int       `json:"k"`
@@ -169,8 +169,9 @@ type SearchResponse struct {
 	Trace *obs.TraceData `json:"trace,omitempty"`
 }
 
-// SearchBatchRequest carries an explicit query batch; it bypasses the
-// micro-batcher and maps directly onto Region.SearchBatch.
+// SearchBatchRequest carries an explicit query batch. Two or more
+// queries bypass the micro-batcher and map directly onto
+// Region.SearchBatch; a batch of one joins it, as a SearchRequest does.
 type SearchBatchRequest struct {
 	Queries [][]float32 `json:"queries"`
 	K       int         `json:"k"`
