@@ -88,30 +88,44 @@ go run ./cmd/ssam-bench -exp tiered -format json -scale 0.001 -queries 2 > /dev/
 # compare kernels, so the runs are pinned to one CPU (-cpu=1, where the
 # limits were calibrated): with two cores the float32 scan's vault
 # fan-out halves its time and the ratio measures parallelism instead.
-# Each side is read off the quietest of three runs: interference on a
-# shared box only ever slows a run, and at 20 iterations one burst moves
-# a single run by more than the headroom.
+# The gate reads ratio_pairs interleaved pairs, NUM then DEN, one run of
+# each, and gates the median of the per-pair ratios. Interference on a
+# shared box comes in bursts: reading all of one side before the other
+# lets a burst move a whole side, where a pair's two runs sit seconds
+# apart and share the burst, and the median drops the pair it missed.
+# The root test binary is built once for every gate.
+ratio_bin=/tmp/ssam-ratio-ci.test
+ratio_pairs=7
+go test -c -o "$ratio_bin" .
+
+# bench_ns BENCH: one run of BENCH at the gates' settings; prints ns/op.
+bench_ns() {
+    local out ns
+    out=$("$ratio_bin" -test.run=NONE -test.bench="^$1\$" -test.benchtime=20x -test.cpu=1)
+    ns=$(echo "$out" | awk -v b="$1" '$1 ~ "^" b "(-[0-9]+)?$" { print $3 }')
+    if [ -z "$ns" ]; then
+        echo "ci.sh: could not parse $1 benchmark output:" >&2
+        echo "$out" >&2
+        exit 1
+    fi
+    echo "$ns"
+}
+
 ratio_gate() {
-    local label=$1 num=$2 den=$3 op=$4 limit=$5 out ratio
-    out=$(go test -run=NONE -bench="${num}\$|${den}\$" -benchtime=20x -count=3 -cpu=1 .)
-    ratio=$(echo "$out" | awk -v num="$num" -v den="$den" '
-        $1 ~ "^" num "(-[0-9]+)?$" && (n == "" || $3 < n) { n = $3 }
-        $1 ~ "^" den "(-[0-9]+)?$" && (d == "" || $3 < d) { d = $3 }
-        END {
-            if (n == "" || d == "") { print "missing"; exit }
-            printf "%.2f", n / d
-        }')
-    if [ "$ratio" = "missing" ]; then
-        echo "ci.sh: $label check could not parse benchmark output:" >&2
-        echo "$out" >&2
-        exit 1
-    fi
+    local label=$1 num=$2 den=$3 op=$4 limit=$5 ratios="" n d ratio
+    for _ in $(seq 1 "$ratio_pairs"); do
+        n=$(bench_ns "$num")
+        d=$(bench_ns "$den")
+        ratios="$ratios $(awk -v n="$n" -v d="$d" 'BEGIN { printf "%.2f", n / d }')"
+    done
+    ratio=$(echo "$ratios" | tr ' ' '\n' | sed '/^$/d' | sort -g |
+        awk '{ r[NR] = $1 } END { printf "%.2f", r[int((NR + 1) / 2)] }')
     if ! awk -v r="$ratio" -v l="$limit" "BEGIN { exit !(r $op l) }"; then
-        echo "ci.sh: $label is ${ratio}x, want $op ${limit}x" >&2
-        echo "$out" >&2
+        echo "ci.sh: $label is ${ratio}x (median of pairs:$ratios), want $op ${limit}x" >&2
+        echo "ci.sh: load average $(cat /proc/loadavg 2>/dev/null)" >&2
         exit 1
     fi
-    echo "$label: ${ratio}x (want $op ${limit}x)"
+    echo "$label: ${ratio}x (want $op ${limit}x; pairs:$ratios)"
 }
 
 # wait_port PORT: block until 127.0.0.1:PORT accepts a connection (the

@@ -166,10 +166,13 @@ func conform(t *testing.T, r *Region, cfg Config, mutate bool) {
 		t.Fatalf("SetChecks accepted = %v (err %v), want %v", err == nil, err, want)
 	}
 
-	// Direct ≡ staged ≡ batch, and a traced query reports its work.
+	// Direct ≡ staged ≡ batch, and a traced query reports its work:
+	// Host engines, the store a device region migrates to, and the
+	// host-built scan a Device quantized region answers through.
+	hostWork := cfg.Execution == Host || mutated || cfg.Mode == Quantized
 	var direct [][]Result
 	var distEvals, dims int // summed over the single queries
-	var devSum DeviceStats
+	var workSum Work        // summed over the batches of one
 	for i := 0; i < 3; i++ {
 		var res, staged []Result
 		var st DeviceStats
@@ -190,9 +193,7 @@ func conform(t *testing.T, r *Region, cfg Config, mutate bool) {
 		if exec == nil || exec.Tags["execution"] != cfg.Execution.String() {
 			t.Fatalf("exec span = %+v, want execution=%v", exec, cfg.Execution)
 		}
-		if cfg.Execution == Host || mutated {
-			// Host engines (and the store a device region migrates to)
-			// account their distance work on the span.
+		if hostWork {
 			de, _ := exec.Tags["dist_evals"].(int)
 			d, _ := exec.Tags["dims"].(int)
 			if de <= 0 || d <= 0 {
@@ -203,14 +204,18 @@ func conform(t *testing.T, r *Region, cfg Config, mutate bool) {
 		if (cfg.Execution == Device) != (st.Cycles > 0) {
 			t.Fatalf("DeviceStats.Cycles = %d under %v execution", st.Cycles, cfg.Execution)
 		}
-		devSum.add(st)
 		if !binary {
 			// A batch of one is the single query: the same device stats,
 			// and the same exec tags but its size.
 			tr := tracer.Trace("batch", true)
-			if _, one, err := r.SearchBatchSpan(fqs[i:i+1], confK, tr.Root()); err != nil || one != st {
+			_, one, err := r.SearchBatchSpan(fqs[i:i+1], confK, tr.Root())
+			if err != nil || one.DeviceStats != st {
 				t.Fatalf("batch of one: stats %+v, err %v; want %+v", one, err, st)
 			}
+			if (one.Dims > 0) != hostWork || (one.TableBuilds == 1) != (cfg.Mode == Quantized) {
+				t.Fatalf("batch of one: work %+v", one)
+			}
+			workSum.add(one)
 			bexec := tracer.Finish(tr).Root.Find("exec")
 			if bexec.Tags["batch"] != 1 {
 				t.Fatalf("batch-of-one exec span tags %v, want batch=1", bexec.Tags)
@@ -260,14 +265,14 @@ func conform(t *testing.T, r *Region, cfg Config, mutate bool) {
 		// Every engine accounts the batch as exactly the work of its
 		// queries run one at a time, whether it scans for all of them at
 		// once or fans them out.
-		if cfg.Execution == Host || mutated {
+		if hostWork {
 			if exec.Tags["dist_evals"] != distEvals || exec.Tags["dims"] != dims {
 				t.Fatalf("batch exec span work tags: dist_evals=%v dims=%v, want %d and %d",
 					exec.Tags["dist_evals"], exec.Tags["dims"], distEvals, dims)
 			}
 		}
-		if st != devSum {
-			t.Fatalf("batch DeviceStats = %+v, want the sum of its queries' %+v", st, devSum)
+		if st != workSum {
+			t.Fatalf("batch work = %+v, want the sum of its queries' %+v", st, workSum)
 		}
 	} else if _, err := r.SearchBatch([][]float32{make([]float32, r.Dims())}, confK); err == nil {
 		t.Fatal("float batch on a Hamming region accepted")

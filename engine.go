@@ -45,33 +45,37 @@ func (q query) at(i int) query {
 	return query{f: q.f[i : i+1]}
 }
 
-// work is what one engine call did, summed over a batch: host work
-// counters, and the simulated execution for Device regions. A batch
-// accounts exactly the work of its queries run one at a time, whether
-// the engine scans for all of them at once or fans them out.
+// work is one engine call's Work plus what only its exec span reads:
+// the mutable store's generation and the rows it scanned per query.
 type work struct {
-	knn     knn.Stats
-	dev     DeviceStats
-	mutable bool // served by the mutable store: knn.Seq is its generation
-	live    int  // rows the mutable store scanned per query
+	Work
+	mutable bool   // served by the mutable store
+	seq     uint64 // the generation it scanned
+	live    int
 }
 
-// tag records the work on the exec span — the one place knn.Stats
+// hostWork is the Work of a host engine's counters.
+func hostWork(st knn.Stats) Work {
+	return Work{DistEvals: st.DistEvals, Dims: st.Dims, TableBuilds: st.TableBuilds, CodeEvals: st.CodeEvals, Rescans: st.Rescans}
+}
+
+// tag records the work on the exec span — the one place the host
 // counters reach the trace (the quantized engine adds adc_kept, the ADC
 // pass's share of PQKept, and adc_rescan itself). A call that accounted
-// nothing (a failed query, the simulated device) leaves the span bare.
+// no host work (a failed query, the simulated device's own kernels)
+// leaves the span bare: every distance and table build adds to Dims.
 func (w work) tag(sp *obs.Span) {
-	if sp == nil || w.knn == (knn.Stats{}) {
+	if sp == nil || (w.Dims == 0 && !w.mutable) {
 		return
 	}
-	sp.SetTag("dist_evals", w.knn.DistEvals)
-	sp.SetTag("dims", w.knn.Dims)
-	if w.knn.TableBuilds > 0 {
-		sp.SetTag("code_evals", w.knn.CodeEvals)
-		sp.SetTag("rerank_evals", w.knn.DistEvals)
+	sp.SetTag("dist_evals", w.DistEvals)
+	sp.SetTag("dims", w.Dims)
+	if w.TableBuilds > 0 {
+		sp.SetTag("code_evals", w.CodeEvals)
+		sp.SetTag("rerank_evals", w.DistEvals)
 	}
 	if w.mutable {
-		sp.SetTag("seq", w.knn.Seq)
+		sp.SetTag("seq", w.seq)
 		sp.SetTag("live_rows", w.live)
 	}
 }
@@ -125,7 +129,7 @@ func (a linearEngine) search(q query, k int, exec *obs.Span) ([][]Result, work, 
 	if err != nil {
 		return nil, work{}, 0, err
 	}
-	return out, work{knn: st}, -1, nil
+	return out, work{Work: hostWork(st)}, -1, nil
 }
 
 func (a linearEngine) len() int           { return a.e.N() }
@@ -154,7 +158,7 @@ func (a hammingEngine) search(q query, k int, exec *obs.Span) ([][]Result, work,
 	for i, b := range q.b {
 		var st knn.Stats
 		out[i], st = a.e.SearchStatsSpan(b, k, exec)
-		w.knn.Add(st)
+		w.add(hostWork(st))
 	}
 	return out, w, -1, nil
 }
@@ -199,7 +203,7 @@ func (a *indexEngine) search(q query, k int, exec *obs.Span) ([][]Result, work, 
 		res, st := a.find(q.f[i], k, exec)
 		out[i] = res
 		mu.Lock()
-		w.knn.Add(st)
+		w.add(hostWork(st))
 		mu.Unlock()
 		return nil
 	}); err != nil {
@@ -233,14 +237,13 @@ type pqEngine struct {
 
 func (a pqEngine) search(q query, k int, exec *obs.Span) ([][]Result, work, int, error) {
 	out, st, failedAt, err := a.e.RunBatch(q.f, k, exec)
-	return out, work{knn: st}, failedAt, err
+	return out, work{Work: hostWork(st)}, failedAt, err
 }
 
-func (a pqEngine) setKnob(n int) error                 { a.e.SetRerank(n); return nil }
-func (a pqEngine) len() int                            { return a.e.N() }
-func (a pqEngine) store() *tier.Store                  { return a.e.Store() }
-func (a pqEngine) close()                              { a.e.Store().Close() }
-func (a pqEngine) counters() (QuantizedCounters, bool) { return a.e.Counters(), true }
+func (a pqEngine) setKnob(n int) error { a.e.SetRerank(n); return nil }
+func (a pqEngine) len() int            { return a.e.N() }
+func (a pqEngine) store() *tier.Store  { return a.e.Store() }
+func (a pqEngine) close()              { a.e.Store().Close() }
 
 func (a pqEngine) tags() []obs.Tag {
 	mode := "quantized"
@@ -265,9 +268,8 @@ type deviceEngine struct {
 	mu    sync.Mutex
 	dev   *ssamdev.Device
 	run   deviceRun
-	knob  func(n int)              // nil: nothing to retarget
-	pq    func() QuantizedCounters // nil unless the on-device index is quantized
-	fault *func(i int) error       // Region.batchFault, the per-query failure seam
+	knob  func(n int)        // nil: nothing to retarget
+	fault *func(i int) error // Region.batchFault, the per-query failure seam
 }
 
 // deviceRun is one query — a batch of one — on the module; floats adapts
@@ -281,7 +283,8 @@ func floats(search func([]float32, int) ([]Result, ssamdev.QueryStats, error)) d
 // search serves the batch one query at a time, holding the module
 // throughout: it broadcasts one query at a time, and as the paper notes,
 // batching buys little on a device that already saturates its internal
-// bandwidth per query.
+// bandwidth per query. A model that runs a host engine (the quantized
+// index) returns that engine's counters too.
 func (d *deviceEngine) search(q query, k int, _ *obs.Span) ([][]Result, work, int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -299,7 +302,7 @@ func (d *deviceEngine) search(q query, k int, _ *obs.Span) ([][]Result, work, in
 		if err != nil {
 			return out, agg, i, err
 		}
-		agg.dev.add(toDeviceStats(st))
+		agg.add(toWork(st))
 	}
 	return out, agg, -1, nil
 }
@@ -315,13 +318,6 @@ func (d *deviceEngine) setKnob(n int) error {
 }
 
 func (d *deviceEngine) len() int { return d.dev.N() }
-
-func (d *deviceEngine) counters() (QuantizedCounters, bool) {
-	if d.pq == nil {
-		return QuantizedCounters{}, false
-	}
-	return d.pq(), true
-}
 
 func (d *deviceEngine) tags() []obs.Tag {
 	return []obs.Tag{{Key: "execution", Value: "device"}}
@@ -366,11 +362,11 @@ func newMutable[V any](st *mutate.Store[V], rows []V, pick func(query) []V, dev 
 }
 
 // price is the device cost of scanning rows live vectors.
-func (m *mutableEngine[V]) price(rows int) DeviceStats {
+func (m *mutableEngine[V]) price(rows int) Work {
 	if m.dev == nil {
-		return DeviceStats{}
+		return Work{}
 	}
-	return toDeviceStats(m.dev.ApproxLinearStats(rows))
+	return toWork(m.dev.ApproxLinearStats(rows))
 }
 
 // search answers the whole batch against one snapshot generation —
@@ -378,14 +374,14 @@ func (m *mutableEngine[V]) price(rows int) DeviceStats {
 func (m *mutableEngine[V]) search(q query, k int, exec *obs.Span) ([][]Result, work, int, error) {
 	vs := m.pick(q)
 	out, st := m.SearchBatch(vs, k, exec)
-	w := work{knn: st, mutable: true}
+	w := work{Work: hostWork(st), mutable: true, seq: st.Seq}
 	if len(vs) > 0 {
 		// Every query of the batch scanned the generation's live rows:
 		// st.DistEvals over the batch is exactly what the device would scan.
 		w.live = st.DistEvals / len(vs)
 		per := m.price(w.live)
 		for range vs {
-			w.dev.add(per)
+			w.add(per)
 		}
 	}
 	return out, w, -1, nil
@@ -410,8 +406,10 @@ func (m *mutableEngine[V]) tags() []obs.Tag {
 	return tags
 }
 
-func toDeviceStats(st ssamdev.QueryStats) DeviceStats {
-	return DeviceStats{
+// toWork is one device query's Work, the host engine's it ran included.
+func toWork(st ssamdev.QueryStats) Work {
+	w := hostWork(st.Host)
+	w.DeviceStats = DeviceStats{
 		Cycles:             st.Cycles,
 		Seconds:            st.Seconds,
 		Instructions:       st.Instructions,
@@ -422,19 +420,25 @@ func toDeviceStats(st ssamdev.QueryStats) DeviceStats {
 		StorageCacheHits:   st.StorageCacheHits,
 		StorageStalls:      st.StorageStalls,
 	}
+	return w
 }
 
 // add accumulates a batch: counters sum, the PU count is the module's.
-func (s *DeviceStats) add(o DeviceStats) {
-	s.Cycles += o.Cycles
-	s.Seconds += o.Seconds
-	s.Instructions += o.Instructions
-	s.VectorInstructions += o.VectorInstructions
-	s.DRAMBytesRead += o.DRAMBytesRead
-	s.ProcessingUnits = o.ProcessingUnits
-	s.StorageBytesRead += o.StorageBytesRead
-	s.StorageCacheHits += o.StorageCacheHits
-	s.StorageStalls += o.StorageStalls
+func (w *Work) add(o Work) {
+	w.Cycles += o.Cycles
+	w.Seconds += o.Seconds
+	w.Instructions += o.Instructions
+	w.VectorInstructions += o.VectorInstructions
+	w.DRAMBytesRead += o.DRAMBytesRead
+	w.ProcessingUnits = o.ProcessingUnits
+	w.StorageBytesRead += o.StorageBytesRead
+	w.StorageCacheHits += o.StorageCacheHits
+	w.StorageStalls += o.StorageStalls
+	w.DistEvals += o.DistEvals
+	w.Dims += o.Dims
+	w.TableBuilds += o.TableBuilds
+	w.CodeEvals += o.CodeEvals
+	w.Rescans += o.Rescans
 }
 
 // --- the constructor table: (execution, mode, metric class, storage) → engine ---
@@ -683,7 +687,7 @@ func (r *Region) newDeviceEngine() (engine, error) {
 			return nil, err
 		}
 		d.run = floats(pi.Search)
-		d.knob, d.pq = e.SetRerank, e.Counters
+		d.knob = e.SetRerank
 	default:
 		return nil, fmt.Errorf("ssam: unknown mode %v", cfg.Mode)
 	}

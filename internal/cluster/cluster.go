@@ -402,14 +402,14 @@ func (c *Cluster) Search(qs [][]float32, k int, sp *obs.Span) (Response, error) 
 		}
 	}
 	outs, err := scatter(c, gen, sp, func(p part, asp *obs.Span) ([][]ssam.Result, ssam.DeviceStats, error) {
-		lists, st, err := p.region.SearchBatchSpan(qs, k, asp)
+		lists, w, err := p.region.SearchBatchSpan(qs, k, asp)
 		if err != nil {
-			return nil, st, err
+			return nil, w.DeviceStats, err
 		}
 		for _, l := range lists {
 			p.remap(l)
 		}
-		return lists, st, nil
+		return lists, w.DeviceStats, nil
 	})
 	if err != nil {
 		return Response{}, err
@@ -596,6 +596,9 @@ func combine(perShard []ssam.DeviceStats) Stats {
 		st.Combined.VectorInstructions += s.VectorInstructions
 		st.Combined.DRAMBytesRead += s.DRAMBytesRead
 		st.Combined.ProcessingUnits += s.ProcessingUnits
+		st.Combined.StorageBytesRead += s.StorageBytesRead
+		st.Combined.StorageCacheHits += s.StorageCacheHits
+		st.Combined.StorageStalls += s.StorageStalls
 	}
 	return st
 }

@@ -459,6 +459,34 @@ func TestClusterDeviceStatsAggregation(t *testing.T) {
 	assertSameResults(t, "device equivalence", resp.Results[0], want)
 }
 
+// TestClusterDeviceStorageStatsSum: the modeled storage tier's bytes,
+// cache hits and stalls are work, so Combined sums them across shards
+// like every field but the latency.
+func TestClusterDeviceStorageStatsSum(t *testing.T) {
+	const dims, n, shards, k = 8, 4096, 4, 3
+	cfg := ssam.Config{Execution: ssam.Device, Storage: &ssam.Storage{BudgetBytes: 4096}}
+	cl := buildCluster(t, randData(n, dims, 31), dims, cfg, Options{Shards: shards})
+	defer cl.Free()
+	resp, err := cl.Search(one(randData(1, dims, 63)), k, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum ssam.DeviceStats
+	for _, s := range resp.Stats.PerShard {
+		sum.StorageBytesRead += s.StorageBytesRead
+		sum.StorageCacheHits += s.StorageCacheHits
+		sum.StorageStalls += s.StorageStalls
+	}
+	c := resp.Stats.Combined
+	if sum.StorageBytesRead == 0 {
+		t.Fatal("no shard read from its modeled storage")
+	}
+	if c.StorageBytesRead != sum.StorageBytesRead || c.StorageCacheHits != sum.StorageCacheHits || c.StorageStalls != sum.StorageStalls {
+		t.Fatalf("Combined storage = %d bytes, %d hits, %d stalls; want the shards' sums %d, %d, %d",
+			c.StorageBytesRead, c.StorageCacheHits, c.StorageStalls, sum.StorageBytesRead, sum.StorageCacheHits, sum.StorageStalls)
+	}
+}
+
 // TestClusterStatsAreTheBatchsOwn races batches of one and of eight on
 // one Device shard, two callers each: every response must carry exactly
 // the device stats a lone region reports for the same batch, never the
@@ -479,10 +507,11 @@ func TestClusterStatsAreTheBatchsOwn(t *testing.T) {
 		for i := range qs {
 			qs[i] = randData(1, dims, int64(size*100+i))
 		}
-		_, want, err := region.SearchBatchSpan(qs, k, nil)
+		_, w, err := region.SearchBatchSpan(qs, k, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := w.DeviceStats
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

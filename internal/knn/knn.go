@@ -46,6 +46,9 @@ type Stats struct {
 	// here rather than in DistEvals.
 	TableBuilds int
 	CodeEvals   int
+	// Rescans counts the ADC passes run twice because the pilot's bound
+	// kept too few rows (pq.go); the second pass's rows are in CodeEvals.
+	Rescans int
 	// Seq is the mutation sequence number of the snapshot the query
 	// executed against (internal/mutate); 0 for the immutable engines,
 	// whose datasets have no generations.
@@ -61,6 +64,7 @@ func (s *Stats) Add(other Stats) {
 	s.PQKept += other.PQKept
 	s.TableBuilds += other.TableBuilds
 	s.CodeEvals += other.CodeEvals
+	s.Rescans += other.Rescans
 	if other.Seq > s.Seq {
 		s.Seq = other.Seq
 	}

@@ -44,16 +44,6 @@ type PQParams struct {
 	Seed int64
 }
 
-// PQCounters are cumulative per-engine work counters, safe to read
-// concurrently with searches; the server exports them as /metrics
-// series.
-type PQCounters struct {
-	TableBuilds uint64 // ADC lookup tables built (one per query)
-	CodeEvals   uint64 // code words scanned, a rescan's included
-	RerankEvals uint64 // full-precision re-rank distance computations
-	Rescans     uint64 // ADC passes run again because the pilot's bound kept too few rows
-}
-
 // PQScan is the approximate linear scan over product-quantized codes,
 // with optional exact re-ranking. The packed codes are always resident;
 // the full-precision rows the re-rank reads sit wherever the row source
@@ -62,7 +52,8 @@ type PQCounters struct {
 // width or a panic; with the rows in a tier store every call can also
 // return the store's. Vault-parallel within a query, and results merged
 // under the (distance, id) total order so serial and vault-parallel
-// scans are bit-identical.
+// scans are bit-identical. It keeps no work counters: RunBatch returns
+// each batch's, and the re-rank's distance evaluations are its DistEvals.
 type PQScan struct {
 	corpus                 // the full-precision rows (re-rank)
 	tableMetric vec.Metric // metric the ADC tables are built under
@@ -72,7 +63,6 @@ type PQScan struct {
 	starts      []int        // first row of each slab; len(slabs)+1
 	rerank      atomic.Int64 // read once per search: SetRerank may race a query
 	workers     int
-	counters    struct{ tableBuilds, codeEvals, rerankEvals, rescans atomic.Uint64 }
 }
 
 // NewPQScan trains a codebook over data and encodes it. The code bytes
@@ -198,16 +188,6 @@ func (e *PQScan) Rerank() int { return int(e.rerank.Load()) }
 // selects and re-ranks at the old depth or the new one, never a mix.
 func (e *PQScan) SetRerank(r int) { e.rerank.Store(int64(max(r, 0))) }
 
-// Counters returns a snapshot of the cumulative work counters.
-func (e *PQScan) Counters() PQCounters {
-	return PQCounters{
-		TableBuilds: e.counters.tableBuilds.Load(),
-		CodeEvals:   e.counters.codeEvals.Load(),
-		RerankEvals: e.counters.rerankEvals.Load(),
-		Rescans:     e.counters.rescans.Load(),
-	}
-}
-
 // search returns the k approximate nearest neighbors of q, a batch of
 // one: the ADC scan over the resident codes (one "vault" child span of
 // sp per slab scanned in parallel unless forceSerial; sp may be nil),
@@ -229,7 +209,6 @@ func (e *PQScan) search(q [][]float32, k int, sp *obs.Span, forceSerial bool) ([
 		return nil, st, err
 	}
 	st.Add(rst)
-	e.counters.rerankEvals.Add(uint64(len(cands)))
 	return res, st, nil
 }
 
@@ -345,14 +324,12 @@ func (e *PQScan) adcCandidates(q []float32, k, rerank int, sp *obs.Span, forceSe
 		parts, scanned, err = pass(allCands)
 		st.Add(scanned)
 		sp.SetTag("adc_rescan", true)
-		e.counters.rescans.Add(1)
+		st.Rescans++
 	}
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	sp.SetTag("adc_kept", st.PQKept)
-	e.counters.tableBuilds.Add(1)
-	e.counters.codeEvals.Add(uint64(st.CodeEvals))
 	return selectCands(r, parts...), st, nil
 }
 

@@ -245,11 +245,13 @@ func TestPQStatsAccounting(t *testing.T) {
 	if st.PQInserts != n+rerank {
 		t.Errorf("PQInserts = %d, want %d", st.PQInserts, n+rerank)
 	}
-	// Cumulative counters across a second query.
-	pqSearch(t, e, q, k)
-	c := e.Counters()
-	if c.TableBuilds != 2 || c.CodeEvals != 2*n || c.RerankEvals != 2*rerank {
-		t.Errorf("Counters = %+v", c)
+	// A batch of two returns the work of both queries.
+	_, c, _, err := e.RunBatch([][]float32{q, q}, k, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.TableBuilds != 2 || c.CodeEvals != 2*n || c.DistEvals != 2*rerank {
+		t.Errorf("batch of two: stats %+v", c)
 	}
 }
 

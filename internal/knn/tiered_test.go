@@ -511,7 +511,7 @@ func TestTieredAccessors(t *testing.T) {
 		pe.M() != 4 || pe.Rerank() != 9 || pe.Store() != pst {
 		t.Fatalf("pq accessors: n=%d dim=%d vaults=%d m=%d rerank=%d", pe.N(), pe.Dim(), pe.Vaults(), pe.M(), pe.Rerank())
 	}
-	batch, _, failedAt, err := pe.RunBatch([][]float32{qs[:dim], qs[dim:]}, 3, nil)
+	batch, bst, failedAt, err := pe.RunBatch([][]float32{qs[:dim], qs[dim:]}, 3, nil)
 	if err != nil || failedAt != -1 {
 		t.Fatalf("RunBatch: failedAt=%d err=%v", failedAt, err)
 	}
@@ -522,8 +522,8 @@ func TestTieredAccessors(t *testing.T) {
 		}
 		sameResults(t, "pq batch", batch[i], want)
 	}
-	if c := pe.Counters(); c.RerankEvals == 0 {
-		t.Errorf("counters after rerank searches: %+v", c)
+	if bst.DistEvals == 0 {
+		t.Errorf("stats after rerank searches: %+v", bst)
 	}
 	if err := pe.Store().Close(); err != nil {
 		t.Fatal(err)

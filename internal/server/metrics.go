@@ -3,9 +3,9 @@ package server
 // This file is the Prometheus wiring: which obs registry series the
 // server exposes at /metrics and how they map onto existing serving
 // state. Counters and histograms that the request path increments
-// live in regionStats (stats.go); everything here is callback-backed
-// — sampled at scrape time from state the server already maintains —
-// so /metrics and /statsz always agree.
+// live in regionStats (stats.go); every other series here is
+// callback-backed — sampled at scrape time from state the server
+// already maintains — so /metrics and /statsz always agree.
 
 import (
 	"net/http"
@@ -93,22 +93,16 @@ func (s *Server) registerRegionMetrics(e *regionEntry) {
 		// and again after Free detaches the store).
 		region := grp.Region
 		if e.cfg.Mode == ssam.Quantized {
-			// Quantized regions: ADC work counters. All zeros until the
-			// index is built (QuantizedStats reports ok=false before the
-			// engine exists).
-			qst := func() ssam.QuantizedCounters { st, _ := region.QuantizedStats(); return st }
-			s.registry.CounterFunc("ssam_pq_table_builds_total",
-				"ADC lookup tables built (one per query), per region.", lbl,
-				func() uint64 { return qst().TableBuilds })
-			s.registry.CounterFunc("ssam_pq_code_evals_total",
-				"8-bit code rows scored through ADC tables, per region.", lbl,
-				func() uint64 { return qst().CodeEvals })
-			s.registry.CounterFunc("ssam_pq_rerank_evals_total",
-				"ADC candidates re-scored at full precision, per region.", lbl,
-				func() uint64 { return qst().RerankEvals })
-			s.registry.CounterFunc("ssam_pq_rescans_total",
-				"ADC passes run twice because the pilot's bound kept too few rows, per region.", lbl,
-				func() uint64 { return qst().Rescans })
+			// Quantized regions: ADC work counters, added to by recordWork.
+			st := e.stats
+			st.pqTables = s.registry.Counter("ssam_pq_table_builds_total",
+				"ADC lookup tables built (one per query), per region.", lbl)
+			st.pqCodes = s.registry.Counter("ssam_pq_code_evals_total",
+				"8-bit code rows scored through ADC tables, per region.", lbl)
+			st.pqReranks = s.registry.Counter("ssam_pq_rerank_evals_total",
+				"ADC candidates re-scored at full precision, per region.", lbl)
+			st.pqRescans = s.registry.Counter("ssam_pq_rescans_total",
+				"ADC passes run twice because the pilot's bound kept too few rows, per region.", lbl)
 		}
 		if e.cfg.Storage != nil {
 			// Storage-backed regions: page-cache counters. All zeros until

@@ -136,16 +136,7 @@ func TestQuantizedRegionEndToEnd(t *testing.T) {
 
 	// /metrics exposes the same counters as ssam_pq_* series, at the
 	// same values.
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(body)
+	text := scrapeMetrics(t, ts.URL)
 	for series, want := range map[string]uint64{
 		`ssam_pq_table_builds_total{region="pq"}`: rs.Quantized.TableBuilds,
 		`ssam_pq_code_evals_total{region="pq"}`:   rs.Quantized.CodeEvals,
@@ -160,6 +151,87 @@ func TestQuantizedRegionEndToEnd(t *testing.T) {
 	if err := c.Free(ctx, "pq"); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestQuantizedCountersSurviveRebuild: the ssam_pq_* series and the
+// /statsz block they mirror are region-lifetime counters, like every
+// ssam_region_*_total, so a rebuild, which trains a new codebook, leaves
+// them counting up (a Prometheus counter that drops reads as a reset).
+// The seed is fixed, so the second round's work equals the first's.
+func TestQuantizedCountersSurviveRebuild(t *testing.T) {
+	const n, dim, k, nq = 600, 16, 5, 16
+	rows, queries := testData(n, nq, dim)
+	for _, execution := range []string{"host", "device"} {
+		t.Run(execution, func(t *testing.T) {
+			srv := server.New(server.Options{})
+			defer srv.Close()
+			ts := httptest.NewServer(srv)
+			defer ts.Close()
+			ctx := context.Background()
+			c := client.New(ts.URL, client.WithTimeout(time.Minute))
+			cfg := wire.RegionConfig{Mode: "quantized", Execution: execution,
+				Index: wire.IndexParams{M: 4, Sample: 512, Rerank: 64, Seed: 9}}
+			if _, err := c.CreateRegion(ctx, "pq", dim, cfg); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Load(ctx, "pq", rows); err != nil {
+				t.Fatal(err)
+			}
+			var first wire.QuantizedStats
+			for round := uint64(1); round <= 2; round++ {
+				if _, err := c.Build(ctx, "pq"); err != nil {
+					t.Fatal(err)
+				}
+				for _, q := range queries {
+					if _, err := c.Search(ctx, "pq", q, k); err != nil {
+						t.Fatal(err)
+					}
+				}
+				st, err := c.Stats(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := st.Regions["pq"].Quantized
+				if got == nil {
+					t.Fatalf("round %d: statsz quantized block missing", round)
+				}
+				if round == 1 {
+					first = *got
+				}
+				want := wire.QuantizedStats{TableBuilds: round * first.TableBuilds, CodeEvals: round * first.CodeEvals,
+					RerankEvals: round * first.RerankEvals, Rescans: round * first.Rescans}
+				if first.TableBuilds != nq || *got != want {
+					t.Fatalf("round %d: quantized block %+v, want %+v (%d table builds a round)", round, *got, want, nq)
+				}
+				text := scrapeMetrics(t, ts.URL)
+				for series, v := range map[string]uint64{
+					`ssam_pq_table_builds_total{region="pq"}`: want.TableBuilds,
+					`ssam_pq_code_evals_total{region="pq"}`:   want.CodeEvals,
+					`ssam_pq_rerank_evals_total{region="pq"}`: want.RerankEvals,
+					`ssam_pq_rescans_total{region="pq"}`:      want.Rescans,
+				} {
+					if line := fmt.Sprintf("%s %d\n", series, v); !strings.Contains(text, line) {
+						t.Errorf("round %d: /metrics missing %q", round, line)
+					}
+				}
+			}
+		})
+	}
+}
+
+// scrapeMetrics returns the server's /metrics text.
+func scrapeMetrics(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
 }
 
 // TestQuantizedRejections pins the wire-level validation for quantized

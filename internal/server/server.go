@@ -243,7 +243,8 @@ func (b *regionBackend) Build() error {
 	// region to its mutable store).
 	b.s.installCompactHook(b.e, b.Region)
 	b.setBatcher(batcher.New(func(qs [][]float32, k int, sp *obs.Span) ([][]ssam.Result, error) {
-		res, _, err := b.SearchBatchSpan(qs, k, sp)
+		res, w, err := b.SearchBatchSpan(qs, k, sp)
+		b.e.stats.recordWork(w)
 		return res, err
 	}, batcher.Options{
 		MaxBatch: b.s.opts.MaxBatch,
@@ -262,7 +263,8 @@ func (b *regionBackend) Built() bool { return b.bat.Load() != nil }
 func (b *regionBackend) Search(ctx context.Context, qs [][]float32, k int, sp *obs.Span) (answer, error) {
 	if len(qs) != 1 {
 		b.e.stats.recordBatch(len(qs))
-		res, _, err := b.SearchBatchSpan(qs, k, sp)
+		res, w, err := b.SearchBatchSpan(qs, k, sp)
+		b.e.stats.recordWork(w)
 		return answer{Results: res}, err
 	}
 	for {
@@ -964,12 +966,12 @@ func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 			if mst, ok := b.MutationStats(); ok {
 				rs.Mutation = toWireMutation(mst)
 			}
-			if qst, ok := b.QuantizedStats(); ok {
+			if st := e.stats; st.pqTables != nil && b.Built() {
 				rs.Quantized = &wire.QuantizedStats{
-					TableBuilds: qst.TableBuilds,
-					CodeEvals:   qst.CodeEvals,
-					RerankEvals: qst.RerankEvals,
-					Rescans:     qst.Rescans,
+					TableBuilds: st.pqTables.Value(),
+					CodeEvals:   st.pqCodes.Value(),
+					RerankEvals: st.pqReranks.Value(),
+					Rescans:     st.pqRescans.Value(),
 				}
 			}
 			if tst, ok := b.TieredStats(); ok {

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"ssam"
 	"ssam/internal/obs"
 	"ssam/internal/server/wire"
 )
@@ -43,6 +44,8 @@ type regionStats struct {
 	batchSize   *obs.Histogram // ssam_region_batch_size
 	queueWait   *obs.Histogram // ssam_region_queue_seconds
 	latency     *obs.Histogram // ssam_region_latency_seconds
+	// ssam_pq_*_total: nil unless the region is plain and quantized.
+	pqTables, pqCodes, pqReranks, pqRescans *obs.Counter
 
 	mu       sync.Mutex
 	maxBatch int
@@ -74,6 +77,17 @@ func newRegionStats(reg *obs.Registry, region string) *regionStats {
 		queueWait:   reg.Histogram("ssam_region_queue_seconds", "Longest micro-batcher queue wait of each executed batch, per region: near zero when a core was free, an engine call when none was.", lbl, latencyBounds),
 		latency:     reg.Histogram("ssam_region_latency_seconds", "Request latency including any micro-batcher queue wait, per region.", lbl, latencyBounds),
 	}
+}
+
+// recordWork adds one executed batch's Work, failed or not, to the series.
+func (s *regionStats) recordWork(w ssam.Work) {
+	if s.pqTables == nil {
+		return
+	}
+	s.pqTables.Add(uint64(w.TableBuilds))
+	s.pqCodes.Add(uint64(w.CodeEvals))
+	s.pqReranks.Add(uint64(w.DistEvals)) // a quantized search's DistEvals are its re-rank's
+	s.pqRescans.Add(uint64(w.Rescans))
 }
 
 // recordQueries accounts the n queries of one served search request,

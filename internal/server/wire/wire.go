@@ -305,7 +305,7 @@ type TieredStats struct {
 }
 
 // QuantizedStats is the quantized-engine block of a region's stats:
-// cumulative ADC work counters since build.
+// cumulative ADC work counters since the region was created.
 type QuantizedStats struct {
 	TableBuilds uint64 `json:"table_builds"` // ADC lookup tables built (one per query)
 	CodeEvals   uint64 `json:"code_evals"`   // 8-bit code rows scored through the tables

@@ -139,5 +139,6 @@ func (pi *PQIndex) model(st knn.Stats) QueryStats {
 			uint64(st.DistEvals)*uint64(d.padded)*4,
 		PQInserts: uint64(st.PQInserts),
 		PUs:       len(d.slices),
+		Host:      st,
 	})
 }

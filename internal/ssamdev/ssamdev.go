@@ -23,6 +23,7 @@ import (
 	"ssam/internal/asm"
 	"ssam/internal/hmc"
 	"ssam/internal/isa"
+	"ssam/internal/knn"
 	"ssam/internal/par"
 	"ssam/internal/sim"
 	"ssam/internal/topk"
@@ -89,6 +90,7 @@ type QueryStats struct {
 	StorageBytesRead uint64
 	StorageCacheHits uint64
 	StorageStalls    uint64
+	Host             knn.Stats // the work of the host engine the model priced (the PQ index's); else zero
 }
 
 // Throughput returns queries/second at the device clock.

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"ssam/internal/knn"
 	"ssam/internal/obs"
 	"ssam/internal/ssamdev"
 	"ssam/internal/tier"
@@ -338,11 +337,11 @@ func (r *Region) ready(op string, k int) (engine, int, error) {
 }
 
 // exec is the one engine call every search makes, under an "exec" child
-// of sp describing e (plus extra) and tagged with the work it did. A nil
-// sp is the untraced fast path: no tags are built. The span covers any
+// of sp describing e (plus extra) and tagged with the work it returns. A
+// nil sp is the untraced fast path: no tags are built. The span covers any
 // wait inside the engine — on the simulated device concurrent batches
 // serialize, and that queueing is exactly what a trace should show.
-func exec(e engine, q query, k int, sp *obs.Span, extra ...obs.Tag) ([][]Result, DeviceStats, int, error) {
+func exec(e engine, q query, k int, sp *obs.Span, extra ...obs.Tag) ([][]Result, Work, int, error) {
 	var esp *obs.Span
 	if sp != nil {
 		esp = sp.Start("exec", append(e.tags(), extra...)...)
@@ -350,7 +349,7 @@ func exec(e engine, q query, k int, sp *obs.Span, extra ...obs.Tag) ([][]Result,
 	out, w, failedAt, err := e.search(q, k, esp)
 	w.tag(esp)
 	esp.End()
-	return out, w.dev, failedAt, err
+	return out, w.Work, failedAt, err
 }
 
 // one runs a single query — Search, SearchBinary and Exec alike — as a
@@ -361,11 +360,11 @@ func (r *Region) one(op string, q query, k int, sp *obs.Span) ([]Result, DeviceS
 	if err != nil {
 		return nil, DeviceStats{}, err
 	}
-	out, dev, _, err := exec(e, q, k, sp)
+	out, w, _, err := exec(e, q, k, sp)
 	if err != nil {
 		return nil, DeviceStats{}, err
 	}
-	return out[0], dev, nil
+	return out[0], w.DeviceStats, nil
 }
 
 // WriteQuery stages a float query (nwrite_query).
@@ -485,45 +484,29 @@ func (r *Region) SearchBatch(qs [][]float32, k int) ([][]Result, error) {
 	return out, err
 }
 
-// SearchBatchSpan is SearchBatch returning the batch's simulated device
-// stats — the sum of its queries', zero for Host execution — with the
-// same atomicity as SearchStats, and recording the engine execution as
-// an "exec" child of sp, tagged with the execution mode, the batch size
-// and the host work summed over the batch. A nil span is the untraced
-// fast path.
-func (r *Region) SearchBatchSpan(qs [][]float32, k int, sp *obs.Span) ([][]Result, DeviceStats, error) {
+// SearchBatchSpan is SearchBatch returning the batch's Work — the sum of
+// its queries', which the region keeps no total of — with the same
+// atomicity as SearchStats, and recording the engine execution as an
+// "exec" child of sp, tagged with the execution mode, the batch size and
+// the host work summed over the batch. A nil span is the untraced fast
+// path.
+func (r *Region) SearchBatchSpan(qs [][]float32, k int, sp *obs.Span) ([][]Result, Work, error) {
 	e, k, err := r.ready("SearchBatch", k)
 	if err != nil {
-		return nil, DeviceStats{}, err
+		return nil, Work{}, err
 	}
 	for _, q := range qs {
 		if err := r.checkFloat(q); err != nil {
-			return nil, DeviceStats{}, err
+			return nil, Work{}, err
 		}
 	}
-	out, dev, failedAt, err := exec(e, query{f: qs}, k, sp, obs.Tag{Key: "batch", Value: len(qs)})
+	out, w, failedAt, err := exec(e, query{f: qs}, k, sp, obs.Tag{Key: "batch", Value: len(qs)})
 	if err != nil {
 		// Keep what the batch computed so far: results for queries before
-		// failedAt stand, with the stats they accumulated.
-		return out, dev, &BatchError{Index: failedAt, Err: err}
+		// failedAt stand, with the work they accumulated.
+		return out, w, &BatchError{Index: failedAt, Err: err}
 	}
-	return out, dev, nil
-}
-
-// QuantizedCounters is a point-in-time view of a quantized region's
-// cumulative work counters, safe to read concurrently with searches.
-type QuantizedCounters = knn.PQCounters
-
-// QuantizedStats returns the quantized engine's cumulative work
-// counters (table builds, code evals, re-rank evals) and whether the
-// region has one. The counters back the server's /metrics series.
-func (r *Region) QuantizedStats() (QuantizedCounters, bool) {
-	if e, ok := r.engine().(interface {
-		counters() (QuantizedCounters, bool)
-	}); ok {
-		return e.counters()
-	}
-	return QuantizedCounters{}, false
+	return out, w, nil
 }
 
 // TieredCounters is a point-in-time view of a storage-backed region's

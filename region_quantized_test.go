@@ -190,23 +190,22 @@ func TestQuantizedSearchSpans(t *testing.T) {
 	}
 }
 
-// TestQuantizedStatsAccessor covers the cumulative counter surface the
-// server's /metrics series scrape.
+// TestQuantizedStatsAccessor covers the work a quantized region's
+// searches return, which the server's /metrics series add up.
 func TestQuantizedStatsAccessor(t *testing.T) {
 	ds := quantizedDataset(t)
 	r := buildQuantizedRegion(t, ds, Config{Index: IndexParams{Seed: 1, Rerank: 16}})
 	defer r.Free()
+	var qc Work
 	for i := 0; i < 3; i++ {
-		if _, err := r.Search(ds.Queries[i], 5); err != nil {
+		_, w, err := r.SearchBatchSpan(ds.Queries[i:i+1], 5, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
+		qc.add(w)
 	}
-	qc, ok := r.QuantizedStats()
-	if !ok {
-		t.Fatal("QuantizedStats not ok on a built quantized region")
-	}
-	if qc.TableBuilds != 3 || qc.CodeEvals != uint64(3*ds.N()) || qc.RerankEvals != 48 {
-		t.Fatalf("counters after 3 queries: %+v", qc)
+	if qc.TableBuilds != 3 || qc.CodeEvals != 3*ds.N() || qc.DistEvals != 48 {
+		t.Fatalf("work of 3 queries: %+v", qc)
 	}
 
 	lin, err := New(ds.Dim(), Config{})
@@ -214,8 +213,42 @@ func TestQuantizedStatsAccessor(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lin.Free()
-	if _, ok := lin.QuantizedStats(); ok {
-		t.Fatal("QuantizedStats ok on a linear region")
+	if err := lin.LoadFloat32(ds.Data); err != nil {
+		t.Fatal(err)
+	}
+	if err := lin.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	if _, w, err := lin.SearchBatchSpan(ds.Queries[:1], 5, nil); err != nil || w.TableBuilds != 0 || w.CodeEvals != 0 {
+		t.Fatalf("a linear region's work = %+v, %v; want no ADC work", w, err)
+	}
+}
+
+// TestQuantizedDeviceWorkMatchesHost: a Device quantized region answers
+// through the host-built scan, so the same batch returns the same host
+// counters as on a Host region built from the same data and seed.
+func TestQuantizedDeviceWorkMatchesHost(t *testing.T) {
+	ds := quantizedDataset(t)
+	ip := IndexParams{Seed: 5, M: 4, Sample: 1024, Rerank: 64}
+	host := buildQuantizedRegion(t, ds, Config{Index: ip})
+	defer host.Free()
+	dev := buildQuantizedRegion(t, ds, Config{Execution: Device, VectorLength: 4, Index: ip})
+	defer dev.Free()
+	qs := ds.Queries[:8]
+	_, hw, err := host.SearchBatchSpan(qs, 10, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, dw, err := dev.SearchBatchSpan(qs, 10, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dw.Cycles == 0 || hw.Cycles != 0 {
+		t.Fatalf("device cycles %d, host %d", dw.Cycles, hw.Cycles)
+	}
+	hw.DeviceStats, dw.DeviceStats = DeviceStats{}, DeviceStats{}
+	if hw != dw || hw.TableBuilds != len(qs) || hw.CodeEvals < len(qs)*ds.N() || hw.DistEvals != len(qs)*64 {
+		t.Fatalf("host work %+v, device %+v", hw, dw)
 	}
 }
 

@@ -305,33 +305,32 @@ func TestTieredRegionSetChecksRetargetsRerank(t *testing.T) {
 	}
 }
 
-// TestTieredRegionQuantizedStats pins the work counters of a
-// storage-backed Quantized region: the tiered PQ engine is the region's
-// engine, so QuantizedStats must report its searches (and a tiered
-// Linear region, which has no ADC work, must report none).
+// TestTieredRegionQuantizedStats pins the work of a storage-backed
+// Quantized region: the tiered PQ engine is the region's engine, so its
+// searches return their ADC work (and a tiered Linear region's, which
+// do none, return none).
 func TestTieredRegionQuantizedStats(t *testing.T) {
 	ds := tieredTestDataset(t)
 	ip := IndexParams{Seed: 5, M: 4, Sample: 1024, Rerank: 8}
 	tr := buildTieredRegion(t, ds, Config{Mode: Quantized, Vaults: 4, Index: ip, Storage: &Storage{
 		Path: filepath.Join(t.TempDir(), "region.tier"), BudgetBytes: 4096,
 	}})
-	if st, ok := tr.QuantizedStats(); !ok || st != (QuantizedCounters{}) {
-		t.Fatalf("QuantizedStats before any search = %+v, %v; want zero, true", st, ok)
-	}
-	for _, q := range ds.Queries[:3] {
-		if _, err := tr.Search(q, 10); err != nil {
+	var st Work
+	for i := range 3 {
+		_, w, err := tr.SearchBatchSpan(ds.Queries[i:i+1], 10, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
+		st.add(w)
 	}
-	st, ok := tr.QuantizedStats()
-	if !ok || st.TableBuilds != 3 || st.CodeEvals != uint64(3*ds.N()) || st.RerankEvals != 3*10 {
-		t.Fatalf("QuantizedStats after 3 searches = %+v, %v", st, ok)
+	if st.TableBuilds != 3 || st.CodeEvals != 3*ds.N() || st.DistEvals != 3*10 {
+		t.Fatalf("work of 3 searches = %+v", st)
 	}
 	lin := buildTieredRegion(t, ds, Config{Vaults: 4, Storage: &Storage{
 		Path: filepath.Join(t.TempDir(), "linear.tier"),
 	}})
-	if _, ok := lin.QuantizedStats(); ok {
-		t.Fatal("a tiered Linear region reported quantized counters")
+	if _, w, err := lin.SearchBatchSpan(ds.Queries[:1], 10, nil); err != nil || w.TableBuilds != 0 || w.CodeEvals != 0 {
+		t.Fatalf("a tiered Linear region's work = %+v, %v; want no ADC work", w, err)
 	}
 }
 

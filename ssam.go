@@ -308,6 +308,19 @@ type DeviceStats struct {
 	StorageStalls    uint64
 }
 
+// Work is what one search call did, summed over its batch exactly as
+// its queries run one at a time would sum: the simulated execution (zero
+// for Host execution) and the host work counters. No region keeps a
+// running total; a caller that wants one adds up the Work it is handed.
+type Work struct {
+	DeviceStats
+	DistEvals int // full-precision distance computations (a Quantized region's re-rank)
+	Dims      int // vector dimensions those and the ADC table builds touched
+	// A Quantized region's ADC lookup tables built (one a query), code
+	// rows scored, and passes rerun because the pilot's bound kept too few.
+	TableBuilds, CodeEvals, Rescans int
+}
+
 // Throughput returns queries/second implied by the device latency.
 func (s DeviceStats) Throughput() float64 {
 	if s.Seconds <= 0 {
