@@ -32,7 +32,7 @@ go test -count=1 -cpu 1,2,4 -run 'Golden|ScalarArgmin' ./internal/pq
 go test -count=1 -cpu 1,2,4 -run 'PQSerialParallelBitEquivalence|PQPilotMissRescans' ./internal/knn
 # The same for the distribution layers, where a single query is a batch
 # of one: which branch that batch takes below them depends on the core
-# count (par.Each's limit, the quantized RunBatch's workers), so their
+# count (par.Each's limit, the quantized RunBatch's GOMAXPROCS), so their
 # equivalence to one region and the batch's own device stats are held
 # at three widths.
 go test -count=1 -cpu 1,2,4 -run 'Equivalence|StatsAreTheBatchsOwn' ./internal/cluster
@@ -93,15 +93,20 @@ go run ./cmd/ssam-bench -exp tiered -format json -scale 0.001 -queries 2 > /dev/
 # shared box comes in bursts: reading all of one side before the other
 # lets a burst move a whole side, where a pair's two runs sit seconds
 # apart and share the burst, and the median drops the pair it missed.
-# The root test binary is built once for every gate.
+# Each run times ratio_iters iterations, so that one run of the fastest
+# side (the quantized search, 45-60 us a query at -cpu=1) lasts at least
+# about 20 ms: at 20 iterations a run timed 1-2 ms, and one pair's ratio
+# ranged 1.4-4.1x on an idle box. The root test binary is built once
+# for every gate.
 ratio_bin=/tmp/ssam-ratio-ci.test
 ratio_pairs=7
+ratio_iters=500x
 go test -c -o "$ratio_bin" .
 
 # bench_ns BENCH: one run of BENCH at the gates' settings; prints ns/op.
 bench_ns() {
     local out ns
-    out=$("$ratio_bin" -test.run=NONE -test.bench="^$1\$" -test.benchtime=20x -test.cpu=1)
+    out=$("$ratio_bin" -test.run=NONE -test.bench="^$1\$" -test.benchtime=$ratio_iters -test.cpu=1)
     ns=$(echo "$out" | awk -v b="$1" '$1 ~ "^" b "(-[0-9]+)?$" { print $3 }')
     if [ -z "$ns" ]; then
         echo "ci.sh: could not parse $1 benchmark output:" >&2
@@ -142,24 +147,27 @@ wait_port() {
 }
 
 # ADC regression check: the quantized scan must stay meaningfully
-# faster than the float32 scan. Read at -cpu=1 on the growth box with
-# the AVX2 block kernel, quietest of three a side: 2.32x, 2.36x, 2.40x
-# (float scan 122-129 us, quantized 51.5-54.5 us at this shape), up
-# from 1.65-1.8x since the ADC pass folds four code columns a pass and
-# selects its candidates by threshold and quickselect, not through a
-# heap. What is left of the quantized side at 4096 x 64 is mostly the
-# lookup-table build (256 x 64 dims a query), which the ratio therefore
-# tracks too. Re-read since the ADC pass filters against a bound a
-# pilot of 128 rows sets before the scan: 3.03x, 2.04x, 3.21x (float
-# scan 150-165 us, quantized 51.5 us in the quiet runs and 73.7 us in
-# the one a neighbour's load landed on; 59-60 us before the pilot). The
-# floor stays 1.8x: the lowest reading leaves 13 % over it, short of
-# the 25 % bar for raising it. On a CPU without AVX2 the float scan is
-# 2.4x slower and the headroom is a factor of two again. If the float
-# kernel gains again, this gate is the one that trips without anything
-# having rotted: re-read it then.
+# faster than the float32 scan. History at 20 iterations a run: 2.32-
+# 2.40x once the ADC pass selected by threshold and quickselect (1.65-
+# 1.8x before), then 2.04-3.21x with the pilot bound, against a floor of
+# 1.8x, which sat far enough under the reading that a spin loop slowing
+# pq.Scan's block by 25-30 % passed the gate in 17 of 22 runs. Re-read
+# at 500 iterations on a 2-vCPU Xeon with the AVX2 block kernel: the
+# unloaded median is 2.84-2.88x (float scan ~140 us, quantized ~50 us).
+# The 25 % rule (a floor rises to 25 % under the unloaded reading once
+# it sits further below, and is never lowered) allows 2.27x; the floor
+# is 2.1x because on a shared box at load average 1-1.5 the gate's
+# median fell to 2.24-2.40x in 7 of 26 clean runs (the parent's to
+# 2.38x), and a floor on top of those readings would fail healthy code.
+# With the 25-30 % spin loop back in pq.Scan, twelve runs on that box
+# read medians of 1.41-3.03x: 2 fail at 2.1x (5 would at 2.2x), where
+# the old reading against the old floor failed none. A one-core burner
+# read 2.58x and 2.67x. On a CPU without AVX2 the float scan is 2.4x
+# slower and the headroom is larger.
+# If the float kernel gains again, this gate is the one that trips
+# without anything having rotted: re-read it then.
 ratio_gate "float32 scan time vs quantized scan" \
-    BenchmarkRegionSearchHost BenchmarkSearchPQ ">=" 1.8
+    BenchmarkRegionSearchHost BenchmarkSearchPQ ">=" 2.1
 
 # Tiered regression check: a fully-cached storage-backed region must
 # stay within 1.2x of the in-RAM host scan. Past the first pass every
@@ -167,7 +175,9 @@ ratio_gate "float32 scan time vs quantized scan" \
 # merge — if this trips, the tier store's hot path has rotted, or the
 # two scans no longer share one kernel: a page loop left on the row
 # kernel while the slab loop runs the block kernel reads 1.45x. Measured
-# 0.94-1.0x.
+# 0.94-1.0x; re-read at 500 iterations, unloaded median 1.01-1.02x (and
+# 1.01-1.02x on a noisy box). The 25 % rule would put the ceiling at
+# 1.27x, looser than it is, so it stays at 1.2x.
 ratio_gate "fully-cached tiered scan time vs in-RAM scan" \
     BenchmarkRegionSearchTiered BenchmarkRegionSearchHost "<=" 1.2
 
@@ -176,10 +186,14 @@ ratio_gate "fully-cached tiered scan time vs in-RAM scan" \
 # advances four (query, row) accumulators an instruction; measured
 # 5.2-5.5x on the growth box (9.4-9.8x on the pure-Go kernel, which
 # widens once per four queries), and a batch that runs one scan per
-# query reads 16x, so 8x trips long before that on the assembly kernel.
-# A CPU without AVX2 runs the pure-Go kernel, whose ratio is over 8:
-# the limit there is the 12x that kernel was given.
-batch_limit=8
+# query reads 16x. Re-read at 500 iterations on the AVX2 kernel: the
+# unloaded median is 5.35-5.38x (5.43-6.29x on a noisy box, 5.50x and
+# 5.54x under a one-core burner). The 25 % rule allows a ceiling of
+# 6.7x; it comes down from 8x to 7x, 11 % over the noisy readings of
+# this gate and the next. A CPU without AVX2 runs the pure-Go kernel,
+# whose ratio is over 8: the limit there stays the 12x that kernel was
+# given (no such CPU was at hand to re-read it).
+batch_limit=7
 grep -qw avx2 /proc/cpuinfo 2>/dev/null || batch_limit=12
 ratio_gate "batch-of-16 scan time vs single scan" \
     BenchmarkRegionSearchBatch16Host BenchmarkRegionSearchHost "<=" "$batch_limit"
@@ -191,8 +205,11 @@ ratio_gate "batch-of-16 scan time vs single scan" \
 # three a side at -cpu=1, AVX2), beside 5.2x in RAM in the same run; it
 # read 16.1x while the storage-backed engines were a second family that
 # ran one whole scan, and pinned every page once, per query of a batch.
+# Re-read at 500 iterations: unloaded median 5.11-5.30x (4.26-6.29x on
+# a noisy box, 5.36x and 5.37x under a one-core burner); it shares the
+# gate above's ceiling.
 # If this trips and the gate above does not, the two scans have forked
-# again: look for a second partition walk in internal/knn.
+# again: look for a second partition walk beside knn.WalkVaults.
 ratio_gate "tiered batch-of-16 scan time vs tiered single scan" \
     BenchmarkRegionSearchBatch16Tiered BenchmarkRegionSearchTiered "<=" "$batch_limit"
 

@@ -10,7 +10,6 @@ package ssam
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -21,7 +20,6 @@ import (
 	"ssam/internal/lsh"
 	"ssam/internal/mutate"
 	"ssam/internal/obs"
-	"ssam/internal/par"
 	"ssam/internal/ssamdev"
 	"ssam/internal/tier"
 	"ssam/internal/vec"
@@ -173,43 +171,29 @@ func (a hammingEngine) tags() []obs.Tag {
 // — kd-tree forest, k-means tree, LSH tables, graph. find records any
 // traversal spans under exec (only the graph has them: "descend" and
 // "base"); knob retargets the accuracy/throughput parameter; batches
-// fan out across workers (the structures are read-only at query time).
+// fan out across the cores (the structures are read-only at query time).
 type indexEngine struct {
 	noClose
-	find    func(q []float32, k int, exec *obs.Span) ([]Result, knn.Stats)
-	knob    func(n int)
-	extra   func() []obs.Tag // mode tags beyond execution=host; may be nil
-	rows    int
-	workers int
+	find  func(q []float32, k int, exec *obs.Span) ([]Result, knn.Stats)
+	knob  func(n int)
+	extra func() []obs.Tag // mode tags beyond execution=host; may be nil
+	rows  int
 }
 
-// search fans the queries out, at most workers (<= 0: GOMAXPROCS) at a
-// time, summing their work; a query that panics fails the whole batch,
-// at query 0. A batch of one traverses under exec on the caller's
+// search fans the queries out on up to GOMAXPROCS goroutines, summing
+// their work (knn.EachQuery); a query that panics fails the batch from
+// its index on. A batch of one traverses under exec on the caller's
 // goroutine; a longer batch records no traversal spans, which would
 // interleave.
 func (a *indexEngine) search(q query, k int, exec *obs.Span) ([][]Result, work, int, error) {
-	workers := a.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if len(q.f) > 1 {
-		exec = nil
-	}
-	out := make([][]Result, len(q.f))
-	var mu sync.Mutex
-	var w work
-	if err := par.Each(len(q.f), workers, func(i int) error {
-		res, st := a.find(q.f[i], k, exec)
-		out[i] = res
-		mu.Lock()
-		w.add(hostWork(st))
-		mu.Unlock()
-		return nil
-	}); err != nil {
-		return out, work{}, 0, err
-	}
-	return out, w, -1, nil
+	out, st, failedAt, err := knn.EachQuery(q.f, k, exec, false, a)
+	return out, work{Work: hostWork(st)}, failedAt, err
+}
+
+// Query is one query's traversal, for knn.EachQuery.
+func (a *indexEngine) Query(q [][]float32, k int, exec *obs.Span) ([]Result, knn.Stats, error) {
+	res, st := a.find(q[0], k, exec)
+	return res, st, nil
 }
 
 func (a *indexEngine) setKnob(n int) error { a.knob(n); return nil }
@@ -512,7 +496,7 @@ func (r *Region) newHostEngine() (engine, error) {
 	}
 	// index wraps a built kd-tree forest, k-means tree or LSH table set.
 	index := func(find func(q []float32, k int) (res []Result, distEvals, dims int), knob func(int)) engine {
-		return &indexEngine{rows: len(r.data) / r.dims, workers: cfg.Workers, knob: knob,
+		return &indexEngine{rows: len(r.data) / r.dims, knob: knob,
 			find: func(q []float32, k int, _ *obs.Span) ([]Result, knn.Stats) {
 				res, de, d := find(q, k)
 				return res, knn.Stats{DistEvals: de, Dims: d}
@@ -570,7 +554,7 @@ func (r *Region) newHostEngine() (engine, error) {
 		// The traversal records "descend" (upper-layer hops) and "base"
 		// (layer-0 beam) children; the knob is the efSearch beam width.
 		g := graph.Build(r.data, r.dims, ip.graphParams())
-		return &indexEngine{rows: g.N(), workers: cfg.Workers,
+		return &indexEngine{rows: g.N(),
 			find: func(q []float32, k int, exec *obs.Span) ([]Result, knn.Stats) {
 				res, st := g.SearchStatsSpan(q, k, exec)
 				return res, st.KNN()
@@ -580,7 +564,7 @@ func (r *Region) newHostEngine() (engine, error) {
 				return []obs.Tag{{Key: "mode", Value: "graph"}, {Key: "ef", Value: g.EfSearch}}
 			}}, nil
 	case Quantized:
-		e, err := knn.NewPQScan(r.data, r.dims, metric, ip.pqParams(), cfg.Workers, cfg.Vaults, st)
+		e, err := knn.NewPQScan(r.data, r.dims, metric, ip.pqParams(), cfg.Vaults, st)
 		if err != nil {
 			st.Close()
 			return nil, err
@@ -678,7 +662,7 @@ func (r *Region) newDeviceEngine() (engine, error) {
 		// re-rank knob); the device model prices the §IV bandwidth story
 		// — ADC tables resident in each vault's scratchpad, code bytes
 		// streamed from vault DRAM.
-		e, err := knn.NewPQScan(r.data, r.dims, cfg.Metric.toVec(), ip.pqParams(), cfg.Workers, cfg.Vaults, nil)
+		e, err := knn.NewPQScan(r.data, r.dims, cfg.Metric.toVec(), ip.pqParams(), cfg.Vaults, nil)
 		if err != nil {
 			return nil, err
 		}

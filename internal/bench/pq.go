@@ -115,7 +115,7 @@ func PQSweep(o Options) (PQTrajectory, error) {
 		}
 		start := time.Now()
 		e, err := knn.NewPQScan(ds.Data, ds.Dim(), vec.Euclidean,
-			knn.PQParams{M: m, Seed: 0x9}, 1, 1, nil)
+			knn.PQParams{M: m, Seed: 0x9}, 1, nil)
 		if err != nil {
 			return out, err
 		}

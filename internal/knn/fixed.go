@@ -2,6 +2,7 @@ package knn
 
 import (
 	"ssam/internal/obs"
+	"ssam/internal/par"
 	"ssam/internal/topk"
 	"ssam/internal/vec"
 )
@@ -11,12 +12,11 @@ import (
 // hardware and loses negligible accuracy). Only Euclidean and
 // Manhattan have fixed-point kernels.
 type FixedEngine struct {
-	data        []int32
-	dim         int
-	n           int
-	metric      vec.Metric
-	vaults      int
-	serialBelow int
+	Walk
+	data   []int32
+	dim    int
+	n      int
+	metric vec.Metric
 }
 
 // NewFixedEngine creates a fixed-point linear engine. metric must be
@@ -29,25 +29,11 @@ func NewFixedEngine(data []int32, dim int, metric vec.Metric, vaults int) *Fixed
 	if metric != vec.Euclidean && metric != vec.Manhattan {
 		panic("knn: fixed-point engine supports euclidean and manhattan only")
 	}
-	return &FixedEngine{
-		data:        data,
-		dim:         dim,
-		n:           len(data) / dim,
-		metric:      metric,
-		vaults:      ResolveVaults(vaults),
-		serialBelow: DefaultSerialThreshold,
-	}
+	return &FixedEngine{Walk: NewWalk(vaults), data: data, dim: dim, n: len(data) / dim, metric: metric}
 }
 
 // N returns the database size.
 func (e *FixedEngine) N() int { return e.n }
-
-// Vaults returns the intra-query vault count.
-func (e *FixedEngine) Vaults() int { return e.vaults }
-
-// SetSerialThreshold overrides the dataset size below which queries
-// scan serially regardless of the vault count.
-func (e *FixedEngine) SetSerialThreshold(n int) { e.serialBelow = n }
 
 // Row returns fixed-point database vector i.
 func (e *FixedEngine) Row(i int) []int32 { return e.data[i*e.dim : (i+1)*e.dim] }
@@ -68,55 +54,61 @@ func (e *FixedEngine) SearchStats(q []int32, k int) ([]topk.Result, Stats) {
 // per scanned slice (sp may be nil). Results are bit-identical to a
 // serial scan at any vault count.
 func (e *FixedEngine) SearchStatsSpan(q []int32, k int, sp *obs.Span) ([]topk.Result, Stats) {
+	res, st, err := WalkVaults(&e.Walk, fixedPass{oneQuery{e.split(e.n), k}, e, q}, 1, false, sp)
+	if err != nil {
+		panic(err) // a vault's panic, re-raised on the caller's goroutine
+	}
+	return res, st
+}
+
+// oneQuery is what the single-query passes below share: the rows' split,
+// and the merge of each partition's k best under the total order.
+type oneQuery struct {
+	par.Split
+	k int
+}
+
+func (o oneQuery) Merge(parts [][]topk.Result) []topk.Result { return topk.MergeSorted(o.k, parts...) }
+
+// fixedPass is one query's walk over a FixedEngine's rows.
+type fixedPass struct {
+	oneQuery
+	e *FixedEngine
+	q []int32
+}
+
+func (p fixedPass) Scan(a, b int, _ *obs.Span) ([]topk.Result, Stats, error) {
 	dist := vec.SquaredL2Fixed
-	if e.metric == vec.Manhattan {
+	if p.e.metric == vec.Manhattan {
 		dist = vec.L1Fixed
 	}
-	return scanOne(e.n, e.vaults, e.serialBelow, k, sp, func(lo, hi int) ([]topk.Result, Stats) {
-		sel := topk.New(k)
-		var st Stats
-		for i := lo; i < hi; i++ {
-			d := float64(dist(q, e.Row(i)))
-			st.DistEvals++
-			st.Dims += e.dim
-			st.PQInserts++
-			if sel.Push(i, d) {
-				st.PQKept++
-			}
+	lo, hi := p.Bounds(a, b)
+	sel, st := topk.New(p.k), Stats{DistEvals: hi - lo, Dims: (hi - lo) * p.e.dim, PQInserts: hi - lo}
+	for i := lo; i < hi; i++ {
+		if sel.Push(i, float64(dist(p.q, p.e.Row(i)))) {
+			st.PQKept++
 		}
-		return sel.Results(), st
-	})
+	}
+	return sel.Results(), st, nil
 }
 
 // HammingEngine is an exact linear-scan engine over binarized vectors
 // using Hamming distance, the workload of Table V's Hamming row and
 // the Table VI SSAM-vs-AP comparison.
 type HammingEngine struct {
-	data        []vec.Binary
-	vaults      int
-	serialBelow int
+	Walk
+	data []vec.Binary
 }
 
 // NewHammingEngine creates a Hamming-space linear engine. vaults is
 // the intra-query scan partition count (<= 0 selects DefaultVaults,
 // above MaxVaults clamps).
 func NewHammingEngine(data []vec.Binary, vaults int) *HammingEngine {
-	return &HammingEngine{
-		data:        data,
-		vaults:      ResolveVaults(vaults),
-		serialBelow: DefaultSerialThreshold,
-	}
+	return &HammingEngine{Walk: NewWalk(vaults), data: data}
 }
 
 // N returns the database size.
 func (e *HammingEngine) N() int { return len(e.data) }
-
-// Vaults returns the intra-query vault count.
-func (e *HammingEngine) Vaults() int { return e.vaults }
-
-// SetSerialThreshold overrides the dataset size below which queries
-// scan serially regardless of the vault count.
-func (e *HammingEngine) SetSerialThreshold(n int) { e.serialBelow = n }
 
 // Search returns the k nearest codes to q by Hamming distance.
 func (e *HammingEngine) Search(q vec.Binary, k int) []topk.Result {
@@ -133,18 +125,27 @@ func (e *HammingEngine) SearchStats(q vec.Binary, k int) ([]topk.Result, Stats) 
 // per scanned slice (sp may be nil). Results are bit-identical to a
 // serial scan at any vault count.
 func (e *HammingEngine) SearchStatsSpan(q vec.Binary, k int, sp *obs.Span) ([]topk.Result, Stats) {
-	return scanOne(len(e.data), e.vaults, e.serialBelow, k, sp, func(lo, hi int) ([]topk.Result, Stats) {
-		sel := topk.New(k)
-		var st Stats
-		for i := lo; i < hi; i++ {
-			d := float64(vec.Hamming(q, e.data[i]))
-			st.DistEvals++
-			st.Dims += q.Dim
-			st.PQInserts++
-			if sel.Push(i, d) {
-				st.PQKept++
-			}
+	res, st, err := WalkVaults(&e.Walk, hammingPass{oneQuery{e.split(len(e.data)), k}, e, q}, 1, false, sp)
+	if err != nil {
+		panic(err) // a vault's panic, re-raised on the caller's goroutine
+	}
+	return res, st
+}
+
+// hammingPass is one query's walk over a HammingEngine's codes.
+type hammingPass struct {
+	oneQuery
+	e *HammingEngine
+	q vec.Binary
+}
+
+func (p hammingPass) Scan(a, b int, _ *obs.Span) ([]topk.Result, Stats, error) {
+	lo, hi := p.Bounds(a, b)
+	sel, st := topk.New(p.k), Stats{DistEvals: hi - lo, Dims: (hi - lo) * p.q.Dim, PQInserts: hi - lo}
+	for i := lo; i < hi; i++ {
+		if sel.Push(i, float64(vec.Hamming(p.q, p.e.data[i]))) {
+			st.PQKept++
 		}
-		return sel.Results(), st
-	})
+	}
+	return sel.Results(), st, nil
 }

@@ -9,8 +9,12 @@ package knn
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
+	"sync"
 
 	"ssam/internal/obs"
+	"ssam/internal/par"
 	"ssam/internal/tier"
 	"ssam/internal/topk"
 	"ssam/internal/vec"
@@ -70,16 +74,56 @@ func (s *Stats) Add(other Stats) {
 	}
 }
 
+// Querier answers one query of a batch, a batch of one, recording its
+// spans under sp (nil-safe).
+type Querier interface {
+	Query(q [][]float32, k int, sp *obs.Span) ([]topk.Result, Stats, error)
+}
+
+// EachQuery answers every query of qs with q.Query, in turn on the
+// caller's goroutine or on up to GOMAXPROCS goroutines, and sums their
+// work. Queries that run in turn record their spans under sp; queries
+// fanned out record none, which would interleave. q is a value, copied
+// to the goroutines. On error — Query's, or a panic in it — out holds
+// the non-nil answers of the queries before failedAt, the first that
+// failed, and their work; failedAt is -1 on success.
+func EachQuery[Q Querier](qs [][]float32, k int, sp *obs.Span, inTurn bool, q Q) ([][]topk.Result, Stats, int, error) {
+	fan, limit := !inTurn && len(qs) > 1, 1
+	if fan {
+		limit = runtime.GOMAXPROCS(0)
+	}
+	out := make([][]topk.Result, len(qs))
+	var sum struct { // the one variable the goroutines share
+		sync.Mutex
+		Stats
+	}
+	if err := par.Each(len(qs), limit, func(i int) (err error) {
+		qsp := sp
+		if fan {
+			qsp = nil
+		}
+		var st Stats
+		out[i], st, err = q.Query(qs[i:i+1], k, qsp)
+		sum.Lock()
+		sum.Add(st)
+		sum.Unlock()
+		return err
+	}); err != nil {
+		// Every query before the failed one has its (non-nil) answer.
+		return out, sum.Stats, slices.IndexFunc(out, func(r []topk.Result) bool { return r == nil }), err
+	}
+	return out, sum.Stats, -1, nil
+}
+
 // corpus is what the exact and the quantized scan both hold of the rows
 // they search: where they sit (rows.go), their shape and metric, and
-// how a scan partitions them.
+// how a scan splits them.
 type corpus struct {
-	src         rowSource
-	dim         int
-	n           int
-	metric      vec.Metric
-	vaults      int // scan partitions, within a query and within a batch
-	serialBelow int // resident rows scan serially below this size
+	Walk
+	src    rowSource
+	dim    int
+	n      int
+	metric vec.Metric
 }
 
 // N returns the database size.
@@ -90,17 +134,6 @@ func (c *corpus) Dim() int { return c.dim }
 
 // Metric returns the scan's distance metric.
 func (c *corpus) Metric() vec.Metric { return c.metric }
-
-// Vaults returns the partition count: the vault count, or for an exact
-// scan over a store its page count.
-func (c *corpus) Vaults() int { return c.vaults }
-
-// SetSerialThreshold overrides the size (rows; for the exact scan, rows
-// times queries) below which a call over resident rows scans serially
-// regardless of the vault count (default DefaultSerialThreshold). Zero
-// forces the vault path for any size; tests use it to exercise vault
-// parallelism on small datasets.
-func (c *corpus) SetSerialThreshold(n int) { c.serialBelow = n }
 
 // Store returns the tier store the rows sit in, or nil when they are
 // resident.
@@ -115,7 +148,8 @@ type ExactScan struct{ corpus }
 // NewExactScan creates an exact scan over an opened store, one
 // partition per page.
 func NewExactScan(store *tier.Store, metric vec.Metric) *ExactScan {
-	return &ExactScan{corpus{src: paged{store}, dim: store.Dim(), n: store.Rows(), metric: metric, vaults: store.Vaults()}}
+	// A store's pages are walked in order, never as one: no threshold.
+	return &ExactScan{corpus{Walk: Walk{vaults: store.Vaults()}, src: paged{store}, dim: store.Dim(), n: store.Rows(), metric: metric}}
 }
 
 // Run answers every query of qs in one query-tiled scan: each partition
@@ -140,32 +174,39 @@ func (s *ExactScan) Run(qs [][]float32, k int, sp *obs.Span) ([][]topk.Result, S
 			return nil, Stats{}, err
 		}
 	}
-	t := vec.NewTile(s.metric, qs)
-	store, dim := s.src.pages(), s.dim
-	scan := func(v, lo, hi int, vsp *obs.Span) ([][]topk.Result, Stats, error) {
-		if store != nil {
-			store.Prefetch(v + 1) // read the next page while this one scans
-		}
-		rows, release, err := s.src.pin(v, lo, hi, vsp)
-		if err != nil {
-			return nil, Stats{}, err
-		}
-		defer release() // after Results has scored the rows still buffered, and on a panic
-		ts := NewTileScan(t, k)
-		for i, off := lo, 0; i < hi; i, off = i+1, off+dim {
-			ts.Offer(i, rows[off:off+dim])
-		}
-		res, st := ts.Results()
-		return res, st, nil
+	p := exactPass{Split: s.split(s.n), s: s, t: vec.NewTile(s.metric, qs), k: k}
+	return WalkVaults(&s.Walk, p, len(qs), s.src.pages() != nil, sp)
+}
+
+// exactPass is Run's walk: each partition's rows scored against the
+// batch's whole tile into partition-local selectors.
+type exactPass struct {
+	par.Split
+	s *ExactScan
+	t *vec.Tile
+	k int
+}
+
+func (p exactPass) Scan(a, b int, vsp *obs.Span) ([][]topk.Result, Stats, error) {
+	if store := p.s.src.pages(); store != nil {
+		store.Prefetch(b) // read the next page while this one scans
 	}
-	if store == nil && (s.vaults == 1 || s.n*len(qs) < s.serialBelow) {
-		return scan(0, 0, s.n, nil)
-	}
-	parts, st, err := fanVaults(s.n, s.vaults, len(qs), store != nil, sp, scan)
+	lo, hi := p.Bounds(a, b)
+	rows, release, err := p.s.src.pin(a, lo, hi, vsp)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return MergeVaults(k, len(qs), parts), st, nil
+	defer release() // after Results has scored the rows still buffered, and on a panic
+	ts, dim := NewTileScan(p.t, p.k), p.s.dim
+	for i, off := lo, 0; i < hi; i, off = i+1, off+dim {
+		ts.Offer(i, rows[off:off+dim])
+	}
+	res, st := ts.Results()
+	return res, st, nil
+}
+
+func (p exactPass) Merge(parts [][][]topk.Result) [][]topk.Result {
+	return MergeVaults(p.k, p.t.Len(), parts)
 }
 
 func checkDim(q []float32, dim int) error {
@@ -190,12 +231,11 @@ func NewEngine(data []float32, dim int, metric vec.Metric, vaults int) *Engine {
 		panic("knn: data length not a multiple of dim")
 	}
 	return &Engine{ExactScan{corpus{
-		src:         slab{data, dim},
-		dim:         dim,
-		n:           len(data) / dim,
-		metric:      metric,
-		vaults:      ResolveVaults(vaults),
-		serialBelow: DefaultSerialThreshold,
+		Walk:   NewWalk(vaults),
+		src:    slab{data, dim},
+		dim:    dim,
+		n:      len(data) / dim,
+		metric: metric,
 	}}}
 }
 

@@ -14,7 +14,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"ssam/internal/obs"
@@ -59,16 +58,13 @@ type PQScan struct {
 	tableMetric vec.Metric // metric the ADC tables are built under
 	scale       float64    // ADC distance scale (0.5 for cosine)
 	cb          *pq.Codebook
-	slabs       []*pq.Codes  // vault-local cache-blocked code groups
-	starts      []int        // first row of each slab; len(slabs)+1
+	slabs       []*pq.Codes  // vault-local cache-blocked code groups, one a slice of the walk's split
 	rerank      atomic.Int64 // read once per search: SetRerank may race a query
-	workers     int
 }
 
 // NewPQScan trains a codebook over data and encodes it. The code bytes
-// are laid out in one cache-blocked slab per vault, sliced with the
-// same chunking the scan uses, so each vault's scan touches only its
-// own slab. Supported metrics: Euclidean and Manhattan natively; Cosine
+// are laid out in one cache-blocked slab per vault, cut by the walk's
+// split (par.Split), so each vault's scan touches only its own slab. Supported metrics: Euclidean and Manhattan natively; Cosine
 // via normalize-at-encode (vectors are normalized to unit length before
 // training and coding, ADC then scans squared-L2 tables and halves the
 // result, since ||a-b||²/2 = 1-cos(a,b) on unit vectors). Re-rank
@@ -79,28 +75,23 @@ type PQScan struct {
 // top ADC candidates. The store must hold exactly the training data
 // (same rows, same order): it is the re-rank's source of truth, and
 // results are bit-identical to a scan that kept data.
-func NewPQScan(data []float32, dim int, metric vec.Metric, p PQParams, workers, vaults int, store *tier.Store) (*PQScan, error) {
+func NewPQScan(data []float32, dim int, metric vec.Metric, p PQParams, vaults int, store *tier.Store) (*PQScan, error) {
 	if dim <= 0 || len(data)%dim != 0 {
 		return nil, fmt.Errorf("knn: data length %d not a positive multiple of dim %d", len(data), dim)
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	if p.Rerank < 0 {
 		return nil, fmt.Errorf("knn: negative rerank %d", p.Rerank)
 	}
 	e := &PQScan{
 		corpus: corpus{
-			src:         slab{data, dim},
-			dim:         dim,
-			n:           len(data) / dim,
-			metric:      metric,
-			vaults:      ResolveVaults(vaults),
-			serialBelow: DefaultSerialThreshold,
+			Walk:   NewWalk(vaults),
+			src:    slab{data, dim},
+			dim:    dim,
+			n:      len(data) / dim,
+			metric: metric,
 		},
 		tableMetric: metric,
 		scale:       1,
-		workers:     workers,
 	}
 	if store != nil {
 		if store.Dim() != dim || store.Rows() != e.n {
@@ -138,13 +129,11 @@ func NewPQScan(data []float32, dim int, metric vec.Metric, p PQParams, workers, 
 	}); err != nil {
 		return nil, err
 	}
-	m := e.cb.M()
-	chunk := (e.n + e.vaults - 1) / e.vaults
-	e.starts = []int{0}
-	for lo := 0; lo < e.n; lo += chunk {
-		hi := min(lo+chunk, e.n)
-		e.slabs = append(e.slabs, pq.Pack(codes[lo*m:hi*m], m))
-		e.starts = append(e.starts, hi)
+	m, split := e.cb.M(), e.split(e.n)
+	e.slabs = make([]*pq.Codes, split.Len())
+	for v := range e.slabs {
+		lo, hi := split.Bounds(v, v+1)
+		e.slabs[v] = pq.Pack(codes[lo*m:hi*m], m)
 	}
 	return e, nil
 }
@@ -188,16 +177,23 @@ func (e *PQScan) Rerank() int { return int(e.rerank.Load()) }
 // selects and re-ranks at the old depth or the new one, never a mix.
 func (e *PQScan) SetRerank(r int) { e.rerank.Store(int64(max(r, 0))) }
 
-// search returns the k approximate nearest neighbors of q, a batch of
-// one: the ADC scan over the resident codes (one "vault" child span of
-// sp per slab scanned in parallel unless forceSerial; sp may be nil),
-// then the exact re-rank of its best candidates (rerankRows), whose
-// tile holds q itself. Results are bit-identical at any vault count and
+// pqQuery is RunBatch's query: the scan, and the walk its ADC pass takes.
+type pqQuery struct {
+	e *PQScan
+	w *Walk
+}
+
+// Query returns the k approximate nearest neighbors of q, a batch of
+// one: the ADC scan over the resident codes, walked by w (one "vault"
+// child span of sp per slab scanned in parallel; sp may be nil), then
+// the exact re-rank of its best candidates (rerankRows), whose tile
+// holds q itself. Results are bit-identical at any vault count and
 // wherever the rows sit. The error is a page the store could not serve;
 // an ADC-only search (depth 0) reads no rows.
-func (e *PQScan) search(q [][]float32, k int, sp *obs.Span, forceSerial bool) ([]topk.Result, Stats, error) {
+func (p pqQuery) Query(q [][]float32, k int, sp *obs.Span) ([]topk.Result, Stats, error) {
+	e := p.e
 	rerank := e.Rerank()
-	cands, st, err := e.adcCandidates(q[0], k, rerank, sp, forceSerial)
+	cands, st, err := e.adcCandidates(q[0], k, rerank, sp, p.w)
 	if err != nil {
 		return nil, st, err
 	}
@@ -289,11 +285,12 @@ func (e *PQScan) adcResults(cands []cand) []topk.Result {
 // adcCandidates runs the query's table build and ADC scan, returning
 // the R best under (ADC distance, row), R = max(k, rerank) held to n, in
 // no particular order: selected from the rows at or below the pilot's
-// bound, or from every row when fewer than R were. sp, the exec span,
-// gets a "vault" child per slab scanned in parallel and the adc_kept and
-// adc_rescan tags (in a batch, the last query's). The error is a panic
-// in a slab's scan.
-func (e *PQScan) adcCandidates(q []float32, k, rerank int, sp *obs.Span, forceSerial bool) ([]cand, Stats, error) {
+// bound, or from every row when fewer than R were. The slabs are the
+// partitions w walks; the codes are resident whatever the rows are, so
+// they fan out. sp, the exec span, gets a "vault" child per slab scanned
+// in parallel and the adc_kept and adc_rescan tags (in a batch, the last
+// query's). The error is a panic in a slab's scan.
+func (e *PQScan) adcCandidates(q []float32, k, rerank int, sp *obs.Span, w *Walk) ([]cand, Stats, error) {
 	if k <= 0 {
 		panic("knn: k must be positive")
 	}
@@ -307,21 +304,13 @@ func (e *PQScan) adcCandidates(q []float32, k, rerank int, sp *obs.Span, forceSe
 	st := Stats{TableBuilds: 1, Dims: pq.Ks * e.dim}
 
 	r := min(max(k, rerank), e.n)
-	pass := func(bound cand) ([][]cand, Stats, error) {
-		if forceSerial || e.vaults == 1 || e.n < e.serialBelow {
-			part, partStats := e.scanRange(lut, bound, 0, e.n)
-			return [][]cand{part}, partStats, nil
-		}
-		// The codes are resident whatever the rows are: the slabs fan out.
-		return fanVaults(e.n, e.vaults, 1, false, sp, func(_, lo, hi int, _ *obs.Span) ([]cand, Stats, error) {
-			part, partStats := e.scanRange(lut, bound, lo, hi)
-			return part, partStats, nil
-		})
-	}
-	parts, scanned, err := pass(e.pilot(lut, r))
+	pass := adcPass{Split: e.split(e.n), e: e, lut: lut, r: r}
+	pass.bound = e.pilot(lut, r, pass.Split)
+	cands, scanned, err := WalkVaults(w, pass, 1, false, sp)
 	st.Add(scanned)
 	if err == nil && scanned.PQKept < r {
-		parts, scanned, err = pass(allCands)
+		pass.bound = allCands
+		cands, scanned, err = WalkVaults(w, pass, 1, false, sp)
 		st.Add(scanned)
 		sp.SetTag("adc_rescan", true)
 		st.Rescans++
@@ -330,7 +319,7 @@ func (e *PQScan) adcCandidates(q []float32, k, rerank int, sp *obs.Span, forceSe
 		return nil, Stats{}, err
 	}
 	sp.SetTag("adc_kept", st.PQKept)
-	return selectCands(r, parts...), st, nil
+	return selectCands(r, cands), st, nil // a merged walk has selected already
 }
 
 // pilotRows caps the pilot (DESIGN.md §13): of s = min(pilotRows, n/32)
@@ -352,7 +341,7 @@ func pilotShape(n, r int) (s, rank int) {
 
 // pilot returns the bound for the r best rows, or allCands. Its distances
 // are the scan's own, taken early, and not counted in CodeEvals.
-func (e *PQScan) pilot(lut []float32, r int) cand {
+func (e *PQScan) pilot(lut []float32, r int, split par.Split) cand {
 	s, rank := pilotShape(e.n, r)
 	if rank == 0 {
 		return allCands
@@ -361,48 +350,55 @@ func (e *PQScan) pilot(lut []float32, r int) cand {
 	code := make([]byte, e.cb.M())
 	for i := range s {
 		row := i * e.n / s
-		v := row / e.starts[1] // the slabs are equal chunks but the last
-		buf[i] = makeCand(pq.ADC(lut, e.slabs[v].Row(row-e.starts[v], code)), uint32(row))
+		v := split.Of(row)
+		lo, _ := split.Bounds(v, v+1)
+		buf[i] = makeCand(pq.ADC(lut, e.slabs[v].Row(row-lo, code)), uint32(row))
 	}
 	nthElement(buf[:s], rank-1)
 	return buf[rank-1] | math.MaxUint32
 }
 
-// scanRange runs the ADC kernel over global rows [lo, hi), walking the
-// vault slabs that overlap the range, and returns the range's rows at
-// or below bound. A candidate's distance is the float32 table sum in
-// fixed subquantizer order, so it is independent of the partitioning;
-// e.scale (1, or the exact and order-preserving 0.5) is applied only
-// to distances that are returned. Every row is one PQInserts, every
-// row at or below the bound one PQKept.
-func (e *PQScan) scanRange(lut []float32, bound cand, lo, hi int) ([]cand, Stats) {
-	kept := make([]cand, 0, (hi-lo)/16) // at R = n/50 the bound keeps 1/20
-	var st Stats
-	for v, slab := range e.slabs {
-		start := e.starts[v]
-		l := max(lo, start) - start
-		h := min(hi, e.starts[v+1]) - start
-		if l >= h {
-			continue
-		}
-		slab.Scan(lut, l, h, func(base int, dists []float32) {
-			kept = collect(kept, bound, start+base, dists)
-		})
-		st.CodeEvals += h - l
-	}
-	st.PQInserts = st.CodeEvals
-	st.PQKept = len(kept)
-	return kept, st
+// adcPass is one ADC pass of a query over the code slabs, the walk's
+// partitions: Scan(a, b) runs the kernel over slabs [a, b) and returns
+// their rows at or below bound, Merge selects the r best of several
+// slabs' (selectCands). A candidate's distance is the float32 table sum
+// in fixed subquantizer order, so it is independent of the partitioning;
+// e.scale (1, or the exact and order-preserving 0.5) is applied only to
+// distances that are returned. Every row is one CodeEvals and PQInserts,
+// every row at or below the bound one PQKept.
+type adcPass struct {
+	par.Split
+	e     *PQScan
+	lut   []float32
+	bound cand
+	r     int
 }
+
+func (p adcPass) Scan(a, b int, _ *obs.Span) ([]cand, Stats, error) {
+	lo, hi := p.Bounds(a, b)
+	kept := make([]cand, 0, (hi-lo)/16) // at R = n/50 the bound keeps 1/20
+	for v := a; v < b; v++ {
+		start, end := p.Bounds(v, v+1)
+		p.e.slabs[v].Scan(p.lut, 0, end-start, func(base int, dists []float32) {
+			kept = collect(kept, p.bound, start+base, dists)
+		})
+	}
+	return kept, Stats{CodeEvals: hi - lo, PQInserts: hi - lo, PQKept: len(kept)}, nil
+}
+
+func (p adcPass) Merge(parts [][]cand) []cand { return selectCands(p.r, parts...) }
+
+// serialWalk is a walk of one vault: every call scans as one.
+var serialWalk = Walk{vaults: 1}
 
 // RunBatch runs one search per query and sums their work. Over a store
 // the queries run in turn, each with its vault-parallel ADC scan: pages
 // are a shared, budgeted resource, and sequential re-ranks reuse the hot
 // ones instead of thrashing them. Over resident rows a single query, or
-// fewer queries than workers, also run in turn so a short batch still
-// uses the machine; longer batches fan out across workers with serial
-// scans, which keeps total parallelism at the worker count instead of
-// workers × vaults. Queries that run in turn record their spans under sp
+// fewer queries than cores, also run in turn so a short batch still
+// uses the machine; longer batches fan out across the cores with serial
+// scans, which keeps total parallelism at the core count instead of
+// cores × vaults. Queries that run in turn record their spans under sp
 // (nil-safe). On error — a query of the wrong width, a page the store
 // could not serve, a panic — results before failedAt are valid and
 // failedAt names the query that failed (-1 on success).
@@ -412,25 +408,8 @@ func (e *PQScan) RunBatch(qs [][]float32, k int, sp *obs.Span) ([][]topk.Result,
 			return nil, Stats{}, i, err
 		}
 	}
-	limit, serial := 1, false // in turn
-	if e.src.pages() == nil && len(qs) > 1 && !(e.vaults > 1 && len(qs) < e.workers) {
-		limit, serial, sp = e.workers, true, nil
+	if e.src.pages() == nil && len(qs) > 1 && !(e.vaults > 1 && len(qs) < runtime.GOMAXPROCS(0)) {
+		return EachQuery(qs, k, sp, false, pqQuery{e, &serialWalk})
 	}
-	out := make([][]topk.Result, len(qs))
-	var sum struct { // the one variable the workers share
-		sync.Mutex
-		Stats
-	}
-	if err := par.Each(len(qs), limit, func(i int) (err error) {
-		var st Stats
-		out[i], st, err = e.search(qs[i:i+1], k, sp, serial)
-		sum.Lock()
-		sum.Add(st)
-		sum.Unlock()
-		return err
-	}); err != nil {
-		// Every query before the failed one has its (non-nil) answer.
-		return out, sum.Stats, slices.IndexFunc(out, func(r []topk.Result) bool { return r == nil }), err
-	}
-	return out, sum.Stats, -1, nil
+	return EachQuery(qs, k, sp, true, pqQuery{e, &e.Walk})
 }

@@ -32,7 +32,7 @@ func BenchmarkPQSearch(b *testing.B) {
 	e := benchPQ[vaults]
 	if e == nil {
 		var err error
-		e, err = NewPQScan(ds.Data, 128, vec.Euclidean, PQParams{M: 8, Sample: 2048, Rerank: 1000, Seed: 1}, 0, vaults, nil)
+		e, err = NewPQScan(ds.Data, 128, vec.Euclidean, PQParams{M: 8, Sample: 2048, Rerank: 1000, Seed: 1}, vaults, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

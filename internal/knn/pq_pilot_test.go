@@ -41,8 +41,9 @@ func pqOracle(e *PQScan, data, q []float32, k, rerank int) ([]topk.Result, []can
 	all := make([]cand, 0, e.n)
 	code := make([]byte, e.cb.M())
 	for v, slab := range e.slabs {
+		start, _ := e.split(e.n).Bounds(v, v+1)
 		for i := 0; i < slab.N(); i++ {
-			row := e.starts[v] + i
+			row := start + i
 			all = append(all, makeCand(pq.ADC(lut, slab.Row(i, code)), uint32(row)))
 		}
 	}
@@ -79,12 +80,12 @@ func TestPQPilotMissRescans(t *testing.T) {
 	p := PQParams{M: 4, Sample: 1024, Seed: 5}
 	var premise bool
 	for _, vaults := range []int{1, 2, 3, 32} {
-		ram, err := NewPQScan(data, dim, vec.Euclidean, p, 1, vaults, nil)
+		ram, err := NewPQScan(data, dim, vec.Euclidean, p, vaults, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ram.SetSerialThreshold(0)
-		tiered, err := NewPQScan(data, dim, vec.Euclidean, p, 1, vaults, tieredStore(t, data, dim, vaults, 0.5, true))
+		tiered, err := NewPQScan(data, dim, vec.Euclidean, p, vaults, tieredStore(t, data, dim, vaults, 0.5, true))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -70,7 +70,7 @@ func TestPQRerankAtLeastNEqualsExact(t *testing.T) {
 	for _, m := range []vec.Metric{vec.Euclidean, vec.Manhattan, vec.Cosine} {
 		exact := NewEngine(ds.Data, dim, m, 1)
 		for _, rerank := range []int{n, n + 100} {
-			e, err := NewPQScan(ds.Data, dim, m, PQParams{M: 4, Sample: 256, Rerank: rerank, Seed: 3}, 1, 2, nil)
+			e, err := NewPQScan(ds.Data, dim, m, PQParams{M: 4, Sample: 256, Rerank: rerank, Seed: 3}, 2, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,11 +91,11 @@ func TestPQRerankAtLeastNEqualsExact(t *testing.T) {
 func TestPQDeterministicAcrossBuilds(t *testing.T) {
 	ds := pqClustered(800, 12, 6, 42)
 	p := PQParams{M: 3, Sample: 400, Rerank: 20, Seed: 99}
-	a, err := NewPQScan(ds.Data, 12, vec.Euclidean, p, 2, 4, nil)
+	a, err := NewPQScan(ds.Data, 12, vec.Euclidean, p, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewPQScan(ds.Data, 12, vec.Euclidean, p, 2, 4, nil)
+	b, err := NewPQScan(ds.Data, 12, vec.Euclidean, p, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,12 +135,12 @@ func TestPQSerialParallelBitEquivalence(t *testing.T) {
 	}
 	for _, sh := range shapes {
 		p := PQParams{M: sh.M, Sample: 512, Seed: 7}
-		serial, err := NewPQScan(ds.Data, dim, sh.metric, p, 1, 1, nil)
+		serial, err := NewPQScan(ds.Data, dim, sh.metric, p, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, vaults := range sh.vaults {
-			par, err := NewPQScan(ds.Data, dim, sh.metric, p, 1, vaults, nil)
+			par, err := NewPQScan(ds.Data, dim, sh.metric, p, vaults, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,7 +179,7 @@ func TestPQRecallAcrossMetricsMK(t *testing.T) {
 		for _, M := range []int{2, 4, 8, 5} { // 5 exercises uneven subspace widths
 			// One training per (metric, M); SetRerank sweeps the
 			// accuracy knob over the same codebook.
-			e, err := NewPQScan(ds.Data, dim, m, PQParams{M: M, Sample: 1024, Seed: 11}, 1, 1, nil)
+			e, err := NewPQScan(ds.Data, dim, m, PQParams{M: M, Sample: 1024, Seed: 11}, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -223,7 +223,7 @@ func TestPQRecallAcrossMetricsMK(t *testing.T) {
 func TestPQStatsAccounting(t *testing.T) {
 	const n, dim, k, rerank = 500, 8, 5, 40
 	data := testData(n, dim, 45)
-	e, err := NewPQScan(data, dim, vec.Euclidean, PQParams{M: 4, Sample: 256, Rerank: rerank, Seed: 1}, 1, 1, nil)
+	e, err := NewPQScan(data, dim, vec.Euclidean, PQParams{M: 4, Sample: 256, Rerank: rerank, Seed: 1}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestPQStatsAccounting(t *testing.T) {
 func TestPQBatchMatchesSingle(t *testing.T) {
 	const n, dim, k = 2600, 12, 8
 	ds := pqClustered(n, dim, 12, 47)
-	e, err := NewPQScan(ds.Data, dim, vec.Euclidean, PQParams{M: 4, Sample: 512, Rerank: 30, Seed: 5}, 2, 4, nil)
+	e, err := NewPQScan(ds.Data, dim, vec.Euclidean, PQParams{M: 4, Sample: 512, Rerank: 30, Seed: 5}, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestPQEngineErrors(t *testing.T) {
 		{"negative rerank", data, 8, vec.Euclidean, PQParams{Rerank: -1}},
 	}
 	for _, c := range cases {
-		if _, err := NewPQScan(c.data, c.dim, c.metric, c.p, 1, 1, nil); err == nil {
+		if _, err := NewPQScan(c.data, c.dim, c.metric, c.p, 1, nil); err == nil {
 			t.Errorf("%s: accepted invalid config", c.name)
 		}
 	}
@@ -308,7 +308,7 @@ func TestPQEngineErrors(t *testing.T) {
 func TestPQAccessorsAndSetRerank(t *testing.T) {
 	const n, dim = 300, 8
 	data := testData(n, dim, 49)
-	e, err := NewPQScan(data, dim, vec.Euclidean, PQParams{M: 2, Sample: 128, Seed: 2}, 2, 2, nil)
+	e, err := NewPQScan(data, dim, vec.Euclidean, PQParams{M: 2, Sample: 128, Seed: 2}, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestPQAccessorsAndSetRerank(t *testing.T) {
 
 func TestPQKEdgeCases(t *testing.T) {
 	data := testData(50, 6, 51)
-	e, err := NewPQScan(data, 6, vec.Euclidean, PQParams{M: 3, Sample: 50, Seed: 1}, 1, 1, nil)
+	e, err := NewPQScan(data, 6, vec.Euclidean, PQParams{M: 3, Sample: 50, Seed: 1}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,12 +364,12 @@ func TestPQSetRerankRacesSearch(t *testing.T) {
 	ds := pqClustered(n, dim, 16, 53)
 	depths := []int{0, 32, n}
 	p := PQParams{M: 4, Sample: 256, Seed: 9}
-	ram, err := NewPQScan(ds.Data, dim, vec.Euclidean, p, 1, 3, nil)
+	ram, err := NewPQScan(ds.Data, dim, vec.Euclidean, p, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ram.SetSerialThreshold(0)
-	tiered, err := NewPQScan(ds.Data, dim, vec.Euclidean, p, 1, 3, tieredStore(t, ds.Data, dim, 3, 0.5, true))
+	tiered, err := NewPQScan(ds.Data, dim, vec.Euclidean, p, 3, tieredStore(t, ds.Data, dim, 3, 0.5, true))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func TestRecallConformance(t *testing.T) {
 	oracle := knn.GroundTruth(ds.Data, dim, ds.Queries, k)
 
 	pqScan, err := knn.NewPQScan(ds.Data, dim, vec.Euclidean,
-		knn.PQParams{M: 8, Rerank: 120, Seed: 5}, 1, 1, nil)
+		knn.PQParams{M: 8, Rerank: 120, Seed: 5}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -149,14 +149,14 @@ func TestTieredPQEquivalence(t *testing.T) {
 			for _, vaults := range []int{1, 3} {
 				for _, rerank := range []int{0, 7, n} {
 					p := PQParams{M: 4, Rerank: rerank, Seed: 10}
-					base, err := NewPQScan(data, dim, metric, p, 1, vaults, nil)
+					base, err := NewPQScan(data, dim, metric, p, vaults, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
 					base.SetSerialThreshold(0)
 					for _, frac := range tieredBudgetFractions {
 						st := tieredStore(t, data, dim, vaults, frac, true)
-						eng, err := NewPQScan(data, dim, metric, p, 1, vaults, st)
+						eng, err := NewPQScan(data, dim, metric, p, vaults, st)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -185,7 +185,7 @@ func TestTieredPQDropsResidentRows(t *testing.T) {
 	const n, dim = 100, 8
 	data := tieredDataset("smooth", n, dim, 37)
 	st := tieredStore(t, data, dim, 2, 0.5, false)
-	eng, err := NewPQScan(data, dim, vec.Euclidean, PQParams{M: 4, Rerank: 10, Seed: 1}, 1, 2, st)
+	eng, err := NewPQScan(data, dim, vec.Euclidean, PQParams{M: 4, Rerank: 10, Seed: 1}, 2, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestTieredPQDropsResidentRows(t *testing.T) {
 func TestTieredPQShapeMismatch(t *testing.T) {
 	data := tieredDataset("smooth", 100, 8, 38)
 	st := tieredStore(t, data, 8, 2, 0, false)
-	if _, err := NewPQScan(data[:50*8], 8, vec.Euclidean, PQParams{M: 4}, 1, 2, st); err == nil {
+	if _, err := NewPQScan(data[:50*8], 8, vec.Euclidean, PQParams{M: 4}, 2, st); err == nil {
 		t.Fatal("NewPQScan accepted a store/data shape mismatch")
 	}
 }
@@ -239,7 +239,7 @@ func TestTieredSearchSurfacesReadErrors(t *testing.T) {
 	// PQ path: the ADC scan is in-RAM, so only the re-rank touches the
 	// store — a faulted store must fail the query, not degrade recall.
 	stp := tieredStore(t, data, dim, 4, 0.1, false)
-	peng, err := NewPQScan(data, dim, vec.Euclidean, PQParams{M: 4, Rerank: 50, Seed: 2}, 1, 4, stp)
+	peng, err := NewPQScan(data, dim, vec.Euclidean, PQParams{M: 4, Rerank: 50, Seed: 2}, 4, stp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestTieredQueryDimMismatch(t *testing.T) {
 	if _, _, err := runOne(NewExactScan(st, vec.Euclidean), make([]float32, 4), 3); err == nil {
 		t.Fatal("tiered search accepted a mis-sized query")
 	}
-	peng, err := NewPQScan(data, 8, vec.Euclidean, PQParams{M: 4, Seed: 1}, 1, 2, tieredStore(t, data, 8, 2, 0, false))
+	peng, err := NewPQScan(data, 8, vec.Euclidean, PQParams{M: 4, Seed: 1}, 2, tieredStore(t, data, 8, 2, 0, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,11 +448,11 @@ func TestTieredBlockNeverOutlivesItsPage(t *testing.T) {
 			}
 			for _, rerank := range []int{n, 37} {
 				p := PQParams{M: 4, Rerank: rerank, Seed: 10}
-				pbase, err := NewPQScan(data, dim, metric, p, 1, vaults, nil)
+				pbase, err := NewPQScan(data, dim, metric, p, vaults, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				peng, err := NewPQScan(data, dim, metric, p, 1, vaults, poisoned(prefetch))
+				peng, err := NewPQScan(data, dim, metric, p, vaults, poisoned(prefetch))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -503,7 +503,7 @@ func TestTieredAccessors(t *testing.T) {
 	}
 
 	pst := tieredStore(t, data, dim, 2, 1.0, true)
-	pe, err := NewPQScan(data, dim, vec.Euclidean, PQParams{M: 4, Rerank: 9, Seed: 7}, 1, 2, pst)
+	pe, err := NewPQScan(data, dim, vec.Euclidean, PQParams{M: 4, Rerank: 9, Seed: 7}, 2, pst)
 	if err != nil {
 		t.Fatal(err)
 	}

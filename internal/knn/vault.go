@@ -25,15 +25,15 @@ import (
 
 	"ssam/internal/obs"
 	"ssam/internal/par"
-	"ssam/internal/topk"
 )
 
 // MaxVaults caps intra-query parallelism at the paper's per-module
 // vault count: one scan unit per HMC vault, 32 per module.
 const MaxVaults = 32
 
-// DefaultSerialThreshold is the dataset size below which the engines
-// scan serially even when vault parallelism is configured. Measured on
+// DefaultSerialThreshold is the call size, rows times queries, below
+// which the walk scans serially even when vault parallelism is
+// configured. Measured on
 // the synthetic GloVe/GIST shapes: spawning and joining a vault worker
 // costs a few microseconds, which a scan amortizes only once each
 // vault has on the order of a hundred rows of distance math; below
@@ -65,64 +65,120 @@ func ResolveVaults(v int) int {
 	return v
 }
 
-// fanVaults is the one partition walk: rows [0, n) split into vaults
-// contiguous slices, scan run on each (par.Each), and what each returned
-// handed back in vault order for the caller to reduce. It stops at the
-// first slice that would be empty (100 rows at 32 vaults are 25 slices
-// of 4), so scan never sees one. Resident rows fan out, a goroutine a
-// slice; inOrder walks the slices one after another on the caller's
-// goroutine and stops at the first error — the walk over a store's
-// pages, where holding one page at a time is what keeps the cache budget
-// true. Either way a panic in scan is its slice's error. Each slice is
-// recorded as a "vault" child span of sp (nil-safe) tagged with its
-// index, row count and the queries it served, and handed to scan to tag
-// further, so a sampled trace shows per-vault skew. The returned Stats
-// sum the per-vault accounting; because every row is scanned by exactly
-// one vault, DistEvals, Dims and PQInserts are identical to a serial
+// Walk is how a scan splits its rows into vaults: the vault count, and
+// the size under which a call scans them all as one. The engines and
+// the mutable store embed it.
+type Walk struct {
+	vaults      int
+	serialBelow int // a call over rows × queries below this scans as one
+}
+
+// NewWalk returns the walk over vaults vaults (ResolveVaults) with the
+// default serial threshold.
+func NewWalk(vaults int) Walk {
+	return Walk{vaults: ResolveVaults(vaults), serialBelow: DefaultSerialThreshold}
+}
+
+// Vaults returns the vault count: for an exact scan over a store, its
+// page count.
+func (w *Walk) Vaults() int { return w.vaults }
+
+// SetSerialThreshold overrides the size, in rows times queries of the
+// call, below which a call over resident rows scans serially whatever
+// the vault count (default DefaultSerialThreshold). Zero forces the
+// vault path at any size: tests and benchmarks use it to exercise vault
+// parallelism on small datasets. Set it before searching.
+func (w *Walk) SetSerialThreshold(n int) { w.serialBelow = n }
+
+// split is n rows cut into the walk's vaults.
+func (w *Walk) split(n int) par.Split { return par.NewSplit(n, w.vaults) }
+
+// Pass is one call's scan, split into partitions: Len of them,
+// partition v holding Size(v) rows (an embedded par.Split gives both).
+// Scan(a, b, vsp) scans partitions [a, b) and returns their answer and
+// work; Merge reduces the answers of several partitions, in partition
+// order, to the call's. A pass is a small value: WalkVaults copies it to
+// the goroutines it fans out to, so a call that scans as one allocates
+// nothing for it.
+type Pass[T any] interface {
+	Len() int
+	Size(v int) int
+	Scan(a, b int, vsp *obs.Span) (T, Stats, error)
+	Merge(parts []T) T
+}
+
+// WalkVaults is the one partition walk. Under w's serial threshold, or
+// with one vault, it is one p.Scan over every partition on the caller's
+// goroutine, with no span and no merge. Otherwise each partition that
+// holds rows is one Scan, recorded as a "vault" child span of sp
+// (nil-safe) tagged with its index, row count and the queries it
+// served, and handed to Scan to tag further, so a sampled trace shows
+// per-vault skew; empty partitions are skipped. Resident rows fan out, a
+// goroutine a partition, their spans opened before the goroutines launch
+// so that their durations cover the scheduling delay; inOrder walks the
+// partitions one after another on the caller's goroutine and stops at
+// the first error — the walk over a store's pages, where holding one
+// page at a time is what keeps the cache budget true, and which never
+// scans as one. Either way a panic in Scan is its partition's error.
+// The Stats sum the partitions' work, and Merge reduces their answers
+// when there is more than one. Because every row is scanned by exactly
+// one partition, DistEvals, Dims and PQInserts are identical to a serial
 // scan's (a selector's PQKept may exceed it, bounding against fewer
 // competitors; the quantized pass's one bound keeps it equal).
-func fanVaults[T any](n, vaults, queries int, inOrder bool, sp *obs.Span,
-	scan func(v, lo, hi int, vsp *obs.Span) (T, Stats, error)) ([]T, Stats, error) {
-	chunk := (n + vaults - 1) / vaults
-	nslices := 0
-	if chunk > 0 {
-		nslices = (n + chunk - 1) / chunk
+func WalkVaults[T any, P Pass[T]](w *Walk, p P, queries int, inOrder bool, sp *obs.Span) (T, Stats, error) {
+	if !inOrder {
+		rows := 0
+		for v := range p.Len() {
+			rows += p.Size(v)
+		}
+		if w.vaults == 1 || rows*queries < w.serialBelow {
+			return p.Scan(0, p.Len(), nil)
+		}
 	}
 	type part struct {
+		v   int
 		res T
 		st  Stats
 		sp  *obs.Span
 	}
-	parts := make([]part, nslices)
+	parts := make([]part, 0, p.Len())
+	for v := range p.Len() {
+		if p.Size(v) > 0 {
+			parts = append(parts, part{v: v})
+		}
+	}
 	limit := 1
 	if !inOrder {
-		// The spans start before the goroutines launch so their durations
-		// cover scheduling delay — exactly the skew a trace should show.
-		for v := range parts {
-			parts[v].sp = vaultSpan(sp, v, min(chunk, n-v*chunk), queries)
+		for i := range parts {
+			parts[i].sp = vaultSpan(sp, parts[i].v, p.Size(parts[i].v), queries)
 		}
 		limit = 0
 	}
-	err := par.Each(nslices, limit, func(v int) (err error) {
-		p, lo := &parts[v], v*chunk
-		hi := min(lo+chunk, n)
+	err := par.Each(len(parts), limit, func(i int) (err error) {
+		pt := &parts[i]
 		if inOrder {
-			p.sp = vaultSpan(sp, v, hi-lo, queries)
+			pt.sp = vaultSpan(sp, pt.v, p.Size(pt.v), queries)
 		}
-		defer p.sp.End()
-		p.res, p.st, err = scan(v, lo, hi, p.sp)
+		defer pt.sp.End()
+		pt.res, pt.st, err = p.Scan(pt.v, pt.v+1, pt.sp)
 		return err
 	})
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	out := make([]T, nslices)
 	var st Stats
-	for v, p := range parts {
-		out[v] = p.res
-		st.Add(p.st)
+	if err != nil {
+		var none T
+		return none, st, err
 	}
-	return out, st, nil
+	for _, pt := range parts {
+		st.Add(pt.st)
+	}
+	if len(parts) == 1 {
+		return parts[0].res, st, nil
+	}
+	out := make([]T, len(parts))
+	for i, pt := range parts {
+		out[i] = pt.res
+	}
+	return p.Merge(out), st, nil
 }
 
 func vaultSpan(sp *obs.Span, v, rows, queries int) *obs.Span {
@@ -130,23 +186,4 @@ func vaultSpan(sp *obs.Span, v, rows, queries int) *obs.Span {
 		obs.Tag{Key: "vault", Value: v},
 		obs.Tag{Key: "rows", Value: rows},
 		obs.Tag{Key: "queries", Value: queries})
-}
-
-// scanOne is the single-query engines' scan policy around one range
-// scan: serial when one vault is configured or the dataset is under
-// serialBelow rows, vault-parallel otherwise, the vault-local lists
-// merged under the total order. A panic in a vault's scan is re-raised
-// on the caller's goroutine.
-func scanOne(n, vaults, serialBelow, k int, sp *obs.Span, scan func(lo, hi int) ([]topk.Result, Stats)) ([]topk.Result, Stats) {
-	if vaults == 1 || n < serialBelow {
-		return scan(0, n)
-	}
-	parts, st, err := fanVaults(n, vaults, 1, false, sp, func(_, lo, hi int, _ *obs.Span) ([]topk.Result, Stats, error) {
-		res, st := scan(lo, hi)
-		return res, st, nil
-	})
-	if err != nil {
-		panic(err)
-	}
-	return topk.MergeSorted(k, parts...), st
 }

@@ -40,9 +40,12 @@ func TestSearchBatchOneSnapshot(t *testing.T) {
 	}
 	for _, metric := range []vec.Metric{vec.Euclidean, vec.Manhattan, vec.Cosine} {
 		for _, shape := range shapes {
-			for _, serialBelow := range []int{-1, 0} { // vault-parallel, default threshold
+			for _, forced := range []bool{true, false} { // vault-parallel, default threshold
 				r := rand.New(rand.NewSource(int64(17 + metric)))
-				s := NewFloat(dim, metric, Options{Vaults: vaults, SerialBelow: serialBelow})
+				s := NewFloat(dim, metric, Options{Vaults: vaults})
+				if forced {
+					s.SetSerialThreshold(0)
+				}
 				seed := tieRows(r, n, dim)
 				if err := s.Seed(seqIDs(n), seed); err != nil {
 					t.Fatal(err)

@@ -120,9 +120,9 @@ func (s *Store[V]) compact() CompactResult {
 	return res
 }
 
-// rebalance redistributes live rows into even contiguous chunks across
-// nv vaults, preserving physical scan order (vault by vault), and drops
-// all tombstones.
+// rebalance redistributes live rows across nv vaults by the split Seed
+// uses (par.Split), preserving physical scan order (vault by vault), and
+// drops all tombstones.
 func rebalance[V any](vaults []vaultShard[V], nv int) []vaultShard[V] {
 	var rows []V
 	var ids []int
@@ -135,17 +135,9 @@ func rebalance[V any](vaults []vaultShard[V], nv int) []vaultShard[V] {
 		}
 	}
 	out := make([]vaultShard[V], nv)
-	n := len(ids)
-	chunk := (n + nv - 1) / nv
-	if chunk == 0 {
-		return out
-	}
-	for v := 0; v < nv; v++ {
-		lo := v * chunk
-		hi := min(lo+chunk, n)
-		if lo >= hi {
-			continue
-		}
+	split := par.NewSplit(len(ids), nv)
+	for v := range split.Len() {
+		lo, hi := split.Bounds(v, v+1)
 		out[v] = vaultShard[V]{
 			rows: rows[lo:hi:hi],
 			ids:  ids[lo:hi:hi],

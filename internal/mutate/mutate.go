@@ -5,8 +5,8 @@
 // every frame, and NCAM (arXiv:1606.03742) motivates near-data search
 // precisely for datasets that churn faster than they can be re-shipped —
 // but the load-then-search engines of internal/knn cannot take a write
-// without a full rebuild. This package closes that gap for the three
-// linear engines (float32, 32-bit fixed point, Hamming codes).
+// without a full rebuild. This package closes that gap for the two
+// linear engines a region can write to (float32, Hamming codes).
 //
 // Design:
 //
@@ -59,11 +59,6 @@ type Options struct {
 	// parallelism, mirroring the paper's per-vault accelerators). <= 0
 	// selects knn.DefaultVaults; values above knn.MaxVaults clamp.
 	Vaults int
-	// SerialBelow is the scan size (physical rows times queries of the
-	// call) under which a search scans serially regardless of the vault
-	// count (default knn.DefaultSerialThreshold; negative forces the
-	// parallel path).
-	SerialBelow int
 	// GarbageThreshold is the per-vault dead fraction (dead / physical)
 	// at which a compaction pass rewrites the vault (default 0.3).
 	GarbageThreshold float64
@@ -74,18 +69,7 @@ type Options struct {
 }
 
 func (o Options) fill() Options {
-	if o.Vaults <= 0 {
-		o.Vaults = knn.DefaultVaults()
-	}
-	if o.Vaults > knn.MaxVaults {
-		o.Vaults = knn.MaxVaults
-	}
-	if o.SerialBelow == 0 {
-		o.SerialBelow = knn.DefaultSerialThreshold
-	}
-	if o.SerialBelow < 0 {
-		o.SerialBelow = 0
-	}
+	o.Vaults = knn.ResolveVaults(o.Vaults)
 	if o.GarbageThreshold <= 0 {
 		o.GarbageThreshold = 0.3
 	}
@@ -111,13 +95,17 @@ type vaultShard[V any] struct {
 	deadN int    // tombstones in this vault
 }
 
-// snapshot is one immutable generation of the store.
+// snapshot is one immutable generation of the store. Its vaults are the
+// partitions a search walks (searchPass).
 type snapshot[V any] struct {
 	seq    uint64 // mutation sequence number at publish
 	vaults []vaultShard[V]
 	live   int // surviving rows
 	dead   int // tombstoned rows still physically present
 }
+
+func (s *snapshot[V]) Len() int       { return len(s.vaults) }
+func (s *snapshot[V]) Size(v int) int { return len(s.vaults[v].ids) }
 
 // StoreStats is a point-in-time view of a store's mutation state.
 type StoreStats struct {
@@ -132,10 +120,13 @@ type StoreStats struct {
 	GarbageRatio  float64
 }
 
-// Store is a mutable vector store over rows of type V ([]float32,
-// []int32, or vec.Binary — see NewFloat, NewFixed, NewBinary). All
-// methods are safe for concurrent use; Search never blocks on writers.
+// Store is a mutable vector store over rows of type V ([]float32 or
+// vec.Binary — see NewFloat, NewBinary). All methods are safe for
+// concurrent use but SetSerialThreshold; Search never blocks on
+// writers. Its vaults are split and walked as the immutable engines'
+// are (knn.Walk).
 type Store[V any] struct {
+	knn.Walk
 	opts  Options
 	dim   int           // for Stats.Dims accounting and error text
 	check func(V) error // row validation (width, finiteness is wire's job)
@@ -204,34 +195,6 @@ func NewFloat(dim int, metric vec.Metric, opts Options) *Store[[]float32] {
 	)
 }
 
-// NewFixed returns a store over Q16.16 fixed-point rows, the mutable
-// counterpart of knn.FixedEngine. metric must be vec.Euclidean or
-// vec.Manhattan (the metrics with fixed-point kernels); distances are
-// raw fixed-point units, matching the engine.
-func NewFixed(dim int, metric vec.Metric, opts Options) *Store[[]int32] {
-	if dim <= 0 {
-		panic("mutate: dim must be positive")
-	}
-	dist := vec.SquaredL2Fixed
-	switch metric {
-	case vec.Euclidean:
-	case vec.Manhattan:
-		dist = vec.L1Fixed
-	default:
-		panic("mutate: fixed-point store supports euclidean and manhattan only")
-	}
-	return newStore[[]int32](dim, opts,
-		func(v []int32) error {
-			if len(v) != dim {
-				return fmt.Errorf("mutate: row dim %d, want %d", len(v), dim)
-			}
-			return nil
-		},
-		func(v []int32) []int32 { return append([]int32(nil), v...) },
-		perQuery(dim, func(q, row []int32) float64 { return float64(dist(q, row)) }),
-	)
-}
-
 // NewBinary returns a store over bit-packed Hamming codes of the given
 // width, the mutable counterpart of knn.HammingEngine.
 func NewBinary(bits int, opts Options) *Store[vec.Binary] {
@@ -248,7 +211,9 @@ func NewBinary(bits int, opts Options) *Store[vec.Binary] {
 		func(v vec.Binary) vec.Binary {
 			return vec.Binary{Dim: v.Dim, Words: append([]uint64(nil), v.Words...)}
 		},
-		perQuery(bits, func(q, row vec.Binary) float64 { return float64(vec.Hamming(q, row)) }),
+		func(qs []vec.Binary, k int) func() scan[vec.Binary] {
+			return func() scan[vec.Binary] { return &hammingScan{knn.NewSelectors(len(qs), k, 1), qs, bits} }
+		},
 	)
 }
 
@@ -260,37 +225,28 @@ type scan[V any] interface {
 	Results() ([][]topk.Result, knn.Stats)
 }
 
-// pairScan is the scan of a two-vector distance: each row is scored
-// against the queries one at a time.
-type pairScan[V any] struct {
+// hammingScan is the Hamming store's scan: each row is scored against
+// the queries one at a time.
+type hammingScan struct {
 	*knn.Selectors
-	qs   []V
-	dist func(q, row V) float64
-	dim  int
+	qs   []vec.Binary
+	bits int
 }
 
-func (p *pairScan[V]) Offer(id int, row V) {
-	for j, q := range p.qs {
-		p.Dists[j] = p.dist(q, row)
+func (h *hammingScan) Offer(id int, row vec.Binary) {
+	for j, q := range h.qs {
+		h.Dists[j] = float64(vec.Hamming(q, row))
 	}
-	p.Selectors.Offer([]int{id}, p.dim)
+	h.Selectors.Offer([]int{id}, h.bits)
 }
 
-func (p *pairScan[V]) Results() ([][]topk.Result, knn.Stats) {
-	return p.Selectors.Results(), p.Stats
-}
-
-func perQuery[V any](dim int, dist func(q, row V) float64) func([]V, int) func() scan[V] {
-	return func(qs []V, k int) func() scan[V] {
-		return func() scan[V] {
-			return &pairScan[V]{Selectors: knn.NewSelectors(len(qs), k, 1), qs: qs, dist: dist, dim: dim}
-		}
-	}
-}
+func (h *hammingScan) Results() ([][]topk.Result, knn.Stats) { return h.Selectors.Results(), h.Stats }
 
 func newStore[V any](dim int, opts Options, check func(V) error, clone func(V) V, prep func([]V, int) func() scan[V]) *Store[V] {
+	opts = opts.fill()
 	s := &Store[V]{
-		opts:  opts.fill(),
+		Walk:  knn.NewWalk(opts.Vaults),
+		opts:  opts,
 		dim:   dim,
 		check: check,
 		clone: clone,
@@ -299,14 +255,15 @@ func newStore[V any](dim int, opts Options, check func(V) error, clone func(V) V
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
-	s.snap.Store(&snapshot[V]{vaults: make([]vaultShard[V], s.opts.Vaults)})
+	s.snap.Store(&snapshot[V]{vaults: make([]vaultShard[V], s.Vaults())})
 	return s
 }
 
 // Seed bulk-loads rows with the given external ids as generation 0,
-// partitioned into contiguous vault chunks exactly like the immutable
-// engines — a seeded store answers queries bit-identically to
-// knn.NewEngine over the same data when ids are 0..n-1. Seed is
+// split into vaults by the immutable engines' rule (par.Split), the
+// vaults past the split left empty for upserts to fill — a seeded store
+// answers queries bit-identically to knn.NewEngine over the same data
+// when ids are 0..n-1. Seed is
 // only valid on an empty store (no prior Seed or mutation) and does not
 // advance the sequence number: the seed is the dataset the first
 // mutation mutates.
@@ -330,15 +287,10 @@ func (s *Store[V]) Seed(ids []int, rows []V) error {
 	if len(s.index) > 0 || s.seq.Load() != 0 {
 		return fmt.Errorf("mutate: Seed on a non-empty store")
 	}
-	vaults := make([]vaultShard[V], s.opts.Vaults)
-	n := len(rows)
-	chunk := (n + s.opts.Vaults - 1) / s.opts.Vaults
-	for v := range vaults {
-		lo := v * chunk
-		hi := min(lo+chunk, n)
-		if lo >= hi {
-			continue
-		}
+	vaults := make([]vaultShard[V], s.Vaults())
+	split := par.NewSplit(len(rows), s.Vaults())
+	for v := range split.Len() {
+		lo, hi := split.Bounds(v, v+1)
 		vs := vaultShard[V]{
 			rows: make([]V, 0, hi-lo),
 			ids:  make([]int, 0, hi-lo),
@@ -358,7 +310,7 @@ func (s *Store[V]) Seed(ids []int, rows []V) error {
 		}
 		vaults[v] = vs
 	}
-	s.snap.Store(&snapshot[V]{vaults: vaults, live: n})
+	s.snap.Store(&snapshot[V]{vaults: vaults, live: len(rows)})
 	return nil
 }
 
@@ -462,9 +414,6 @@ func (s *Store[V]) Dead() int { return s.snap.Load().dead }
 // Seq returns the last committed mutation sequence number.
 func (s *Store[V]) Seq() uint64 { return s.seq.Load() }
 
-// Vaults returns the physical partition count.
-func (s *Store[V]) Vaults() int { return s.opts.Vaults }
-
 // Dim returns the row dimensionality (bits for binary stores).
 func (s *Store[V]) Dim() int { return s.dim }
 
@@ -514,73 +463,53 @@ func (s *Store[V]) Survivors() (ids []int, rows []V) {
 // one. It answers one query per element of qs with the k nearest live
 // rows, closest first, ids being the external ids given to Upsert/Seed,
 // all against a single snapshot generation (batch-level consistency),
-// in one query-tiled scan: each vault walks its live rows once, scoring
-// every row against the whole batch into one vault-local selector per
-// query, and records one "vault" child span of sp (nil-safe). out[i] is
-// bit-identical to a serial scan of that generation for qs[i] alone at
-// any vault count: the total order is (distance, external id),
-// independent of physical layout. The Stats sum over the batch —
-// DistEvals, Dims and PQInserts are len(qs) times one query's — and Seq
-// is the generation scanned. A k past the generation's live rows is
-// answered as that many, so no selector is sized by k alone. A panic in
-// a vault's scan is re-raised here, on the caller's goroutine.
+// in one query-tiled scan: the snapshot's vaults are the partitions of
+// the engines' walk (knn.WalkVaults), each scanned once for the whole
+// batch into one selector per query, tombstones skipped before any
+// distance work. out[i] is bit-identical to a serial scan of that
+// generation for qs[i] alone at any vault count: the total order is
+// (distance, external id), independent of physical layout. The Stats
+// sum over the batch — DistEvals, Dims and PQInserts are len(qs) times
+// one query's — and Seq is the generation scanned. A k past the
+// generation's live rows is answered as that many, so no selector is
+// sized by k alone. A panic in a vault's scan is re-raised here, on the
+// caller's goroutine.
 func (s *Store[V]) SearchBatch(qs []V, k int, sp *obs.Span) ([][]topk.Result, knn.Stats) {
 	snap := s.snap.Load()
-	st := knn.Stats{Seq: snap.seq}
 	if k <= 0 || len(qs) == 0 {
-		return make([][]topk.Result, len(qs)), st
+		return make([][]topk.Result, len(qs)), knn.Stats{Seq: snap.seq}
 	}
 	k = min(k, max(snap.live, 1))
-	newScan := s.prep(qs, k)
-	if phys := snap.live + snap.dead; s.opts.Vaults == 1 || phys*len(qs) < s.opts.SerialBelow {
-		sc := newScan()
-		for v := range snap.vaults {
-			scanVault(&snap.vaults[v], sc)
-		}
-		res, sst := sc.Results()
-		st.Add(sst)
-		return res, st
-	}
-	parts := make([][][]topk.Result, len(snap.vaults))
-	vaults := make([]struct {
-		st knn.Stats
-		sp *obs.Span
-	}, len(snap.vaults))
-	for v := range snap.vaults {
-		if rows := len(snap.vaults[v].ids); rows > 0 {
-			vaults[v].sp = sp.Start("vault",
-				obs.Tag{Key: "vault", Value: v},
-				obs.Tag{Key: "rows", Value: rows},
-				obs.Tag{Key: "queries", Value: len(qs)})
-		}
-	}
-	if err := par.Each(len(snap.vaults), 0, func(v int) error {
-		if len(snap.vaults[v].ids) > 0 {
-			defer vaults[v].sp.End()
-			sc := newScan()
-			scanVault(&snap.vaults[v], sc)
-			parts[v], vaults[v].st = sc.Results()
-		}
-		return nil
-	}); err != nil {
+	out, st, err := knn.WalkVaults(&s.Walk, searchPass[V]{snap, s.prep(qs, k), k, len(qs)}, len(qs), false, sp)
+	if err != nil {
 		panic(err)
 	}
-	scanned := parts[:0]
-	for v, p := range parts {
-		if p != nil {
-			scanned = append(scanned, p)
-			st.Add(vaults[v].st)
-		}
-	}
-	return knn.MergeVaults(k, len(qs), scanned), st
+	st.Seq = snap.seq
+	return out, st
 }
 
-// scanVault offers one vault's live rows to sc; tombstones are skipped
-// before any distance work, so a block of four holds live rows only.
-func scanVault[V any](vs *vaultShard[V], sc scan[V]) {
-	for i := range vs.rows {
-		if !vs.dead[i] {
-			sc.Offer(vs.ids[i], vs.rows[i])
+// searchPass is one batch's walk over a snapshot's vaults: Scan offers
+// the live rows of vaults [a, b) to one scan, tombstones skipped before
+// any distance work, so a block of four holds live rows only.
+type searchPass[V any] struct {
+	*snapshot[V]
+	newScan    func() scan[V]
+	k, queries int
+}
+
+func (p searchPass[V]) Scan(a, b int, _ *obs.Span) ([][]topk.Result, knn.Stats, error) {
+	sc := p.newScan()
+	for _, vs := range p.vaults[a:b] {
+		for i, row := range vs.rows {
+			if !vs.dead[i] {
+				sc.Offer(vs.ids[i], row)
+			}
 		}
 	}
+	res, st := sc.Results()
+	return res, st, nil
+}
+
+func (p searchPass[V]) Merge(parts [][][]topk.Result) [][]topk.Result {
+	return knn.MergeVaults(p.k, p.queries, parts)
 }

@@ -89,7 +89,8 @@ func TestSeedMatchesEngine(t *testing.T) {
 	rows := tieRows(r, n, dim)
 	for _, metric := range []vec.Metric{vec.Euclidean, vec.Manhattan, vec.Cosine} {
 		for _, vaults := range []int{1, 4, 32} {
-			s := NewFloat(dim, metric, Options{Vaults: vaults, SerialBelow: -1})
+			s := NewFloat(dim, metric, Options{Vaults: vaults})
+			s.SetSerialThreshold(0)
 			if err := s.Seed(seqIDs(n), rows); err != nil {
 				t.Fatalf("Seed: %v", err)
 			}
@@ -256,10 +257,6 @@ func TestValidation(t *testing.T) {
 		t.Fatal("Seed after mutation accepted")
 	}
 
-	f := NewFixed(2, vec.Manhattan, Options{Vaults: 1})
-	if _, err := f.Upsert(0, []int32{1}); err == nil {
-		t.Fatal("short fixed row accepted")
-	}
 	b := NewBinary(64, Options{Vaults: 1})
 	if _, err := b.Upsert(0, vec.NewBinary(32)); err == nil {
 		t.Fatal("narrow code accepted")
@@ -278,8 +275,6 @@ func TestConstructorPanics(t *testing.T) {
 	}
 	mustPanic("NewFloat dim", func() { NewFloat(0, vec.Euclidean, Options{}) })
 	mustPanic("NewFloat hamming", func() { NewFloat(4, vec.HammingMetric, Options{}) })
-	mustPanic("NewFixed dim", func() { NewFixed(0, vec.Euclidean, Options{}) })
-	mustPanic("NewFixed cosine", func() { NewFixed(4, vec.Cosine, Options{}) })
 	mustPanic("NewBinary bits", func() { NewBinary(0, Options{}) })
 }
 
@@ -288,14 +283,11 @@ func TestOptionsFill(t *testing.T) {
 	if o.Vaults <= 0 || o.Vaults > knn.MaxVaults {
 		t.Fatalf("default vaults = %d", o.Vaults)
 	}
-	if o.SerialBelow != knn.DefaultSerialThreshold {
-		t.Fatalf("default serial threshold = %d", o.SerialBelow)
-	}
 	if o.GarbageThreshold != 0.3 || o.RebalanceFactor != 2.0 {
 		t.Fatalf("defaults = %+v", o)
 	}
-	o = Options{Vaults: 1000, SerialBelow: -5, GarbageThreshold: 0.5, RebalanceFactor: 3}.fill()
-	if o.Vaults != knn.MaxVaults || o.SerialBelow != 0 {
+	o = Options{Vaults: 1000, GarbageThreshold: 0.5, RebalanceFactor: 3}.fill()
+	if o.Vaults != knn.MaxVaults {
 		t.Fatalf("clamped = %+v", o)
 	}
 	if o.GarbageThreshold != 0.5 || o.RebalanceFactor != 3 {
@@ -331,7 +323,8 @@ func TestSurvivors(t *testing.T) {
 func TestSearchBatchMatchesSearch(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	const n, dim = 400, 4
-	s := NewFloat(dim, vec.Euclidean, Options{Vaults: 4, SerialBelow: -1})
+	s := NewFloat(dim, vec.Euclidean, Options{Vaults: 4})
+	s.SetSerialThreshold(0)
 	rows := tieRows(r, n, dim)
 	if err := s.Seed(seqIDs(n), rows); err != nil {
 		t.Fatal(err)
@@ -354,7 +347,8 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 func TestCompactReclaimsTombstones(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	const n, dim = 200, 4
-	s := NewFloat(dim, vec.Euclidean, Options{Vaults: 4, SerialBelow: -1, GarbageThreshold: 0.25})
+	s := NewFloat(dim, vec.Euclidean, Options{Vaults: 4, GarbageThreshold: 0.25})
+	s.SetSerialThreshold(0)
 	rows := tieRows(r, n, dim)
 	if err := s.Seed(seqIDs(n), rows); err != nil {
 		t.Fatal(err)
@@ -411,7 +405,8 @@ func TestCompactRebalancesSkew(t *testing.T) {
 	// the mean and a rebalance must trigger.
 	const n, dim = 256, 2
 	r := rand.New(rand.NewSource(5))
-	s := NewFloat(dim, vec.Euclidean, Options{Vaults: 4, SerialBelow: -1, GarbageThreshold: 0.99, RebalanceFactor: 1.5})
+	s := NewFloat(dim, vec.Euclidean, Options{Vaults: 4, GarbageThreshold: 0.99, RebalanceFactor: 1.5})
+	s.SetSerialThreshold(0)
 	rows := tieRows(r, n, dim)
 	if err := s.Seed(seqIDs(n), rows); err != nil {
 		t.Fatal(err)
@@ -446,7 +441,8 @@ func TestCompactRebalancesSkew(t *testing.T) {
 }
 
 func TestCompactorLifecycle(t *testing.T) {
-	s := NewFloat(2, vec.Euclidean, Options{Vaults: 2, SerialBelow: -1, GarbageThreshold: 0.01})
+	s := NewFloat(2, vec.Euclidean, Options{Vaults: 2, GarbageThreshold: 0.01})
+	s.SetSerialThreshold(0)
 	for i := 0; i < 64; i++ {
 		if _, err := s.Upsert(i, []float32{float32(i), 0}); err != nil {
 			t.Fatal(err)
@@ -488,7 +484,8 @@ func TestCompactorLifecycle(t *testing.T) {
 // (whose hook panics too), and writes still commit. At the parent the
 // first panic ended the process.
 func TestCompactHookPanicSkipsThePass(t *testing.T) {
-	s := NewFloat(2, vec.Euclidean, Options{Vaults: 2, SerialBelow: -1, GarbageThreshold: 0.01})
+	s := NewFloat(2, vec.Euclidean, Options{Vaults: 2, GarbageThreshold: 0.01})
+	s.SetSerialThreshold(0)
 	for i := 0; i < 64; i++ {
 		if _, err := s.Upsert(i, []float32{float32(i), 0}); err != nil {
 			t.Fatal(err)
@@ -520,27 +517,9 @@ func TestCompactHookPanicSkipsThePass(t *testing.T) {
 }
 
 func TestFixedAndBinaryStores(t *testing.T) {
-	// Fixed-point store matches the fixed engine's distance kernel.
-	f := NewFixed(2, vec.Euclidean, Options{Vaults: 1})
-	if _, err := f.Upsert(1, []int32{vec.ToFixed(1), 0}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Upsert(2, []int32{vec.ToFixed(3), 0}); err != nil {
-		t.Fatal(err)
-	}
-	res := search(f, []int32{vec.ToFixed(1), 0}, 1)
-	if len(res) != 1 || res[0].ID != 1 || res[0].Dist != 0 {
-		t.Fatalf("fixed search = %v", res)
-	}
-	fm := NewFixed(2, vec.Manhattan, Options{Vaults: 1})
-	a, b := []int32{vec.ToFixed(1), 0}, []int32{vec.ToFixed(3), 0}
-	fm.Upsert(1, b)
-	got := search(fm, a, 1)
-	if want := float64(vec.L1Fixed(a, b)); got[0].Dist != want {
-		t.Fatalf("fixed manhattan dist = %v, want %v", got[0].Dist, want)
-	}
-
-	// Binary store orders by Hamming distance with id tie-break.
+	// Binary store orders by Hamming distance with id tie-break. (The
+	// fixed-point store this test also covered is gone: no region wrote
+	// to one.)
 	bs := NewBinary(8, Options{Vaults: 1})
 	zero := vec.NewBinary(8)
 	one := vec.NewBinary(8)
@@ -548,7 +527,7 @@ func TestFixedAndBinaryStores(t *testing.T) {
 	bs.Upsert(5, zero)
 	bs.Upsert(3, zero) // identical code, smaller id
 	bs.Upsert(9, one)
-	res = search(bs, zero, 3)
+	res := search(bs, zero, 3)
 	if len(res) != 3 || res[0].ID != 3 || res[1].ID != 5 || res[2].ID != 9 {
 		t.Fatalf("binary search order = %v", res)
 	}

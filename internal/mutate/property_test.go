@@ -25,7 +25,8 @@ func TestMutationEquivalenceFloat(t *testing.T) {
 		for _, vaults := range []int{1, 4, 32} {
 			t.Run(fmt.Sprintf("%v-vaults%d", metric, vaults), func(t *testing.T) {
 				r := rand.New(rand.NewSource(int64(41*vaults) + int64(metric)))
-				s := NewFloat(dim, metric, Options{Vaults: vaults, SerialBelow: -1, GarbageThreshold: 0.2})
+				s := NewFloat(dim, metric, Options{Vaults: vaults, GarbageThreshold: 0.2})
+				s.SetSerialThreshold(0)
 				// Model of the store's logical content.
 				model := map[int][]float32{}
 				newRow := func() []float32 {
@@ -118,42 +119,12 @@ func sortIDs(a []int) {
 }
 
 // TestMutationEquivalenceFixedBinary runs a shorter interleaving over
-// the fixed-point and Hamming stores against per-type oracles.
+// the Hamming store against its oracle. (Its fixed-point half went with
+// the fixed-point store.)
 func TestMutationEquivalenceFixedBinary(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
-	const dim = 3
-	f := NewFixed(dim, vec.Euclidean, Options{Vaults: 4, SerialBelow: -1})
-	fModel := map[int][]int32{}
-	for step := 0; step < 200; step++ {
-		id := r.Intn(40)
-		if r.Float64() < 0.7 || len(fModel) == 0 {
-			row := []int32{int32(r.Intn(5)) << 16, int32(r.Intn(5)) << 16, int32(r.Intn(5)) << 16}
-			if _, err := f.Upsert(id, row); err != nil {
-				t.Fatal(err)
-			}
-			fModel[id] = row
-		} else {
-			f.Delete(id)
-			delete(fModel, id)
-		}
-		if step%41 == 0 {
-			f.CompactOnce()
-		}
-		if step%17 != 0 {
-			continue
-		}
-		q := []int32{int32(r.Intn(5)) << 16, 0, int32(r.Intn(5)) << 16}
-		got := search(f, q, 7)
-		sel := topk.New(7)
-		for id, row := range fModel {
-			sel.Push(id, float64(vec.SquaredL2Fixed(q, row)))
-		}
-		if want := sel.Results(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("fixed step %d: %v != %v", step, got, want)
-		}
-	}
-
-	b := NewBinary(16, Options{Vaults: 4, SerialBelow: -1})
+	b := NewBinary(16, Options{Vaults: 4})
+	b.SetSerialThreshold(0)
 	bModel := map[int]vec.Binary{}
 	randCode := func() vec.Binary {
 		c := vec.NewBinary(16)
@@ -203,7 +174,8 @@ func TestSearchDuringCompactionSoak(t *testing.T) {
 		idSpace  = 128
 		seedRows = 512
 	)
-	s := NewFloat(dim, vec.Euclidean, Options{Vaults: 4, SerialBelow: -1, GarbageThreshold: 0.05, RebalanceFactor: 1.2})
+	s := NewFloat(dim, vec.Euclidean, Options{Vaults: 4, GarbageThreshold: 0.05, RebalanceFactor: 1.2})
+	s.SetSerialThreshold(0)
 	seedR := rand.New(rand.NewSource(1))
 	rows := tieRows(seedR, seedRows, dim)
 	ids := make([]int, seedRows)

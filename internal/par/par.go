@@ -81,3 +81,37 @@ func Each(n, limit int, f func(i int) error) error {
 	st.wg.Wait()
 	return st.err
 }
+
+// Split is rows [0, n) cut into contiguous slices of ⌈n/parts⌉ rows,
+// the one partition rule of every vault-split layer (DESIGN.md §9):
+// the scan's vaults, the quantized code slabs, a store's pages and the
+// mutable store's seed. It stops at the first slice that would be
+// empty, so 100 rows in 32 parts are 25 slices of 4.
+type Split struct{ n, size, len int }
+
+// NewSplit cuts n rows into at most parts slices (parts >= 1).
+func NewSplit(n, parts int) Split {
+	if n <= 0 {
+		return Split{}
+	}
+	size := (n + parts - 1) / parts
+	return Split{n: n, size: size, len: (n + size - 1) / size}
+}
+
+// Len returns the slice count. Every slice holds at least one row.
+func (s Split) Len() int { return s.len }
+
+// Bounds returns the rows [lo, hi) of slices a through b-1: Bounds(v,
+// v+1) is slice v, Bounds(0, Len()) every row.
+func (s Split) Bounds(a, b int) (lo, hi int) {
+	return min(a*s.size, s.n), min(b*s.size, s.n)
+}
+
+// Size returns the row count of slice v.
+func (s Split) Size(v int) int {
+	lo, hi := s.Bounds(v, v+1)
+	return hi - lo
+}
+
+// Of returns the slice that holds row i.
+func (s Split) Of(i int) int { return i / s.size }

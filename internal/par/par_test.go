@@ -196,3 +196,44 @@ func TestSafe(t *testing.T) {
 		t.Fatalf("re-raised panic = %v (Recovered +%d), want the same *PanicError, not recounted", again, Recovered()-rec)
 	}
 }
+
+// TestSplitTiles holds the one partition rule to its contract over
+// every n in [0, 200] and every part count in [1, 33]: the slices tile
+// [0, n) in order, none is empty, there are at most parts of them, all
+// but the last hold ⌈n/parts⌉ rows, and the slice Of names holds the
+// row. 100 rows in 32 parts are the documented 25 slices of 4.
+func TestSplitTiles(t *testing.T) {
+	for n := 0; n <= 200; n++ {
+		for parts := 1; parts <= 33; parts++ {
+			s := NewSplit(n, parts)
+			if s.Len() > parts {
+				t.Fatalf("n=%d parts=%d: %d slices", n, parts, s.Len())
+			}
+			if lo, hi := s.Bounds(0, s.Len()); lo != 0 || hi != n {
+				t.Fatalf("n=%d parts=%d: the slices cover [%d,%d)", n, parts, lo, hi)
+			}
+			next := 0
+			for v := range s.Len() {
+				lo, hi := s.Bounds(v, v+1)
+				if lo != next || hi <= lo || s.Size(v) != hi-lo {
+					t.Fatalf("n=%d parts=%d: slice %d is [%d,%d) of size %d after row %d", n, parts, v, lo, hi, s.Size(v), next)
+				}
+				if size := (n + parts - 1) / parts; v < s.Len()-1 && hi-lo != size {
+					t.Fatalf("n=%d parts=%d: slice %d holds %d rows, want %d", n, parts, v, hi-lo, size)
+				}
+				for i := lo; i < hi; i++ {
+					if s.Of(i) != v {
+						t.Fatalf("n=%d parts=%d: row %d is in slice %d, Of says %d", n, parts, i, v, s.Of(i))
+					}
+				}
+				next = hi
+			}
+			if next != n {
+				t.Fatalf("n=%d parts=%d: the slices end at row %d", n, parts, next)
+			}
+		}
+	}
+	if s := NewSplit(100, 32); s.Len() != 25 || s.Size(24) != 4 {
+		t.Fatalf("100 rows in 32 parts: %d slices, the last of %d rows; want 25 of 4", s.Len(), s.Size(24))
+	}
+}

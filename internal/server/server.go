@@ -499,7 +499,6 @@ func toConfig(wc wire.RegionConfig) (ssam.Config, error) {
 		}
 	}
 	cfg.VectorLength = wc.VectorLength
-	cfg.Workers = wc.Workers
 	cfg.Vaults = wc.Vaults
 	cfg.Index = ssam.IndexParams(wc.Index)
 	if wc.Storage != nil {

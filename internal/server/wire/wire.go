@@ -15,7 +15,6 @@ type RegionConfig struct {
 	Mode         string `json:"mode,omitempty"`          // linear|kdtree|kmeans|mplsh|graph (default linear)
 	Execution    string `json:"execution,omitempty"`     // host|device (default host)
 	VectorLength int    `json:"vector_length,omitempty"` // device variant: 2|4|8|16
-	Workers      int    `json:"workers,omitempty"`
 	// Vaults sets the intra-query scan partition count for host linear
 	// execution (0 = min(32, GOMAXPROCS); clamped to 32). Results are
 	// bit-identical at every vault count.

@@ -77,6 +77,7 @@ func TestCreateRegionStrictness(t *testing.T) {
 		`{"name":"g","dims":8,"config":{"mode":"graph","index":{"ef_serach":64}}}`, // typo'd knob
 		`{"name":"g","dims":8,"config":{"mode":"graph","m":16}}`,                   // knob outside index
 		`{"name":"g","dims":8}trailing`,
+		`{"name":"g","dims":8,"config":{"workers":2}}`, // a knob that was removed: Vaults is the one
 		// A region is addressed as /regions/{name}: its name must be one
 		// path segment (the client escapes anything else).
 		`{"name":".","dims":8}`,

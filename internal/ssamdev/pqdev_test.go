@@ -20,7 +20,7 @@ func pqTestData(t *testing.T) *dataset.Dataset {
 func pqTestEngine(t *testing.T, ds *dataset.Dataset, rerank int) *knn.PQScan {
 	t.Helper()
 	e, err := knn.NewPQScan(ds.Data, ds.Dim(), vec.Euclidean,
-		knn.PQParams{M: 4, Sample: 1024, Rerank: rerank, Seed: 3}, 1, 1, nil)
+		knn.PQParams{M: 4, Sample: 1024, Rerank: rerank, Seed: 3}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestAttachPQIndex(t *testing.T) {
 
 	// Shape mismatch: an engine over a different database is refused.
 	other, err := knn.NewPQScan(ds.Data[:ds.Dim()*300], ds.Dim(), vec.Euclidean,
-		knn.PQParams{M: 4, Sample: 256, Seed: 3}, 1, 1, nil)
+		knn.PQParams{M: 4, Sample: 256, Seed: 3}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

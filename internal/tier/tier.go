@@ -1,7 +1,7 @@
 // Package tier implements the out-of-core vector store behind
 // ssam.Config.Storage: a region's float32 dataset lives in a backing
-// file partitioned into vault-granularity pages (the same contiguous
-// chunking the vault-parallel scan uses), and queries read pages
+// file partitioned into vault-granularity pages (par.Split, the rule the
+// vault-parallel scan splits its rows by), and queries read pages
 // through an admission-controlled hot-vault cache bounded by a
 // configurable memory budget. The file is the source of truth; the
 // cache only ever holds byte-identical copies of its pages, which is
@@ -132,11 +132,10 @@ type page struct {
 // Store serves vault pages of one backing file through a budgeted
 // cache. All methods are safe for concurrent use.
 type Store struct {
-	f      *os.File
-	dim    int
-	n      int
-	vaults int
-	chunk  int // rows per vault page (last page may be short)
+	f     *os.File
+	dim   int
+	n     int
+	split par.Split // the pages: rows cut by the header's vault count
 
 	budget      int64
 	prefetch    bool
@@ -158,9 +157,9 @@ type Store struct {
 }
 
 // WriteFile writes a flattened row-major float32 dataset as a tier
-// backing file partitioned for vaults scan partitions: pages of
-// ceil(n/vaults) rows (the same contiguous chunking the vault-parallel
-// scan uses). vaults must be positive and data a positive multiple of
+// backing file partitioned for vaults scan partitions: its pages are
+// the rows split into vaults (par.Split, as the vault-parallel scan
+// splits them). vaults must be positive and data a positive multiple of
 // dim.
 //
 // The file is written beside path and renamed over it, never rewritten
@@ -210,11 +209,11 @@ func WriteFile(path string, data []float32, dim, vaults int) (err error) {
 	return os.Rename(f.Name(), path)
 }
 
-// Open opens a backing file written by WriteFile. The header's vault
-// count fixes the page size, ceil(n/vaults) rows; the store's pages are
-// the ones that hold rows, which is fewer whenever the page size covers
-// the rows early: 100 rows written for 32 vaults are 25 pages of 4, and
-// a page 26 would start past the last row.
+// Open opens a backing file written by WriteFile. Its pages are the
+// rows split by the header's vault count (par.Split): ceil(n/vaults)
+// rows a page, and only the pages that hold rows, which is fewer
+// whenever the page size covers the rows early: 100 rows written for 32
+// vaults are 25 pages of 4, and a page 26 would start past the last row.
 func Open(path string, opts Options) (*Store, error) {
 	if opts.BudgetBytes < 0 {
 		return nil, fmt.Errorf("tier: budget must be non-negative, got %d", opts.BudgetBytes)
@@ -252,19 +251,17 @@ func Open(path string, opts Options) (*Store, error) {
 		f.Close()
 		return nil, fmt.Errorf("tier: %s: truncated (%d bytes, want %d)", path, fi.Size(), want)
 	}
-	chunk := (n + vaults - 1) / vaults
-	vaults = (n + chunk - 1) / chunk
+	split := par.NewSplit(n, vaults)
 	return &Store{
 		f:           f,
 		dim:         dim,
 		n:           n,
-		vaults:      vaults,
-		chunk:       chunk,
+		split:       split,
 		budget:      opts.BudgetBytes,
 		prefetch:    opts.Prefetch,
 		readTimeout: opts.ReadTimeout,
 		now:         time.Now,
-		pages:       make([]*page, vaults),
+		pages:       make([]*page, split.Len()),
 	}, nil
 }
 
@@ -283,19 +280,19 @@ func (s *Store) Dim() int { return s.dim }
 func (s *Store) Rows() int { return s.n }
 
 // Vaults returns the page count. Every page holds at least one row.
-func (s *Store) Vaults() int { return s.vaults }
+func (s *Store) Vaults() int { return s.split.Len() }
 
 // PageOf returns the vault page holding global row i.
-func (s *Store) PageOf(i int) int { return i / s.chunk }
+func (s *Store) PageOf(i int) int { return s.split.Of(i) }
 
 // PageRows returns the global row range [lo, hi) of vault page v, or a
 // *PageError if the store has no such page.
 func (s *Store) PageRows(v int) (lo, hi int, err error) {
-	if v < 0 || v >= s.vaults {
-		return 0, 0, &PageError{Page: v, Pages: s.vaults}
+	if v < 0 || v >= s.split.Len() {
+		return 0, 0, &PageError{Page: v, Pages: s.split.Len()}
 	}
-	lo = v * s.chunk
-	return lo, min(lo+s.chunk, s.n), nil
+	lo, hi = s.split.Bounds(v, v+1)
+	return lo, hi, nil
 }
 
 // SetReadHook installs a hook run before every backing-file read (fault
@@ -450,7 +447,7 @@ func (s *Store) Acquire(v int) (*Page, error) {
 // without Prefetch; read failures, a panicking read's included, are
 // dropped (the demand Acquire retries and surfaces them).
 func (s *Store) Prefetch(v int) {
-	if !s.prefetch || v < 0 || v >= s.vaults {
+	if !s.prefetch || v < 0 || v >= s.split.Len() {
 		return
 	}
 	s.mu.Lock()
@@ -547,9 +544,9 @@ func (s *Store) evictLocked(keep *page) {
 // unpinned page is the victim. Two full sweeps with no victim means
 // everything evictable is pinned.
 func (s *Store) clockVictimLocked(keep *page) *page {
-	for i := 0; i < 2*s.vaults; i++ {
+	for i := 0; i < 2*len(s.pages); i++ {
 		p := s.pages[s.hand]
-		s.hand = (s.hand + 1) % s.vaults
+		s.hand = (s.hand + 1) % len(s.pages)
 		if p == nil || p.loading || p.refs > 0 || p == keep {
 			continue
 		}
