@@ -40,8 +40,10 @@ go test -count=1 -cpu 1,2,4 -run 'BitIdentical|Equivalence' ./internal/replica
 # The same inside the region, where every engine takes a single query as
 # a batch of one: the quantized RunBatch and the indexes' par.Each pick
 # their branch for it by core count, so every mode's answers, stats and
-# exec tags through Search, Exec and SearchBatch are held at three widths.
-go test -count=1 -cpu 1,2,4 -run TestEngineConformance .
+# exec tags through Search, Exec and SearchBatch are held at three widths,
+# and so are the index modes' answers and work counters (the golden
+# digest), which no core count may change.
+go test -count=1 -cpu 1,2,4 -run 'TestEngineConformance|TestIndexWorkGolden' .
 # The same for the micro-batcher, whose runner count is GOMAXPROCS: how
 # many runners exist, execute at once and park between batches depends
 # on the width, so its whole suite — group commit, drain on Close, the
@@ -82,14 +84,14 @@ go run ./cmd/ssam-bench -exp pq -format json -scale 0.001 -queries 2 > /dev/null
 # store's evict/reload path under the gate.
 go run ./cmd/ssam-bench -exp tiered -format json -scale 0.001 -queries 2 > /dev/null
 
-# ratio_gate LABEL NUM_BENCH DEN_BENCH OP LIMIT: run the two root-package
+# ratio_gate LABEL NUM_BENCH DEN_BENCH OP LIMIT [PAIRS]: run the two root-package
 # benchmarks on the identical shape (4096 x 64, k=10), and fail if
 # ns/op(NUM) / ns/op(DEN) is not OP (">=" or "<=") LIMIT. The limits
 # compare kernels, so the runs are pinned to one CPU (-cpu=1, where the
 # limits were calibrated): with two cores the float32 scan's vault
 # fan-out halves its time and the ratio measures parallelism instead.
-# The gate reads ratio_pairs interleaved pairs, NUM then DEN, one run of
-# each, and gates the median of the per-pair ratios. Interference on a
+# The gate reads PAIRS (default ratio_pairs) interleaved pairs, NUM then
+# DEN, one run of each, and gates the median of the per-pair ratios. Interference on a
 # shared box comes in bursts: reading all of one side before the other
 # lets a burst move a whole side, where a pair's two runs sit seconds
 # apart and share the burst, and the median drops the pair it missed.
@@ -117,8 +119,8 @@ bench_ns() {
 }
 
 ratio_gate() {
-    local label=$1 num=$2 den=$3 op=$4 limit=$5 ratios="" n d ratio
-    for _ in $(seq 1 "$ratio_pairs"); do
+    local label=$1 num=$2 den=$3 op=$4 limit=$5 pairs=${6:-$ratio_pairs} ratios="" n d ratio
+    for _ in $(seq 1 "$pairs"); do
         n=$(bench_ns "$num")
         d=$(bench_ns "$den")
         ratios="$ratios $(awk -v n="$n" -v d="$d" 'BEGIN { printf "%.2f", n / d }')"
@@ -174,12 +176,19 @@ ratio_gate "float32 scan time vs quantized scan" \
 # page is resident, so the only extra work is page pins and the vault
 # merge — if this trips, the tier store's hot path has rotted, or the
 # two scans no longer share one kernel: a page loop left on the row
-# kernel while the slab loop runs the block kernel reads 1.45x. Measured
+# kernel while the slab loop runs the block kernel read 1.45x when this
+# gate was set (2.3-2.6x on today's AVX2 block kernel). Measured
 # 0.94-1.0x; re-read at 500 iterations, unloaded median 1.01-1.02x (and
 # 1.01-1.02x on a noisy box). The 25 % rule would put the ceiling at
-# 1.27x, looser than it is, so it stays at 1.2x.
+# 1.27x, looser than it is, so it stays at 1.2x. Its healthy median sits
+# only 0.2x under the ceiling, and one pair reads anywhere in 0.6-1.5x
+# under load, so it reads 11 pairs, not 7: at 7, a full run at load
+# average ~1.5 once read 1.14x (pairs 0.78-1.70x). Under a one-core
+# burner, ten runs at 11 pairs read medians of 0.94-1.02x; a fifth of
+# each page's rows scored a second time on the row kernel (a ~1.45x
+# loss) read 1.34-1.45x, failing ten of ten.
 ratio_gate "fully-cached tiered scan time vs in-RAM scan" \
-    BenchmarkRegionSearchTiered BenchmarkRegionSearchHost "<=" 1.2
+    BenchmarkRegionSearchTiered BenchmarkRegionSearchHost "<=" 1.2 11
 
 # Query-tile regression check: a batch of 16 must cost well under 16
 # single scans. The block kernel widens four rows once per batch and

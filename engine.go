@@ -196,6 +196,11 @@ func (a *indexEngine) Query(q [][]float32, k int, exec *obs.Span) ([]Result, knn
 	return res, st, nil
 }
 
+// untraced is find for an index that records no traversal spans.
+func untraced(search func(q []float32, k int) ([]Result, knn.Stats)) func([]float32, int, *obs.Span) ([]Result, knn.Stats) {
+	return func(q []float32, k int, _ *obs.Span) ([]Result, knn.Stats) { return search(q, k) }
+}
+
 func (a *indexEngine) setKnob(n int) error { a.knob(n); return nil }
 func (a *indexEngine) len() int            { return a.rows }
 
@@ -494,14 +499,6 @@ func (r *Region) newHostEngine() (engine, error) {
 			return nil, err
 		}
 	}
-	// index wraps a built kd-tree forest, k-means tree or LSH table set.
-	index := func(find func(q []float32, k int) (res []Result, distEvals, dims int), knob func(int)) engine {
-		return &indexEngine{rows: len(r.data) / r.dims, knob: knob,
-			find: func(q []float32, k int, _ *obs.Span) ([]Result, knn.Stats) {
-				res, de, d := find(q, k)
-				return res, knn.Stats{DistEvals: de, Dims: d}
-			}}
-	}
 	switch cfg.Mode {
 	case Linear:
 		switch {
@@ -522,10 +519,7 @@ func (r *Region) newHostEngine() (engine, error) {
 		}
 		f := kdtree.Build(r.data, r.dims, p)
 		f.Checks = or(ip.Checks, f.Checks)
-		return index(func(q []float32, k int) ([]Result, int, int) {
-			res, st := f.SearchStats(q, k)
-			return res, st.DistEvals, st.Dims
-		}, func(n int) { f.Checks = n }), nil
+		return &indexEngine{rows: f.N(), find: untraced(f.SearchStats), knob: func(n int) { f.Checks = n }}, nil
 	case KMeans:
 		p := kmeans.DefaultParams()
 		p.Branching, p.LeafSize = or(ip.Branching, p.Branching), or(ip.LeafSize, p.LeafSize)
@@ -534,10 +528,7 @@ func (r *Region) newHostEngine() (engine, error) {
 		}
 		t := kmeans.Build(r.data, r.dims, p)
 		t.Checks = or(ip.Checks, t.Checks)
-		return index(func(q []float32, k int) ([]Result, int, int) {
-			res, st := t.SearchStats(q, k)
-			return res, st.DistEvals, st.Dims
-		}, func(n int) { t.Checks = n }), nil
+		return &indexEngine{rows: t.N(), find: untraced(t.SearchStats), knob: func(n int) { t.Checks = n }}, nil
 	case MPLSH:
 		p := lsh.DefaultParams()
 		p.Tables, p.Bits = or(ip.Tables, p.Tables), or(ip.Bits, p.Bits)
@@ -546,19 +537,12 @@ func (r *Region) newHostEngine() (engine, error) {
 		}
 		x := lsh.Build(r.data, r.dims, p)
 		x.Probes = or(ip.Probes, x.Probes)
-		return index(func(q []float32, k int) ([]Result, int, int) {
-			res, st := x.SearchStats(q, k)
-			return res, st.DistEvals, st.Dims
-		}, func(n int) { x.Probes = n }), nil
+		return &indexEngine{rows: x.N(), find: untraced(x.SearchStats), knob: func(n int) { x.Probes = n }}, nil
 	case Graph:
 		// The traversal records "descend" (upper-layer hops) and "base"
 		// (layer-0 beam) children; the knob is the efSearch beam width.
 		g := graph.Build(r.data, r.dims, ip.graphParams())
-		return &indexEngine{rows: g.N(),
-			find: func(q []float32, k int, exec *obs.Span) ([]Result, knn.Stats) {
-				res, st := g.SearchStatsSpan(q, k, exec)
-				return res, st.KNN()
-			},
+		return &indexEngine{rows: g.N(), find: g.SearchStatsSpan,
 			knob: func(n int) { g.EfSearch = n },
 			extra: func() []obs.Tag {
 				return []obs.Tag{{Key: "mode", Value: "graph"}, {Key: "ef", Value: g.EfSearch}}

@@ -77,7 +77,7 @@ func TestIndexWorkGolden(t *testing.T) {
 			res, st := index.SearchStats(q, k)
 			writeAnswer(w, res)
 			fmt.Fprintf(w, "hash_dims=%d probes=%d bucket_hits=%d dist_evals=%d dims=%d probe_gen_ops=%d\n",
-				st.HashDims, st.Probes, st.BucketHits, st.DistEvals, st.Dims, st.ProbeGenOps)
+				st.HashDims, st.Probes, st.LeafScans, st.DistEvals, st.Dims, st.HeapOps)
 		}},
 		{"graph", "31f0521a038871f8", func(w io.Writer, q []float32) {
 			res, st := g.SearchStats(q, k)

@@ -91,35 +91,13 @@ func figureCurves(o Options, withSSAM bool) ([]CurvePoint, error) {
 				continue
 			}
 			forest.Checks = checks
-			out = append(out, measureCurvePoint(spec.Name, "kdtree", checks, qs, gt, dev, k,
-				func(q []float32) ([]topk.Result, ssamdev.ApproxWork) {
-					res, st := forest.SearchStats(q, k)
-					return res, ssamdev.ApproxWork{
-						DistEvals: st.DistEvals, LeafScans: st.LeafScans,
-						NodeVisits: st.NodeVisits, HeapOps: st.HeapOps,
-					}
-				}))
+			out = append(out, measureCurvePoint(spec.Name, "kdtree", checks, qs, gt, dev, k, forest.SearchStats))
 			tree.Checks = checks
-			out = append(out, measureCurvePoint(spec.Name, "kmeans", checks, qs, gt, dev, k,
-				func(q []float32) ([]topk.Result, ssamdev.ApproxWork) {
-					res, st := tree.SearchStats(q, k)
-					return res, ssamdev.ApproxWork{
-						DistEvals: st.DistEvals, LeafScans: st.LeafScans,
-						NodeVisits: st.NodeVisits, HeapOps: st.HeapOps,
-						CentroidEvals: st.CentroidEvals,
-					}
-				}))
+			out = append(out, measureCurvePoint(spec.Name, "kmeans", checks, qs, gt, dev, k, tree.SearchStats))
 		}
 		for _, probes := range figure2Probes {
 			index.Probes = probes
-			out = append(out, measureCurvePoint(spec.Name, "mplsh", probes, qs, gt, dev, k,
-				func(q []float32) ([]topk.Result, ssamdev.ApproxWork) {
-					res, st := index.SearchStats(q, k)
-					return res, ssamdev.ApproxWork{
-						DistEvals: st.DistEvals, LeafScans: st.BucketHits,
-						HeapOps: st.ProbeGenOps, HashDims: st.HashDims,
-					}
-				}))
+			out = append(out, measureCurvePoint(spec.Name, "mplsh", probes, qs, gt, dev, k, index.SearchStats))
 		}
 	}
 	return out, nil
@@ -146,12 +124,12 @@ func measureQPS(qs [][]float32, fn func(q []float32)) float64 {
 
 func measureCurvePoint(dsName, algo string, knob int, qs [][]float32,
 	gt [][]topk.Result, dev *ssamdev.Device, k int,
-	search func(q []float32) ([]topk.Result, ssamdev.ApproxWork)) CurvePoint {
+	search func(q []float32, k int) ([]topk.Result, knn.Stats)) CurvePoint {
 
 	var recall float64
 	var ssamSecs float64
 	for i, q := range qs {
-		res, work := search(q)
+		res, work := search(q, k)
 		recall += dataset.Recall(gt[i], res)
 		if dev != nil {
 			ssamSecs += dev.ApproxQuerySeconds(work)
@@ -162,7 +140,7 @@ func measureCurvePoint(dsName, algo string, knob int, qs [][]float32,
 		Algorithm: algo,
 		Knob:      knob,
 		Recall:    recall / float64(len(qs)),
-		QPS:       measureQPS(qs, func(q []float32) { search(q) }),
+		QPS:       measureQPS(qs, func(q []float32) { search(q, k) }),
 	}
 	if dev != nil && ssamSecs > 0 {
 		pt.SSAMQPS = float64(len(qs)) / ssamSecs

@@ -401,16 +401,7 @@ func (c *Cluster) Search(qs [][]float32, k int, sp *obs.Span) (Response, error) 
 			return Response{}, err
 		}
 	}
-	outs, err := scatter(c, gen, sp, func(p part, asp *obs.Span) ([][]ssam.Result, ssam.DeviceStats, error) {
-		lists, w, err := p.region.SearchBatchSpan(qs, k, asp)
-		if err != nil {
-			return nil, w.DeviceStats, err
-		}
-		for _, l := range lists {
-			p.remap(l)
-		}
-		return lists, w.DeviceStats, nil
-	})
+	outs, err := scatter(c, gen, qs, k, sp)
 	if err != nil {
 		return Response{}, err
 	}
@@ -473,27 +464,27 @@ func (p part) remap(res []ssam.Result) {
 }
 
 // gather is the outcome of one scatter across all shards.
-type gather[T any] struct {
-	vals   []T // per shard; zero value for empty or failed shards
+type gather struct {
+	vals   [][][]ssam.Result // per shard, each query's answer in global ids; nil for empty or failed shards
 	stats  []ssam.DeviceStats
 	failed []int
 	hedges int
 }
 
-// scatter runs op on every non-empty shard of gen concurrently,
+// scatter searches qs on every non-empty shard of gen concurrently,
 // applying the deadline/hedge/partial-result policy, and collects the
 // outcomes. It returns an error when failures cannot be degraded away:
 // any failure without AllowPartial, or all shards failing. When sp is
 // non-nil the fan-out is recorded as a "fanout" child span holding one
 // "shard" span per attempt.
-func scatter[T any](c *Cluster, gen *hedge.Gen[shardSet], sp *obs.Span, op func(p part, asp *obs.Span) (T, ssam.DeviceStats, error)) (gather[T], error) {
+func scatter(c *Cluster, gen *hedge.Gen[shardSet], qs [][]float32, k int, sp *obs.Span) (gather, error) {
 	parts := gen.Val.parts
-	g := gather[T]{vals: make([]T, len(parts)), stats: make([]ssam.DeviceStats, len(parts))}
-	outs := make([]shardOutcome[T], len(parts))
+	g := gather{vals: make([][][]ssam.Result, len(parts)), stats: make([]ssam.DeviceStats, len(parts))}
+	outs := make([]shardOutcome, len(parts))
 	fsp := sp.Start("fanout")
 	err := par.Each(len(parts), 0, func(si int) error {
 		if parts[si].region != nil {
-			outs[si] = runShard(c, gen, si, fsp, op)
+			outs[si] = runShard(c, gen, si, qs, k, fsp)
 		}
 		return nil
 	})
@@ -532,18 +523,19 @@ func scatter[T any](c *Cluster, gen *hedge.Gen[shardSet], sp *obs.Span, op func(
 }
 
 // shardOutcome is one shard's fan-out result.
-type shardOutcome[T any] struct {
-	val    T
+type shardOutcome struct {
+	val    [][]ssam.Result
 	stats  ssam.DeviceStats
 	err    error
 	hedges int
 }
 
-// runShard races op against shard si of gen under the cluster's policy:
+// runShard races the batch search of qs against shard si of gen,
+// remapping its answers to global ids, under the cluster's policy:
 // one hedge to the same shard after HedgeAfter (re-issue to a replica
 // of the shard), never a failover, ShardDeadline over the whole
 // fan-out. The shard's counters are per fan-out, not per attempt.
-func runShard[T any](c *Cluster, gen *hedge.Gen[shardSet], si int, fsp *obs.Span, op func(p part, asp *obs.Span) (T, ssam.DeviceStats, error)) shardOutcome[T] {
+func runShard(c *Cluster, gen *hedge.Gen[shardSet], si int, qs [][]float32, k int, fsp *obs.Span) shardOutcome {
 	s := c.shards[si]
 	start := time.Now()
 	s.inFlight.Add(1)
@@ -553,7 +545,7 @@ func runShard[T any](c *Cluster, gen *hedge.Gen[shardSet], si int, fsp *obs.Span
 		s.latNanos.Add(int64(time.Since(start)))
 	}()
 
-	out, info, err := hedge.Race(&c.racer, gen, hedge.Plan[shardOutcome[T]]{
+	out, info, err := hedge.Race(&c.racer, gen, hedge.Plan[shardOutcome]{
 		HedgeAfter: c.opts.HedgeAfter,
 		Deadline:   c.opts.ShardDeadline,
 		Begin: func(attempt int, kind string) (int, *obs.Span, func(error)) {
@@ -566,9 +558,16 @@ func runShard[T any](c *Cluster, gen *hedge.Gen[shardSet], si int, fsp *obs.Span
 			asp := fsp.Start("shard", obs.Tag{Key: "shard", Value: si}, obs.Tag{Key: "attempt", Value: attempt})
 			return si, asp, func(error) { asp.End() }
 		},
-		Run: func(_, _ int, asp *obs.Span) (o shardOutcome[T], err error) {
-			o.val, o.stats, err = op(gen.Val.parts[si], asp)
-			return o, err
+		Run: func(_, _ int, asp *obs.Span) (shardOutcome, error) {
+			p := gen.Val.parts[si]
+			lists, w, err := p.region.SearchBatchSpan(qs, k, asp)
+			if err != nil {
+				return shardOutcome{stats: w.DeviceStats}, err
+			}
+			for _, l := range lists {
+				p.remap(l)
+			}
+			return shardOutcome{val: lists, stats: w.DeviceStats}, nil
 		},
 	})
 	out.hedges = info.Hedges

@@ -71,33 +71,6 @@ func (p Params) fill() Params {
 // cannot build an absurdly tall tower.
 const maxLevelCap = 30
 
-// Stats records one query's traversal work — the raw material for both
-// the instruction-mix accounting and the near-data cost model
-// (ssamdev.GraphIndex charges NeighborFetches as vault reads and
-// DistEvals to the distance kernel).
-type Stats struct {
-	Hops            int // nodes whose neighbor lists were expanded
-	DistEvals       int // full distance computations
-	Dims            int // vector dimensions touched by distance math
-	HeapOps         int // candidate/result heap pushes and pops
-	NeighborFetches int // adjacency entries read (device: vault reads)
-}
-
-// KNN converts to the linear-scan accounting type so graph queries
-// land in the same DistEvals/Dims bookkeeping as every other engine.
-func (s Stats) KNN() knn.Stats {
-	return knn.Stats{DistEvals: s.DistEvals, Dims: s.Dims}
-}
-
-// Add accumulates other into s.
-func (s *Stats) Add(other Stats) {
-	s.Hops += other.Hops
-	s.DistEvals += other.DistEvals
-	s.Dims += other.Dims
-	s.HeapOps += other.HeapOps
-	s.NeighborFetches += other.NeighborFetches
-}
-
 // cd is one traversal candidate. Ordering is always the total order
 // (ascending distance, ties by ascending id), the same order the topk
 // package uses, so results are deterministic and merge-compatible.
@@ -173,7 +146,7 @@ func Build(data []float32, dim int, p Params) *Index {
 	}
 	rng := rand.New(rand.NewSource(p.Seed))
 	sc := g.getScratch()
-	var st Stats // build-time work, discarded
+	var st knn.Stats // build-time work, discarded
 	for i := 0; i < n; i++ {
 		g.insert(sc, int32(i), g.randLevel(rng), &st)
 	}
@@ -245,7 +218,7 @@ func (g *Index) capAt(layer int) int {
 
 // insert adds node id at the given top layer (ids must arrive in
 // order; Build guarantees it).
-func (g *Index) insert(sc *scratch, id int32, level int, st *Stats) {
+func (g *Index) insert(sc *scratch, id int32, level int, st *knn.Stats) {
 	nd := &g.nodes[id]
 	nd.level = int32(level)
 	nd.friends = make([][]int32, level+1)
@@ -358,7 +331,7 @@ func (g *Index) selectNeighbors(cands []cd, m int) []int32 {
 
 // greedy is the upper-layer descent: repeatedly hop to the closest
 // neighbor until no neighbor improves (ef=1 best-first).
-func (g *Index) greedy(q []float32, ep int32, layer int, st *Stats) int32 {
+func (g *Index) greedy(q []float32, ep int32, layer int, st *knn.Stats) int32 {
 	cur := cd{vec.SquaredL2(q, g.row(ep)), ep}
 	st.DistEvals++
 	st.Dims += g.dim
@@ -386,7 +359,7 @@ func (g *Index) greedy(q []float32, ep int32, layer int, st *Stats) int32 {
 // returning up to ef candidates sorted ascending under the total
 // order. The returned slice is owned by sc and valid until the next
 // searchLayer call on the same scratch.
-func (g *Index) searchLayer(sc *scratch, q []float32, ep int32, ef, layer int, st *Stats) []cd {
+func (g *Index) searchLayer(sc *scratch, q []float32, ep int32, ef, layer int, st *knn.Stats) []cd {
 	sc.reset()
 	sc.visit(ep)
 	d0 := vec.SquaredL2(q, g.row(ep))
@@ -445,8 +418,13 @@ func (g *Index) Search(q []float32, k int) []topk.Result {
 	return res
 }
 
-// SearchStats is Search plus traversal work accounting.
-func (g *Index) SearchStats(q []float32, k int) ([]topk.Result, Stats) {
+// SearchStats is Search plus traversal work accounting: Hops (nodes
+// whose neighbour lists were expanded), NeighborFetches (adjacency
+// entries read), DistEvals, Dims and HeapOps (candidate and result heap
+// pushes and pops). ssamdev.GraphIndex prices the same record on the
+// device: NeighborFetches as vault reads, DistEvals on the distance
+// kernel.
+func (g *Index) SearchStats(q []float32, k int) ([]topk.Result, knn.Stats) {
 	return g.SearchEfStatsSpan(q, k, g.EfSearch, nil)
 }
 
@@ -454,7 +432,7 @@ func (g *Index) SearchStats(q []float32, k int) ([]topk.Result, Stats) {
 // of sp: a "descend" span for the upper-layer hops and a "base" span
 // for the layer-0 beam search, each tagged with its hop and
 // distance-eval counts. A nil span is the untraced fast path.
-func (g *Index) SearchStatsSpan(q []float32, k int, sp *obs.Span) ([]topk.Result, Stats) {
+func (g *Index) SearchStatsSpan(q []float32, k int, sp *obs.Span) ([]topk.Result, knn.Stats) {
 	return g.SearchEfStatsSpan(q, k, g.EfSearch, sp)
 }
 
@@ -466,13 +444,13 @@ func (g *Index) SearchEf(q []float32, k, ef int) []topk.Result {
 }
 
 // SearchEfStats is SearchEf plus traversal work accounting.
-func (g *Index) SearchEfStats(q []float32, k, ef int) ([]topk.Result, Stats) {
+func (g *Index) SearchEfStats(q []float32, k, ef int) ([]topk.Result, knn.Stats) {
 	return g.SearchEfStatsSpan(q, k, ef, nil)
 }
 
 // SearchEfStatsSpan is the full search entry point: explicit beam
 // width, work accounting, and traversal spans under sp.
-func (g *Index) SearchEfStatsSpan(q []float32, k, ef int, sp *obs.Span) ([]topk.Result, Stats) {
+func (g *Index) SearchEfStatsSpan(q []float32, k, ef int, sp *obs.Span) ([]topk.Result, knn.Stats) {
 	if len(q) != g.dim {
 		panic(fmt.Sprintf("graph: query dim %d, want %d", len(q), g.dim))
 	}
@@ -482,7 +460,7 @@ func (g *Index) SearchEfStatsSpan(q []float32, k, ef int, sp *obs.Span) ([]topk.
 	if ef < k {
 		ef = k
 	}
-	var st Stats
+	var st knn.Stats
 	var dsp *obs.Span
 	if sp != nil { // guard: building the variadic tags would allocate
 		dsp = sp.Start("descend", obs.Tag{Key: "layers", Value: g.maxLayer})

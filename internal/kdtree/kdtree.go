@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"ssam/internal/knn"
 	"ssam/internal/topk"
 	"ssam/internal/vec"
 )
@@ -229,15 +230,6 @@ func (h *branchHeap) Pop() interface{} {
 	return x
 }
 
-// Stats records per-query work for the instruction-mix analysis.
-type Stats struct {
-	NodeVisits int // interior nodes traversed
-	LeafScans  int // leaf buckets scanned
-	DistEvals  int // vectors scored
-	Dims       int
-	HeapOps    int // backtracking heap pushes/pops
-}
-
 // Search returns the approximate k nearest neighbors of q, visiting at
 // most f.Checks database vectors across all trees.
 func (f *Forest) Search(q []float32, k int) []topk.Result {
@@ -245,10 +237,11 @@ func (f *Forest) Search(q []float32, k int) []topk.Result {
 	return res
 }
 
-// SearchStats is Search plus work accounting.
-func (f *Forest) SearchStats(q []float32, k int) ([]topk.Result, Stats) {
+// SearchStats is Search plus work accounting: NodeVisits, LeafScans,
+// DistEvals, Dims and HeapOps (backtracking heap pushes and pops).
+func (f *Forest) SearchStats(q []float32, k int) ([]topk.Result, knn.Stats) {
 	sel := topk.New(k)
-	var st Stats
+	var st knn.Stats
 	visited := make(map[int32]struct{}, f.Checks*2)
 	var h branchHeap
 	for t := range f.trees {
@@ -267,7 +260,7 @@ func (f *Forest) SearchStats(q []float32, k int) ([]topk.Result, Stats) {
 
 // descend walks from node to a leaf, pushing the opposite branches on
 // the backtracking heap, then scans the leaf bucket.
-func (f *Forest) descend(t int, ni int32, q []float32, sel *topk.Selector, h *branchHeap, visited map[int32]struct{}, st *Stats) {
+func (f *Forest) descend(t int, ni int32, q []float32, sel *topk.Selector, h *branchHeap, visited map[int32]struct{}, st *knn.Stats) {
 	tr := &f.trees[t]
 	for {
 		n := &tr.nodes[ni]

@@ -10,6 +10,7 @@ import (
 	"container/heap"
 	"math/rand"
 
+	"ssam/internal/knn"
 	"ssam/internal/topk"
 	"ssam/internal/vec"
 )
@@ -240,16 +241,6 @@ func (h *branchHeap) Pop() interface{} {
 	return x
 }
 
-// Stats records per-query work.
-type Stats struct {
-	NodeVisits    int
-	CentroidEvals int // centroid distance computations
-	LeafScans     int
-	DistEvals     int
-	Dims          int
-	HeapOps       int
-}
-
 // Search returns the approximate k nearest neighbors of q, scoring at
 // most t.Checks database vectors.
 func (t *Tree) Search(q []float32, k int) []topk.Result {
@@ -257,10 +248,12 @@ func (t *Tree) Search(q []float32, k int) []topk.Result {
 	return res
 }
 
-// SearchStats is Search plus work accounting.
-func (t *Tree) SearchStats(q []float32, k int) ([]topk.Result, Stats) {
+// SearchStats is Search plus work accounting: NodeVisits,
+// CentroidEvals, LeafScans, DistEvals, Dims (centroids' included) and
+// HeapOps.
+func (t *Tree) SearchStats(q []float32, k int) ([]topk.Result, knn.Stats) {
 	sel := topk.New(k)
-	var st Stats
+	var st knn.Stats
 	var h branchHeap
 	t.descend(0, q, sel, &h, &st)
 	for len(h) > 0 && st.DistEvals < t.Checks {
@@ -271,7 +264,7 @@ func (t *Tree) SearchStats(q []float32, k int) ([]topk.Result, Stats) {
 	return sel.Results(), st
 }
 
-func (t *Tree) descend(ni int32, q []float32, sel *topk.Selector, h *branchHeap, st *Stats) {
+func (t *Tree) descend(ni int32, q []float32, sel *topk.Selector, h *branchHeap, st *knn.Stats) {
 	for {
 		n := &t.nodes[ni]
 		if len(n.children) == 0 {

@@ -29,7 +29,8 @@ type Searcher interface {
 }
 
 // Stats records the work performed by a query, the raw material for
-// the Table I instruction-mix characterization. A vault-parallel scan
+// the Table I instruction-mix characterization. It is the one work
+// record of every engine and index on the host. A vault-parallel scan
 // reports the same DistEvals, Dims, and PQInserts as a serial scan of
 // the same database. On the float engines PQKept may exceed the serial
 // value under vault parallelism, because each vault-local selector
@@ -53,6 +54,20 @@ type Stats struct {
 	// Rescans counts the ADC passes run twice because the pilot's bound
 	// kept too few rows (pq.go); the second pass's rows are in CodeEvals.
 	Rescans int
+	// The index counters: the traversal work of the kd-tree forest, the
+	// k-means tree, multi-probe LSH and the graph, which their
+	// SearchStats entry points fill and the linear engines leave zero.
+	// Table I prices them as scalar instructions (internal/profile), the
+	// device's indexed-search model as scalar-unit cycles and vault reads
+	// (internal/ssamdev).
+	NodeVisits      int // interior tree nodes traversed
+	LeafScans       int // leaf buckets or probed LSH buckets scanned
+	HeapOps         int // backtracking, probe-generation or beam heap operations
+	CentroidEvals   int // k-means centroid distances (not in DistEvals)
+	HashDims        int // dimensions touched computing LSH hash codes
+	Probes          int // LSH buckets probed, hit or not
+	Hops            int // graph nodes whose neighbour lists were expanded
+	NeighborFetches int // graph adjacency entries read
 	// Seq is the mutation sequence number of the snapshot the query
 	// executed against (internal/mutate); 0 for the immutable engines,
 	// whose datasets have no generations.
@@ -69,6 +84,14 @@ func (s *Stats) Add(other Stats) {
 	s.TableBuilds += other.TableBuilds
 	s.CodeEvals += other.CodeEvals
 	s.Rescans += other.Rescans
+	s.NodeVisits += other.NodeVisits
+	s.LeafScans += other.LeafScans
+	s.HeapOps += other.HeapOps
+	s.CentroidEvals += other.CentroidEvals
+	s.HashDims += other.HashDims
+	s.Probes += other.Probes
+	s.Hops += other.Hops
+	s.NeighborFetches += other.NeighborFetches
 	if other.Seq > s.Seq {
 		s.Seq = other.Seq
 	}

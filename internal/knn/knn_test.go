@@ -2,6 +2,7 @@ package knn
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -120,11 +121,29 @@ func TestEngineStats(t *testing.T) {
 	}
 }
 
+// TestStatsAdd sets every counter field of Stats by reflection, so a
+// counter that Add forgets to sum fails here by name.
 func TestStatsAdd(t *testing.T) {
-	a := Stats{DistEvals: 1, Dims: 2, PQInserts: 3, PQKept: 4, TableBuilds: 5, CodeEvals: 6, Seq: 9}
-	a.Add(Stats{DistEvals: 10, Dims: 20, PQInserts: 30, PQKept: 40, TableBuilds: 50, CodeEvals: 60, Seq: 7})
-	if a != (Stats{DistEvals: 11, Dims: 22, PQInserts: 33, PQKept: 44, TableBuilds: 55, CodeEvals: 66, Seq: 9}) {
-		t.Fatalf("Add = %+v", a)
+	var a, b, want Stats
+	av, bv, wv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem(), reflect.ValueOf(&want).Elem()
+	for i := 0; i < av.NumField(); i++ {
+		name := av.Type().Field(i).Name
+		if name == "Seq" {
+			continue
+		}
+		if av.Field(i).Kind() != reflect.Int {
+			t.Fatalf("Stats.%s is a %v; this test sums int counters only", name, av.Field(i).Kind())
+		}
+		av.Field(i).SetInt(int64(i + 1))
+		bv.Field(i).SetInt(int64(10 * (i + 1)))
+		wv.Field(i).SetInt(int64(11 * (i + 1)))
+	}
+	a.Seq, b.Seq, want.Seq = 9, 7, 9
+	a.Add(b)
+	for i := 0; i < av.NumField(); i++ {
+		if got, w := av.Field(i).Interface(), wv.Field(i).Interface(); got != w {
+			t.Errorf("after Add, %s = %v, want %v", av.Type().Field(i).Name, got, w)
+		}
 	}
 	// Seq is a generation marker, not a work counter: Add keeps the
 	// newest value seen rather than summing.

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"ssam/internal/knn"
 	"ssam/internal/topk"
 	"ssam/internal/vec"
 )
@@ -180,26 +181,18 @@ func (h *pertHeap) Pop() interface{} {
 	return x
 }
 
-// Stats records per-query work.
-type Stats struct {
-	HashDims    int // dimensions touched computing hash codes
-	Probes      int // buckets probed
-	BucketHits  int // probed buckets that existed
-	DistEvals   int // candidates scored
-	Dims        int
-	ProbeGenOps int // perturbation-heap operations
-}
-
 // Search returns the approximate k nearest neighbors of q.
 func (x *Index) Search(q []float32, k int) []topk.Result {
 	res, _ := x.SearchStats(q, k)
 	return res
 }
 
-// SearchStats is Search plus work accounting.
-func (x *Index) SearchStats(q []float32, k int) ([]topk.Result, Stats) {
+// SearchStats is Search plus work accounting: HashDims, Probes,
+// LeafScans (the probed buckets that existed), DistEvals, Dims and
+// HeapOps (the perturbation heap's probe generation).
+func (x *Index) SearchStats(q []float32, k int) ([]topk.Result, knn.Stats) {
 	sel := topk.New(k)
-	var st Stats
+	var st knn.Stats
 	seen := make(map[int32]struct{})
 	margins := make([]float64, x.bits)
 	for t := range x.tables {
@@ -207,14 +200,14 @@ func (x *Index) SearchStats(q []float32, k int) ([]topk.Result, Stats) {
 		h, _ := hashWithMargins(q, tb.planes, margins)
 		st.HashDims += x.bits * x.dim
 		probes := probeSeq(h, margins, x.Probes)
-		st.ProbeGenOps += len(probes)
+		st.HeapOps += len(probes)
 		for _, code := range probes {
 			st.Probes++
 			bucket, ok := tb.buckets[code]
 			if !ok {
 				continue
 			}
-			st.BucketHits++
+			st.LeafScans++
 			for _, id := range bucket {
 				if _, dup := seen[id]; dup {
 					continue

@@ -1,10 +1,14 @@
 // Package profile reproduces the Table I instruction-mix
 // characterization of the SSAM paper. The paper instrumented FLANN and
 // FALCONN with Pin on an i7-4790K; we cannot run Pin here, so instead
-// the engines report their *measured* per-query work (distance
-// evaluations, node visits, heap operations, hash computations, bucket
-// probes) and this package converts that work into instruction-category
-// counts using fixed per-operation recipes.
+// the engines report their *measured* per-query work and this package
+// converts that work into instruction-category counts using fixed
+// per-operation recipes. The work is one record, knn.Stats, whichever
+// engine filled it: the linear scan its DistEvals, Dims, PQInserts and
+// PQKept; the kd-tree forest and the k-means tree their NodeVisits,
+// LeafScans and HeapOps (and the k-means tree its CentroidEvals);
+// multi-probe LSH its HashDims, Probes, LeafScans and HeapOps (probe
+// generation).
 //
 // Category conventions follow Pin's instruction-mix tool: a vector
 // load counts both as a vector (AVX/SSE) instruction and as a memory
@@ -20,10 +24,7 @@ package profile
 import (
 	"math"
 
-	"ssam/internal/kdtree"
-	"ssam/internal/kmeans"
 	"ssam/internal/knn"
-	"ssam/internal/lsh"
 )
 
 // Mix is an instruction-category census for some amount of work.
@@ -134,7 +135,7 @@ func LinearMix(st knn.Stats, k int) Mix {
 
 // KDTreeMix converts measured kd-tree query work into an instruction
 // mix.
-func KDTreeMix(st kdtree.Stats, k int) Mix {
+func KDTreeMix(st knn.Stats, k int) Mix {
 	m := distanceMix(float64(st.Dims))
 	m.Add(candidateMix(float64(st.DistEvals), float64(st.DistEvals)/3, k))
 	m.Add(nodeVisitMix(float64(st.NodeVisits)))
@@ -146,7 +147,7 @@ func KDTreeMix(st kdtree.Stats, k int) Mix {
 // KMeansMix converts measured k-means-tree query work into an
 // instruction mix. Centroid distance math is already included in
 // st.Dims.
-func KMeansMix(st kmeans.Stats, k int) Mix {
+func KMeansMix(st knn.Stats, k int) Mix {
 	m := distanceMix(float64(st.Dims))
 	m.Add(candidateMix(float64(st.DistEvals), float64(st.DistEvals)/3, k))
 	m.Add(nodeVisitMix(float64(st.NodeVisits + st.CentroidEvals)))
@@ -157,11 +158,11 @@ func KMeansMix(st kmeans.Stats, k int) Mix {
 // MPLSHMix converts measured multi-probe LSH query work into an
 // instruction mix. Bucket scans vectorize; hashing, probe generation,
 // bucket lookups and candidate dedup are scalar-heavy.
-func MPLSHMix(st lsh.Stats, k int) Mix {
+func MPLSHMix(st knn.Stats, k int) Mix {
 	m := distanceMix(float64(st.Dims))
 	m.Add(scalarProjectionMix(float64(st.HashDims)))
 	m.Add(candidateMix(float64(st.DistEvals), float64(st.DistEvals)/3, k))
-	m.Add(heapOpMix(float64(st.ProbeGenOps)))
+	m.Add(heapOpMix(float64(st.HeapOps)))
 	// Bucket probes are hash-map lookups.
 	m.Add(Mix{
 		ScalarRead:  5 * float64(st.Probes),

@@ -116,9 +116,9 @@ func TestZeroWorkMixes(t *testing.T) {
 	// Recipes must not divide by zero or go negative on empty stats.
 	mixes := []Mix{
 		LinearMix(knn.Stats{DistEvals: 1, Dims: 8, PQInserts: 1}, 5),
-		KDTreeMix(kdtree.Stats{DistEvals: 1, Dims: 8}, 5),
-		KMeansMix(kmeans.Stats{DistEvals: 1, Dims: 8}, 5),
-		MPLSHMix(lsh.Stats{DistEvals: 1, Dims: 8}, 5),
+		KDTreeMix(knn.Stats{DistEvals: 1, Dims: 8}, 5),
+		KMeansMix(knn.Stats{DistEvals: 1, Dims: 8}, 5),
+		MPLSHMix(knn.Stats{DistEvals: 1, Dims: 8}, 5),
 	}
 	for i, m := range mixes {
 		if m.Total() <= 0 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ssam/internal/graph"
+	"ssam/internal/knn"
 	"ssam/internal/topk"
 	"ssam/internal/vec"
 )
@@ -73,7 +74,7 @@ func (gi *GraphIndex) SearchEf(q []float32, k, ef int) ([]topk.Result, QueryStat
 // hop, capped by the module's PU count, at the calibrated
 // cycles-per-vector rate. DRAM traffic counts the fetched vectors at
 // device layout width plus one word per adjacency entry read.
-func (gi *GraphIndex) model(st graph.Stats) QueryStats {
+func (gi *GraphIndex) model(st knn.Stats) QueryStats {
 	d := gi.dev
 	memLat := float64(d.cfg.PU.MemLatencyCycles)
 	serial := float64(st.Hops)*(memLat+cyclesPerNodeVisit) +

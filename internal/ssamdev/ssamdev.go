@@ -438,17 +438,6 @@ func runPU(cfg sim.Config, dram []int32, prog []isa.Inst, query []int32, treeBas
 	return pu, nil
 }
 
-// ApproxWork summarizes the per-query work of an indexed (approximate)
-// search, fed by the host-side index implementations.
-type ApproxWork struct {
-	DistEvals     int // database vectors scored in bucket scans
-	LeafScans     int // distinct buckets scanned
-	NodeVisits    int // interior traversal steps (scalar unit)
-	HeapOps       int // backtracking heap operations (scalar unit)
-	CentroidEvals int // centroid distances (vector math, one PU)
-	HashDims      int // hash projection dimensions (vector math, one PU)
-}
-
 // Scalar-unit cycle charges for traversal steps, matching the kd-tree
 // and backtracking code a PU would execute from scratchpad-resident
 // indices (Section III-D).
@@ -457,11 +446,14 @@ const (
 	cyclesPerHeapOp    = 10
 )
 
-// ApproxQuerySeconds converts indexed-search work into device time
-// (the Fig. 7 model): traversal and hashing run on one PU's scalar and
-// vector units; bucket scans parallelize across PUs, at most one PU
-// per scanned bucket.
-func (d *Device) ApproxQuerySeconds(w ApproxWork) float64 {
+// ApproxQuerySeconds converts the work of one indexed (approximate)
+// query on the host, the record a kd-tree, k-means tree or LSH
+// SearchStats returns, into device time (the Fig. 7 model). Traversal
+// and hashing run on one PU: NodeVisits and HeapOps on its scalar unit,
+// CentroidEvals and HashDims on its vector unit. The DistEvals of the
+// bucket scans parallelize across PUs, at most one PU per scanned
+// bucket (LeafScans). The record's other counters are not priced.
+func (d *Device) ApproxQuerySeconds(w knn.Stats) float64 {
 	clock := d.cfg.PU.ClockHz
 	vl := float64(d.cfg.PU.VectorLen)
 	serial := float64(w.NodeVisits)*cyclesPerNodeVisit + float64(w.HeapOps)*cyclesPerHeapOp

@@ -215,13 +215,13 @@ func TestApproxQuerySeconds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	small := dev.ApproxQuerySeconds(ApproxWork{DistEvals: 100, LeafScans: 4, NodeVisits: 20, HeapOps: 10})
-	big := dev.ApproxQuerySeconds(ApproxWork{DistEvals: 10000, LeafScans: 4, NodeVisits: 20, HeapOps: 10})
+	small := dev.ApproxQuerySeconds(knn.Stats{DistEvals: 100, LeafScans: 4, NodeVisits: 20, HeapOps: 10})
+	big := dev.ApproxQuerySeconds(knn.Stats{DistEvals: 10000, LeafScans: 4, NodeVisits: 20, HeapOps: 10})
 	if small <= 0 || big <= small {
 		t.Fatalf("approx model not monotone: %v vs %v", small, big)
 	}
 	// More buckets means more scan parallelism at equal evals.
-	wide := dev.ApproxQuerySeconds(ApproxWork{DistEvals: 10000, LeafScans: 64, NodeVisits: 20, HeapOps: 10})
+	wide := dev.ApproxQuerySeconds(knn.Stats{DistEvals: 10000, LeafScans: 64, NodeVisits: 20, HeapOps: 10})
 	if wide >= big {
 		t.Fatalf("parallel scan (%v) not faster than serial (%v)", wide, big)
 	}
