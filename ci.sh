@@ -55,27 +55,9 @@ go test -count=1 -cpu 1,2,4 ./internal/server/batcher
 # paying for real measurement iterations.
 go test -run=NONE -bench=. -benchtime=1x ./...
 
-# Vault-sweep smoke: the perf-trajectory generator behind
-# BENCH_05_vaults.json must keep running end to end (tiny scale: this
-# checks the harness, not the numbers).
-go run ./cmd/ssam-bench -exp vaults -format json -scale 0.001 -queries 2 > /dev/null
-
 # Graph-sweep smoke: the recall/QPS frontier generator behind
 # BENCH_06_graph.json must keep running end to end.
 go run ./cmd/ssam-bench -exp graph -format json -scale 0.001 -queries 2 > /dev/null
-
-# Mutation-sweep smoke: the read-QPS-under-write-load generator behind
-# BENCH_07_mutate.json must keep running end to end.
-go run ./cmd/ssam-bench -exp mutate -format json -scale 0.001 -queries 2 > /dev/null
-
-# Replica-sweep smoke: the availability-under-kill generator behind
-# BENCH_08_replicas.json must keep running end to end.
-go run ./cmd/ssam-bench -exp replicas -format json -scale 0.001 -queries 2 > /dev/null
-
-# Quantized-sweep smoke: the recall/QPS generator behind
-# BENCH_09_pq.json must keep running end to end (reranks above the
-# tiny row count are skipped by the sweep itself).
-go run ./cmd/ssam-bench -exp pq -format json -scale 0.001 -queries 2 > /dev/null
 
 # Tiered-sweep smoke: the out-of-core QPS-vs-cache-fraction generator
 # behind BENCH_10_tiered.json must keep running end to end. The small
@@ -166,10 +148,17 @@ wait_port() {
 # the old reading against the old floor failed none. A one-core burner
 # read 2.58x and 2.67x. On a CPU without AVX2 the float scan is 2.4x
 # slower and the headroom is larger.
+# It reads 11 pairs, as the tiered gate does: at 7 a full run on
+# healthy code once read 2.18x. At 11 pairs on the same shared 2-vCPU
+# box (load average 1-1.3), twelve runs read medians of 1.89-2.45x
+# (one under the floor; single pairs 1.27-4.53x); with a spin loop
+# slowing pq.Scan's block by ~22 %, 2.11-2.31x (none fail); by ~31 %,
+# 2.00-2.34x (6 of 12 fail). On that box the floor sits close under
+# healthy readings and catches only the larger slowdown half the time.
 # If the float kernel gains again, this gate is the one that trips
 # without anything having rotted: re-read it then.
 ratio_gate "float32 scan time vs quantized scan" \
-    BenchmarkRegionSearchHost BenchmarkSearchPQ ">=" 2.1
+    BenchmarkRegionSearchHost BenchmarkSearchPQ ">=" 2.1 11
 
 # Tiered regression check: a fully-cached storage-backed region must
 # stay within 1.2x of the in-RAM host scan. Past the first pass every

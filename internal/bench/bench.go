@@ -13,6 +13,7 @@ package bench
 
 import (
 	"encoding/csv"
+	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -102,6 +103,15 @@ func (r Report) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
+}
+
+// WriteTrajectory writes a sweep's trajectory (GraphTrajectory,
+// TieredTrajectory) in the committed BENCH_*.json format: indented
+// JSON with a trailing newline.
+func WriteTrajectory(w io.Writer, t any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(t)
 }
 
 func pad(s string, w int) string {

@@ -4,13 +4,10 @@ package bench
 // HNSW efSearch beam against the paper's three approximate indexes on
 // a modern embedding shape (128-d GIST-like vectors), the experiment
 // behind the committed BENCH_06_graph.json. Wall-clock rates depend on
-// the machine, so the trajectory records GOMAXPROCS like the vault
-// sweep does.
+// the machine, so the trajectory records GOMAXPROCS and NumCPU.
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"runtime"
 	"time"
 
@@ -240,12 +237,4 @@ func GraphSweepReport(o Options) (Report, error) {
 		}
 	}
 	return r, nil
-}
-
-// WriteGraphTrajectory writes the sweep in the committed
-// BENCH_06_graph.json format (indented JSON, trailing newline).
-func WriteGraphTrajectory(w io.Writer, t GraphTrajectory) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t)
 }

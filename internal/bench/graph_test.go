@@ -39,7 +39,7 @@ func TestGraphSweepShape(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := WriteGraphTrajectory(&buf, tr); err != nil {
+	if err := WriteTrajectory(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	var back GraphTrajectory

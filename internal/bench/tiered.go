@@ -9,12 +9,10 @@ package bench
 // lookup. Each point also re-checks the bit-exactness contract against
 // the in-RAM serial engine — the sweep refuses to report a QPS for
 // answers that drifted. Wall-clock rates depend on the machine, so the
-// trajectory records GOMAXPROCS and NumCPU like the vault sweep does.
+// trajectory records GOMAXPROCS and NumCPU.
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -228,12 +226,4 @@ func TieredSweepReport(o Options) (Report, error) {
 		r.Notes = append(r.Notes, fmt.Sprintf("fully cached slowdown vs. in-RAM: %.2fx", s))
 	}
 	return r, nil
-}
-
-// WriteTieredTrajectory writes the sweep in the committed
-// BENCH_10_tiered.json format (indented JSON, trailing newline).
-func WriteTieredTrajectory(w io.Writer, t TieredTrajectory) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t)
 }

@@ -459,6 +459,37 @@ func TestClusterDeviceStatsAggregation(t *testing.T) {
 	assertSameResults(t, "device equivalence", resp.Results[0], want)
 }
 
+// TestClusterShardSweep is Fig. 9's system claim on device shards:
+// more shards never lower throughput. Each shard is its own simulated
+// module and the combined latency is the slowest shard's, so splitting
+// the rows further must strictly cut Combined.Cycles. The dataset has
+// to be large enough that the scan, not a fixed per-query cost,
+// dominates a shard's cycles: at 128 rows every shard count reads the
+// same 63 cycles.
+func TestClusterShardSweep(t *testing.T) {
+	const dims, n, k = 8, 2048, 10
+	data := randData(n, dims, 31)
+	q := randData(1, dims, 67)
+	prev := uint64(0)
+	for _, shards := range []int{1, 2, 4, 8} {
+		cl := buildCluster(t, data, dims, ssam.Config{Execution: ssam.Device}, Options{Shards: shards})
+		resp, err := cl.Search(one(q), k, nil)
+		cl.Free()
+		if err != nil {
+			t.Fatalf("%d shards: %v", shards, err)
+		}
+		cycles := resp.Stats.Combined.Cycles
+		t.Logf("%d shards: %d cycles", shards, cycles)
+		if cycles == 0 {
+			t.Fatalf("%d shards reported no device cycles", shards)
+		}
+		if prev != 0 && cycles >= prev {
+			t.Fatalf("%d shards take %d cycles, not fewer than the %d of half as many", shards, cycles, prev)
+		}
+		prev = cycles
+	}
+}
+
 // TestClusterDeviceStorageStatsSum: the modeled storage tier's bytes,
 // cache hits and stalls are work, so Combined sums them across shards
 // like every field but the latency.

@@ -20,14 +20,6 @@ import (
 	"ssam/internal/vec"
 )
 
-// Searcher is the interface satisfied by every kNN engine and index in
-// this repository: exact linear engines, kd-tree forests, hierarchical
-// k-means trees, and multi-probe LSH.
-type Searcher interface {
-	// Search returns the k nearest database ids to q, closest first.
-	Search(q []float32, k int) []topk.Result
-}
-
 // Stats records the work performed by a query, the raw material for
 // the Table I instruction-mix characterization. It is the one work
 // record of every engine and index on the host. A vault-parallel scan

@@ -168,8 +168,8 @@ func TestPQSerialParallelBitEquivalence(t *testing.T) {
 }
 
 // Recall against the exact oracle across metrics × M × k. Floors are
-// deliberately conservative; the bench trajectory (BENCH_09_pq.json)
-// records the operating-point numbers. Re-ranking 4k candidates is the
+// deliberately conservative; the spine's pq_single workload records
+// the operating point's recall. Re-ranking 4k candidates is the
 // documented way to buy recall back, and the floor reflects it.
 func TestPQRecallAcrossMetricsMK(t *testing.T) {
 	const n, dim = 2000, 16

@@ -11,9 +11,9 @@ import (
 // BenchmarkSearchVaults times one GIST-shaped query (960-d, the
 // paper's widest float workload) at fixed vault counts, serial
 // threshold forced to zero so every count takes its configured path.
-// Compare the sub-benchmarks to read the intra-query scaling on this
-// machine; BENCH_05_vaults.json records the same sweep via
-// ssam-bench -exp vaults.
+// Compare the sub-benchmarks to read the intra-query scaling on the
+// machine at hand; the spine's linear_single and linear_batch16
+// workloads time the same scan end to end.
 func BenchmarkSearchVaults(b *testing.B) {
 	const (
 		dim = 960
