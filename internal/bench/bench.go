@@ -30,8 +30,6 @@ type Options struct {
 	Queries int
 	// VectorLength selects the SSAM-n variant where one is needed.
 	VectorLength int
-	// Workers bounds host CPU threads for measured runs (0 = all).
-	Workers int
 }
 
 // Defaults fills zero fields with CI-friendly values.

@@ -17,7 +17,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files from current
 // percentages are exactly reproducible — any drift is a real change
 // to the profiling model, not noise.
 func goldenOpts() Options {
-	return Options{Scale: 0.0012, Queries: 3, VectorLength: 4, Workers: 1}
+	return Options{Scale: 0.0012, Queries: 3, VectorLength: 4}
 }
 
 func renderTableI(rows []TableIRow) string {
