@@ -57,7 +57,6 @@ func main() {
 	preloadSample := flag.Int("preload-sample", 0, "quantized mode: codebook training sample size (0 = default 8192)")
 	preloadRerank := flag.Int("preload-rerank", 0, "quantized mode: exact re-rank depth over the ADC top candidates (0 = ADC only)")
 	preloadShards := flag.Int("preload-shards", 0, "partition the preloaded region across N scatter-gather shards (0 = unsharded)")
-	preloadPartition := flag.String("preload-partition", "", "shard partitioner: roundrobin or hash (default roundrobin)")
 	preloadDeadline := flag.Duration("preload-deadline", 0, "per-shard fan-out deadline for the preloaded region (0 = none)")
 	preloadHedge := flag.Duration("preload-hedge", 0, "hedge a shard that has not answered within this delay (0 = off)")
 	preloadAllowPartial := flag.Bool("preload-allow-partial", false, "serve degraded (partial) results when shards fail instead of erroring")
@@ -87,7 +86,6 @@ func main() {
 		if *preloadShards > 0 {
 			sharding = &wire.ShardingConfig{
 				Shards:       *preloadShards,
-				Partition:    *preloadPartition,
 				DeadlineMs:   float64(*preloadDeadline) / float64(time.Millisecond),
 				HedgeMs:      float64(*preloadHedge) / float64(time.Millisecond),
 				AllowPartial: *preloadAllowPartial,

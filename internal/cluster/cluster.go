@@ -1,9 +1,19 @@
 // Package cluster is the sharded scatter-gather layer over SSAM
-// regions: one logical dataset partitioned across N ssam.Region
-// shards — each with its own simulated device module, modeling the
-// paper's composition of multiple cubes (Section IV, Fig. 4) — with
-// every query fanned out to all shards concurrently and the per-shard
-// top-k lists reduced to a global top-k on the host (Section III-D).
+// regions: one logical dataset split across N ssam.Region shards — each
+// with its own simulated device module, modeling the paper's
+// composition of multiple cubes (Section IV, Fig. 4) — with every query
+// fanned out to all shards concurrently and the per-shard top-k lists
+// reduced to a global top-k on the host (Section III-D).
+//
+// Shard s holds the contiguous rows par.NewSplit(n, N).Bounds(s, s+1) —
+// contiguous blocks, as the paper lays a dataset out across a module's
+// vaults and across composed modules (Section III-A/B) — and its region
+// adopts that sub-slice of the caller's slab: a sharded dataset is one
+// copy. A
+// shard's local ids are its global ids less the shard's base, in the
+// same order, and the merge breaks distance ties by id, so exact-mode
+// cluster searches are indistinguishable from a single region over the
+// whole dataset.
 //
 // Beyond the paper's fan-out/merge skeleton, the cluster carries the
 // robustness semantics a serving fleet needs:
@@ -17,11 +27,8 @@
 //   - partial-result degradation: with AllowPartial set, a query whose
 //     shards partly fail still returns the merged results of the
 //     survivors, flagged Degraded with the failed shard list, instead
-//     of failing outright.
-//
-// Shard results carry shard-local row ids; the cluster remaps them to
-// global dataset ids, so exact-mode cluster searches are
-// indistinguishable from a single region over the whole dataset.
+//     of failing outright. A failed shard's rows are one contiguous
+//     range of ids.
 //
 // The attempt race and the lifetime of a loaded shard set are
 // internal/hedge's; this package supplies the policy (hedge the same
@@ -29,20 +36,18 @@
 //
 // Concurrency: searches are safe against each other and against every
 // other method — a search leases the shard set it starts on and answers
-// from that set alone. LoadFloat32 and Free publish the next set (or
+// from that set alone. AdoptFloat32 and Free publish the next set (or
 // none) at once, then wait for the old one's leases — abandoned hedges
 // and timed-out stragglers included — before freeing its regions, so a
 // wedged fault hook must be released before either can return; searches
 // that arrive between a load and its BuildIndex are refused.
-// LoadFloat32, BuildIndex, SetChecks and Free must not run concurrently
+// AdoptFloat32, BuildIndex, SetChecks and Free must not run concurrently
 // with each other (a Region is built by one caller at a time).
 package cluster
 
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"math"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -57,48 +62,11 @@ import (
 // ErrShardTimeout marks a shard that missed its per-shard deadline.
 var ErrShardTimeout = errors.New("cluster: shard deadline exceeded")
 
-// Partition selects how dataset rows map to shards.
-type Partition int
-
-const (
-	// RoundRobin assigns row i to shard i mod N — the default, and the
-	// layout the paper uses to stripe a dataset across vaults and cubes
-	// (every shard sees a representative sample of the data).
-	RoundRobin Partition = iota
-	// HashRows assigns each row by a hash of its bytes, the layout a
-	// content-addressed ingest pipeline would produce.
-	HashRows
-)
-
-// String returns the partition name.
-func (p Partition) String() string {
-	switch p {
-	case RoundRobin:
-		return "roundrobin"
-	case HashRows:
-		return "hash"
-	}
-	return "unknown"
-}
-
-// ParsePartition parses a partition name as produced by String.
-func ParsePartition(s string) (Partition, error) {
-	switch s {
-	case "", "roundrobin":
-		return RoundRobin, nil
-	case "hash":
-		return HashRows, nil
-	}
-	return 0, fmt.Errorf("cluster: unknown partition %q", s)
-}
-
 // Options configures a Cluster.
 type Options struct {
-	// Shards is the number of modules the dataset is partitioned
-	// across. Must be positive.
+	// Shards is the number of modules the dataset is split across.
+	// Must be positive.
 	Shards int
-	// Partition selects the row-to-shard mapping (default RoundRobin).
-	Partition Partition
 	// ShardDeadline bounds each shard's time to answer one fan-out;
 	// a shard that misses it counts as failed. Zero disables it.
 	ShardDeadline time.Duration
@@ -165,15 +133,15 @@ type ShardStat struct {
 	AvgLatency time.Duration
 }
 
-// part is one shard's share of a loaded dataset. It never changes once
-// published, so a result computed on region is always remapped through
-// the ids it was partitioned with.
+// part is one shard's share of a loaded dataset: global rows [base,
+// base+rows). It never changes once published, so a result computed on
+// region is always remapped by the base it was loaded at.
 type part struct {
-	region *ssam.Region // nil for an empty shard: skipped by build and search
-	ids    []int        // global dataset id per shard-local row
+	region     *ssam.Region // nil for an empty shard: skipped by build and search
+	base, rows int
 }
 
-// shardSet is one generation: what one LoadFloat32 partitioned.
+// shardSet is one generation: what one AdoptFloat32 placed.
 type shardSet struct {
 	parts []part
 	rows  int
@@ -216,9 +184,6 @@ func New(dims int, cfg ssam.Config, opts Options) (*Cluster, error) {
 	if cfg.Metric == ssam.Hamming {
 		return nil, errors.New("cluster: Hamming regions cannot be sharded (float datasets only)")
 	}
-	if opts.Partition != RoundRobin && opts.Partition != HashRows {
-		return nil, fmt.Errorf("cluster: unknown partition %d", opts.Partition)
-	}
 	// Validate cfg/dims once up front with a probe region, so a bad
 	// config fails at New rather than at first Load.
 	probe, err := ssam.New(dims, cfg)
@@ -257,11 +222,14 @@ func (c *Cluster) Len() int {
 // fails that attempt; blocking simulates a straggler shard.
 func (c *Cluster) SetFaultHook(fn func(shard, attempt int) error) { c.racer.SetFaultHook(fn) }
 
-// LoadFloat32 partitions a flattened row-major dataset across the
-// shards (nmemcpy, N ways): each shard's rows are copied once, into a
-// slab sized exactly to them that the shard's region adopts, and the
-// caller keeps data. Reloading replaces the whole dataset.
-func (c *Cluster) LoadFloat32(data []float32) error {
+// AdoptFloat32 splits a flattened row-major dataset across the shards
+// (nmemcpy, N ways, nothing copied): shard s adopts rows
+// par.NewSplit(n, Shards()).Bounds(s, s+1) of data in place, and a shard
+// past the split's last slice holds nothing. Region.AdoptFloat32's
+// contract holds for data as a whole: the caller must never write
+// data[:len(data)] again; appending past its length is harmless.
+// Reloading replaces the whole dataset.
+func (c *Cluster) AdoptFloat32(data []float32) error {
 	if c.freed.Load() {
 		return ssam.ErrFreed
 	}
@@ -270,33 +238,19 @@ func (c *Cluster) LoadFloat32(data []float32) error {
 		return fmt.Errorf("cluster: data length %d not a positive multiple of dims %d", len(data), d)
 	}
 	rows := len(data) / d
-	// Place every row first, so each shard's slab is allocated once, exactly.
-	ids := make([][]int, len(c.shards))
-	for i := 0; i < rows; i++ {
-		si := c.shardOf(i, data[i*d:(i+1)*d])
-		ids[si] = append(ids[si], i)
-	}
-	parts := make([][]float32, len(c.shards))
-	for si, own := range ids {
-		parts[si] = make([]float32, 0, len(own)*d)
-		for _, i := range own {
-			parts[si] = append(parts[si], data[i*d:(i+1)*d]...)
-		}
-	}
+	split := par.NewSplit(rows, len(c.shards))
 	next := shardSet{parts: make([]part, len(c.shards)), rows: rows, built: new(atomic.Bool)}
-	for si := range next.parts {
-		if len(ids[si]) == 0 {
-			continue
-		}
+	for si := range split.Len() {
+		lo, hi := split.Bounds(si, si+1)
 		region, err := ssam.New(d, c.cfg)
 		if err == nil {
-			err = region.AdoptFloat32(parts[si])
+			err = region.AdoptFloat32(data[lo*d : hi*d : hi*d])
 		}
 		if err != nil {
 			next.free() // the set being replaced is untouched and still serving
 			return fmt.Errorf("cluster: shard %d: %w", si, err)
 		}
-		next.parts[si] = part{region: region, ids: ids[si]}
+		next.parts[si] = part{region: region, base: lo, rows: hi - lo}
 	}
 	c.retire(c.set.Swap(&next))
 	return nil
@@ -317,21 +271,6 @@ func (c *Cluster) retire(old *hedge.Gen[shardSet]) {
 		old.Drain()
 		old.Val.free()
 	}
-}
-
-// shardOf maps global row i (with its data) to a shard index.
-func (c *Cluster) shardOf(i int, row []float32) int {
-	if c.opts.Partition == RoundRobin {
-		return i % len(c.shards)
-	}
-	h := fnv.New64a()
-	var buf [4]byte
-	for _, v := range row {
-		bits := math.Float32bits(v)
-		buf[0], buf[1], buf[2], buf[3] = byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24)
-		h.Write(buf[:])
-	}
-	return int(h.Sum64() % uint64(len(c.shards)))
 }
 
 // BuildIndex builds every shard's index concurrently (nbuild_index, N
@@ -428,9 +367,9 @@ func (c *Cluster) Search(qs [][]float32, k int, sp *obs.Span) (Response, error) 
 }
 
 // lease takes the loaded — and, for a search, built — shard set for op,
-// or says why it cannot: the one lease that keeps the set's regions and
-// id tables alive until the caller, and every attempt it launches, is
-// done. Callers must Release.
+// or says why it cannot: the one lease that keeps the set's regions
+// alive until the caller, and every attempt it launches, is done.
+// Callers must Release.
 func (c *Cluster) lease(op string, built bool) (*hedge.Gen[shardSet], error) {
 	gen := c.set.Acquire()
 	switch {
@@ -459,7 +398,7 @@ func (c *Cluster) checkQuery(qdims, k int) error {
 // place (shard search results are freshly allocated).
 func (p part) remap(res []ssam.Result) {
 	for i := range res {
-		res[i].ID = p.ids[res[i].ID]
+		res[i].ID += p.base
 	}
 }
 
@@ -618,7 +557,7 @@ func (c *Cluster) ShardStat(si int) ShardStat {
 		st.AvgLatency = time.Duration(uint64(s.latNanos.Load()) / st.Queries)
 	}
 	if gen := c.set.Acquire(); gen != nil {
-		st.Len = len(gen.Val.parts[si].ids)
+		st.Len = gen.Val.parts[si].rows
 		gen.Release()
 	}
 	return st

@@ -3,13 +3,17 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"ssam"
+	"ssam/internal/par"
 	"ssam/internal/topk"
 )
 
@@ -28,7 +32,7 @@ func buildCluster(t *testing.T, data []float32, dims int, cfg ssam.Config, opts 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.LoadFloat32(data); err != nil {
+	if err := c.AdoptFloat32(data); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.BuildIndex(); err != nil {
@@ -55,10 +59,10 @@ func buildRegion(t *testing.T, data []float32, dims int, cfg ssam.Config) *ssam.
 // TestClusterRegionEquivalence is the exact-mode equivalence property:
 // a Linear/Host cluster over N shards must answer every query with
 // exactly the ids and distances of one unsharded region over the same
-// dataset — for several metrics, shard counts, partitions, and k
-// values including k larger than a shard and larger than the dataset.
+// dataset — for several metrics, shard counts, and k values including
+// k larger than a shard and larger than the dataset.
 func TestClusterRegionEquivalence(t *testing.T) {
-	const dims, n = 12, 157 // odd n so round-robin shards are uneven
+	const dims, n = 12, 157 // odd n so the shards are uneven
 	data := randData(n, dims, 3)
 	queries := make([][]float32, 20)
 	for i := range queries {
@@ -68,30 +72,28 @@ func TestClusterRegionEquivalence(t *testing.T) {
 	for _, metric := range []ssam.Metric{ssam.Euclidean, ssam.Manhattan, ssam.Cosine} {
 		cfg := ssam.Config{Metric: metric}
 		region := buildRegion(t, data, dims, cfg)
-		for _, part := range []Partition{RoundRobin, HashRows} {
-			for _, shards := range []int{1, 2, 4, 7} {
-				cl := buildCluster(t, data, dims, cfg, Options{Shards: shards, Partition: part})
-				if cl.Len() != n {
-					t.Fatalf("%v/%v x%d: cluster lost rows: Len=%d want %d", metric, part, shards, cl.Len(), n)
-				}
-				for _, k := range []int{1, 5, 40, n + 10} { // 40 > 157/7 ≈ 23: k exceeds shard size
-					for qi, q := range queries {
-						want, err := region.Search(q, k)
-						if err != nil {
-							t.Fatal(err)
-						}
-						resp, err := cl.Search(one(q), k, nil)
-						if err != nil {
-							t.Fatalf("%v/%v x%d k=%d: %v", metric, part, shards, k, err)
-						}
-						if resp.Degraded || len(resp.FailedShards) > 0 {
-							t.Fatalf("%v/%v x%d k=%d: unexpected degradation %+v", metric, part, shards, k, resp)
-						}
-						assertSameResults(t, fmt.Sprintf("%v/%v x%d k=%d q%d", metric, part, shards, k, qi), resp.Results[0], want)
-					}
-				}
-				cl.Free()
+		for _, shards := range []int{1, 2, 4, 7} {
+			cl := buildCluster(t, data, dims, cfg, Options{Shards: shards})
+			if cl.Len() != n {
+				t.Fatalf("%v x%d: cluster lost rows: Len=%d want %d", metric, shards, cl.Len(), n)
 			}
+			for _, k := range []int{1, 5, 40, n + 10} { // 40 > 157/7 ≈ 23: k exceeds shard size
+				for qi, q := range queries {
+					want, err := region.Search(q, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					resp, err := cl.Search(one(q), k, nil)
+					if err != nil {
+						t.Fatalf("%v x%d k=%d: %v", metric, shards, k, err)
+					}
+					if resp.Degraded || len(resp.FailedShards) > 0 {
+						t.Fatalf("%v x%d k=%d: unexpected degradation %+v", metric, shards, k, resp)
+					}
+					assertSameResults(t, fmt.Sprintf("%v x%d k=%d q%d", metric, shards, k, qi), resp.Results[0], want)
+				}
+			}
+			cl.Free()
 		}
 		region.Free()
 	}
@@ -183,11 +185,12 @@ func TestClusterPartialDegradation(t *testing.T) {
 		return nil
 	})
 
-	// Survivors under round-robin: rows with i % shards != dead.
+	// Survivors: every row outside the dead shard's range.
+	deadLo, deadHi := par.NewSplit(n, shards).Bounds(dead, dead+1)
 	var surviving []float32
 	var survivingIDs []int
 	for i := 0; i < n; i++ {
-		if i%shards != dead {
+		if i < deadLo || i >= deadHi {
 			surviving = append(surviving, data[i*dims:(i+1)*dims]...)
 			survivingIDs = append(survivingIDs, i)
 		}
@@ -579,12 +582,80 @@ func TestClusterValidation(t *testing.T) {
 	if _, err := c.Search(one([]float32{1, 2, 3, 4}), 1, nil); err == nil {
 		t.Fatal("Search before load/build succeeded")
 	}
-	if err := c.LoadFloat32([]float32{1, 2, 3}); err == nil {
-		t.Fatal("LoadFloat32 accepted a ragged dataset")
+	if err := c.AdoptFloat32([]float32{1, 2, 3}); err == nil {
+		t.Fatal("AdoptFloat32 accepted a ragged dataset")
 	}
 	c.Free()
-	if err := c.LoadFloat32(make([]float32, 8)); !errors.Is(err, ssam.ErrFreed) {
+	if err := c.AdoptFloat32(make([]float32, 8)); !errors.Is(err, ssam.ErrFreed) {
 		t.Fatalf("load after Free = %v, want ErrFreed", err)
+	}
+}
+
+// TestAdoptedSlabIsNeverWritten is the cluster's side of
+// Region.AdoptFloat32's contract: each shard adopts its range of the
+// caller's slab in place, and nothing — load, build, a batch search, a
+// reload, Free — writes it; the caller appending into the slab's spare
+// capacity changes no answer.
+func TestAdoptedSlabIsNeverWritten(t *testing.T) {
+	const n, dims, shards, k = 301, 8, 4, 5 // 301 rows: the last shard is short
+	for mode := ssam.Linear; mode <= ssam.Quantized; mode++ {
+		t.Run(mode.String(), func(t *testing.T) {
+			slab := make([]float32, n*dims, (n+4)*dims) // room past len for the caller's append
+			copy(slab, randData(n, dims, int64(mode)+1))
+			kept := slices.Clone(slab)
+			qs := make([][]float32, 4)
+			for i := range qs {
+				qs[i] = kept[(i*71)*dims : (i*71+1)*dims]
+			}
+			cl, err := New(dims, ssam.Config{Mode: mode, Vaults: 3,
+				Index: ssam.IndexParams{Seed: 3, M: 4, Sample: 64, Rerank: 16, Tables: 4, Bits: 3}}, Options{Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			answers := func(when string) [][]ssam.Result {
+				t.Helper()
+				resp, err := cl.Search(qs, k, nil)
+				if err != nil {
+					t.Fatalf("%s: %v", when, err)
+				}
+				return resp.Results
+			}
+			load := func() {
+				t.Helper()
+				if err := cl.AdoptFloat32(slab); err != nil {
+					t.Fatal(err)
+				}
+				if err := cl.BuildIndex(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			load()
+			built := answers("after the build")
+
+			// The caller's append lands in the spare capacity, past the rows
+			// the last shard holds.
+			grown := append(slab, make([]float32, 4*dims)...)
+			for i := n * dims; i < len(grown); i++ {
+				grown[i] = -1e6
+			}
+			if &grown[0] != &slab[0] {
+				t.Fatal("the append reallocated; the test needs it in place")
+			}
+			if got := answers("after the caller's append"); !reflect.DeepEqual(got, built) || cl.Len() != n {
+				t.Fatalf("the caller's append changed the cluster: Len %d, answers\n%v\nwant\n%v", cl.Len(), got, built)
+			}
+
+			load()
+			if got := answers("after the reload"); !reflect.DeepEqual(got, built) {
+				t.Fatalf("the reload changed the answers:\n%v\nwant\n%v", got, built)
+			}
+			cl.Free()
+			for i := range slab {
+				if math.Float32bits(slab[i]) != math.Float32bits(kept[i]) {
+					t.Fatalf("adopted slab written at element %d (row %d): %v, was %v", i, i/dims, slab[i], kept[i])
+				}
+			}
+		})
 	}
 }
 
@@ -598,7 +669,7 @@ func BenchmarkClusterSearch(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer c.Free()
-			if err := c.LoadFloat32(data); err != nil {
+			if err := c.AdoptFloat32(data); err != nil {
 				b.Fatal(err)
 			}
 			if err := c.BuildIndex(); err != nil {

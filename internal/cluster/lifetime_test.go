@@ -13,11 +13,11 @@ import (
 	"ssam"
 )
 
-// Lifetime suite: LoadFloat32, BuildIndex and Free against running
+// Lifetime suite: AdoptFloat32, BuildIndex and Free against running
 // searches. A search leases the shard set it starts on, so every answer
 // is exact over exactly one loaded dataset or a clean refusal — never a
-// freed region, never an id of one dataset remapped through another's
-// table. Run with -race.
+// freed region, never an id of one dataset remapped by another's shard
+// base. Run with -race.
 
 const (
 	lifeDims, lifeShards, lifeK = 6, 4, 5
@@ -119,7 +119,7 @@ func TestReloadUnderSearch(t *testing.T) {
 	stop := make(chan struct{})
 	wait := searchUntil(t, cl, qs, stop, oracle(t, data, qs))
 	for i := 0; i < 200; i++ {
-		if err := cl.LoadFloat32(data); err != nil {
+		if err := cl.AdoptFloat32(data); err != nil {
 			t.Fatal(err)
 		}
 		if err := cl.BuildIndex(); err != nil {
@@ -155,14 +155,14 @@ func TestFreeUnderSearch(t *testing.T) {
 }
 
 // TestReloadAlternatingDatasets alternates two different datasets (of
-// different sizes, so their id tables differ) under the searchers: a
-// result computed on one generation's region must never be remapped
-// through the other's ids, so every answer is one oracle's in full.
+// different sizes, so their shard bases differ) under the searchers: a
+// result computed on one generation's region must never be remapped by
+// the other's bases, so every answer is one oracle's in full.
 func TestReloadAlternatingDatasets(t *testing.T) {
 	a := randData(16*lifeShards, lifeDims, 41)
 	b := randData(23*lifeShards+1, lifeDims, 43)
 	qs := lifeQueries()
-	cl := buildCluster(t, a, lifeDims, ssam.Config{}, Options{Shards: lifeShards, Partition: HashRows})
+	cl := buildCluster(t, a, lifeDims, ssam.Config{}, Options{Shards: lifeShards})
 	defer cl.Free()
 
 	stop := make(chan struct{})
@@ -172,7 +172,7 @@ func TestReloadAlternatingDatasets(t *testing.T) {
 		if i%2 == 1 {
 			next = a
 		}
-		if err := cl.LoadFloat32(next); err != nil {
+		if err := cl.AdoptFloat32(next); err != nil {
 			t.Fatal(err)
 		}
 		if err := cl.BuildIndex(); err != nil {

@@ -83,10 +83,11 @@ func Each(n, limit int, f func(i int) error) error {
 }
 
 // Split is rows [0, n) cut into contiguous slices of ⌈n/parts⌉ rows,
-// the one partition rule of every vault-split layer (DESIGN.md §9):
-// the scan's vaults, the quantized code slabs, a store's pages and the
-// mutable store's seed. It stops at the first slice that would be
-// empty, so 100 rows in 32 parts are 25 slices of 4.
+// the one partition rule of every layer that splits a dataset
+// (DESIGN.md §9): the scan's vaults, the quantized code slabs, a
+// store's pages, the mutable store's seed, a sharded region's shards
+// and the device model's modules. It stops at the first slice that
+// would be empty, so 100 rows in 32 parts are 25 slices of 4.
 type Split struct{ n, size, len int }
 
 // NewSplit cuts n rows into at most parts slices (parts >= 1).

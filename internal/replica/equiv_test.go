@@ -254,7 +254,7 @@ func TestClusterBackendEquivalence(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		if err := c.LoadFloat32(data); err != nil {
+		if err := c.AdoptFloat32(data); err != nil {
 			c.Free()
 			return nil, err
 		}

@@ -111,8 +111,8 @@ func (b regionBackend) Len() int                                   { return b.r.
 func (b regionBackend) Free()                                      { b.r.Free() }
 
 // clusterBackend adapts *cluster.Cluster to Backend. Sharded
-// backends are immutable (the partitioner bakes placement at load
-// time), so mutations return ssam.ErrImmutableEngine.
+// backends are immutable (each shard adopts a fixed range of the
+// loaded slab), so mutations return ssam.ErrImmutableEngine.
 type clusterBackend struct{ c *cluster.Cluster }
 
 // WrapCluster adapts a built scatter-gather cluster into a group

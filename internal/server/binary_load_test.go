@@ -56,7 +56,7 @@ func TestBinaryLoadMatchesJSON(t *testing.T) {
 	}{
 		{"linear", wire.RegionConfig{}},
 		{"quantized", wire.RegionConfig{Mode: "quantized", Index: wire.IndexParams{M: 4, Sample: 256, Rerank: 32, Seed: 3}}},
-		{"sharded", wire.RegionConfig{Sharding: &wire.ShardingConfig{Shards: 3, Partition: "hash"}}},
+		{"sharded", wire.RegionConfig{Sharding: &wire.ShardingConfig{Shards: 3}}},
 		{"replicated", wire.RegionConfig{Replicas: &wire.ReplicasConfig{Replicas: 2}}},
 		{"storage", wire.RegionConfig{Storage: &wire.StorageConfig{}}},
 	} {

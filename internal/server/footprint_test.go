@@ -2,11 +2,11 @@ package server_test
 
 // Footprint gate: what a served region costs in live heap, per region
 // kind, as a multiple of its dataset's n·d·4 bytes. The entry's slab is
-// the dataset's one copy — the plain region, every replica and a first
-// write's mutable store all read it in place — so every kind but the
-// sharded one (the entry plus one partition copy) and the storage-backed
-// one (no copy at all) sits at one copy plus its index. A free gives it
-// all back.
+// the dataset's one copy — the plain region, every replica, every shard
+// (each its contiguous range of rows) and a first write's mutable store
+// all read it in place — so every kind but the storage-backed one (no
+// copy at all) sits at one copy plus its index. A free gives it all
+// back.
 
 import (
 	"context"
@@ -55,7 +55,10 @@ func TestFootprintPerRegionKind(t *testing.T) {
 		{name: "linear after one upsert", upsert: true, bound: 1.35},
 		{name: "quantized", cfg: wire.RegionConfig{Mode: "quantized", Index: wire.IndexParams{M: 8, Sample: 1024, Rerank: 32, Seed: 1}}, bound: 1.10},
 		{name: "replicated 3", cfg: wire.RegionConfig{Replicas: &wire.ReplicasConfig{Replicas: 3}}, bound: 1.10},
-		{name: "sharded 4", cfg: wire.RegionConfig{Sharding: &wire.ShardingConfig{Shards: 4}}, bound: 2.10},
+		{name: "sharded 4", cfg: wire.RegionConfig{Sharding: &wire.ShardingConfig{Shards: 4}}, bound: 1.10},
+		{name: "replicated 2 x sharded 3", cfg: wire.RegionConfig{
+			Replicas: &wire.ReplicasConfig{Replicas: 2}, Sharding: &wire.ShardingConfig{Shards: 3},
+		}, bound: 1.10},
 		// Two vault pages of half the dataset each: a quarter budget holds
 		// no page once a scan lets go of it.
 		{name: "storage-backed, sub-page budget", cfg: wire.RegionConfig{Vaults: 2, Storage: &wire.StorageConfig{

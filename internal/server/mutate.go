@@ -5,9 +5,8 @@ package server
 // gate as searches — a draining or saturated server sheds writes with
 // 503 too — but are never retried by the client (a blind re-send would
 // double-commit sequence numbers). Sharded regions reject mutation
-// outright: the partitioner bakes row placement at load time, so a
-// per-shard write path would need routing state the cluster does not
-// keep (reload instead).
+// outright: each shard adopts a fixed range of the loaded slab, so a
+// write path would have to move rows between shards (reload instead).
 
 import (
 	"context"

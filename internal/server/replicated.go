@@ -89,10 +89,7 @@ func (s *Server) newGroupBackend(e *regionEntry, req wire.CreateRegionRequest) (
 		Deadline: time.Duration(rc.DeadlineMs * float64(time.Millisecond)),
 	}
 	if sc := req.Config.Sharding; sc != nil {
-		shardOpts, err := toShardingOptions(sc)
-		if err != nil {
-			return nil, err
-		}
+		shardOpts := toShardingOptions(sc)
 		probe, err := cluster.New(e.dims, e.cfg, shardOpts)
 		if err != nil {
 			return nil, err
@@ -116,14 +113,14 @@ func (s *Server) newGroupBackend(e *regionEntry, req wire.CreateRegionRequest) (
 // buildReplicaBackend constructs one replica's backend over the entry's
 // slab: load, build index, wrap. Every replica of a generation adopts
 // the same slab (no slab is written once handed out), or, sharded,
-// partitions it into its own cluster.
+// splits it into its own cluster, whose shards adopt ranges of it.
 func (s *Server) buildReplicaBackend(e *regionEntry, data []float32) (replica.Backend, error) {
 	if e.cfgWire.Sharding != nil {
 		c, err := cluster.New(e.dims, e.cfg, e.shardOpts)
 		if err != nil {
 			return nil, err
 		}
-		if err := c.LoadFloat32(data); err != nil {
+		if err := c.AdoptFloat32(data); err != nil {
 			c.Free()
 			return nil, err
 		}

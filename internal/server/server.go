@@ -6,8 +6,8 @@
 // exhausted, and exposes serving metrics at /statsz.
 //
 // A region created with config.sharding is the sharded kind: the
-// dataset is partitioned across N internal/cluster shards (each its
-// own simulated module) and every query is scatter-gathered with a
+// dataset is split into N contiguous internal/cluster shards (each its
+// own simulated module, each reading its range of the one slab) and every query is scatter-gathered with a
 // global top-k merge, per-shard deadlines, optional hedging, and —
 // in partial-result mode — degraded responses that carry the failed
 // shard list instead of an error. Sharded regions send every batch, a
@@ -296,8 +296,9 @@ func (b *regionBackend) Free() {
 
 // clusterBackend is the sharded kind: every batch scatter-gathers
 // across the cluster's shards, so the micro-batcher stays out of the
-// way. It has no write path (not a mutator): the partitioner bakes row
-// placement at load time.
+// way. It has no write path (not a mutator): each shard adopts its
+// range of the entry's slab at load time, and a write would have to move
+// rows between ranges.
 type clusterBackend struct {
 	*cluster.Cluster
 	e     *regionEntry
@@ -305,7 +306,7 @@ type clusterBackend struct {
 }
 
 func (b *clusterBackend) Load(rows []float32) error {
-	if err := b.LoadFloat32(rows); err != nil {
+	if err := b.AdoptFloat32(rows); err != nil {
 		return err
 	}
 	b.built.Store(false)
@@ -463,18 +464,13 @@ func (s *Server) shed(w http.ResponseWriter, format string, args ...any) error {
 	return overloaded(fmt.Sprintf(format, args...))
 }
 
-func toShardingOptions(sc *wire.ShardingConfig) (cluster.Options, error) {
-	part, err := cluster.ParsePartition(sc.Partition)
-	if err != nil {
-		return cluster.Options{}, err
-	}
+func toShardingOptions(sc *wire.ShardingConfig) cluster.Options {
 	return cluster.Options{
 		Shards:        sc.Shards,
-		Partition:     part,
 		ShardDeadline: time.Duration(sc.DeadlineMs * float64(time.Millisecond)),
 		HedgeAfter:    time.Duration(sc.HedgeMs * float64(time.Millisecond)),
 		AllowPartial:  sc.AllowPartial,
-	}, nil
+	}
 }
 
 func toConfig(wc wire.RegionConfig) (ssam.Config, error) {
@@ -558,11 +554,7 @@ func (s *Server) newBackend(e *regionEntry, req wire.CreateRegionRequest) (backe
 	case req.Config.Replicas != nil:
 		return s.newGroupBackend(e, req)
 	case req.Config.Sharding != nil:
-		opts, err := toShardingOptions(req.Config.Sharding)
-		if err != nil {
-			return nil, err
-		}
-		c, err := cluster.New(e.dims, e.cfg, opts)
+		c, err := cluster.New(e.dims, e.cfg, toShardingOptions(req.Config.Sharding))
 		if err != nil {
 			return nil, err
 		}

@@ -18,6 +18,7 @@ import (
 
 	"ssam"
 	"ssam/internal/client"
+	"ssam/internal/par"
 	"ssam/internal/server/wire"
 )
 
@@ -118,8 +119,10 @@ func TestShardedDegradedResponse(t *testing.T) {
 	faultShard(t, srv, "shardy", dead)
 
 	// Reference: a plain region over the rows that do NOT live on the
-	// dead shard (round-robin places row i on shard i%shards), with
-	// shard-local results remapped back to global row IDs.
+	// dead shard (shard s holds the contiguous rows par.NewSplit(rows,
+	// shards).Bounds(s, s+1)), with its results remapped back to global
+	// row IDs.
+	deadLo, deadHi := par.NewSplit(rows, shards).Bounds(dead, dead+1)
 	var survivors []int
 	ref, err := ssam.New(dims, ssam.Config{})
 	if err != nil {
@@ -128,7 +131,7 @@ func TestShardedDegradedResponse(t *testing.T) {
 	defer ref.Free()
 	var flat []float32
 	for i, v := range vecs {
-		if i%shards != dead {
+		if i < deadLo || i >= deadHi {
 			survivors = append(survivors, i)
 			flat = append(flat, v...)
 		}
@@ -141,7 +144,7 @@ func TestShardedDegradedResponse(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	query := vecs[dead] // resides on the dead shard; must still answer
+	query := vecs[deadLo] // resides on the dead shard; must still answer
 	resp, err := c.SearchFull(ctx, "shardy", query, k)
 	if err != nil {
 		t.Fatalf("degraded search: %v", err)

@@ -24,7 +24,7 @@ func FuzzDecodeRequests(f *testing.F) {
 		{'c', `{"name":"glove","dims":100,"config":{"metric":"euclidean","mode":"kdtree","index":{"trees":4,"seed":7}}}`},
 		{'c', `{"name":"gist","dims":128,"config":{"mode":"graph","index":{"m":16,"ef_construction":100,"ef_search":64,"seed":1}}}`},
 		{'c', `{"name":"g2","dims":8,"config":{"mode":"graph","execution":"device","index":{"ef_search":32}}}`},
-		{'c', `{"name":"shardy","dims":8,"config":{"sharding":{"shards":4,"partition":"hash","deadline_ms":5.5,"hedge_ms":1.25,"allow_partial":true}}}`},
+		{'c', `{"name":"shardy","dims":8,"config":{"sharding":{"shards":4,"deadline_ms":5.5,"hedge_ms":1.25,"allow_partial":true}}}`},
 		{'c', `{"name":"pq","dims":64,"config":{"mode":"quantized","index":{"m":8,"sample":4096,"rerank":100,"seed":5}}}`},
 		{'c', `{"name":"pqd","dims":32,"config":{"mode":"quantized","execution":"device","metric":"cosine","index":{"rerank":50}}}`},
 		{'c', `{"name":"pqt","dims":16,"config":{"mode":"quantized","index":{"rerank":-1,"samle":2}}}`},

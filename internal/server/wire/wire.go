@@ -68,11 +68,10 @@ type ReplicasConfig struct {
 
 // ShardingConfig configures a sharded region at create time.
 type ShardingConfig struct {
-	// Shards is the number of sub-regions the dataset is partitioned
-	// across (the paper's composed cubes). Must be positive.
+	// Shards is the number of sub-regions the dataset is split into
+	// (the paper's composed cubes): shard s holds the s-th contiguous
+	// range of ⌈rows/shards⌉ rows. Must be positive.
 	Shards int `json:"shards"`
-	// Partition is "roundrobin" (default) or "hash".
-	Partition string `json:"partition,omitempty"`
 	// DeadlineMs bounds each shard's time to answer one query fan-out;
 	// 0 disables the per-shard deadline.
 	DeadlineMs float64 `json:"deadline_ms,omitempty"`

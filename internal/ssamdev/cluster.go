@@ -11,6 +11,7 @@ package ssamdev
 import (
 	"fmt"
 
+	"ssam/internal/par"
 	"ssam/internal/topk"
 	"ssam/internal/vec"
 )
@@ -41,12 +42,9 @@ func NewFloatCluster(cfg Config, data []float32, dim int, metric vec.Metric, min
 		modules = 1
 	}
 	c := &Cluster{cfg: cfg, n: n, dim: dim}
-	per := (n + modules - 1) / modules
-	for start := 0; start < n; start += per {
-		end := start + per
-		if end > n {
-			end = n
-		}
+	split := par.NewSplit(n, modules)
+	for m := range split.Len() {
+		start, end := split.Bounds(m, m+1)
 		dev, err := NewFloat(cfg, data[start*dim:end*dim], dim, metric)
 		if err != nil {
 			return nil, err

@@ -107,56 +107,10 @@ func TestPanicInPrefetchIsAFailedRead(t *testing.T) {
 	}
 }
 
-func TestSlowReadSurfacesAsTypedError(t *testing.T) {
-	path := t.TempDir() + "/slow.dat"
-	if err := WriteFile(path, testData(40, 4, 22), 4, 4); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(path, Options{ReadTimeout: 5 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	// Fake clock: each read of vault 3 "takes" 50ms; everything else is
-	// instantaneous. The hook advances the clock, the store measures it.
-	var mu sync.Mutex
-	now := time.Unix(0, 0)
-	s.SetClock(func() time.Time {
-		mu.Lock()
-		defer mu.Unlock()
-		return now
-	})
-	s.SetReadHook(func(vault int) error {
-		if vault == 3 {
-			mu.Lock()
-			now = now.Add(50 * time.Millisecond)
-			mu.Unlock()
-		}
-		return nil
-	})
-	if pg, err := s.Acquire(0); err != nil {
-		t.Fatalf("fast vault: %v", err)
-	} else {
-		pg.Release()
-	}
-	_, err = s.Acquire(3)
-	var se *SlowReadError
-	if !errors.As(err, &se) {
-		t.Fatalf("Acquire(3) = %v, want *SlowReadError", err)
-	}
-	if se.Vault != 3 || se.Elapsed != 50*time.Millisecond || se.Limit != 5*time.Millisecond {
-		t.Fatalf("SlowReadError = %+v, want vault 3, 50ms elapsed, 5ms limit", se)
-	}
-}
-
 func TestErrorStrings(t *testing.T) {
 	re := &ReadError{Vault: 7, Err: errors.New("eio")}
 	if re.Error() == "" || re.Unwrap() == nil {
 		t.Fatal("ReadError must format and unwrap")
-	}
-	se := &SlowReadError{Vault: 7, Elapsed: time.Second, Limit: time.Millisecond}
-	if se.Error() == "" {
-		t.Fatal("SlowReadError must format")
 	}
 }
 

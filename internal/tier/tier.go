@@ -30,7 +30,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ssam/internal/par"
 )
@@ -72,20 +71,6 @@ func (e *PageError) Error() string {
 	return fmt.Sprintf("tier: page %d out of range [0,%d)", e.Page, e.Pages)
 }
 
-// SlowReadError reports a vault read that exceeded the configured
-// ReadTimeout. The data was read but is discarded: a degraded storage
-// device must surface as a typed error the serving layer can act on,
-// not as silently slow (or stale) results.
-type SlowReadError struct {
-	Vault   int
-	Elapsed time.Duration
-	Limit   time.Duration
-}
-
-func (e *SlowReadError) Error() string {
-	return fmt.Sprintf("tier: vault %d read took %v, limit %v", e.Vault, e.Elapsed, e.Limit)
-}
-
 // Options configures an opened store.
 type Options struct {
 	// BudgetBytes bounds the resident page cache; 0 means unlimited
@@ -96,10 +81,6 @@ type Options struct {
 	// Prefetch enables overlapping the next cold vault's read with the
 	// current vault's scan (engines call Prefetch; the option gates it).
 	Prefetch bool
-	// ReadTimeout, when positive, turns vault reads slower than this
-	// into SlowReadError (measured on the store's clock, which tests
-	// replace with a fake).
-	ReadTimeout time.Duration
 }
 
 // Counters is a point-in-time snapshot of the store's cumulative work,
@@ -137,14 +118,12 @@ type Store struct {
 	n     int
 	split par.Split // the pages: rows cut by the header's vault count
 
-	budget      int64
-	prefetch    bool
-	readTimeout time.Duration
+	budget   int64
+	prefetch bool
 
 	// Test seams. Set before serving traffic; nil means no-op/real.
 	readHook  func(vault int) error           // runs before each backing read
 	evictHook func(vault int, data []float32) // runs as a page is dropped
-	now       func() time.Time                // slow-read clock
 
 	mu            sync.Mutex
 	closed        bool
@@ -253,15 +232,13 @@ func Open(path string, opts Options) (*Store, error) {
 	}
 	split := par.NewSplit(n, vaults)
 	return &Store{
-		f:           f,
-		dim:         dim,
-		n:           n,
-		split:       split,
-		budget:      opts.BudgetBytes,
-		prefetch:    opts.Prefetch,
-		readTimeout: opts.ReadTimeout,
-		now:         time.Now,
-		pages:       make([]*page, split.Len()),
+		f:        f,
+		dim:      dim,
+		n:        n,
+		split:    split,
+		budget:   opts.BudgetBytes,
+		prefetch: opts.Prefetch,
+		pages:    make([]*page, split.Len()),
 	}, nil
 }
 
@@ -305,10 +282,6 @@ func (s *Store) SetReadHook(h func(vault int) error) { s.readHook = h }
 // overwrites it to prove no reader still holds it). Runs under the
 // store lock. Set before serving traffic.
 func (s *Store) SetEvictHook(h func(vault int, data []float32)) { s.evictHook = h }
-
-// SetClock replaces the slow-read clock (test seam for deterministic
-// SlowReadError coverage). Set before serving traffic.
-func (s *Store) SetClock(now func() time.Time) { s.now = now }
 
 // Counters returns a snapshot of the cumulative work counters.
 func (s *Store) Counters() Counters {
@@ -493,7 +466,6 @@ func (s *Store) readVault(v int) (data []float32, err error) {
 }
 
 func (s *Store) readVaultIO(v int) ([]float32, error) {
-	start := s.now()
 	if h := s.readHook; h != nil {
 		if err := h(v); err != nil {
 			return nil, &ReadError{Vault: v, Err: err}
@@ -507,11 +479,6 @@ func (s *Store) readVaultIO(v int) ([]float32, error) {
 	off := int64(headerSize) + int64(lo)*int64(s.dim)*4
 	if _, err := s.f.ReadAt(buf, off); err != nil {
 		return nil, &ReadError{Vault: v, Err: err}
-	}
-	if s.readTimeout > 0 {
-		if el := s.now().Sub(start); el > s.readTimeout {
-			return nil, &SlowReadError{Vault: v, Elapsed: el, Limit: s.readTimeout}
-		}
 	}
 	data := make([]float32, (hi-lo)*s.dim)
 	for i := range data {
