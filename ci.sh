@@ -131,7 +131,7 @@ trap - EXIT
 # Fuzz-seed smoke: replay every committed seed corpus through its fuzz
 # target (no fuzzing engine, just the corpus) so a decoder regression
 # against a known-tricky input fails the gate deterministically.
-go test -run='^Fuzz' -count=1 ./internal/server/wire ./internal/vec ./internal/knn
+go test -run='^Fuzz' -count=1 ./internal/server/wire ./internal/vec ./internal/knn ./internal/pq
 
 # Coverage floors on the region, the serving stack and the scan
 # kernels: these packages were hardened test-first; don't let coverage

@@ -59,6 +59,7 @@ type PQScan struct {
 	scale       float64    // ADC distance scale (0.5 for cosine)
 	cb          *pq.Codebook
 	slabs       []*pq.Codes  // vault-local cache-blocked code groups, one a slice of the walk's split
+	pilotCodes  *pq.Codes    // the pilot's rows' codes, packed (nil when there is no pilot)
 	rerank      atomic.Int64 // read once per search: SetRerank may race a query
 }
 
@@ -135,6 +136,17 @@ func NewPQScan(data []float32, dim int, metric vec.Metric, p PQParams, vaults in
 		lo, hi := split.Bounds(v, v+1)
 		e.slabs[v] = pq.Pack(codes[lo*m:hi*m], m)
 	}
+	// The pilot's rows depend on n alone. Their codes, s·M bytes, are
+	// packed a second time, so the pilot runs the scan's kernel over them
+	// instead of gathering each row's M bytes from M columns.
+	if s, _ := pilotShape(e.n, 0); s > 0 {
+		strided := make([]byte, s*m)
+		for i := range s {
+			row := i * e.n / s
+			copy(strided[i*m:(i+1)*m], codes[row*m:(row+1)*m])
+		}
+		e.pilotCodes = pq.Pack(strided, m)
+	}
 	return e, nil
 }
 
@@ -208,6 +220,10 @@ func (p pqQuery) Query(q [][]float32, k int, sp *obs.Span) ([]topk.Result, Stats
 	return res, st, nil
 }
 
+// rerankAhead is how many candidates ahead of the one it scores the
+// re-rank prefetches a row: 4 and 8 measured the same, 16 slower.
+const rerankAhead = 8
+
 // rerankRows is the exact re-rank: every ADC candidate re-scored under
 // the true metric over the full-precision rows, with the exact scan's
 // kernel. Selector admission is push-order independent, so the result
@@ -216,9 +232,11 @@ func (p pqQuery) Query(q [][]float32, k int, sp *obs.Span) ([]topk.Result, Stats
 // the exact scan. Resident rows are one partition and the candidates,
 // which come unsorted, are scored as they come: ordering them by row
 // address first was measured and loses more to the sort than the rows'
-// locality gives back (DESIGN.md §13). Over a store the candidates are
-// bucketed by page and the pages visited in ascending order, each
-// pinned once and the next one with candidates prefetched meanwhile.
+// locality gives back (DESIGN.md §13); each row is prefetched
+// rerankAhead candidates before it is scored instead. Over a store the
+// candidates are bucketed by page and the pages visited in ascending
+// order, each pinned once and the next one with candidates prefetched
+// meanwhile.
 // Each partition visited is a "rerank" child span of sp tagged cands
 // (and, over a store, vault and tier_hit).
 func (e *PQScan) rerankRows(q [][]float32, k int, cands []cand, sp *obs.Span) ([]topk.Result, Stats, error) {
@@ -250,7 +268,11 @@ func (e *PQScan) rerankRows(q [][]float32, k int, cands []cand, sp *obs.Span) ([
 			return err
 		}
 		defer release() // on every exit, a panic's included
-		for _, c := range group {
+		for i, c := range group {
+			if i+rerankAhead < len(group) {
+				off := (group[i+rerankAhead].row() - lo) * e.dim
+				vec.Prefetch(rows[off : off+e.dim])
+			}
 			off := (c.row() - lo) * e.dim
 			ts.Offer(c.row(), rows[off:off+e.dim])
 		}
@@ -305,7 +327,7 @@ func (e *PQScan) adcCandidates(q []float32, k, rerank int, sp *obs.Span, w *Walk
 
 	r := min(max(k, rerank), e.n)
 	pass := adcPass{Split: e.split(e.n), e: e, lut: lut, r: r}
-	pass.bound = e.pilot(lut, r, pass.Split)
+	pass.bound = e.pilot(lut, r)
 	cands, scanned, err := WalkVaults(w, pass, 1, false, sp)
 	st.Add(scanned)
 	if err == nil && scanned.PQKept < r {
@@ -340,20 +362,19 @@ func pilotShape(n, r int) (s, rank int) {
 }
 
 // pilot returns the bound for the r best rows, or allCands. Its distances
-// are the scan's own, taken early, and not counted in CodeEvals.
-func (e *PQScan) pilot(lut []float32, r int, split par.Split) cand {
+// are the scan's own, taken early over the pilot rows' packed codes, and
+// not counted in CodeEvals.
+func (e *PQScan) pilot(lut []float32, r int) cand {
 	s, rank := pilotShape(e.n, r)
 	if rank == 0 {
 		return allCands
 	}
 	var buf [pilotRows]cand
-	code := make([]byte, e.cb.M())
-	for i := range s {
-		row := i * e.n / s
-		v := split.Of(row)
-		lo, _ := split.Bounds(v, v+1)
-		buf[i] = makeCand(pq.ADC(lut, e.slabs[v].Row(row-lo, code)), uint32(row))
-	}
+	e.pilotCodes.Scan(lut, 0, s, func(base int, dists []float32) {
+		for i, d := range dists {
+			buf[base+i] = makeCand(d, uint32((base+i)*e.n/s))
+		}
+	})
 	nthElement(buf[:s], rank-1)
 	return buf[rank-1] | math.MaxUint32
 }

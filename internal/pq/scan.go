@@ -1,6 +1,10 @@
 package pq
 
-import "ssam/internal/vec"
+import (
+	"sync"
+
+	"ssam/internal/vec"
+)
 
 // Asymmetric distance computation. Table turns a query into an M×Ks
 // lookup table of query-to-centroid partial distances; Codes stores
@@ -14,9 +18,10 @@ import "ssam/internal/vec"
 //	│ row 0..B-1   │ row 0..B-1   │   │   one byte per row
 //	└──────────────┴──────────────┴───┘
 //
-// Within a block the inner loop touches one subquantizer's column and
-// one 1 KiB lookup table at a time — both stay resident in L1 — and
-// the loop body compiles to load/add with no bounds checks: the table
+// Within a block the kernel touches one subquantizer's column and one
+// 1 KiB lookup table at a time — both stay resident in L1. The AVX2
+// kernel (scan_amd64.s) gathers eight rows' entries an instruction; the
+// Go loop's body compiles to load/add with no bounds checks: the table
 // is viewed as a *[Ks]float32 so the byte index needs no check, and
 // the column is re-sliced to the accumulator's length so the compiler
 // proves the row index in range.
@@ -39,49 +44,62 @@ const colsPerPass = 4
 // are the additive ones — Euclidean (squared L2) and Manhattan (L1);
 // cosine callers normalize vectors at encode time and query with
 // Euclidean tables (for unit vectors ||a-b||² = 2·(1-cos)).
+//
+// Each subvector is a one-query vec.Tile, and Block scores its Ks
+// centroids four at a time: a float64 sum of the separate differences'
+// squares (or magnitudes) in dimension order, rounded once to float32,
+// which is vec.Distance's value on the two slices.
 func (cb *Codebook) Table(metric vec.Metric, q []float32, dst []float32) []float32 {
 	if len(q) != cb.dim {
 		panic("pq: dimension mismatch")
 	}
+	if metric != vec.Euclidean && metric != vec.Manhattan {
+		panic("pq: no ADC table for metric " + metric.String())
+	}
 	if dst == nil {
 		dst = make([]float32, cb.m*Ks)
 	}
+	tb := tablers.Get().(*tabler)
+	defer tablers.Put(tb)
 	for j := 0; j < cb.m; j++ {
 		lo, hi := cb.starts[j], cb.starts[j+1]
 		sub := hi - lo
-		qs := q[lo:hi]
+		tb.q[0] = q[lo:hi]
+		tb.tile.Reset(metric, tb.q[:])
+		if cap(tb.lanes) < vec.BlockRows*sub {
+			tb.lanes = make([]float64, vec.BlockRows*sub)
+		}
 		cents := cb.cents[Ks*lo : Ks*hi]
 		out := dst[j*Ks : (j+1)*Ks]
-		switch metric {
-		case vec.Euclidean:
-			for c := 0; c < Ks; c++ {
-				cent := cents[c*sub : (c+1)*sub]
-				var acc float64
-				for d := range cent {
-					diff := float64(qs[d]) - float64(cent[d])
-					acc += diff * diff
-				}
-				out[c] = float32(acc)
+		for c := 0; c < Ks; c += vec.BlockRows {
+			for r := range tb.rows {
+				tb.rows[r] = cents[(c+r)*sub : (c+r+1)*sub]
 			}
-		case vec.Manhattan:
-			for c := 0; c < Ks; c++ {
-				cent := cents[c*sub : (c+1)*sub]
-				var acc float64
-				for d := range cent {
-					diff := float64(qs[d]) - float64(cent[d])
-					if diff < 0 {
-						diff = -diff
-					}
-					acc += diff
-				}
-				out[c] = float32(acc)
+			tb.tile.Block(&tb.rows, tb.lanes, tb.out[:])
+			for r, d := range tb.out {
+				out[c+r] = float32(d)
 			}
-		default:
-			panic("pq: no ADC table for metric " + metric.String())
 		}
 	}
+	tb.q[0], tb.rows = nil, [vec.BlockRows][]float32{}
 	return dst
 }
+
+// Ks centroids make whole blocks: this fails to compile unless they do.
+const _ = uint(-(Ks % vec.BlockRows))
+
+// tabler is the working memory of one Table call, kept in a pool so a
+// query allocates none: a one-query tile reset to each subvector, the
+// four centroids it scores and the Block's lanes and output.
+type tabler struct {
+	tile  vec.Tile
+	q     [1][]float32
+	rows  [vec.BlockRows][]float32
+	lanes []float64
+	out   [vec.BlockRows]float64
+}
+
+var tablers = sync.Pool{New: func() any { return new(tabler) }}
 
 // Codes is a code database in the blocked layout above: rows are
 // grouped into blocks of BlockRows, and within a block subquantizer
@@ -124,9 +142,8 @@ func (c *Codes) M() int { return c.m }
 func (c *Codes) Bytes() int { return len(c.buf) }
 
 // Row gathers row i's M code bytes out of the blocked layout into dst
-// (len >= M), returning dst. It is the layout's inverse, used by tests
-// and by the quantized scan's pilot, which reads a few hundred strided
-// rows before a scan; the scan itself never un-transposes.
+// (len >= M), returning dst. It is the layout's inverse, which tests
+// hold the scans to; the scan itself never un-transposes.
 func (c *Codes) Row(i int, dst []byte) []byte {
 	blo := i - i%BlockRows
 	rows := min(BlockRows, c.n-blo)
@@ -137,14 +154,20 @@ func (c *Codes) Row(i int, dst []byte) []byte {
 	return dst[:c.m]
 }
 
+// scanAVX2 is the assembly ADC kernel, set once at start-up on a CPU
+// that runs it (scan_amd64.go); nil selects scanGo alone. It takes the
+// whole groups of eight rows of each run, scanGo the rest. Tests flip
+// it to hold each kernel to the other.
+var scanAVX2 func(lut []float32, col []byte, stride, m int, acc []float32)
+
 // Scan computes ADC distances for rows [lo, hi) against the lookup
 // table lut (len >= M*Ks) and hands them to fn in block-sized runs:
 // fn(base, dists) covers rows base..base+len(dists)-1. Distances are
 // float32 sums of table entries in ascending subquantizer order, so a
 // row's distance is independent of how [lo, hi) partitions the
 // database — the property vault-parallel scans rely on for bit-exact
-// merges. The dists slice is reused across calls; fn must not retain
-// it.
+// merges — and of which kernel computed it. The dists slice is reused
+// across calls; fn must not retain it.
 func (c *Codes) Scan(lut []float32, lo, hi int, fn func(base int, dists []float32)) {
 	if len(lut) < c.m*Ks {
 		panic("pq: lookup table too short")
@@ -153,48 +176,65 @@ func (c *Codes) Scan(lut []float32, lo, hi int, fn func(base int, dists []float3
 		panic("pq: scan range out of bounds")
 	}
 	var accBuf [BlockRows]float32
-	tab := func(j int) *[Ks]float32 { return (*[Ks]float32)(lut[j*Ks:]) }
 	for lo < hi {
 		blo := lo - lo%BlockRows
 		rows := min(BlockRows, c.n-blo)
 		cLo := lo - blo
 		cHi := min(hi-blo, rows)
 		acc := accBuf[:cHi-cLo]
-		base := blo * c.m
-		col := func(j int) []byte { return c.buf[base+j*rows+cLo:][:len(acc)] }
-		// The first pass takes the M mod 4 odd columns (all four when
-		// there are none) and assigns; every later pass adds four.
-		w := (c.m-1)%colsPerPass + 1
-		switch w {
-		case 1:
-			l0, c0 := tab(0), col(0)
-			for r := range acc {
-				acc[r] = l0[c0[r]]
-			}
-		case 2:
-			l0, l1, c0, c1 := tab(0), tab(1), col(0), col(1)
-			for r := range acc {
-				acc[r] = l0[c0[r]] + l1[c1[r]]
-			}
-		case 3:
-			l0, l1, l2, c0, c1, c2 := tab(0), tab(1), tab(2), col(0), col(1), col(2)
-			for r := range acc {
-				acc[r] = l0[c0[r]] + l1[c1[r]] + l2[c2[r]]
-			}
-		default:
-			l0, l1, l2, l3, c0, c1, c2, c3 := tab(0), tab(1), tab(2), tab(3), col(0), col(1), col(2), col(3)
-			for r := range acc {
-				acc[r] = l0[c0[r]] + l1[c1[r]] + l2[c2[r]] + l3[c3[r]]
-			}
+		col := c.buf[blo*c.m+cLo:]
+		whole := 0
+		if scanAVX2 != nil {
+			whole = len(acc) &^ 7
 		}
-		for j := w; j < c.m; j += colsPerPass {
-			l0, l1, l2, l3, c0, c1, c2, c3 := tab(j), tab(j+1), tab(j+2), tab(j+3), col(j), col(j+1), col(j+2), col(j+3)
-			for r := range acc {
-				acc[r] = acc[r] + l0[c0[r]] + l1[c1[r]] + l2[c2[r]] + l3[c3[r]]
-			}
+		if whole > 0 {
+			scanAVX2(lut, col, rows, c.m, acc[:whole])
 		}
+		scanGo(lut, col[whole:], rows, c.m, acc[whole:])
 		fn(lo, acc)
 		lo = blo + cHi
+	}
+}
+
+// scanGo writes into acc the distances of len(acc) consecutive rows of
+// one block: column j of the first of them is col[j*stride]. It is the
+// pure-Go kernel, and the oracle the assembly is held to.
+func scanGo(lut []float32, col []byte, stride, m int, acc []float32) {
+	if len(acc) == 0 {
+		return
+	}
+	tab := func(j int) *[Ks]float32 { return (*[Ks]float32)(lut[j*Ks:]) }
+	cj := func(j int) []byte { return col[j*stride:][:len(acc)] }
+	// The first pass takes the M mod 4 odd columns (all four when there
+	// are none) and assigns; every later pass adds four.
+	w := (m-1)%colsPerPass + 1
+	switch w {
+	case 1:
+		l0, c0 := tab(0), cj(0)
+		for r := range acc {
+			acc[r] = l0[c0[r]]
+		}
+	case 2:
+		l0, l1, c0, c1 := tab(0), tab(1), cj(0), cj(1)
+		for r := range acc {
+			acc[r] = l0[c0[r]] + l1[c1[r]]
+		}
+	case 3:
+		l0, l1, l2, c0, c1, c2 := tab(0), tab(1), tab(2), cj(0), cj(1), cj(2)
+		for r := range acc {
+			acc[r] = l0[c0[r]] + l1[c1[r]] + l2[c2[r]]
+		}
+	default:
+		l0, l1, l2, l3, c0, c1, c2, c3 := tab(0), tab(1), tab(2), tab(3), cj(0), cj(1), cj(2), cj(3)
+		for r := range acc {
+			acc[r] = l0[c0[r]] + l1[c1[r]] + l2[c2[r]] + l3[c3[r]]
+		}
+	}
+	for j := w; j < m; j += colsPerPass {
+		l0, l1, l2, l3, c0, c1, c2, c3 := tab(j), tab(j+1), tab(j+2), tab(j+3), cj(j), cj(j+1), cj(j+2), cj(j+3)
+		for r := range acc {
+			acc[r] = acc[r] + l0[c0[r]] + l1[c1[r]] + l2[c2[r]] + l3[c3[r]]
+		}
 	}
 }
 

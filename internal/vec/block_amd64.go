@@ -10,12 +10,26 @@ package vec
 
 func init() {
 	if hasAVX2() {
+		cpuAVX2 = true
 		blockAVX2 = (*Tile).blockAVX2
 	}
 }
 
 //go:noescape
 func hasAVX2() bool
+
+//go:noescape
+func prefetch(p *float32, n int)
+
+// Prefetch asks for every 64-byte line of row to be brought into cache:
+// a hint, never a read, so it cannot fault and changes no result. A
+// scan that knows which scattered row it reads next calls it a few rows
+// ahead.
+func Prefetch(row []float32) {
+	if len(row) > 0 {
+		prefetch(&row[0], 4*len(row))
+	}
+}
 
 //go:noescape
 func widen8(r0, r1, r2, r3 *float32, n int, lanes *float64, ahead int)

@@ -39,6 +39,21 @@ TEXT ·hasAVX2(SB), NOSPLIT, $0-1
 no:
 	RET
 
+// func prefetch(p *float32, n int)
+// PREFETCHT0 on each 64-byte line that holds one of the n > 0 bytes at p.
+TEXT ·prefetch(SB), NOSPLIT, $0-16
+	MOVQ p+0(FP), AX
+	MOVQ n+8(FP), CX
+	ADDQ AX, CX
+	ANDQ $~63, AX
+	PCALIGN $64
+line:
+	PREFETCHT0 (AX)
+	ADDQ       $64, AX
+	CMPQ       AX, CX
+	JLT        line
+	RET
+
 // func widen8(r0, r1, r2, r3 *float32, n int, lanes *float64, ahead int)
 // Transposes and widens elements [0, n) of four rows, n a positive
 // multiple of 8: lanes[4*i+r] = float64(r_r[i]). Eight elements of each

@@ -21,14 +21,15 @@ import "math"
 //     bits are the same either way.
 //
 // ChiSquared and JaccardMetric sit behind the same interface but score
-// each row per query through Distance. A Tile is immutable once built
-// and safe for concurrent Row and Block calls.
+// each row per query through Distance. A Tile is immutable between
+// Resets and safe for concurrent Row and Block calls.
 type Tile struct {
 	metric Metric
 	dim    int
 	qs     [][]float32 // the batch as given (ChiSquared, JaccardMetric)
 	wide   [][]float64 // each query widened (Euclidean, Manhattan, Cosine)
 	norms  []float64   // Cosine: each query's sum of squares
+	flat   []float64   // the memory wide's queries share
 }
 
 // NewTile prepares qs for scanning under m. The batch must hold at
@@ -36,42 +37,59 @@ type Tile struct {
 // panics for HammingMetric. The tile keeps qs, which must not change
 // while it is in use.
 func NewTile(m Metric, qs [][]float32) *Tile {
+	t := new(Tile)
+	t.Reset(m, qs)
+	return t
+}
+
+// Reset prepares t for qs under m as NewTile does, in the memory t
+// already holds where it is large enough, so a goroutine that scores
+// many small batches in turn allocates for none of them once it has
+// seen the largest. Nothing may use t while it is reset.
+func (t *Tile) Reset(m Metric, qs [][]float32) {
 	if len(qs) == 0 {
 		panic("vec: empty query batch")
 	}
-	t := &Tile{metric: m, dim: len(qs[0]), qs: qs}
+	dim := len(qs[0])
 	for _, q := range qs {
-		if len(q) != t.dim {
+		if len(q) != dim {
 			panic("vec: dimension mismatch")
 		}
 	}
+	*t = Tile{metric: m, dim: dim, qs: qs, wide: t.wide[:0], norms: t.norms[:0], flat: t.flat}
 	switch m {
 	case Euclidean, Manhattan, Cosine:
 	case ChiSquared, JaccardMetric:
-		return t
+		t.wide = nil
+		return
 	default:
 		panic("vec: no float kernel for metric " + m.String())
 	}
-	flat := make([]float64, len(qs)*t.dim)
-	t.wide = make([][]float64, len(qs))
+	if n := len(qs) * dim; cap(t.flat) < n {
+		t.flat = make([]float64, n)
+	}
+	if cap(t.wide) < len(qs) {
+		t.wide = make([][]float64, 0, len(qs))
+	}
 	for j, q := range qs {
-		w := flat[j*t.dim : (j+1)*t.dim : (j+1)*t.dim]
+		w := t.flat[j*dim : (j+1)*dim : (j+1)*dim]
 		for i, v := range q {
 			w[i] = float64(v)
 		}
-		t.wide[j] = w
+		t.wide = append(t.wide, w)
 	}
 	if m == Cosine {
-		t.norms = make([]float64, len(qs))
-		for j, w := range t.wide {
+		if cap(t.norms) < len(qs) {
+			t.norms = make([]float64, 0, len(qs))
+		}
+		for _, w := range t.wide {
 			var na float64
 			for _, x := range w {
 				na += x * x
 			}
-			t.norms[j] = na
+			t.norms = append(t.norms, na)
 		}
 	}
-	return t
 }
 
 // Len returns the number of queries in the tile.
@@ -160,6 +178,14 @@ const BlockRows = 4
 // that runs it (block_amd64.go); nil selects the pure-Go kernel. Tests
 // flip it to hold each kernel to the other.
 var blockAVX2 func(t *Tile, rows *[BlockRows][]float32, lanes, out []float64)
+
+// cpuAVX2 reports whether the CPU runs AVX2 code, set once at start-up
+// (block_amd64.go). Tests never change it; they flip blockAVX2.
+var cpuAVX2 bool
+
+// AVX2 reports whether this CPU runs AVX2: one CPUID check for every
+// package with an AVX2 kernel to dispatch on.
+func AVX2() bool { return cpuAVX2 }
 
 // Kernel names the block kernel this process scans with: "avx2" or
 // "go". Both produce the same bits; a host's scan speed depends on it.

@@ -207,6 +207,43 @@ func FuzzTileBlock(f *testing.F) {
 	})
 }
 
+// TestTileReset reuses one tile across batches that grow, shrink,
+// change width and change metric: each Reset must score as a NewTile of
+// the same batch, bit for bit, whatever the tile held before.
+func TestTileReset(t *testing.T) {
+	eachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(5))
+		batch := func(width, dim int) [][]float32 {
+			qs := make([][]float32, width)
+			for j := range qs {
+				qs[j] = make([]float32, dim)
+				for i := range qs[j] {
+					qs[j][i] = rng.Float32()
+				}
+			}
+			return qs
+		}
+		var reused Tile
+		for _, c := range []struct {
+			m          Metric
+			width, dim int
+		}{{Cosine, 5, 9}, {Euclidean, 2, 9}, {Manhattan, 7, 3}, {ChiSquared, 3, 3}, {Cosine, 1, 17}, {Euclidean, 9, 17}} {
+			qs := batch(c.width, c.dim)
+			rows := batch(BlockRows, c.dim)
+			reused.Reset(c.m, qs)
+			fresh := NewTile(c.m, qs)
+			got, want := make([]float64, BlockRows*c.width), make([]float64, BlockRows*c.width)
+			reused.Block((*[BlockRows][]float32)(rows), reused.Lanes(), got)
+			fresh.Block((*[BlockRows][]float32)(rows), fresh.Lanes(), want)
+			for i := range want {
+				if !sameBits(got[i], want[i]) {
+					t.Fatalf("%v width=%d dim=%d query %d row %d: reset tile %v, new tile %v", c.m, c.width, c.dim, i/BlockRows, i%BlockRows, got[i], want[i])
+				}
+			}
+		}
+	})
+}
+
 func TestTilePanics(t *testing.T) {
 	eachKernel(t, testTilePanics)
 }
