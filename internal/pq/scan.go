@@ -81,7 +81,6 @@ func (cb *Codebook) Table(metric vec.Metric, q []float32, dst []float32) []float
 			}
 		}
 	}
-	tb.q[0], tb.rows = nil, [vec.BlockRows][]float32{}
 	return dst
 }
 

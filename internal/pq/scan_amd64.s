@@ -3,8 +3,9 @@
 // The AVX2 ADC kernel (scan_amd64.go). Each 32-bit lane of a YMM
 // register is one row's float32 sum: column 0's table entry, then each
 // later column's added in ascending order by a separate VADDPS with the
-// sum as the first operand, as pq.ADC adds. No fused operation and no
-// reordering, so every lane is ADC's bits, NaN payloads included.
+// sum as the first operand. No fused operation and no reordering, so
+// every lane is the Go loop's bits, NaN payloads included, and pq.ADC's
+// but for which payload a NaN + NaN keeps.
 //
 // A gather writes only the lanes its mask selects and clears the mask
 // as it goes, so every gather takes a fresh all-ones copy of Y15.
