@@ -153,6 +153,11 @@ func (c *Codes) Row(i int, dst []byte) []byte {
 	return dst[:c.m]
 }
 
+// accBlocks holds Scan's accumulator blocks. A block handed to fn, a
+// func value, escapes, so one on Scan's stack would be a heap
+// allocation per call: one per vault and one for the pilot, each query.
+var accBlocks = sync.Pool{New: func() any { return new([BlockRows]float32) }}
+
 // scanAVX2 is the assembly ADC kernel, set once at start-up on a CPU
 // that runs it (scan_amd64.go); nil selects scanGo alone. It takes the
 // whole groups of eight rows of each run, scanGo the rest. Tests flip
@@ -174,7 +179,8 @@ func (c *Codes) Scan(lut []float32, lo, hi int, fn func(base int, dists []float3
 	if lo < 0 || hi > c.n || lo > hi {
 		panic("pq: scan range out of bounds")
 	}
-	var accBuf [BlockRows]float32
+	accBuf := accBlocks.Get().(*[BlockRows]float32)
+	defer accBlocks.Put(accBuf)
 	for lo < hi {
 		blo := lo - lo%BlockRows
 		rows := min(BlockRows, c.n-blo)
